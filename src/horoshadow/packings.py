@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -51,6 +52,49 @@ class ValidationReport:
     violations: list = field(default_factory=list)
 
 
+#: widening of the float shadow intervals, relative to |x| + r and
+#: absolute; together they exceed every rounding error of the float
+#: conversion, of the interval ends and of the float test, whose squares
+#: leave the normal range only when |x - x'| < 2^-511
+_REL_PAD = 2.0 ** -40
+_ABS_PAD = 2.0 ** -500
+
+
+def _to_float(v) -> float:
+    """float(v), or +-inf where v lies beyond the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _shadow_pairs(x, half):
+    """Index pairs (a, b), a < b, whose intervals [x - half, x + half]
+    may meet (numpy arrays in, two index arrays out).
+
+    Each float interval is widened by _REL_PAD and _ABS_PAD so that it
+    contains the exact one; an end that overflows becomes -inf or +inf.
+    Sorted by left end, the intervals meeting interval i from the right
+    are the run of left ends up to its right end (sweep and prune).
+    """
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        pad = _REL_PAD * (np.abs(x) + half) + _ABS_PAD
+        lo = x - half - pad
+        hi = x + half + pad
+    lo = np.where(np.isnan(lo), -np.inf, lo)
+    hi = np.where(np.isnan(hi), np.inf, hi)
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    n = len(lo)
+    runs = np.searchsorted(lo, hi, side="right") - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), runs)
+    run_start = np.repeat(np.cumsum(runs) - runs, runs)
+    second = first + 1 + np.arange(len(first)) - run_start
+    a, b = order[first], order[second]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
 def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
                       exact: bool = False) -> ValidationReport:
     """Check pairwise disjointness of the open horoballs.
@@ -59,8 +103,15 @@ def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
     |x - x'|^2 >= 4 r r' (exact under Fraction coordinates when
     exact=True); a tangent horoball against a horoball at infinity of
     height h requires 2r <= h.  Violating index pairs are reported.
-    The float path runs blockwise through numpy; the exact path stays in
-    rational arithmetic with zero slack.
+
+    Two tangent horoballs can overlap only if their shadow intervals
+    [x_1 - r, x_1 + r] on the first base coordinate meet, because
+    4 r r' <= (r + r')^2.  Candidate pairs therefore come from a sort
+    and sweep of these intervals in floats, widened so that no pair the
+    certificate rejects is pruned, at any scale; the certificate then
+    runs on the candidates only: vectorised in floats with slack tol, or
+    in rational arithmetic with zero slack when exact=True.  Cost is
+    O(N log N + candidates).
     """
     bad = []
     hs = fam.horoballs
@@ -74,30 +125,27 @@ def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
         for j, inf in infs:
             if 2 * t.radius > inf.height * (1 + slack):
                 bad.append(tuple(sorted((i, j))))
-    if exact:
-        for a in range(len(tangs)):
-            ia, ha = tangs[a]
-            for b in range(a + 1, len(tangs)):
-                ib, hb = tangs[b]
-                lhs = vnorm2(vsub(ha.base, hb.base))
-                if lhs < 4 * ha.radius * hb.radius:
-                    bad.append((ia, ib))
-    elif tangs:
+    if tangs:
         import numpy as np
-        idx = np.array([i for i, _ in tangs])
-        xs = np.array([[float(c) for c in h.base] for _, h in tangs])
-        rs = np.array([float(h.radius) for _, h in tangs])
-        n = len(tangs)
-        block = max(1, min(n, 8_000_000 // max(n, 1)))
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            diff = xs[lo:hi, None, :] - xs[None, :, :]
-            lhs = np.einsum("ijk,ijk->ij", diff, diff)
-            rhs = 4 * rs[lo:hi, None] * rs[None, :] * (1 - slack)
-            rows, cols = np.nonzero(lhs < rhs)
-            for r, c in zip(rows, cols):
-                if lo + r < c:
-                    bad.append((int(idx[lo + r]), int(idx[c])))
+        # the float test keeps raising on values beyond the float range;
+        # the exact test only prunes with them
+        to_float = _to_float if exact else float
+        xs = np.array([[to_float(c) for c in h.base] for _, h in tangs])
+        rs = np.array([to_float(h.radius) for _, h in tangs])
+        # a negative slack lets the float test reach sqrt(1 - slack) times
+        # further than the shadows
+        a, b = _shadow_pairs(xs[:, 0], rs * math.sqrt(max(1.0, 1.0 - slack)))
+        if exact:
+            for p, q in zip(a.tolist(), b.tolist()):
+                (ip, hp), (iq, hq) = tangs[p], tangs[q]
+                if vnorm2(vsub(hp.base, hq.base)) < 4 * hp.radius * hq.radius:
+                    bad.append((ip, iq))
+        else:
+            diff = xs[a] - xs[b]
+            lhs = np.einsum("ij,ij->i", diff, diff)
+            hit = lhs < 4 * rs[a] * rs[b] * (1 - slack)
+            idx = np.array([i for i, _ in tangs])
+            bad.extend(zip(idx[a[hit]].tolist(), idx[b[hit]].tolist()))
     bad.sort()
     return ValidationReport(not bad, bad)
 
@@ -186,12 +234,28 @@ def extremal(generations: int, s: float = EXTREMAL_SCALE) -> HoroballFamily:
 
 def random_disjoint(count: int, dim: int = 2, seed: int = 0) -> HoroballFamily:
     """Seed-deterministic family of disjoint tangent horoballs obtained by
-    greedy rejection sampling in a bounded base box, radii <= 1/2."""
+    greedy rejection sampling in the base box [0, side]^(dim-1), radii in
+    [0.05, 1/2].
+
+    The side is max(4, 2 count^(1/(dim-1))), so the box offers the same
+    base volume 2^(dim-1) per ball in every dimension.  A candidate ball
+    of radius r can only overlap a placed ball whose first base
+    coordinate lies within r + 1/2 of its own, so it is tested against
+    those alone, found by bisection in the placed balls kept sorted by
+    that coordinate.
+    """
     if count < 1:
         raise ValueError("count must be positive")
+    if dim < 2:
+        raise ValueError("ambient dimension must be at least 2")
     rng = random.Random(seed)
-    side = max(4.0, 2.0 * math.sqrt(count))
+    # through sqrt, so that dim 3 keeps its correctly rounded side
+    side = max(4.0, 2.0 * math.sqrt(count) ** (2 / (dim - 1)))
+    # covers the rounding of the float test and of the window ends
+    pad = 1e-9 * side
     placed: list[TangentHoroball] = []
+    by_x: list[TangentHoroball] = []      # the same balls sorted by base[0]
+    first = lambda h: h.base[0]  # noqa: E731
     attempts = 0
     max_attempts = 400 * count
     while len(placed) < count:
@@ -202,11 +266,12 @@ def random_disjoint(count: int, dim: int = 2, seed: int = 0) -> HoroballFamily:
                 f"(placed {len(placed)} after {attempts} attempts)")
         base = tuple(rng.uniform(0.0, side) for _ in range(dim - 1))
         radius = rng.uniform(0.05, 0.5)
-        ok = True
-        for other in placed:
-            if vnorm2(vsub(base, other.base)) < 4 * radius * other.radius:
-                ok = False
-                break
-        if ok:
-            placed.append(TangentHoroball(base, radius))
-    return HoroballFamily(dim, list(placed))
+        reach = radius + 0.5 + pad
+        near = by_x[bisect_left(by_x, base[0] - reach, key=first):
+                    bisect_right(by_x, base[0] + reach, key=first)]
+        if not any(vnorm2(vsub(base, other.base)) < 4 * radius * other.radius
+                   for other in near):
+            ball = TangentHoroball(base, radius)
+            placed.append(ball)
+            insort(by_x, ball, key=first)
+    return HoroballFamily(dim, placed)

@@ -153,6 +153,8 @@ class TestRandomDisjoint:
     def test_single(self):
         fam = random_disjoint(1, 2, 0)
         assert len(fam.horoballs) == 1
+        with pytest.raises(ValueError):
+            random_disjoint(1, 1, 0)
 
     def test_deterministic(self):
         a = random_disjoint(20, 2, 7)
@@ -160,8 +162,10 @@ class TestRandomDisjoint:
         assert a.horoballs == b.horoballs
 
     def test_validates_2d_and_3d(self):
-        assert validate_disjoint(random_disjoint(50, 2, 7)).ok
-        assert validate_disjoint(random_disjoint(50, 3, 7)).ok
+        for count, dim in ((50, 2), (50, 3), (1000, 2), (300, 4)):
+            fam = random_disjoint(count, dim, 7)
+            assert len(fam.horoballs) == count
+            assert validate_disjoint(fam).ok
 
 
 class TestValidate:
