@@ -10,7 +10,7 @@ count.
 
 import argparse
 
-from horoshadow import EXTREMAL_SCALE, extremal, solve_2d
+from horoshadow import SHARP_SCALE, extremal, solve_2d
 from horoshadow.sharp2d import scaled_shadow_residual
 
 
@@ -22,11 +22,11 @@ def main():
     fam = extremal(args.generations)
     root = fam.horoballs[0]
     print(f"extremal packing, {len(fam.horoballs)} horoballs, "
-          f"critical scale {EXTREMAL_SCALE:.12f}\n")
+          f"critical scale {SHARP_SCALE:.12f}\n")
     print(f"{'scale offset':>14} {'residual intervals':>19} "
           f"{'largest residual':>17} {'solver':>10}")
     for off in (-1e-2, -1e-6, -1e-9, 1e-9, 1e-6, 1e-2):
-        s = EXTREMAL_SCALE + off
+        s = SHARP_SCALE + off
         seed = (s * float(root.radius), float(root.radius))
         residual = scaled_shadow_residual(fam, s, seed)
         largest = max((b - a for a, b in residual), default=0.0)

@@ -29,7 +29,6 @@ from .heisenberg import (
 )
 from .numeric import CertificateError, NumericContext
 from .packings import (
-    EXTREMAL_SCALE,
     HoroballFamily,
     extremal,
     farey,
@@ -47,7 +46,6 @@ from .rays import (
 from .shadows import (
     CurvatureBand,
     Shadow,
-    annulus_components_2d,
     hamenstadt_dist_points,
     quadratic_separation,
     shadow_of,

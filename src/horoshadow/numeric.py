@@ -1,4 +1,5 @@
-"""Shared numeric plumbing: tolerances, exact-rational coercion, 1-D searches."""
+"""Shared numeric plumbing: tolerances, the sharp scale, the certificate
+kernel, exact-rational coercion, 1-D searches."""
 
 from __future__ import annotations
 
@@ -9,9 +10,38 @@ from typing import Callable
 
 DEFAULT_TOL = 1e-9
 
+#: largest scale factor admitted by the interval dichotomy (the positive
+#: root of s^2 + 10 s - 7), which is also the tangency scale of the
+#: extremal binary-tree packing
+SHARP_SCALE = 4 * math.sqrt(2) - 5
+
 
 class CertificateError(RuntimeError):
     """A constructed object failed its own runtime certificate."""
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Outcome of an exhaustive avoidance check: the minimum margin, the
+    member index where it occurs, and the number of members checked."""
+
+    margin: object
+    index: int
+    checks: int
+
+
+def certify(margins: dict, tol: float) -> Certificate:
+    """Certificate over {member index: margin}, where a margin is the
+    distance from the output to a member's center minus its scaled
+    radius; raises CertificateError when the minimum is below -tol.
+    Ties in the minimum go to the first index."""
+    index = min(margins, key=margins.__getitem__)
+    margin = margins[index]
+    if margin < -tol:
+        raise CertificateError(
+            f"output meets scaled ball of member {index} "
+            f"(margin {float(margin):.3e})")
+    return Certificate(margin, index, len(margins))
 
 
 @dataclass(frozen=True)

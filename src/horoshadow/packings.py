@@ -23,7 +23,7 @@ from .halfspace import (
     vnorm2,
     vsub,
 )
-from .numeric import DEFAULT_TOL
+from .numeric import DEFAULT_TOL, SHARP_SCALE
 
 
 @dataclass
@@ -195,18 +195,13 @@ def geometric(n_min: int, n_max: int) -> HoroballFamily:
     return HoroballFamily(2, balls, labels)
 
 
-#: scale factor at which each extremal child is tangent to its parent
-#: (positive root of s^2 + 10 s - 7)
-EXTREMAL_SCALE = 4 * math.sqrt(2) - 5
-
-
-def extremal(generations: int, s: float = EXTREMAL_SCALE) -> HoroballFamily:
+def extremal(generations: int, s: float = SHARP_SCALE) -> HoroballFamily:
     """Binary tree of horoballs rooted at the unit ball tangent at 0.
 
     Children of a ball tangent at x with radius r sit at x +- r(1+s)/2
     with radius r(1-s)/2, i.e. their shadows are exactly the two
     components of the parent shadow minus the scaled parent shadow.  At
-    s = EXTREMAL_SCALE every child is tangent to its parent and the whole
+    s = SHARP_SCALE every child is tangent to its parent and the whole
     family is pairwise disjoint; below it parents and children overlap.
     Generated breadth first, 2^(generations+1) - 1 horoballs.
     """

@@ -113,14 +113,3 @@ def quadratic_separation(h1: TangentHoroball, h2: TangentHoroball,
     tangent = abs(lhs - rhs) <= tol * rhs
     return QuadraticSeparation(lhs, rhs, lhs >= rhs or tangent, tangent)
 
-
-def annulus_components_2d(h: TangentHoroball, s) -> tuple[tuple, tuple]:
-    """The two components of (closure of) shadow minus scaled shadow for a
-    tangent horoball on the real line: ([b - r, b - s r], [b + s r, b + r])."""
-    if not 0 < s < 1:
-        raise ValueError("scale factor must lie in (0, 1)")
-    if len(h.base) != 1:
-        raise ValueError("annulus components are one-dimensional")
-    b = h.base[0]
-    r = h.radius
-    return ((b - r, b - s * r), (b + s * r, b + r))

@@ -19,11 +19,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .halfspace import TangentHoroball
-from .numeric import DEFAULT_TOL, CertificateError
+from .numeric import DEFAULT_TOL, SHARP_SCALE, Certificate, CertificateError, certify
 from .packings import HoroballFamily
-
-#: largest scale factor admitted by the interval dichotomy
-SHARP_SCALE = 4 * math.sqrt(2) - 5
+from .uncover import scan_chain, scan_order
 
 
 class Side(Enum):
@@ -69,38 +67,49 @@ def sharp_shrink_time(a: float = 1.0) -> float:
 
 def component_of(h: TangentHoroball, s, side: Side,
                  index: int = -1) -> IntervalComponent:
+    """The annulus component [b - r, b - s r] or [b + s r, b + r] of the
+    shadow of h on the given side."""
+    if not 0 < s < 1:
+        raise ValueError("scale factor must lie in (0, 1)")
     b, r = h.base[0], h.radius
     if side is Side.LEFT:
         return IntervalComponent((b - r, b - s * r), index, side)
     return IntervalComponent((b + s * r, b + r), index, side)
 
 
-def step_2d(K: IntervalComponent, h2: TangentHoroball, s,
-            index: int = -1, tol: float = DEFAULT_TOL
-            ) -> Optional[IntervalComponent]:
-    """Interval dichotomy step: None when the scaled shadow of h2 misses
-    K; otherwise an annulus component of h2 contained in K (the one with
-    the larger margin to the boundary of K, ties going right).
+def fit_component(interval: tuple, b, r, s, index: int = -1,
+                  tol: float = DEFAULT_TOL) -> Optional[IntervalComponent]:
+    """Interval dichotomy on a line: None when the scaled shadow
+    [b - s r, b + s r] misses the interval; otherwise the annulus
+    component of the shadow of radius r at b that lies in the interval,
+    the one with the larger margin to its ends (ties going right).
 
     A failure to contain either component signals a scale factor above
     the sharp threshold or an invalid family, and raises.
     """
-    b, r = h2.base[0], h2.radius
-    lo, hi = K.interval
+    lo, hi = interval
     if b + s * r < lo - tol or b - s * r > hi + tol:
         return None
-    candidates = []
-    for side in (Side.LEFT, Side.RIGHT):
-        c = component_of(h2, s, side, index)
-        if c.lo >= lo - tol and c.hi <= hi + tol:
-            margin = min(c.lo - lo, hi - c.hi)
-            candidates.append((margin, side is Side.RIGHT, c))
-    if not candidates:
+    best = None
+    for side, c_lo, c_hi in ((Side.LEFT, b - r, b - s * r),
+                             (Side.RIGHT, b + s * r, b + r)):
+        if c_lo >= lo - tol and c_hi <= hi + tol:
+            margin = min(c_lo - lo, hi - c_hi)
+            if best is None or margin >= best[0]:
+                best = (margin, IntervalComponent((c_lo, c_hi), index, side))
+    if best is None:
         raise CertificateError(
-            f"no annulus component of horoball {index} fits in {K.interval}; "
+            f"no annulus component of horoball {index} fits in {interval}; "
             "scale above the sharp threshold or family invalid")
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    return candidates[-1][2]
+    return best[1]
+
+
+def step_2d(K: IntervalComponent, h2: TangentHoroball, s,
+            index: int = -1, tol: float = DEFAULT_TOL
+            ) -> Optional[IntervalComponent]:
+    """Interval dichotomy step against h2 on the boundary line (see
+    fit_component)."""
+    return fit_component(K.interval, h2.base[0], h2.radius, s, index, tol)
 
 
 @dataclass
@@ -109,6 +118,7 @@ class LineSolution:
     witness: list[IntervalComponent]
     start_index: int
     scale: float
+    certificate: Certificate
 
 
 def solve_2d(fam: HoroballFamily, s, start: Optional[int] = None,
@@ -116,54 +126,35 @@ def solve_2d(fam: HoroballFamily, s, start: Optional[int] = None,
     """Boundary point whose vertical geodesic avoids every open scaled
     horoball of a planar family, by nested annulus components.
 
-    The scan runs over tangent members by non-increasing radius (ties by
-    input index), seeded at the chosen side component of the start
-    horoball (largest by default); members at infinity are skipped, as
-    no geodesic from infinity can avoid them.  The returned endpoint is
-    the midpoint of the final interval; the avoidance certificate
-    |endpoint - b_n| >= s r_n - tol is checked against every tangent
-    member before returning.
+    The scan (uncover.scan_order) runs over tangent members by
+    non-increasing radius (ties by input index), seeded at the chosen
+    side component of the start horoball (largest by default); members
+    at infinity are skipped, as no geodesic from infinity can avoid
+    them.  The returned endpoint is the midpoint of the final interval;
+    the avoidance certificate |endpoint - b_n| >= s r_n - tol is checked
+    against every tangent member before returning.
     """
     if fam.dim != 2:
         raise ValueError("the interval solver needs a planar family")
     if not 0 < s <= SHARP_SCALE * (1 + 1e-12):
         raise ValueError(f"scale factor must lie in (0, {SHARP_SCALE}]")
+    hs = fam.horoballs
     items = fam.tangent_items()
     if not items:
         raise ValueError("no tangent horoballs to solve against")
-    if start is None:
-        a0 = max(items, key=lambda ih: (ih[1].radius, -ih[0]))[0]
-    else:
-        a0 = start
-        if not isinstance(fam.horoballs[a0], TangentHoroball):
-            raise ValueError("start index is not a tangent horoball")
-    h0 = fam.horoballs[a0]
-    b0, r0 = h0.base[0], h0.radius
-    K = component_of(h0, s, side, a0)
-    sup = max(h.radius for _, h in items)
-    order = [(i, h) for i, h in items
-             if i != a0 and h.radius <= r0 + tol
-             and abs(h.base[0] - b0) <= 3 * sup]
-    order.sort(key=lambda ih: (-ih[1].radius, ih[0]))
-    witness = [K]
-    for i, h in order:
-        K2 = step_2d(K, h, s, index=i, tol=tol)
-        if K2 is not None:
-            witness.append(K2)
-            K = K2
-    endpoint = K.midpoint
-    worst = None
-    for i, h in items:
-        margin = abs(endpoint - h.base[0]) - s * h.radius
-        if worst is None or margin < worst[1]:
-            worst = (i, margin)
-    if worst[1] < -tol:
-        raise CertificateError(
-            f"endpoint meets scaled shadow of horoball {worst[0]} "
-            f"(margin {float(worst[1]):.3e})")
+    radii = {i: h.radius for i, h in items}
+    if start is not None and start not in radii:
+        raise ValueError("start index is not a tangent horoball")
+    base = {i: h.base[0] for i, h in items}
+    a0, order = scan_order(radii, lambda i, j: abs(base[i] - base[j]), start, tol)
+    b0, r0 = base[a0], radii[a0]
+    chain = scan_chain(component_of(hs[a0], s, side, a0), order,
+                       lambda K, j: step_2d(K, hs[j], s, index=j, tol=tol))
+    endpoint = chain[-1][1].midpoint
+    cert = certify({i: abs(endpoint - base[i]) - s * r for i, r in radii.items()}, tol)
     if not (b0 - r0 - tol <= endpoint <= b0 + r0 + tol):
         raise CertificateError("endpoint escaped the start shadow")
-    return LineSolution(endpoint, witness, a0, s)
+    return LineSolution(endpoint, [K for _, K in chain], a0, s, cert)
 
 
 def scaled_shadow_residual(fam: HoroballFamily, s,

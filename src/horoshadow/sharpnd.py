@@ -16,9 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .halfspace import TangentHoroball
-from .numeric import DEFAULT_TOL, CertificateError
+from .numeric import DEFAULT_TOL, SHARP_SCALE, Certificate, CertificateError, certify
 from .packings import HoroballFamily
-from .sharp2d import SHARP_SCALE
+from .sharp2d import fit_component
+from .uncover import scan_chain, scan_order
 
 #: below this sine of the rotation angle the configuration counts as
 #: collinear and the rotation (ill-conditioned there) is skipped
@@ -55,29 +56,6 @@ def maximal_annulus_ball(h: TangentHoroball, s: float, direction,
     return AnnulusBall(tuple(map(float, center)), r * (1 - s) / 2, index)
 
 
-def _line_step(y1: float, R: float, b2: float, r2: float, s: float,
-               tol: float) -> Optional[float]:
-    """Planar step on an oriented line: current interval [y1-R, y1+R],
-    other shadow centered b2 with radius r2.  Returns the center of the
-    chosen annulus component (margin rule, ties toward +), or None."""
-    lo, hi = y1 - R, y1 + R
-    if b2 + s * r2 < lo - tol or b2 - s * r2 > hi + tol:
-        return None
-    best = None
-    for sgn in (-1.0, 1.0):
-        c_lo, c_hi = ((b2 - r2, b2 - s * r2) if sgn < 0
-                      else (b2 + s * r2, b2 + r2))
-        if c_lo >= lo - tol and c_hi <= hi + tol:
-            margin = min(c_lo - lo, hi - c_hi)
-            if best is None or (margin, sgn) > (best[0], best[1]):
-                best = (margin, sgn, (c_lo + c_hi) / 2)
-    if best is None:
-        raise CertificateError(
-            "no annulus component fits on the reduction line; "
-            "scale above the sharp threshold or family invalid")
-    return best[2]
-
-
 def step_hnr(parent: TangentHoroball, K: AnnulusBall, other: TangentHoroball,
              s: float, index: int = -1,
              tol: float = DEFAULT_TOL) -> Optional[AnnulusBall]:
@@ -99,37 +77,27 @@ def step_hnr(parent: TangentHoroball, K: AnnulusBall, other: TangentHoroball,
     if d_scaled > K.radius + s * r2 + tol:
         return None
     u = y - x
-    nu = np.linalg.norm(u)
+    nu = float(np.linalg.norm(u))
     if nu == 0:
         raise ValueError("annulus ball centered at the shadow center")
     u = u / nu
     w = x2 - y
     nw = np.linalg.norm(w)
-    if nw <= tol:
-        # other center at y: any line through y works, use the axis line
-        coord = _line_step(nu, K.radius, float(np.dot(x2 - x, u)), r2, s, tol)
-        if coord is None:
-            return None
-        center = x + coord * u
-    else:
-        wpar = float(np.dot(w, u))
-        wperp = w - wpar * u
-        nperp = np.linalg.norm(wperp)
-        if nperp <= COLLINEAR_SIN * nw:
-            # already on the line through x and y
-            coord = _line_step(nu, K.radius, float(np.dot(x2 - x, u)), r2, s, tol)
-            if coord is None:
-                return None
-            center = x + coord * u
-        else:
-            # rotate x2 about y onto the line, beyond y as seen from x
-            b2_line = nu + nw  # rotated center coordinate on the line
-            coord = _line_step(nu, K.radius, b2_line, r2, s, tol)
-            if coord is None:
-                return None
-            # rotate the 1-D answer back: u maps to the unit vector
-            # from y toward x2, and the answer lies on the rotated line
-            center = y + (coord - nu) * (w / nw)
+    # other center at y (any line through y works) or already on the
+    # line through x and y: use that axis line; otherwise rotate x2
+    # about y onto the line, beyond y as seen from x
+    straight = nw <= tol
+    if not straight:
+        wperp = w - float(np.dot(w, u)) * u
+        straight = np.linalg.norm(wperp) <= COLLINEAR_SIN * nw
+    b2_line = float(np.dot(x2 - x, u)) if straight else nu + nw
+    C = fit_component((nu - K.radius, nu + K.radius), b2_line, r2, s, index, tol)
+    if C is None:
+        return None
+    coord = C.midpoint
+    # rotate the 1-D answer back: u maps to the unit vector from y
+    # toward x2, and the answer lies on the rotated line
+    center = x + coord * u if straight else y + (coord - nu) * (w / nw)
     K2 = AnnulusBall(tuple(map(float, center)), r2 * (1 - s) / 2, index)
     gap = float(np.linalg.norm(K2.c - y)) + K2.radius - K.radius
     if gap > tol:
@@ -144,12 +112,14 @@ class SpaceSolution:
     witness: list[AnnulusBall]
     start_index: int
     scale: float
+    certificate: Certificate
 
 
 def solve_hnr(fam: HoroballFamily, s: float, start: Optional[int] = None,
               direction=None, tol: float = DEFAULT_TOL) -> SpaceSolution:
     """Boundary point in R^(n-1) whose vertical geodesic avoids every open
-    scaled horoball; same loop as the planar solver with annulus balls.
+    scaled horoball; the planar solver's scan (uncover.scan_order) with
+    annulus balls, each step reduced to the line by step_hnr.
 
     Antipodal seed directions produce endpoints at distance at least
     s times the start radius.  The avoidance certificate
@@ -157,46 +127,24 @@ def solve_hnr(fam: HoroballFamily, s: float, start: Optional[int] = None,
     """
     if not 0 < s <= SHARP_SCALE * (1 + 1e-12):
         raise ValueError(f"scale factor must lie in (0, {SHARP_SCALE}]")
+    hs = fam.horoballs
     items = fam.tangent_items()
     if not items:
         raise ValueError("no tangent horoballs to solve against")
-    dim = fam.dim - 1
     if direction is None:
-        direction = (1.0,) + (0.0,) * (dim - 1)
-    if start is None:
-        a0 = max(items, key=lambda ih: (ih[1].radius, -ih[0]))[0]
-    else:
-        a0 = start
-        if not isinstance(fam.horoballs[a0], TangentHoroball):
-            raise ValueError("start index is not a tangent horoball")
-    h0 = fam.horoballs[a0]
-    r0 = float(h0.radius)
-    b0 = np.asarray(h0.base, dtype=float)
-    K = maximal_annulus_ball(h0, s, direction, a0)
-    sup = max(float(h.radius) for _, h in items)
-    order = [(i, h) for i, h in items
-             if i != a0 and float(h.radius) <= r0 + tol
-             and np.linalg.norm(np.asarray(h.base, float) - b0) <= 3 * sup]
-    order.sort(key=lambda ih: (-float(ih[1].radius), ih[0]))
-    witness = [K]
-    parent = h0
-    for i, h in order:
-        K2 = step_hnr(parent, K, h, s, index=i, tol=tol)
-        if K2 is not None:
-            witness.append(K2)
-            K = K2
-            parent = h
-    endpoint = K.c
-    worst = None
-    for i, h in items:
-        margin = float(np.linalg.norm(endpoint - np.asarray(h.base, float))
-                       - s * float(h.radius))
-        if worst is None or margin < worst[1]:
-            worst = (i, margin)
-    if worst[1] < -tol:
-        raise CertificateError(
-            f"endpoint meets scaled shadow of horoball {worst[0]} "
-            f"(margin {worst[1]:.3e})")
-    if np.linalg.norm(endpoint - b0) > r0 + tol:
+        direction = (1.0,) + (0.0,) * (fam.dim - 2)
+    radii = {i: float(h.radius) for i, h in items}
+    if start is not None and start not in radii:
+        raise ValueError("start index is not a tangent horoball")
+    base = dict(zip(radii, np.asarray([h.base for _, h in items], dtype=float)))
+    a0, order = scan_order(radii, lambda i, j: np.linalg.norm(base[i] - base[j]),
+                           start, tol)
+    chain = scan_chain(maximal_annulus_ball(hs[a0], s, direction, a0), order,
+                       lambda ball, j: step_hnr(hs[ball.horoball_index], ball, hs[j],
+                                                s, index=j, tol=tol))
+    endpoint = chain[-1][1].c
+    cert = certify({i: float(np.linalg.norm(endpoint - base[i]) - s * radii[i])
+                    for i in radii}, tol)
+    if np.linalg.norm(endpoint - base[a0]) > radii[a0] + tol:
         raise CertificateError("endpoint escaped the start shadow")
-    return SpaceSolution(tuple(map(float, endpoint)), witness, a0, s)
+    return SpaceSolution(tuple(map(float, endpoint)), [K for _, K in chain], a0, s, cert)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .numeric import DEFAULT_TOL, CertificateError, golden_max
+from .numeric import DEFAULT_TOL, Certificate, CertificateError, certify, golden_max
 
 # ---------------------------------------------------------------------------
 # capability record and ball family
@@ -264,7 +264,7 @@ def refine_step(space: UncoverSpace, K: CanonicalBall, other: tuple, s: float,
 
 
 # ---------------------------------------------------------------------------
-# the main loop
+# the scan driver
 
 
 @dataclass
@@ -279,55 +279,77 @@ class NestedWitness:
 
     chain: list[tuple[int, CanonicalBall]]
     output: object
+    certificate: Certificate
+
+
+def scan_order(radii: dict, dist: Callable, start: Optional[int],
+               tol: float) -> tuple[int, list]:
+    """Seed index and scan order of a family given as {index: radius}.
+
+    The seed is `start` (which must be a key of radii), or the largest
+    member with ties going to the lowest index.  The others are kept
+    when their radius is at most the seed's (plus tol) and dist(i, seed)
+    is at most three times the largest radius, since no farther scaled
+    ball can meet the seed's ball, and are sorted by non-increasing
+    radius (ties by index).  dist is only called on members that pass
+    the radius test.
+    """
+    a0 = max(radii, key=lambda i: (radii[i], -i)) if start is None else start
+    r0 = radii[a0]
+    sup = max(radii.values())
+    keep = [i for i, r in radii.items()
+            if i != a0 and r <= r0 + tol and dist(i, a0) <= 3 * sup]
+    keep.sort(key=lambda i: (-radii[i], i))
+    return a0, keep
+
+
+def scan_chain(K, order: Sequence[int], step: Callable) -> list[tuple[int, object]]:
+    """Nested chain from the seed ball K: the scan visits the members in
+    order and step(K, j) returns the refinement of the current ball
+    against member j, or None when member j misses it.  Entries are
+    (scan position, ball), with the seed at position 0."""
+    chain = [(0, K)]
+    for pos, j in enumerate(order, start=1):
+        K2 = step(K, j)
+        if K2 is not None:
+            chain.append((pos, K2))
+            K = K2
+    return chain
 
 
 def _prepare(fam: BallFamily, s: float, start: Optional[int], tol: float):
-    """Pick the seed ball, prune balls that cannot interfere with it,
-    and order the rest by non-increasing radius (ties by input index)."""
+    """Seed and scan order of a ball family, after checking the scale
+    factor and that a user start ball is large enough to seed the loop."""
     space = fam.space
-    if not fam.balls:
+    balls = fam.balls
+    s0 = safe_scale(fam.D, space.modulus, space.has_lines)
+    if not 0 <= s < s0:
+        raise ValueError(f"scale factor {s} not below the threshold {s0:.6g}")
+    if not balls:
         raise ValueError("empty family")
-    radii = [r for _, r in fam.balls]
-    sup = max(radii)
-    eps = 1 - (1 + s) * math.sqrt(fam.D)
-    if start is None:
-        a0 = max(range(len(radii)), key=lambda i: (radii[i], -i))
-    else:
-        a0 = start
-        if radii[a0] < (1 - eps) * sup - tol:
+    if start is not None:
+        sup = max(r for _, r in balls)
+        eps = 1 - (1 + s) * math.sqrt(fam.D)
+        if balls[start][1] < (1 - eps) * sup - tol:
             raise ValueError(
-                f"start ball {a0} too small to seed the loop "
+                f"start ball {start} too small to seed the loop "
                 f"(need radius >= {(1 - eps) * sup:.6g})")
-    x0, r0 = fam.balls[a0]
-    keep = [i for i in range(len(fam.balls))
-            if i != a0
-            and radii[i] <= r0 + tol
-            and space.dist(fam.balls[i][0], x0) <= 3 * sup]
-    keep.sort(key=lambda i: (-radii[i], i))
-    return a0, keep
+    return scan_order({i: r for i, (_, r) in enumerate(balls)},
+                      lambda i, j: space.dist(balls[i][0], balls[j][0]),
+                      start, tol)
 
 
 def _run(fam: BallFamily, s: float, a0: int, order: Sequence[int],
          seed_point, tol: float) -> NestedWitness:
     space = fam.space
-    x0, r0 = fam.balls[a0]
+    balls = fam.balls
+    x0, r0 = balls[a0]
     K = canonical_ball(space, x0, r0, s * r0, seed_point, index=a0, tol=tol)
-    chain = [(0, K)]
-    for pos, j in enumerate(order, start=1):
-        K2 = refine_step(space, K, fam.balls[j], s, index=j, tol=tol)
-        if K2 is not None:
-            chain.append((pos, K2))
-            K = K2
-    out = K.center
-    worst = None
-    for i, (xi, ri) in enumerate(fam.balls):
-        margin = space.dist(out, xi) - s * ri
-        if worst is None or margin < worst[1]:
-            worst = (i, margin)
-    if worst[1] < -tol:
-        raise CertificateError(
-            f"output meets scaled ball {worst[0]} (margin {worst[1]:.3e})")
-    return NestedWitness(chain, out)
+    chain = scan_chain(K, order, lambda ball, j: refine_step(
+        space, ball, balls[j], s, index=j, tol=tol))
+    out = chain[-1][1].center
+    margins = {i: space.dist(out, xi) - s * ri for i, (xi, ri) in enumerate(balls)}
+    return NestedWitness(chain, out, certify(margins, tol))
 
 
 def uncover(fam: BallFamily, s: float, start: Optional[int] = None,
@@ -340,16 +362,12 @@ def uncover(fam: BallFamily, s: float, start: Optional[int] = None,
     interfere with the seed, scans the rest by non-increasing radius
     (ties by input index) and refines against the first scaled ball the
     current canonical ball meets.  The output certificate
-    dist(output, x_n) >= s r_n - tol is checked exhaustively.
+    dist(output, x_n) >= s r_n - tol is checked exhaustively and kept on
+    the witness.
     """
-    space = fam.space
-    s0 = safe_scale(fam.D, space.modulus, space.has_lines)
-    if not 0 <= s < s0:
-        raise ValueError(f"scale factor {s} not below the threshold {s0:.6g}")
     a0, order = _prepare(fam, s, start, tol)
     x0, r0 = fam.balls[a0]
-    seed = space.sphere_point(x0, r0)
-    return _run(fam, s, a0, order, seed, tol)
+    return _run(fam, s, a0, order, fam.space.sphere_point(x0, r0), tol)
 
 
 def uncover_two(fam: BallFamily, s: float, start: Optional[int] = None,
@@ -359,14 +377,9 @@ def uncover_two(fam: BallFamily, s: float, start: Optional[int] = None,
     space = fam.space
     if space.antipodes is None:
         raise ValueError("space does not expose antipodal sphere points")
-    s0 = safe_scale(fam.D, space.modulus, space.has_lines)
-    if not 0 <= s < s0:
-        raise ValueError(f"scale factor {s} not below the threshold {s0:.6g}")
     a0, order = _prepare(fam, s, start, tol)
     x0, r0 = fam.balls[a0]
-    p, q = space.antipodes(x0, r0)
-    w1 = _run(fam, s, a0, order, p, tol)
-    w2 = _run(fam, s, a0, order, q, tol)
+    w1, w2 = (_run(fam, s, a0, order, p, tol) for p in space.antipodes(x0, r0))
     if space.dist(w1.output, w2.output) < s * r0 - tol:
         raise CertificateError("antipodal outputs too close")
     return w1, w2

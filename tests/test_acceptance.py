@@ -33,7 +33,6 @@ from horoshadow.heisenberg import (
     heis_mul,
 )
 from horoshadow.packings import (
-    EXTREMAL_SCALE,
     HoroballFamily,
     extremal,
     farey,

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from horoshadow.halfspace import AtInfinityHoroball, TangentHoroball
+from horoshadow.numeric import SHARP_SCALE
 from horoshadow.packings import (
-    EXTREMAL_SCALE,
     HoroballFamily,
     extremal,
     farey,
@@ -111,7 +111,7 @@ class TestGeometric:
 class TestExtremal:
     def test_children_tangent_at_critical_scale(self):
         fam = extremal(1)
-        s = EXTREMAL_SCALE
+        s = SHARP_SCALE
         root, left, right = fam.horoballs
         assert right.base[0] == pytest.approx((1 + s) / 2)
         assert right.radius == pytest.approx((1 - s) / 2)
@@ -121,7 +121,7 @@ class TestExtremal:
 
     def test_critical_scale_is_quadratic_root(self):
         # tangency happens exactly at the positive root of s^2 + 10s - 7
-        s = EXTREMAL_SCALE
+        s = SHARP_SCALE
         assert s * s + 10 * s - 7 == pytest.approx(0, abs=1e-12)
 
     def test_overlap_below_critical_scale(self):
@@ -140,7 +140,7 @@ class TestExtremal:
             assert validate_disjoint(fam).ok
 
     def test_child_shadows_tile_annulus(self):
-        s = EXTREMAL_SCALE
+        s = SHARP_SCALE
         fam = extremal(1, s)
         root, left, right = fam.horoballs
         assert (right.base[0] - right.radius, right.base[0] + right.radius) == \

@@ -187,3 +187,54 @@ class TestCli:
         capsys.readouterr()
         assert main(["verify", "packing", "--family", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"]
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance, capsys):
+        # a negative slack reports tangent Farey neighbours as overlapping;
+        # NaN or an infinite slack would pass an overlapping extremal family
+        for argv in (["pack", "farey", "--qmax", "3"],
+                     ["pack", "extremal", "--generations", "3", "--s", "1/10"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--tolerance", tolerance])
+            assert exc.value.code == 2
+            assert "--tolerance" in capsys.readouterr().err
+        assert main(["pack", "extremal", "--generations", "3", "--s", "1/10"]) == 1
+
+    def test_uncloud_reports_the_solver_certificate(self, tmp_path, capsys):
+        fam_file = tmp_path / "fam.json"
+        main(["pack", "farey", "--qmax", "5", "--out", str(fam_file)])
+        capsys.readouterr()
+        fam = farey(5)
+        for mode in ("dim2", "hnr", "generic"):
+            assert main(["uncloud", str(fam_file), "--mode", mode,
+                         "--shrink-s", "0.2", "--two"]) == 0
+            for w in json.loads(capsys.readouterr().out)["witnesses"]:
+                gaps = [abs(w["endpoint"][0] - float(h.base[0])) - 0.2 * float(h.radius)
+                        for h in fam.horoballs]
+                assert w["checks"] == len(fam.horoballs)
+                assert w["margin"] == pytest.approx(min(gaps), abs=1e-12)
+                assert gaps[w["margin_index"]] == pytest.approx(min(gaps), abs=1e-12)
+
+    def test_start_is_a_family_index_in_every_mode(self, tmp_path, capsys):
+        # the horoball at infinity first: index 2 is the member at 1/1
+        # (radius 1/2) in every mode, and margin_index counts it too
+        fam = farey(5)
+        fam = HoroballFamily(2, [AtInfinityHoroball(1)] + fam.horoballs)
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(serialize.dumps(serialize.family_to_document(fam)))
+        for mode in ("dim2", "hnr", "generic"):
+            assert main(["uncloud", str(fam_file), "--mode", mode, "--shrink-s", "0.2",
+                         "--start", "2"]) == 0, mode
+            (w,) = json.loads(capsys.readouterr().out)["witnesses"]
+            assert 1 - 0.5 <= w["endpoint"][0] <= 1 + 0.5
+            assert w["checks"] == len(fam.horoballs) - 1
+            gaps = {i: abs(w["endpoint"][0] - float(h.base[0])) - 0.2 * float(h.radius)
+                    for i, h in fam.tangent_items()}
+            assert w["margin_index"] == min(gaps, key=gaps.get)
+        # the member at infinity, and indices out of range either way
+        for mode in ("dim2", "hnr", "generic"):
+            for start in ("0", "-1", str(len(fam.horoballs))):
+                assert main(["uncloud", str(fam_file), "--mode", mode, "--shrink-s", "0.2",
+                             "--start", start]) == 1
+                assert capsys.readouterr().err == \
+                    "error: start index is not a tangent horoball\n"

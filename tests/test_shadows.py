@@ -14,11 +14,11 @@ from horoshadow.halfspace import (
 )
 from horoshadow.shadows import (
     CurvatureBand,
-    annulus_components_2d,
     hamenstadt_dist_points,
     quadratic_separation,
     shadow_of,
 )
+from horoshadow.sharp2d import Side, component_of
 
 
 class TestShadowOf:
@@ -120,6 +120,11 @@ class TestQuadraticSeparation:
             alg = dist_alg_horoballs(TangentHoroball(b1, r1), TangentHoroball(b2, r2))
             if abs(alg) > 1e-9:
                 assert q.holds == (alg > 0)
+
+
+def annulus_components_2d(h, s):
+    """Both annulus components of the shadow of h on the line, left first."""
+    return tuple(component_of(h, s, side).interval for side in (Side.LEFT, Side.RIGHT))
 
 
 class TestAnnulusComponents:

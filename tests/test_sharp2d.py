@@ -5,7 +5,7 @@ import pytest
 
 from horoshadow.halfspace import TangentHoroball, VerticalGeodesic, penetration_depth, shrink
 from horoshadow.numeric import CertificateError
-from horoshadow.packings import EXTREMAL_SCALE, HoroballFamily, extremal, farey
+from horoshadow.packings import HoroballFamily, extremal, farey
 from horoshadow.sharp2d import (
     SHARP_SCALE,
     IntervalComponent,
@@ -38,7 +38,7 @@ class TestSharpShrinkTime:
         # positive root of s^2 + 10 s - 7 = 0
         t = sharp_shrink_time(1)
         s = math.exp(-t)
-        assert s == pytest.approx(EXTREMAL_SCALE, abs=1e-13)
+        assert s == pytest.approx(SHARP_SCALE, abs=1e-13)
         assert s * s + 10 * s - 7 == pytest.approx(0, abs=1e-12)
         assert t == pytest.approx(-math.log(4 * math.sqrt(2) - 5), abs=1e-15)
 
@@ -78,7 +78,7 @@ class TestStep2d:
     def test_extremal_child_tie_goes_right(self):
         # at the critical scale the child shadow tiles K exactly; both
         # components touch the boundary of K, margins tie at zero
-        s = EXTREMAL_SCALE
+        s = SHARP_SCALE
         root = TangentHoroball(0.0, 1.0)
         K = component_of(root, s, Side.RIGHT, 0)
         child = TangentHoroball((1 + s) / 2, (1 - s) / 2)
@@ -155,7 +155,7 @@ class TestResidual:
         # seed component: by generation 12 the largest leftover interval
         # is microscopic
         fam = extremal(12)
-        s = EXTREMAL_SCALE + 1e-6
+        s = SHARP_SCALE + 1e-6
         root = fam.horoballs[0]
         seed = (s * float(root.radius), float(root.radius))
         residual = scaled_shadow_residual(fam, s, seed)
@@ -164,7 +164,7 @@ class TestResidual:
 
     def test_below_critical_leaves_room(self):
         fam = extremal(8)
-        s = EXTREMAL_SCALE - 1e-3
+        s = SHARP_SCALE - 1e-3
         root = fam.horoballs[0]
         seed = (s * float(root.radius), float(root.radius))
         residual = scaled_shadow_residual(fam, s, seed)
