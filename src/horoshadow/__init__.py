@@ -27,7 +27,7 @@ from .heisenberg import (
     heis_mul,
     heisenberg_space,
 )
-from .numeric import CertificateError, NumericContext
+from .numeric import CertificateError
 from .packings import (
     HoroballFamily,
     extremal,

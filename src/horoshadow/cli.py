@@ -25,9 +25,23 @@ from .uncover import BallFamily, euclidean_space, safe_scale, uncover, uncover_t
 from .render import family_svg
 
 
+def _read_text(path) -> str:
+    """The contents of the file at path, or of stdin for None or "-"."""
+    if path in (None, "-"):
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
 def _read_family(path, exact: bool) -> HoroballFamily:
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
-    return serialize.document_to_family(json.loads(text), exact)
+    return serialize.document_to_family(json.loads(_read_text(path)), exact)
+
+
+def _read_geodesic(text: str):
+    """A geodesic given inline as JSON, or as @path to a JSON file."""
+    if text.startswith("@"):
+        text = _read_text(text[1:])
+    return serialize.json_to_geodesic(json.loads(text))
 
 
 def _emit(doc, out):
@@ -135,7 +149,7 @@ def cmd_pack(args) -> int:
 
 def cmd_shadow(args) -> int:
     fam = _read_family(args.family, args.exact)
-    band = CurvatureBand.riemannian(args.a)
+    band = CurvatureBand(args.a)
     shadows = []
     for i, h in fam.tangent_items():
         sh = shadow_of(h, band)
@@ -226,9 +240,7 @@ def cmd_verify(args) -> int:
     if args.what == "constants":
         return _verify_constants(args)
     if args.what == "packing":
-        text = sys.stdin.read() if args.family in (None, "-") \
-            else open(args.family).read()
-        doc = json.loads(text)
+        doc = json.loads(_read_text(args.family))
         if doc.get("model") == "tree":
             from .trees import validate_tree_horoballs
             tree, balls = serialize.document_to_tree(doc)
@@ -245,11 +257,10 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 0 if ok else 1
     if args.what == "avoidance":
+        if args.geodesic is None:
+            raise ValueError("verify avoidance needs --geodesic")
         fam = _read_family(args.family, args.exact)
-        gtext = args.geodesic
-        if gtext.startswith("@"):
-            gtext = open(gtext[1:]).read()
-        g = serialize.json_to_geodesic(json.loads(gtext))
+        g = _read_geodesic(args.geodesic)
         rep = verify_avoidance(g, fam, args.t, args.tolerance)
         _emit({"ok": rep.ok, "margin": rep.margin,
                "max_depths": [[i, d] for i, d in rep.max_depths]}, args.out)
@@ -294,12 +305,7 @@ def cmd_dioph(args) -> int:
 
 def cmd_render(args) -> int:
     fam = _read_family(args.family, args.exact)
-    geos = []
-    if args.geodesic:
-        gtext = args.geodesic
-        if gtext.startswith("@"):
-            gtext = open(gtext[1:]).read()
-        geos.append(serialize.json_to_geodesic(json.loads(gtext)))
+    geos = [_read_geodesic(args.geodesic)] if args.geodesic else []
     svg = family_svg(fam, geos)
     with open(args.svg, "w") as fh:
         fh.write(svg)

@@ -111,8 +111,6 @@ class AtInfinityHoroball:
 
 Horoball = Union[TangentHoroball, AtInfinityHoroball]
 
-REFERENCE_HOROBALL = AtInfinityHoroball(1)
-
 
 @dataclass(frozen=True)
 class VerticalGeodesic:

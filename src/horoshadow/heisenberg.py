@@ -82,7 +82,7 @@ def _arc_angle(R: float, v: float) -> float:
         s = math.sin(th / 2)
         return (th - math.sin(th)) / (2 * s * s)
 
-    return bisect_increasing(h, 1e-9, TWO_PI - 1e-9, target, tol=1e-13)
+    return bisect_increasing(h, 1e-9, TWO_PI - 1e-9, target)
 
 
 def _geodesic_data(g: HeisPoint):
@@ -121,15 +121,14 @@ def _geodesic_data(g: HeisPoint):
     return L, at_arc
 
 
-def cc_dist(a: HeisPoint, b: HeisPoint, accuracy: float = 1e-12) -> float:
-    """Carnot-Caratheodory distance, exact up to the root-find accuracy.
+def cc_dist(a: HeisPoint, b: HeisPoint) -> float:
+    """Carnot-Caratheodory distance, exact up to the 1e-13 bracket of the
+    root find for the arc angle.
 
     Always within [cygan_dist, sqrt(pi) * cygan_dist]; a purely vertical
     displacement saturates the upper bound, a purely horizontal one the
     lower.
     """
-    if not accuracy > 0:
-        raise ValueError("accuracy must be positive")
     L, _ = _geodesic_data(heis_mul(heis_inv(a), b))
     return L
 

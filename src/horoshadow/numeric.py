@@ -1,11 +1,10 @@
-"""Shared numeric plumbing: tolerances, the sharp scale, the certificate
-kernel, exact-rational coercion, 1-D searches."""
+"""Shared numeric plumbing: the default tolerance, the sharp scale, the
+certificate kernel, 1-D searches."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 DEFAULT_TOL = 1e-9
@@ -44,53 +43,18 @@ def certify(margins: dict, tol: float) -> Certificate:
     return Certificate(margin, index, len(margins))
 
 
-@dataclass(frozen=True)
-class NumericContext:
-    """Numeric policy of a computation.
-
-    tolerance: absolute slack used by closed-set membership and certificates.
-    exact: when True, inputs must be rationals (int / Fraction / decimal
-    string) and all comparisons that can stay rational do so with zero slack.
-    """
-
-    tolerance: float = DEFAULT_TOL
-    exact: bool = False
-
-    def __post_init__(self):
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-
-
-DEFAULT_CTX = NumericContext()
-
-
-def as_fraction(x) -> Fraction:
-    """Coerce x to an exact Fraction; reject non-rational input.
-
-    Accepts ints, Fractions and strings ("3/7" or a decimal literal).
-    Floats are rejected: a float has already lost its pedigree.
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise ValueError(f"not an exact rational: {x!r}")
-
-
-def golden_max(f: Callable[[float], float], lo: float, hi: float,
-               width: float = 1e-12) -> tuple[float, float]:
+def golden_max(f: Callable[[float], float], lo: float,
+               hi: float) -> tuple[float, float]:
     """Maximize a unimodal f on [lo, hi] by golden-section search.
 
-    Returns (argmax, max). Bracket is narrowed to `width`.
+    Returns (argmax, max). Bracket is narrowed to 1e-12.
     """
     invphi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > width:
+    while b - a > 1e-12:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -104,12 +68,13 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float,
 
 
 def bisect_increasing(f: Callable[[float], float], lo: float, hi: float,
-                      target: float, tol: float = 1e-13) -> float:
-    """Solve f(x) = target for increasing f on [lo, hi] by bisection."""
+                      target: float) -> float:
+    """Solve f(x) = target for increasing f on [lo, hi] by bisection,
+    down to a bracket of 1e-13."""
     flo, fhi = f(lo) - target, f(hi) - target
     if flo > 0 or fhi < 0:
         raise ValueError("target not bracketed")
-    while hi - lo > tol:
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         if f(mid) - target <= 0:
             lo = mid

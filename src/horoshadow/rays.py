@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .halfspace import (
+    INF,
     ArcGeodesic,
     AtInfinityHoroball,
     Geodesic,
@@ -44,8 +45,6 @@ from .numeric import DEFAULT_TOL, CertificateError
 from .packings import HoroballFamily
 from .sharp2d import Side, solve_2d
 from .sharpnd import solve_hnr
-
-INF = float("inf")
 
 #: neighborhood constant for the cone of rays grazing a horoball
 CONE_CONSTANT = math.log(2 + math.sqrt(5))
@@ -109,12 +108,12 @@ def _first_hit_after(g: Geodesic, t_x: float, forward: bool,
             if t_out <= t_x:
                 continue
             entry = max(t_in, t_x) - t_x
-            sub = g.restricted(max(t_in, t_x), min(t_out, INF))
+            sub = g.restricted(max(t_in, t_x), t_out)
         else:
             if t_in >= t_x:
                 continue
             entry = t_x - min(t_out, t_x)
-            sub = g.restricted(max(t_in, -INF), min(t_out, t_x))
+            sub = g.restricted(t_in, min(t_out, t_x))
         if penetration_depth(sub, h) <= tol:
             continue
         if best is None or entry < best[1]:

@@ -19,6 +19,9 @@ from .halfspace import (
 )
 from .packings import HoroballFamily
 
+#: picture width in pixels
+WIDTH = 800
+
 _STYLE_BALL = 'fill="#9ecae1" fill-opacity="0.55" stroke="#3182bd" stroke-width="{w}"'
 _STYLE_GEO = 'fill="none" stroke="#d7301f" stroke-width="{w}"'
 _STYLE_REF = 'stroke="#555555" stroke-width="{w}" stroke-dasharray="{d},{d}"'
@@ -27,11 +30,11 @@ _STYLE_REF = 'stroke="#555555" stroke-width="{w}" stroke-dasharray="{d},{d}"'
 class _View:
     """Maps model coordinates (x up-positive height) onto SVG pixels."""
 
-    def __init__(self, x_lo, x_hi, y_hi, width=800):
+    def __init__(self, x_lo, x_hi, y_hi):
         self.x_lo, self.x_hi = x_lo, x_hi
         span = x_hi - x_lo
-        self.k = width / span
-        self.width = width
+        self.k = WIDTH / span
+        self.width = WIDTH
         self.height = y_hi * self.k
         self.y_hi = y_hi
 
@@ -42,8 +45,8 @@ class _View:
         return self.height - float(y) * self.k
 
 
-def family_svg(fam: HoroballFamily, geodesics: Optional[list[Geodesic]] = None,
-               width: int = 800) -> str:
+def family_svg(fam: HoroballFamily,
+               geodesics: Optional[list[Geodesic]] = None) -> str:
     """SVG picture of a planar family with optional geodesics on top."""
     if fam.dim != 2:
         raise ValueError("can only render planar families")
@@ -54,8 +57,8 @@ def family_svg(fam: HoroballFamily, geodesics: Optional[list[Geodesic]] = None,
     x_hi = max(float(h.base[0]) + 2 * float(h.radius) for h in tangs)
     y_hi = max(max(2 * float(h.radius) for h in tangs), 1.2)
     pad = 0.05 * (x_hi - x_lo)
-    view = _View(x_lo - pad, x_hi + pad, y_hi * 1.1, width)
-    lw = max(0.75, width / 1200)
+    view = _View(x_lo - pad, x_hi + pad, y_hi * 1.1)
+    lw = max(0.75, WIDTH / 1200)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{view.width:.0f}" height="{view.height:.0f}" '

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .halfspace import (
+    INF,
     ArcGeodesic,
     AtInfinityHoroball,
     Geodesic,
@@ -21,8 +22,6 @@ from .halfspace import (
 )
 from .packings import HoroballFamily
 from .trees import MetricTree, TreeHoroball
-
-INF = float("inf")
 
 
 def _num_out(x) -> str:

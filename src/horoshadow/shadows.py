@@ -29,28 +29,16 @@ from .numeric import DEFAULT_TOL
 
 REFERENCE_HEIGHT = 1
 
-#: generic CAT(-1) outer-radius multiplier; in the Riemannian pinched band
-#: the sharp value 2^(-1/a) applies instead
-GENERIC_CMAX = math.e ** 2
-
 
 @dataclass(frozen=True)
 class CurvatureBand:
-    """Curvature pinched in [-a^2, -1] plus the outer-shadow constant."""
+    """Curvature pinched in [-a^2, -1]."""
 
     a: float = 1.0
-    c_max: float = GENERIC_CMAX
 
     def __post_init__(self):
         if self.a < 1:
             raise ValueError("pinching parameter a must be >= 1")
-        if not self.c_max > 0:
-            raise ValueError("c_max must be positive")
-
-    @classmethod
-    def riemannian(cls, a: float = 1.0) -> "CurvatureBand":
-        """Band with the sharp Riemannian outer constant 2^(-1/a)."""
-        return cls(a=a, c_max=2 ** (-1 / a))
 
 
 @dataclass(frozen=True)

@@ -113,16 +113,34 @@ def step_2d(K: IntervalComponent, h2: TangentHoroball, s,
 
 
 @dataclass
-class LineSolution:
-    endpoint: float
-    witness: list[IntervalComponent]
+class Solution:
+    """Output of a sharp solver: the endpoint (a number on the line, a
+    tuple in R^(n-1)), the witness chain, the seed member, the scale and
+    the avoidance certificate."""
+
+    endpoint: object
+    witness: list
     start_index: int
     scale: float
     certificate: Certificate
 
 
+def checked_items(fam: HoroballFamily, s, start: Optional[int]) -> list:
+    """The tangent members of fam as (index, horoball) pairs, after the
+    checks both sharp solvers open with: s in (0, SHARP_SCALE], at least
+    one tangent member, and start (when given) the index of one."""
+    if not 0 < s <= SHARP_SCALE * (1 + 1e-12):
+        raise ValueError(f"scale factor must lie in (0, {SHARP_SCALE}]")
+    items = fam.tangent_items()
+    if not items:
+        raise ValueError("no tangent horoballs to solve against")
+    if start is not None and start not in dict(items):
+        raise ValueError("start index is not a tangent horoball")
+    return items
+
+
 def solve_2d(fam: HoroballFamily, s, start: Optional[int] = None,
-             side: Side = Side.RIGHT, tol: float = DEFAULT_TOL) -> LineSolution:
+             side: Side = Side.RIGHT, tol: float = DEFAULT_TOL) -> Solution:
     """Boundary point whose vertical geodesic avoids every open scaled
     horoball of a planar family, by nested annulus components.
 
@@ -136,15 +154,9 @@ def solve_2d(fam: HoroballFamily, s, start: Optional[int] = None,
     """
     if fam.dim != 2:
         raise ValueError("the interval solver needs a planar family")
-    if not 0 < s <= SHARP_SCALE * (1 + 1e-12):
-        raise ValueError(f"scale factor must lie in (0, {SHARP_SCALE}]")
+    items = checked_items(fam, s, start)
     hs = fam.horoballs
-    items = fam.tangent_items()
-    if not items:
-        raise ValueError("no tangent horoballs to solve against")
     radii = {i: h.radius for i, h in items}
-    if start is not None and start not in radii:
-        raise ValueError("start index is not a tangent horoball")
     base = {i: h.base[0] for i, h in items}
     a0, order = scan_order(radii, lambda i, j: abs(base[i] - base[j]), start, tol)
     b0, r0 = base[a0], radii[a0]
@@ -154,7 +166,7 @@ def solve_2d(fam: HoroballFamily, s, start: Optional[int] = None,
     cert = certify({i: abs(endpoint - base[i]) - s * r for i, r in radii.items()}, tol)
     if not (b0 - r0 - tol <= endpoint <= b0 + r0 + tol):
         raise CertificateError("endpoint escaped the start shadow")
-    return LineSolution(endpoint, [K for _, K in chain], a0, s, cert)
+    return Solution(endpoint, [K for _, K in chain], a0, s, cert)
 
 
 def scaled_shadow_residual(fam: HoroballFamily, s,

@@ -6,6 +6,9 @@ after rotating the offending center about K's center into the line
 through the annulus center and K's center, the planar interval step
 applies on that line and the resulting ball rotates back into K.  All of
 this is plain Euclidean geometry in the boundary R^(n-1).
+
+numpy is imported inside the functions that use it, so importing the
+package (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -13,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .halfspace import TangentHoroball
-from .numeric import DEFAULT_TOL, SHARP_SCALE, Certificate, CertificateError, certify
+from .numeric import DEFAULT_TOL, CertificateError, certify
 from .packings import HoroballFamily
-from .sharp2d import fit_component
+from .sharp2d import Solution, checked_items, fit_component
 from .uncover import scan_chain, scan_order
 
 #: below this sine of the rotation angle the configuration counts as
@@ -36,7 +37,8 @@ class AnnulusBall:
     horoball_index: int = -1
 
     @property
-    def c(self) -> np.ndarray:
+    def c(self):
+        import numpy as np
         return np.asarray(self.center, dtype=float)
 
 
@@ -44,6 +46,7 @@ def maximal_annulus_ball(h: TangentHoroball, s: float, direction,
                          index: int = -1) -> AnnulusBall:
     """Maximal ball of the annulus of h at scale s touching the outer
     sphere in the given unit direction."""
+    import numpy as np
     if not 0 < s < 1:
         raise ValueError("scale factor must lie in (0, 1)")
     u = np.asarray(direction, dtype=float)
@@ -69,6 +72,7 @@ def step_hnr(parent: TangentHoroball, K: AnnulusBall, other: TangentHoroball,
     back.  Collinear configurations (and x2 = y) skip the rotation.
     Containment in K is asserted.
     """
+    import numpy as np
     x = np.asarray(parent.base, dtype=float)
     y = K.c
     x2 = np.asarray(other.base, dtype=float)
@@ -106,17 +110,8 @@ def step_hnr(parent: TangentHoroball, K: AnnulusBall, other: TangentHoroball,
     return K2
 
 
-@dataclass
-class SpaceSolution:
-    endpoint: tuple
-    witness: list[AnnulusBall]
-    start_index: int
-    scale: float
-    certificate: Certificate
-
-
 def solve_hnr(fam: HoroballFamily, s: float, start: Optional[int] = None,
-              direction=None, tol: float = DEFAULT_TOL) -> SpaceSolution:
+              direction=None, tol: float = DEFAULT_TOL) -> Solution:
     """Boundary point in R^(n-1) whose vertical geodesic avoids every open
     scaled horoball; the planar solver's scan (uncover.scan_order) with
     annulus balls, each step reduced to the line by step_hnr.
@@ -125,17 +120,12 @@ def solve_hnr(fam: HoroballFamily, s: float, start: Optional[int] = None,
     s times the start radius.  The avoidance certificate
     |endpoint - b_n| >= s r_n - tol is checked for every tangent member.
     """
-    if not 0 < s <= SHARP_SCALE * (1 + 1e-12):
-        raise ValueError(f"scale factor must lie in (0, {SHARP_SCALE}]")
+    import numpy as np
+    items = checked_items(fam, s, start)
     hs = fam.horoballs
-    items = fam.tangent_items()
-    if not items:
-        raise ValueError("no tangent horoballs to solve against")
     if direction is None:
         direction = (1.0,) + (0.0,) * (fam.dim - 2)
     radii = {i: float(h.radius) for i, h in items}
-    if start is not None and start not in radii:
-        raise ValueError("start index is not a tangent horoball")
     base = dict(zip(radii, np.asarray([h.base for _, h in items], dtype=float)))
     a0, order = scan_order(radii, lambda i, j: np.linalg.norm(base[i] - base[j]),
                            start, tol)
@@ -147,4 +137,4 @@ def solve_hnr(fam: HoroballFamily, s: float, start: Optional[int] = None,
                     for i in radii}, tol)
     if np.linalg.norm(endpoint - base[a0]) > radii[a0] + tol:
         raise CertificateError("endpoint escaped the start shadow")
-    return SpaceSolution(tuple(map(float, endpoint)), [K for _, K in chain], a0, s, cert)
+    return Solution(tuple(map(float, endpoint)), [K for _, K in chain], a0, s, cert)

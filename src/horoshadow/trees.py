@@ -420,10 +420,9 @@ def _covers_unit(spans: list[tuple[float, float]], length: float) -> bool:
     return _reach(spans) >= length - 1e-12
 
 
-def random_tree(seed: int, target_vertices: int = 40,
-                max_len: float = 1.0) -> MetricTree:
+def random_tree(seed: int, target_vertices: int = 40) -> MetricTree:
     """Seed-deterministic truncated tree with interior degrees 3 or 4 and
-    edge lengths in (0.3, max_len]."""
+    edge lengths in (0.3, 1]."""
     rng = random.Random(seed)
     edges = []
     counter = [0]
@@ -435,14 +434,14 @@ def random_tree(seed: int, target_vertices: int = 40,
     frontier = deque()
     for _ in range(3):
         k = fresh()
-        edges.append((0, k, rng.uniform(0.3, max_len)))
+        edges.append((0, k, rng.uniform(0.3, 1.0)))
         frontier.append(k)
     while counter[0] < target_vertices and frontier:
         u = frontier.popleft()
         fanout = rng.choice([2, 2, 3])
         for _ in range(fanout):
             k = fresh()
-            edges.append((u, k, rng.uniform(0.3, max_len)))
+            edges.append((u, k, rng.uniform(0.3, 1.0)))
             frontier.append(k)
     stubs = list(frontier)
     return MetricTree(edges, stubs, root=0)

@@ -177,7 +177,7 @@ def _scale_search(D: float, modulus) -> tuple[float, float]:
         return min(max_scale_for_load(4 * D * (1 + eps)),
                    max_scale_for_load(4 * D * (2 - modulus(eps))))
 
-    return golden_max(objective, 1e-9, 1 - 1e-9, width=1e-12)
+    return golden_max(objective, 1e-9, 1 - 1e-9)
 
 
 def generic_shrink_time(C: float = 1.0,

@@ -269,10 +269,10 @@ def test_criterion_08_heisenberg_metric_contracts():
     for _ in range(1000):
         a, b = rp(), rp()
         dc = cygan_dist(a, b)
-        dcc = cc_dist(a, b, accuracy=1e-3)
+        dcc = cc_dist(a, b)
         ok &= dc - 1e-9 <= dcc <= math.sqrt(math.pi) * dc + 1e-9
         t = rnd.uniform(0.2, 3.0)
-        rel = abs(cc_dist(dilate(a, t), dilate(b, t), accuracy=1e-3)
+        rel = abs(cc_dist(dilate(a, t), dilate(b, t))
                   - t * dcc) / max(t * dcc, 1e-12)
         worst_dil = max(worst_dil, rel)
     ok &= worst_dil <= 2e-3

@@ -168,10 +168,6 @@ class TestCarnotCaratheodory:
             got = cc_dist(dilate(a, t), dilate(b, t))
             assert got == pytest.approx(t * cc_dist(a, b), rel=2e-3)
 
-    def test_accuracy_argument(self):
-        with pytest.raises(ValueError):
-            cc_dist(IDENTITY, HeisPoint(1, 1), accuracy=0)
-
 
 class TestGeodesicInterpolation:
     def test_contract(self):

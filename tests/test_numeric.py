@@ -1,39 +1,11 @@
 import math
-from fractions import Fraction
 
 import pytest
 
 from horoshadow.numeric import (
-    NumericContext,
-    as_fraction,
     bisect_increasing,
     golden_max,
 )
-
-
-class TestNumericContext:
-    def test_defaults(self):
-        ctx = NumericContext()
-        assert ctx.tolerance == 1e-9 and not ctx.exact
-
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            NumericContext(tolerance=-1e-3)
-
-    def test_zero_tolerance_allowed_for_exact(self):
-        assert NumericContext(tolerance=0, exact=True).exact
-
-
-class TestAsFraction:
-    def test_accepted_forms(self):
-        assert as_fraction(3) == 3
-        assert as_fraction("3/7") == Fraction(3, 7)
-        assert as_fraction("0.125") == Fraction(1, 8)
-        assert as_fraction(Fraction(2, 9)) == Fraction(2, 9)
-
-    def test_floats_rejected(self):
-        with pytest.raises(ValueError):
-            as_fraction(0.1)
 
 
 class TestSearches:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,36 @@ class TestCli:
                      "--geodesic", json.dumps({"type": "vertical", "foot": [1.5]}),
                      "--t", "0.0"]) == 1
 
+    def test_verify_avoidance_needs_geodesic(self, tmp_path, capsys):
+        fam_file = tmp_path / "fam.json"
+        main(["pack", "farey", "--qmax", "5", "--out", str(fam_file)])
+        capsys.readouterr()
+        assert main(["verify", "avoidance", "--family", str(fam_file),
+                     "--t", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: verify avoidance needs --geodesic\n"
+        assert captured.out == ""
+
+    def test_geodesic_from_file(self, tmp_path, capsys):
+        fam_file = tmp_path / "fam.json"
+        geo_file = tmp_path / "geo.json"
+        svg_file = tmp_path / "fam.svg"
+        main(["pack", "farey", "--qmax", "100", "--range", "1..2",
+              "--out", str(fam_file)])
+        golden = (1 + math.sqrt(5)) / 2
+        geo_file.write_text(json.dumps({"type": "vertical", "foot": [golden]}))
+        assert main(["verify", "avoidance", "--family", str(fam_file),
+                     "--geodesic", f"@{geo_file}", "--t", "0.27"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+        svgs = []
+        for arg in (geo_file.read_text(), f"@{geo_file}"):
+            assert main(["render", "--family", str(fam_file), "--geodesic", arg,
+                         "--svg", str(svg_file)]) == 0
+            svgs.append(svg_file.read_text())
+        assert svgs[0] == svgs[1]
+        assert main(["verify", "avoidance", "--family", str(fam_file),
+                     "--geodesic", f"@{tmp_path / 'missing.json'}", "--t", "0"]) == 1
+
     def test_exact_extremal_needs_rational_scale(self):
         with pytest.raises(SystemExit):
             main(["pack", "extremal", "--generations", "3", "--exact"])
@@ -238,3 +272,17 @@ class TestCli:
                              "--start", start]) == 1
                 assert capsys.readouterr().err == \
                     "error: start index is not a tangent horoball\n"
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy is imported by the functions that use it, so a CLI run that
+    # needs no numpy work does not pay for loading it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, horoshadow, horoshadow.cli; horoshadow.cli.build_parser(); "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
