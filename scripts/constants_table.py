@@ -1,8 +1,6 @@
 #!/usr/bin/env python3
 """Print the named constants of the library with their closed forms."""
 
-import math
-
 from horoshadow import (
     complex_hyperbolic_shrink_time,
     generic_shrink_time,

@@ -258,106 +258,68 @@ def point_to_horoball_dist(p: Point, h: Horoball) -> float:
 # penetration of geodesics into horoballs (closed forms)
 
 
-def _depth_at(g: Geodesic, t: float, h: Horoball) -> float:
-    return -point_to_horoball_dist(g.point_at(t), h)
+def _depth_form(g: Geodesic, h: Horoball) -> tuple:
+    """Floats (P, Q, c) with the depth of g(t) in h equal to
+    log(c / (P e^t + Q e^-t)) at every parameter t.
 
-
-def _full_line_peak(g: Geodesic, h: Horoball):
-    """(argmax t*, peak depth) of the depth function over the full line.
-
-    t* is None when the supremum sits at an infinite parameter (the
-    geodesic converges to the tangency point of h, depth +inf, or to the
-    point at infinity for the horoball at infinity).
+    For an arc P and Q are the squared distances from the base of h to
+    the ends b and a, so P = 0 or Q = 0 says exactly that an end is the
+    base, and P*Q never cancels.
     """
     if isinstance(g, VerticalGeodesic):
         if isinstance(h, AtInfinityHoroball):
-            return None, INF                      # depth = t - log(height)
-        u2 = vnorm2(vsub(_flv(g.foot), _flv(h.base)))
-        if u2 == 0:
-            return None, INF                      # runs into the base point
-        u = math.sqrt(u2)
-        return math.log(u), math.log(float(h.radius) / u)
-    # arc
-    rho = g.rho
+            return 0.0, float(h.height), 1.0
+        return 1.0, vnorm2(vsub(_flv(g.foot), _flv(h.base))), 2 * float(h.radius)
     if isinstance(h, AtInfinityHoroball):
-        return 0.0, math.log(rho / float(h.height))
-    v = vsub(_flv(g.midpoint), _flv(h.base))
-    A = vnorm2(v) + rho * rho
-    B = 2 * rho * vdot(v, g.unit)
-    disc = A * A - B * B
-    if disc <= 0:
-        # an endpoint of the arc is the base point of h (b if B < 0)
-        return None, INF
-    return math.atanh(-B / A), math.log(2 * float(h.radius) * rho / math.sqrt(disc))
+        height = float(h.height)
+        return height, height, 2 * g.rho
+    x = _flv(h.base)
+    return (vnorm2(vsub(_flv(g.b), x)), vnorm2(vsub(_flv(g.a), x)),
+            4 * float(h.radius) * g.rho)
 
 
 def penetration_depth(g: Geodesic, h: Horoball) -> float:
     """Signed hyperbolic depth of the deepest point of g inside h,
     restricted to g.param_range; <= 0 means g avoids the open horoball.
 
-    The depth along a geodesic is concave, so the restricted maximum is
-    the unrestricted one clamped to the parameter interval.
+    With p = 2P/c and q = 2Q/c the depth is -log((p e^t + q e^-t) / 2),
+    concave with its peak -log(pq) / 2 at t* = log(q / p) / 2.  The
+    restricted maximum sits at t* clamped to the parameter interval, d
+    away from t*, and is the peak minus log cosh(d) = d + log((1 + e^-2d)
+    / 2), finite at every finite d.  For an arc p and q are ratios, so
+    dilating by a power of two leaves every bit of the result unchanged.
     """
+    P, Q, c = _depth_form(g, h)
+    p, q = 2 * P / c, 2 * Q / c
     lo, hi = g.param_range
-    tstar, peak = _full_line_peak(g, h)
-    if tstar is None:
-        # supremum at an infinite parameter; decide which end
-        if isinstance(g, VerticalGeodesic) and isinstance(h, AtInfinityHoroball):
-            return INF if hi == INF else hi - math.log(h.height)
-        if isinstance(g, VerticalGeodesic):
-            # foot equals the base: depth = log(2r) - t, decreasing
-            return INF if lo == -INF else _depth_at(g, lo, h)
-        # arc endpoint equals the base of h; tangency end is b when B < 0
-        v = vsub(g.midpoint, h.base)
-        if vdot(v, g.unit) < 0:
-            return INF if hi == INF else _depth_at(g, hi, h)
-        return INF if lo == -INF else _depth_at(g, lo, h)
-    if lo <= tstar <= hi:
-        return peak
-    t = lo if tstar < lo else hi
-    if math.isinf(t):
-        return -INF
-    return _depth_at(g, t, h)
+    if p == 0 or q == 0:
+        # monotone: rising toward +inf when p = 0, toward -inf when q = 0
+        t = hi if p == 0 else lo
+        if math.isinf(t):
+            return INF if (t > 0) == (p == 0) else -INF
+        return math.log(2 / (p or q)) + (t if p == 0 else -t)
+    tstar = math.log(q / p) / 2
+    d = abs(min(max(tstar, lo), hi) - tstar)
+    return -math.log(p * q) / 2 - d - math.log1p(math.expm1(-2 * d) / 2)
 
 
 def penetration_interval(g: Geodesic, h: Horoball) -> Optional[tuple]:
     """Closed parameter interval on which the full geodesic lies in h,
-    or None when it stays outside; not intersected with g.param_range."""
-    if isinstance(g, VerticalGeodesic):
-        if isinstance(h, AtInfinityHoroball):
-            return (math.log(float(h.height)), INF)
-        u2 = vnorm2(vsub(_flv(g.foot), _flv(h.base)))
-        if u2 == 0:
-            return (-INF, math.log(2 * float(h.radius)))
-        r = float(h.radius)
-        if u2 > r * r:
-            return None
-        w = math.sqrt(r * r - u2)
-        return (math.log(r - w) if r > w else -INF, math.log(r + w))
-    rho = g.rho
-    if isinstance(h, AtInfinityHoroball):
-        hh = float(h.height)
-        if rho < hh:
-            return None
-        w = math.acosh(rho / hh)
-        return (-w, w)
-    v = vsub(_flv(g.midpoint), _flv(h.base))
-    A = vnorm2(v) + rho * rho
-    B = 2 * rho * vdot(v, g.unit)
-    disc = A * A - B * B
-    c = 2 * float(h.radius) * rho
-    if disc <= 0:
-        # an arc endpoint is the base of h; the horoball occupies a half
-        # line where A cosh t + B sinh t = A e^{-+t} drops below c
-        if B < 0:
-            return (math.log(A / c), INF)
-        return (-INF, math.log(c / A))
-    ratio = c / math.sqrt(disc)
-    if ratio < 1:
+    or None when it stays outside; not intersected with g.param_range.
+
+    With x = e^t the interval is P x^2 - c x + Q <= 0, whose roots
+    2Q / w and w / 2P, w = c + sqrt(c^2 - 4PQ), carry no cancellation;
+    they are taken divided through by c, as q / w' and w' / p with the p
+    and q of `penetration_depth`, so the interval is None exactly when
+    the depth of the full geodesic is negative.
+    """
+    P, Q, c = _depth_form(g, h)
+    p, q = 2 * P / c, 2 * Q / c
+    disc = 1 - p * q
+    if disc < 0:
         return None
-    w = math.acosh(ratio)
-    tc = math.atanh(-B / A)
-    return (tc - w, tc + w)
+    w = 1 + math.sqrt(disc)
+    return (math.log(q / w) if q else -INF, math.log(w / p) if p else INF)
 
 
 # ---------------------------------------------------------------------------

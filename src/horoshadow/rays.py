@@ -24,18 +24,14 @@ from .halfspace import (
     ArcGeodesic,
     AtInfinityHoroball,
     Geodesic,
-    Horoball,
     Point,
-    TangentHoroball,
     VerticalGeodesic,
     geodesic_through,
-    invert_boundary,
     invert_horoball,
     param_of,
     penetration_depth,
     penetration_interval,
     point_to_horoball_dist,
-    shrink,
     vadd,
     vnorm2,
     vscale,
@@ -69,7 +65,11 @@ class AvoidanceReport:
 
 def verify_avoidance(g: Geodesic, fam: HoroballFamily, t: float,
                      tol: float = DEFAULT_TOL) -> AvoidanceReport:
-    depths = [(i, penetration_depth(g, shrink(h, t)))
+    """Depths of g into the family shrunk by t: shrinking a horoball by t
+    lowers every depth into it by exactly t."""
+    if not 0 <= t < INF:
+        raise ValueError("shrink time must be finite and nonnegative")
+    depths = [(i, penetration_depth(g, h) - t)
               for i, h in enumerate(fam.horoballs)]
     worst = max(d for _, d in depths) if depths else -INF
     return AvoidanceReport(g, depths, worst <= tol, -worst)
@@ -96,26 +96,15 @@ def _first_hit_after(g: Geodesic, t_x: float, forward: bool,
                      tol: float) -> Optional[int]:
     """Index of the first horoball the sub-ray of g starting at t_x
     (toward +inf when forward) penetrates beyond depth tol, or None."""
+    ray = g.restricted(t_x, INF) if forward else g.restricted(-INF, t_x)
     best = None
     for i, h in enumerate(fam.horoballs):
-        if i == skip:
+        if i == skip or penetration_depth(ray, h) <= tol:
             continue
         span = penetration_interval(g, h)
         if span is None:
             continue
-        t_in, t_out = span
-        if forward:
-            if t_out <= t_x:
-                continue
-            entry = max(t_in, t_x) - t_x
-            sub = g.restricted(max(t_in, t_x), t_out)
-        else:
-            if t_in >= t_x:
-                continue
-            entry = t_x - min(t_out, t_x)
-            sub = g.restricted(t_in, min(t_out, t_x))
-        if penetration_depth(sub, h) <= tol:
-            continue
+        entry = max(span[0] - t_x, 0) if forward else max(t_x - span[1], 0)
         if best is None or entry < best[1]:
             best = (i, entry)
     return None if best is None else best[0]
@@ -157,14 +146,14 @@ def ray_from_point(fam: HoroballFamily, x: Point, t: float,
     xi0 = None if at_inf else h0.base
     g = geodesic_through(x, xi0)
     t_x = param_of(g, x)
-    # travel away from xi0: vertical geodesics are oriented upward, so a
-    # ray from infinity descends
-    forward = not isinstance(g, VerticalGeodesic)
+    # travel away from xi0: every geodesic from a finite xi0 leaves it
+    # toward +inf (upward when vertical), and a ray from infinity descends
+    forward = not at_inf
     n1 = _first_hit_after(g, t_x, forward, fam, n0, tol)
     if n1 is None:
         if forward:
             ray = g.restricted(t_x, INF)
-            endpoint = g.b
+            endpoint = None if isinstance(g, VerticalGeodesic) else g.b
         else:
             ray = g.restricted(-INF, t_x)
             endpoint = g.foot

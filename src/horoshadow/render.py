@@ -31,7 +31,7 @@ class _View:
     """Maps model coordinates (x up-positive height) onto SVG pixels."""
 
     def __init__(self, x_lo, x_hi, y_hi):
-        self.x_lo, self.x_hi = x_lo, x_hi
+        self.x_lo = x_lo
         span = x_hi - x_lo
         self.k = WIDTH / span
         self.width = WIDTH

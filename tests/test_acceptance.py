@@ -16,7 +16,6 @@ from horoshadow.halfspace import (
     AtInfinityHoroball,
     Point,
     TangentHoroball,
-    VerticalGeodesic,
     penetration_depth,
     point_to_horoball_dist,
 )

@@ -89,12 +89,11 @@ class TestGeometric:
         fam = geometric(-2, 3)
         # the tangent line through (8/15, 0): find it from two small balls
         # direction via the tangency points of members 0 and 1
-        import numpy as np
         c = 8 / 15
         # line through (c,0) tangent to circle center (0,1) radius 1:
         # unit normal n with n . ((0,1)-(c,0)) = 1
         # solve for angle
-        from math import atan2, cos, sin
+        from math import cos, sin
         best = None
         for k in range(200000):
             th = k * math.pi / 200000

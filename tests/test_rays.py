@@ -1,8 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
+from horoshadow.cli import main
 from horoshadow.halfspace import (
     ArcGeodesic,
     AtInfinityHoroball,
@@ -10,7 +12,6 @@ from horoshadow.halfspace import (
     TangentHoroball,
     VerticalGeodesic,
     hyperbolic_dist,
-    param_of,
     penetration_depth,
     point_to_horoball_dist,
     shrink,
@@ -86,6 +87,23 @@ class TestVerifyAvoidance:
                 assert depth <= sampled + 1e-5
 
 
+    def test_depth_minus_t_is_the_depth_into_the_shrunk_family(self):
+        rnd = random.Random(7)
+        fam = farey(15, (0, 1), include_infinity=True)
+        for _ in range(20):
+            lo, hi = sorted((rnd.uniform(-3, 3), rnd.uniform(-3, 3)))
+            g = ArcGeodesic(rnd.uniform(-1, 0.4), rnd.uniform(0.5, 2), (lo, hi))
+            t = rnd.uniform(0, 2)
+            for i, depth in verify_avoidance(g, fam, t).max_depths:
+                assert depth == pytest.approx(
+                    penetration_depth(g, shrink(fam.horoballs[i], t)), abs=1e-12)
+
+    @pytest.mark.parametrize("t", [-0.1, math.inf, math.nan])
+    def test_rejects_a_shrink_time_outside_zero_to_infinity(self, t):
+        with pytest.raises(ValueError):
+            verify_avoidance(VerticalGeodesic(GOLDEN), farey(3, (0, 1)), t)
+
+
 class TestRayFromPoint:
     def test_farey_with_reference(self):
         fam = farey(100, (0, 1), include_infinity=True)
@@ -137,6 +155,54 @@ class TestRayFromPoint:
             res = ray_from_point(fam, Point(base, h), t)
             depth0 = penetration_depth(res.ray, fam.horoballs[res.nearest_index])
             assert depth0 <= 1e-9
+
+
+#: a start point directly above the base of its nearest tangent horoball,
+#: so the geodesic from that base is vertical and the ray must climb
+ABOVE_A_BASE = {
+    "2d": (farey(1, (0, 1)), Point(0.0, 2.0), 2.2),
+    "2d+inf": (farey(2, (0, 1), include_infinity=True), Point(0.5, 0.26),
+               T1 + CONE_CONSTANT + 0.01),
+    "3d": (HoroballFamily(3, [TangentHoroball((0.0, 0.0), 0.5),
+                              TangentHoroball((3.0, 0.0), 0.5)]),
+           Point((0.0, 0.0), 1.5), 2.2),
+    "3d+inf": (HoroballFamily(3, [TangentHoroball((0.0, 0.0), 0.5),
+                                  TangentHoroball((3.0, 0.0), 0.5),
+                                  AtInfinityHoroball(3.0)]),
+               Point((0.0, 0.0), 1.5), 3.0),
+}
+
+
+class TestRayAboveABase:
+    @pytest.mark.parametrize("name", sorted(ABOVE_A_BASE))
+    def test_leaves_the_nearest_horoball(self, name):
+        fam, x, t = ABOVE_A_BASE[name]
+        res = ray_from_point(fam, x, t)
+        h0 = fam.horoballs[res.nearest_index]
+        assert isinstance(h0, TangentHoroball)
+        assert tuple(map(float, h0.base)) == tuple(map(float, x.base))
+        assert res.report.ok and res.nearest_clear
+        assert math.isfinite(res.report.margin)
+        lo, hi = res.ray.param_range
+        start = res.ray.point_at(lo if math.isfinite(lo) else hi)
+        assert hyperbolic_dist(start, x) < 1e-7
+
+    @pytest.mark.parametrize("name", ["2d", "3d"])
+    def test_climbs_to_infinity_when_nothing_is_above(self, name):
+        fam, x, t = ABOVE_A_BASE[name]
+        res = ray_from_point(fam, x, t)
+        assert isinstance(res.ray, VerticalGeodesic)
+        assert res.ray.param_range == (math.log(x.height), math.inf)
+        assert res.endpoint is None
+
+    def test_cli(self, tmp_path, capsys):
+        fam_file = tmp_path / "fam.json"
+        assert main(["pack", "farey", "--qmax", "1", "--out", str(fam_file)]) == 0
+        capsys.readouterr()
+        assert main(["ray", "--family", str(fam_file), "--point", "0;2", "--t", "2.2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certified"] and doc["endpoint"] is None
+        assert doc["margin"] == pytest.approx(2.2 + math.log(2), abs=1e-12)
 
 
 class TestBiinfiniteLine:

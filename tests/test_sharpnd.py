@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -7,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horoshadow.halfspace import TangentHoroball
-from horoshadow.numeric import CertificateError
 from horoshadow.packings import HoroballFamily, random_disjoint
 from horoshadow.sharp2d import SHARP_SCALE, IntervalComponent, Side, step_2d, solve_2d
 from horoshadow.sharpnd import (
-    AnnulusBall,
     maximal_annulus_ball,
     solve_hnr,
     step_hnr,

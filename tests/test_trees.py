@@ -4,7 +4,6 @@ import random
 import pytest
 
 from horoshadow.trees import (
-    GreedyRayResult,
     MetricTree,
     TreeHoroball,
     TreePoint,
