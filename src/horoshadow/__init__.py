@@ -47,7 +47,6 @@ from .shadows import (
     CurvatureBand,
     Shadow,
     hamenstadt_dist_points,
-    quadratic_separation,
     shadow_of,
 )
 from .sharp2d import (

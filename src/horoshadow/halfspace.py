@@ -345,29 +345,32 @@ def geodesic_through(p: Point, xi: Optional[Vector]) -> Geodesic:
     return ArcGeodesic(xi, other)
 
 
-def param_of(g: Geodesic, p: Point, tol: float = 1e-6) -> float:
-    """Arclength parameter of an interior point lying on g."""
+#: largest sinh of the hyperbolic distance from a point to a geodesic at
+#: which param_of still takes the point to lie on the geodesic
+_ON_GEODESIC = 1e-6
+
+
+def param_of(g: Geodesic, p: Point) -> float:
+    """Arclength parameter of an interior point lying on g.
+
+    On an arc |p - a|^2 / |p - b|^2 = e^(2t), heights included; the
+    inversion at a sends g to the vertical line over (b - a) / |b - a|^2,
+    and the sinh of the distance from p to it is the base gap over the
+    height, without cancellation near either end."""
+    base, h = _flv(p.base), float(p.height)
     if isinstance(g, VerticalGeodesic):
-        if vnorm(vsub(p.base, g.foot)) > tol * max(1.0, p.height):
+        if vnorm(vsub(base, _flv(g.foot))) > _ON_GEODESIC * h:
             raise ValueError("point not on the vertical geodesic")
-        return math.log(p.height)
-    rho, m, u = g.rho, g.midpoint, g.unit
-    x = vdot(vsub(p.base, m), u) / rho
-    if not -1 < x < 1:
-        raise ValueError("point not on the arc")
-    t = math.atanh(x)
-    if hyperbolic_dist(p, g.point_at(t)) > tol:
+        return math.log(h)
+    a, b = _flv(g.a), _flv(g.b)
+    da = vsub(base, a)
+    na = vnorm2(da) + h * h
+    t = (math.log(na) - math.log(vnorm2(vsub(base, b)) + h * h)) / 2
+    ba = vsub(b, a)
+    gap = vsub(vscale(da, 1 / na), vscale(ba, 1 / vnorm2(ba)))
+    if vnorm(gap) > _ON_GEODESIC * h / na:
         raise ValueError("point not on the arc")
     return t
-
-
-def reverse(g: Geodesic) -> Geodesic:
-    """Same geodesic with the opposite orientation."""
-    lo, hi = g.param_range
-    rng = (-hi, -lo)
-    if isinstance(g, VerticalGeodesic):
-        raise ValueError("a vertical geodesic has a preferred orientation")
-    return ArcGeodesic(g.b, g.a, rng)
 
 
 # Inversion at a finite boundary point p: z -> (z - p) / |z - p|^2.  It is

@@ -123,7 +123,8 @@ def _geodesic_data(g: HeisPoint):
 
 def cc_dist(a: HeisPoint, b: HeisPoint) -> float:
     """Carnot-Caratheodory distance, exact up to the 1e-13 bracket of the
-    root find for the arc angle.
+    root find for the arc angle theta; as theta stays 1e-9 below 2 pi,
+    the relative error stays below 5e-5 (reached near the vertical).
 
     Always within [cygan_dist, sqrt(pi) * cygan_dist]; a purely vertical
     displacement saturates the upper bound, a purely horizontal one the

@@ -1,5 +1,5 @@
 """Shared numeric plumbing: the default tolerance, the sharp scale, the
-certificate kernel, 1-D searches."""
+certificate kernel, the sweep over intervals, 1-D searches."""
 
 from __future__ import annotations
 
@@ -41,6 +41,43 @@ def certify(margins: dict, tol: float) -> Certificate:
             f"output meets scaled ball of member {index} "
             f"(margin {float(margin):.3e})")
     return Certificate(margin, index, len(margins))
+
+
+#: widening of the float intervals of sweep_pairs, relative to |key| + half
+#: and absolute; together they exceed every rounding error of a float
+#: conversion, of the interval ends and of a float test whose squares
+#: leave the normal range only below 2^-511
+_REL_PAD = 2.0 ** -40
+_ABS_PAD = 2.0 ** -500
+
+
+def sweep_pairs(key, half):
+    """Index pairs (a, b), a < b, whose intervals [key - half, key + half]
+    may meet (two float sequences in, two numpy index arrays out).
+
+    Each float interval is widened by _REL_PAD and _ABS_PAD so that it
+    contains the exact one; an end that overflows or is NaN becomes -inf
+    or +inf.  Sorted by left end, the intervals meeting interval i from
+    the right are the run of left ends up to its right end (sweep and
+    prune), so the cost is O(N log N + pairs).
+    """
+    import numpy as np
+    x, half = np.asarray(key, float), np.asarray(half, float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pad = _REL_PAD * (np.abs(x) + half) + _ABS_PAD
+        lo = x - half - pad
+        hi = x + half + pad
+    lo = np.where(np.isnan(lo), -np.inf, lo)
+    hi = np.where(np.isnan(hi), np.inf, hi)
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    n = len(lo)
+    runs = np.searchsorted(lo, hi, side="right") - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), runs)
+    run_start = np.repeat(np.cumsum(runs) - runs, runs)
+    second = first + 1 + np.arange(len(first)) - run_start
+    a, b = order[first], order[second]
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def golden_max(f: Callable[[float], float], lo: float,

@@ -23,7 +23,7 @@ from .halfspace import (
     vnorm2,
     vsub,
 )
-from .numeric import DEFAULT_TOL, SHARP_SCALE
+from .numeric import DEFAULT_TOL, SHARP_SCALE, sweep_pairs
 
 
 @dataclass
@@ -52,47 +52,12 @@ class ValidationReport:
     violations: list = field(default_factory=list)
 
 
-#: widening of the float shadow intervals, relative to |x| + r and
-#: absolute; together they exceed every rounding error of the float
-#: conversion, of the interval ends and of the float test, whose squares
-#: leave the normal range only when |x - x'| < 2^-511
-_REL_PAD = 2.0 ** -40
-_ABS_PAD = 2.0 ** -500
-
-
 def _to_float(v) -> float:
     """float(v), or +-inf where v lies beyond the float range."""
     try:
         return float(v)
     except OverflowError:
         return math.inf if v > 0 else -math.inf
-
-
-def _shadow_pairs(x, half):
-    """Index pairs (a, b), a < b, whose intervals [x - half, x + half]
-    may meet (numpy arrays in, two index arrays out).
-
-    Each float interval is widened by _REL_PAD and _ABS_PAD so that it
-    contains the exact one; an end that overflows becomes -inf or +inf.
-    Sorted by left end, the intervals meeting interval i from the right
-    are the run of left ends up to its right end (sweep and prune).
-    """
-    import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):
-        pad = _REL_PAD * (np.abs(x) + half) + _ABS_PAD
-        lo = x - half - pad
-        hi = x + half + pad
-    lo = np.where(np.isnan(lo), -np.inf, lo)
-    hi = np.where(np.isnan(hi), np.inf, hi)
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    n = len(lo)
-    runs = np.searchsorted(lo, hi, side="right") - np.arange(1, n + 1)
-    first = np.repeat(np.arange(n), runs)
-    run_start = np.repeat(np.cumsum(runs) - runs, runs)
-    second = first + 1 + np.arange(len(first)) - run_start
-    a, b = order[first], order[second]
-    return np.minimum(a, b), np.maximum(a, b)
 
 
 def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
@@ -134,7 +99,7 @@ def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
         rs = np.array([to_float(h.radius) for _, h in tangs])
         # a negative slack lets the float test reach sqrt(1 - slack) times
         # further than the shadows
-        a, b = _shadow_pairs(xs[:, 0], rs * math.sqrt(max(1.0, 1.0 - slack)))
+        a, b = sweep_pairs(xs[:, 0], rs * math.sqrt(max(1.0, 1.0 - slack)))
         if exact:
             for p, q in zip(a.tolist(), b.tolist()):
                 (ip, hp), (iq, hq) = tangs[p], tangs[q]

@@ -19,13 +19,9 @@ from .halfspace import (
     AtInfinityHoroball,
     Horoball,
     Point,
-    TangentHoroball,
     hyperbolic_dist,
     point_to_horoball_dist,
-    vnorm2,
-    vsub,
 )
-from .numeric import DEFAULT_TOL
 
 REFERENCE_HEIGHT = 1
 
@@ -77,27 +73,3 @@ def hamenstadt_dist_points(x: Point, y: Point) -> float:
     dx = point_to_horoball_dist(x, AtInfinityHoroball(REFERENCE_HEIGHT))
     dy = point_to_horoball_dist(y, AtInfinityHoroball(REFERENCE_HEIGHT))
     return math.exp(-0.5 * (dx + dy - hyperbolic_dist(x, y)))
-
-
-@dataclass(frozen=True)
-class QuadraticSeparation:
-    lhs: float
-    rhs: float
-    holds: bool
-    tangent: bool
-
-
-def quadratic_separation(h1: TangentHoroball, h2: TangentHoroball,
-                         tol: float = DEFAULT_TOL) -> QuadraticSeparation:
-    """Certificate |x - x'|^2 >= 4 r r' for disjointness of the open
-    horoballs; equality (within tol, relative to the rhs) is tangency.
-
-    Exact on Fraction input with tol = 0.
-    """
-    if all(a == b for a, b in zip(h1.base, h2.base)):
-        raise ValueError("horoballs share their base point")
-    lhs = vnorm2(vsub(h1.base, h2.base))
-    rhs = 4 * h1.radius * h2.radius
-    tangent = abs(lhs - rhs) <= tol * rhs
-    return QuadraticSeparation(lhs, rhs, lhs >= rhs or tangent, tangent)
-

@@ -18,6 +18,8 @@ from horoshadow.halfspace import (
     TangentHoroball,
     penetration_depth,
     point_to_horoball_dist,
+    vnorm2,
+    vsub,
 )
 from horoshadow.heisenberg import (
     IDENTITY,
@@ -53,7 +55,6 @@ from horoshadow.sharp2d import (
     solve_2d,
 )
 from horoshadow.sharpnd import solve_hnr
-from horoshadow.shadows import quadratic_separation
 from horoshadow.trees import (
     covering_family,
     greedy_ray,
@@ -166,8 +167,8 @@ def test_criterion_04_geometric_negative_control():
     hs = fam.horoballs
     ok = True
     for a, b in zip(hs, hs[1:]):
-        q = quadratic_separation(a, b, tol=0)
-        ok &= q.tangent and q.lhs == q.rhs  # exact rational identity
+        # exact rational identity
+        ok &= vnorm2(vsub(a.base, b.base)) == 4 * a.radius * b.radius
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
             d2 = (hs[i].base[0] - hs[j].base[0]) ** 2

@@ -1,9 +1,12 @@
-"""Every module imports only names it reads.
+"""Every module imports only names it reads, and every definition of the
+package is read somewhere.
 
 No lint tool is installed, so this scans the syntax trees with `ast`:
 a name bound by an import statement in a module of `src/horoshadow`
 (the package `__init__.py` re-exports on purpose and is left out),
-`scripts/` or `tests/` must be read somewhere in the same module.
+`scripts/` or `tests/` must be read somewhere in the same module; and
+each top-level function and class of those package modules must be read
+in `src/`, `scripts/`, `bench/` or `tests/` outside its own definition.
 """
 
 import ast
@@ -12,10 +15,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "horoshadow").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "scripts").glob("*.py"))
-    + list((ROOT / "tests").glob("*.py")))
+PACKAGE = sorted(p for p in (ROOT / "src" / "horoshadow").glob("*.py")
+                 if p.name != "__init__.py")
+MODULES = sorted(PACKAGE + list((ROOT / "scripts").glob("*.py"))
+                 + list((ROOT / "tests").glob("*.py")))
+READERS = sorted((ROOT / "src").rglob("*.py")) + sorted(
+    p for d in ("scripts", "bench", "tests") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,6 +40,33 @@ def unused_imports(source: str) -> list[str]:
             if name not in read]
 
 
+def unread_definitions(defining: dict, readers: dict) -> list[str]:
+    """Top-level functions and classes of the modules in `defining`
+    ({module name: source}) that no module of `readers` (same shape)
+    reads, as a bare name or as an attribute, outside their own
+    definition."""
+    reads = {}
+    for module, source in readers.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                name = node.attr
+            else:
+                continue
+            reads.setdefault(name, []).append((module, node.lineno))
+    unread = []
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            inside = range(first, node.end_lineno + 1)
+            if all(m == module and line in inside for m, line in reads.get(node.name, [])):
+                unread.append(f"{module}:{node.lineno}: {node.name}")
+    return unread
+
+
 def test_scanner_flags_only_unread_names():
     source = ("from __future__ import annotations\n"
               "import math, os.path\n"
@@ -45,6 +77,30 @@ def test_scanner_flags_only_unread_names():
     assert unused_imports(source) == ["line 2: os", "line 3: F"]
 
 
+def test_definition_scanner_flags_only_unread_definitions():
+    lib = ("def used_by_other(): pass\n"
+           "def used_here(): pass\n"
+           "def recursive(n):\n"
+           "    return recursive(n - 1)\n"
+           "class Annotated: pass\n"
+           "class Unread:\n"
+           "    def method(self): return Unread()\n"
+           "def attribute_read(): pass\n"
+           "x = used_here()\n")
+    app = ("from lib import used_by_other\n"
+           "import lib\n"
+           "def g(a: 'str', b: Annotated): return used_by_other(), lib.attribute_read\n"
+           "recursive = 1\n")
+    assert unread_definitions({"lib": lib}, {"lib": lib, "app": app}) == \
+        ["lib:3: recursive", "lib:6: Unread"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_unread_definitions():
+    name = lambda p: str(p.relative_to(ROOT))  # noqa: E731
+    assert unread_definitions({name(p): p.read_text() for p in PACKAGE},
+                              {name(p): p.read_text() for p in READERS}) == []

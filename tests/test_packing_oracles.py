@@ -1,6 +1,8 @@
 """Differential tests of the pruned packing code against the all-pairs
 loops it replaced, which are kept here as oracles."""
 
+import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,6 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horoshadow.halfspace import AtInfinityHoroball, TangentHoroball, vnorm2, vsub
+from horoshadow.heisenberg import (
+    IDENTITY,
+    HeisPoint,
+    cc_dist,
+    cc_point_toward,
+    cygan_dist,
+    dilate,
+    heis_mul,
+    heisenberg_space,
+)
 from horoshadow.numeric import DEFAULT_TOL
 from horoshadow.packings import (
     HoroballFamily,
@@ -19,6 +31,7 @@ from horoshadow.packings import (
     random_disjoint,
     validate_disjoint,
 )
+from horoshadow.uncover import BallFamily, euclidean_space
 
 
 def brute_validate_disjoint(fam, tol=DEFAULT_TOL, exact=False):
@@ -230,3 +243,224 @@ class TestRandomDisjointOracle:
             side = max(4.0, 2.0 * math.sqrt(count))
             assert random_disjoint(count, 3, 2).horoballs == \
                 brute_random_disjoint(count, 3, 2, side)
+
+
+def brute_validate_packing(fam, tol=DEFAULT_TOL):
+    """The all-pairs loop BallFamily.validate_packing ran before the sweep."""
+    bad = []
+    for i in range(len(fam.balls)):
+        xi, ri = fam.balls[i]
+        for j in range(i + 1, len(fam.balls)):
+            xj, rj = fam.balls[j]
+            d = fam.space.dist(xi, xj)
+            if ri * rj > fam.D * d * d * (1 + tol):
+                bad.append((i, j))
+    return bad
+
+
+PACKING_TOLS = [0.0, 1e-9, -1e-9, 0.5, -0.5]
+
+
+def outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except ValueError as e:
+        return "raised", str(e)
+
+
+def assert_packing_matches_oracle(fam, tols=PACKING_TOLS):
+    for tol in tols:
+        want = outcome(brute_validate_packing, fam, tol)
+        # cc_dist raises "target not bracketed" on displacements with
+        # |dzeta| / sqrt|dv| between about 1e-14 and 3e-10; the sweep asks
+        # for fewer distances, so it may never ask for that one
+        assert outcome(fam.validate_packing, tol) == want or want[0] == "raised", tol
+
+
+#: ratios r r' / (D d^2) of the pairs placed at the packing threshold
+AT_THRESHOLD = st.sampled_from([1.0, 1 - 1e-9, 1 + 1e-9, 1 - 1e-12, 0.9, 1.1])
+angles = st.floats(0, 2 * math.pi)
+
+
+@st.composite
+def euclidean_ball_families(draw):
+    """Random balls in R^1..3 plus pairs at r r' = k D d^2 for k near 1,
+    and a chain of such pairs on a line through the first center, where
+    the distance to that center is exactly the pair distance."""
+    dim = draw(st.integers(1, 3))
+    D = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    coord = st.floats(-8, 8)
+    point = st.tuples(*[coord] * dim)
+    balls = [(draw(point), draw(st.floats(0.01, 2))) for _ in range(draw(st.integers(0, 30)))]
+    for _ in range(draw(st.integers(0, 4))):
+        x, d, axis = draw(point), draw(st.floats(0.05, 3)), draw(st.integers(0, dim - 1))
+        y = tuple(c + d if k == axis else c for k, c in enumerate(x))
+        r = math.sqrt(draw(AT_THRESHOLD) * D) * math.dist(x, y)
+        balls += [(x, r), (y, r)]
+    draw(st.randoms()).shuffle(balls)
+    if balls and draw(st.booleans()):
+        x0, d = balls[0][0], draw(st.floats(0.05, 3))
+        r = math.sqrt(draw(AT_THRESHOLD) * D) * d
+        balls += [((x0[0] + k * d,) + x0[1:], r) for k in range(1, 4)]
+    return BallFamily(euclidean_space(dim), balls, D)
+
+
+def heis_point(draw):
+    return HeisPoint(complex(draw(st.floats(-3, 3)), draw(st.floats(-3, 3))),
+                     draw(st.floats(-9, 9)))
+
+
+@st.composite
+def heisenberg_ball_families(draw):
+    """Random Heisenberg balls plus pairs at r r' = k D d_CC^2 for k near
+    1: near-vertical pairs (|dzeta| / sqrt|dv| from 1e-8 to 1e-3), where
+    d_CC is least accurate, and horizontal ones; then a horizontal chain
+    through the first center."""
+    D = draw(st.sampled_from([0.1, 0.25]))
+    balls = [(heis_point(draw), draw(st.floats(0.01, 1.5)))
+             for _ in range(draw(st.integers(0, 25)))]
+    for _ in range(draw(st.integers(0, 4))):
+        x = heis_point(draw)
+        v = draw(st.floats(0.01, 4)) * draw(st.sampled_from([-1, 1]))
+        ratio = 10 ** draw(st.floats(-8, -3))
+        y = heis_mul(x, HeisPoint(ratio * math.sqrt(abs(v)) * cmath.exp(1j * draw(angles)), v))
+        r = math.sqrt(draw(AT_THRESHOLD) * D) * cc_dist(x, y)
+        balls += [(x, r), (y, r)]
+    for _ in range(draw(st.integers(0, 3))):
+        x = heis_point(draw)
+        y = heis_mul(x, HeisPoint(draw(st.floats(0.05, 3)) * cmath.exp(1j * draw(angles)), 0))
+        r = math.sqrt(draw(AT_THRESHOLD) * D) * cc_dist(x, y)
+        balls += [(x, r), (y, r)]
+    draw(st.randoms()).shuffle(balls)
+    if balls and draw(st.booleans()):
+        # horizontal lines are CC geodesics
+        step = HeisPoint(draw(st.floats(0.05, 3)) * cmath.exp(1j * draw(angles)), 0)
+        r = math.sqrt(draw(AT_THRESHOLD) * D) * cc_dist(balls[0][0], heis_mul(balls[0][0], step))
+        x = balls[0][0]
+        for _ in range(3):
+            x = heis_mul(x, step)
+            balls.append((x, r))
+    return BallFamily(heisenberg_space(), balls, D)
+
+
+def seeded_heisenberg_balls(count, seed):
+    """Balls with r r' <= d_Cyg^2 / 4 <= d_CC^2 / 4, by rejection sampling
+    in a box whose Haar volume grows like count."""
+    rng = random.Random(seed)
+    side = 1.2 * count ** 0.25
+    balls = []
+    while len(balls) < count:
+        x = HeisPoint(complex(rng.uniform(0, side), rng.uniform(0, side)),
+                      rng.uniform(-side * side, side * side))
+        r = rng.uniform(0.05, 0.5)
+        if all(r * r2 <= cygan_dist(x, x2) ** 2 / 4 for x2, r2 in balls):
+            balls.append((x, r))
+    return balls
+
+
+def dyadic(bits, bound):
+    return st.integers(-bound * 2 ** bits, bound * 2 ** bits).map(lambda n: n / 2 ** bits)
+
+
+@st.composite
+def dyadic_heisenberg_families(draw):
+    """Centers on a dyadic grid coarse enough that products, translations
+    and the displacements d_CC reads stay exact in floats."""
+    point = st.builds(lambda x, y, v: HeisPoint(complex(x, y), v),
+                      dyadic(20, 4), dyadic(20, 4), dyadic(40, 16))
+    balls = [(draw(point), draw(st.floats(0.01, 1.5))) for _ in range(draw(st.integers(0, 20)))]
+    for _ in range(draw(st.integers(0, 3))):
+        x, g = draw(point), HeisPoint(draw(dyadic(20, 1)), draw(dyadic(40, 4)))
+        y = heis_mul(x, g)
+        if x != y:
+            balls += [(x, r := 0.5 * cc_dist(x, y)), (y, r)]
+    return BallFamily(heisenberg_space(), balls, draw(st.sampled_from([0.1, 0.25])))
+
+
+class TestValidatePackingOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(euclidean_ball_families())
+    def test_euclidean_families(self, fam):
+        assert_packing_matches_oracle(fam)
+
+    @settings(max_examples=60, deadline=None)
+    @given(heisenberg_ball_families())
+    def test_heisenberg_families(self, fam):
+        assert_packing_matches_oracle(fam)
+
+    @pytest.mark.parametrize("space", [euclidean_space(2), heisenberg_space()])
+    def test_empty_and_one_ball(self, space):
+        center = (0.0, 0.0) if space.has_lines else HeisPoint(0, 0)
+        for balls in ([], [(center, 1.0)]):
+            fam = BallFamily(space, balls, 0.25)
+            assert_packing_matches_oracle(fam, PACKING_TOLS + [-1.0, -2.0])
+            assert fam.validate_packing() == []
+
+    def test_every_pair_is_a_candidate_below_minus_one(self):
+        balls = [((float(k),), 1e-3) for k in range(6)]
+        fam = BallFamily(euclidean_space(1), balls, 0.25)
+        assert fam.validate_packing(-1.0) == brute_validate_packing(fam, -1.0) == \
+            [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        assert fam.validate_packing(-0.5) == []
+
+    def test_collinear_pairs_at_the_threshold(self):
+        # d(x_0, x_j) - d(x_0, x_i) = d(x_i, x_j) and r r' = D d^2 exactly
+        balls = [((0.0,), 1.0), ((5.0,), 1.0), ((7.0,), 1.0), ((9.0,), 1.0)]
+        fam = BallFamily(euclidean_space(1), balls, 0.25)
+        assert fam.validate_packing(0.0) == []
+        assert fam.validate_packing(-1e-12) == [(1, 2), (2, 3)]
+        assert_packing_matches_oracle(fam, PACKING_TOLS + [-1e-12])
+
+    @pytest.mark.parametrize("ratio", [1e-8, 3e-9, 1e-7, 1e-6])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9, 0.999])
+    def test_on_a_near_vertical_geodesic_from_the_first_center(self, ratio, frac):
+        # cc_dist errs by up to ~1e-5 relative here, so the distances to
+        # the first center can differ by more than the pair distance, and
+        # by more than a margin relative to the radii alone (frac 0.999);
+        # the pair is at the threshold and violates at tol < 0
+        y = HeisPoint(ratio, 1.0)
+        x = cc_point_toward(IDENTITY, y, frac * cc_dist(IDENTITY, y))
+        r = 0.5 * cc_dist(x, y)
+        fam = BallFamily(heisenberg_space(), [(IDENTITY, 1e-3), (x, r), (y, r)], 0.25)
+        assert fam.validate_packing(-1e-9) == [(1, 2)]
+        assert_packing_matches_oracle(fam)
+
+    def test_margin_covers_dist_errors_far_from_the_first_center(self):
+        # a dist off by 5e-5 relative, as cc_dist may be, stretches the
+        # distance from the first center to one ball of a threshold pair
+        # by more than a margin on the radii alone would cover
+        def dist(p, q):
+            return abs(p[0] - q[0]) * (1 + 5e-5 * (p[0] == 0 and q[0] == 101))
+
+        space = dataclasses.replace(euclidean_space(1), dist=dist)
+        balls = [((0.0,), 1e-3), ((100.0,), 0.5), ((101.0,), 0.5)]
+        fam = BallFamily(space, balls, 0.25)
+        assert dist((0.0,), (101.0,)) - dist((0.0,), (100.0,)) > 1 + 5e-3
+        assert fam.validate_packing(-1e-9) == brute_validate_packing(fam, -1e-9) == [(1, 2)]
+
+    @pytest.mark.parametrize("grow", [1.0, 2.0])
+    def test_seeded_200_ball_heisenberg_family(self, grow):
+        balls = [(x, grow * r) for x, r in seeded_heisenberg_balls(200, 200)]
+        fam = BallFamily(heisenberg_space(), balls, 0.25)
+        want = brute_validate_packing(fam)
+        assert (want == []) == (grow == 1.0)
+        assert_packing_matches_oracle(fam)
+
+
+class TestValidatePackingInvariance:
+    """Left translations and dilations by powers of two are exact on the
+    dyadic grid, so the violation list may not move at all."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dyadic_heisenberg_families(),
+           st.builds(lambda x, y, v: HeisPoint(complex(x, y), v),
+                     dyadic(20, 4), dyadic(20, 4), dyadic(40, 16)),
+           st.integers(-30, 30), st.sampled_from([0.0, -1e-9, 0.5]))
+    def test_translation_and_dilation(self, fam, g, k, tol):
+        want = fam.validate_packing(tol)
+        assert want == brute_validate_packing(fam, tol)
+        moved = BallFamily(fam.space, [(heis_mul(g, x), r) for x, r in fam.balls], fam.D)
+        assert moved.validate_packing(tol) == want
+        t = 2.0 ** k
+        scaled = BallFamily(fam.space, [(dilate(x, t), t * r) for x, r in fam.balls], fam.D)
+        assert scaled.validate_packing(tol) == want

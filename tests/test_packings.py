@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from horoshadow.halfspace import AtInfinityHoroball, TangentHoroball
+from horoshadow.halfspace import AtInfinityHoroball, TangentHoroball, vnorm2, vsub
 from horoshadow.numeric import SHARP_SCALE
 from horoshadow.packings import (
     HoroballFamily,
@@ -13,7 +13,11 @@ from horoshadow.packings import (
     random_disjoint,
     validate_disjoint,
 )
-from horoshadow.shadows import quadratic_separation
+
+
+def tangent(a, b):
+    """Exact tangency |x - x'|^2 = 4 r r' of two tangent horoballs."""
+    return vnorm2(vsub(a.base, b.base)) == 4 * a.radius * b.radius
 
 
 class TestFarey:
@@ -21,8 +25,7 @@ class TestFarey:
         fam = farey(1, (0, 1))
         assert [(h.base[0], h.radius) for h in fam.horoballs] == \
             [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
-        q = quadratic_separation(*fam.horoballs, tol=0)
-        assert q.tangent
+        assert tangent(*fam.horoballs)
 
     def test_qmax_two_adds_half(self):
         fam = farey(2, (0, 1))
@@ -41,8 +44,7 @@ class TestFarey:
                 fj, hj = items[j]
                 det = abs(fi.numerator * fj.denominator -
                           fj.numerator * fi.denominator)
-                tangent = quadratic_separation(hi, hj, tol=0).tangent
-                assert tangent == (det == 1)
+                assert tangent(hi, hj) == (det == 1)
 
     def test_validates(self):
         assert validate_disjoint(farey(5, (0, 1)), exact=True).ok
@@ -66,8 +68,7 @@ class TestGeometric:
     def test_consecutive_tangency_exact(self):
         fam = geometric(-8, 8)
         for a, b in zip(fam.horoballs, fam.horoballs[1:]):
-            q = quadratic_separation(a, b, tol=0)
-            assert q.tangent and q.lhs == q.rhs
+            assert tangent(a, b)
 
     def test_fixed_point(self):
         fam = geometric(-40, -40)
@@ -115,8 +116,8 @@ class TestExtremal:
         assert right.base[0] == pytest.approx((1 + s) / 2)
         assert right.radius == pytest.approx((1 - s) / 2)
         for child in (left, right):
-            q = quadratic_separation(root, child)
-            assert q.tangent
+            assert vnorm2(vsub(root.base, child.base)) == \
+                pytest.approx(4 * root.radius * child.radius)
 
     def test_critical_scale_is_quadratic_root(self):
         # tangency happens exactly at the positive root of s^2 + 10s - 7
@@ -127,9 +128,9 @@ class TestExtremal:
         fam = extremal(1, 0.5)
         assert [h.base[0] for h in fam.horoballs[1:]] == [-0.75, 0.75]
         assert [h.radius for h in fam.horoballs[1:]] == [0.25, 0.25]
-        q = quadratic_separation(fam.horoballs[0], fam.horoballs[2])
-        assert q.lhs == pytest.approx(9 / 16) and q.rhs == pytest.approx(1)
-        assert not q.holds
+        root, right = fam.horoballs[0], fam.horoballs[2]
+        assert vnorm2(vsub(root.base, right.base)) == pytest.approx(9 / 16)
+        assert 4 * root.radius * right.radius == pytest.approx(1)
         assert not validate_disjoint(fam).ok
 
     def test_count_and_disjointness(self):

@@ -12,6 +12,7 @@ from horoshadow.halfspace import (
     TangentHoroball,
     VerticalGeodesic,
     hyperbolic_dist,
+    param_of,
     penetration_depth,
     point_to_horoball_dist,
     shrink,
@@ -203,6 +204,34 @@ class TestRayAboveABase:
         doc = json.loads(capsys.readouterr().out)
         assert doc["certified"] and doc["endpoint"] is None
         assert doc["margin"] == pytest.approx(2.2 + math.log(2), abs=1e-12)
+
+
+class TestRayNearABase:
+    """A start point just beside the base of its nearest horoball: the
+    geodesic from that base is an arc whose far end lies ~4 / off**2
+    away, and the start point must still be found on it."""
+
+    @pytest.mark.parametrize("off", [0.0, 1e-9, 1e-6, 1e-3])
+    def test_certifies(self, off):
+        res = ray_from_point(farey(1, (0, 1)), Point(off, 2.0), 2.2)
+        assert res.report.ok and res.nearest_clear
+
+    def test_parameter_is_read_from_the_ends(self):
+        # |p - a|^2 / |p - b|^2 = e^(2t), heights included, on every arc
+        rnd = random.Random(3)
+        for _ in range(200):
+            a, b = rnd.uniform(-3, 3), rnd.uniform(-3, 3)
+            if abs(a - b) < 1e-3:
+                continue
+            g = ArcGeodesic(a, b)
+            t = rnd.uniform(-8, 8)
+            assert param_of(g, g.point_at(t)) == pytest.approx(t, abs=1e-9)
+
+    def test_point_off_the_geodesic_rejected(self):
+        with pytest.raises(ValueError, match="not on the arc"):
+            param_of(ArcGeodesic(0.0, 2.0), Point(1.0, 1.001))
+        with pytest.raises(ValueError, match="not on the vertical"):
+            param_of(VerticalGeodesic(0.0), Point(1e-3, 1.0))
 
 
 class TestBiinfiniteLine:

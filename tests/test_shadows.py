@@ -12,10 +12,10 @@ from horoshadow.halfspace import (
     hyperbolic_dist,
     point_to_horoball_dist,
 )
+from horoshadow.packings import HoroballFamily, validate_disjoint
 from horoshadow.shadows import (
     CurvatureBand,
     hamenstadt_dist_points,
-    quadratic_separation,
     shadow_of,
 )
 from horoshadow.sharp2d import Side, component_of
@@ -85,27 +85,38 @@ class TestHamenstadtPoints:
 
 
 class TestQuadraticSeparation:
+    """The certificate |x - x'|^2 >= 4 r r' as validate_disjoint applies
+    it to two-member families."""
+
+    @staticmethod
+    def violations(h1, h2, **kw):
+        return validate_disjoint(HoroballFamily(2, [h1, h2]), **kw).violations
+
     def test_tangent_unit_pair(self):
-        q = quadratic_separation(TangentHoroball(0, 0.5), TangentHoroball(1, 0.5))
-        assert (q.lhs, q.rhs, q.holds, q.tangent) == (1, 1, True, True)
+        pair = (TangentHoroball(0, 0.5), TangentHoroball(1, 0.5))
+        assert self.violations(*pair, exact=True) == self.violations(*pair, tol=0) == []
+        assert self.violations(*pair, tol=-1e-9) == [(0, 1)]
 
     def test_geometric_neighbors(self):
-        q = quadratic_separation(TangentHoroball(0, 1), TangentHoroball(-8, 16))
-        assert (q.lhs, q.rhs, q.tangent) == (64, 64, True)
+        pair = (TangentHoroball(0, 1), TangentHoroball(-8, 16))
+        assert self.violations(*pair, exact=True) == self.violations(*pair, tol=0) == []
+        assert self.violations(*pair, tol=-1e-9) == [(0, 1)]
 
     def test_disjoint_pair(self):
-        q = quadratic_separation(TangentHoroball(0, 0.25), TangentHoroball(1, 0.25))
-        assert (q.lhs, q.rhs, q.holds, q.tangent) == (1, 0.25, True, False)
+        pair = (TangentHoroball(0, 0.25), TangentHoroball(1, 0.25))
+        assert self.violations(*pair, tol=-0.5) == []
 
     def test_equal_bases_rejected(self):
-        with pytest.raises(ValueError):
-            quadratic_separation(TangentHoroball(0, 1), TangentHoroball(0, 2))
+        assert self.violations(TangentHoroball(0, 1), TangentHoroball(0, 2)) == [(0, 1)]
 
     def test_exact_mode(self):
-        q = quadratic_separation(
-            TangentHoroball((Fraction(0),), Fraction(1, 2)),
-            TangentHoroball((Fraction(1),), Fraction(1, 2)), tol=0)
-        assert q.tangent and q.holds
+        left = TangentHoroball((Fraction(0),), Fraction(1, 2))
+        touching = TangentHoroball((Fraction(1),), Fraction(1, 2))
+        overlapping = TangentHoroball((Fraction(1),), Fraction(1, 2) + Fraction(1, 10 ** 30))
+        assert self.violations(left, touching, exact=True) == []
+        assert self.violations(left, overlapping, exact=True) == [(0, 1)]
+        # the float test forgives an overlap inside tol
+        assert self.violations(left, overlapping) == []
 
     def test_agrees_with_dist_alg_on_random_pairs(self):
         rnd = random.Random(10)
@@ -114,10 +125,10 @@ class TestQuadraticSeparation:
             b2, r2 = rnd.uniform(-3, 3), rnd.uniform(0.02, 1.2)
             if abs(b1 - b2) < 1e-9:
                 continue
-            q = quadratic_separation(TangentHoroball(b1, r1), TangentHoroball(b2, r2))
-            alg = dist_alg_horoballs(TangentHoroball(b1, r1), TangentHoroball(b2, r2))
+            pair = (TangentHoroball(b1, r1), TangentHoroball(b2, r2))
+            alg = dist_alg_horoballs(*pair)
             if abs(alg) > 1e-9:
-                assert q.holds == (alg > 0)
+                assert (self.violations(*pair) == []) == (alg > 0)
 
 
 def annulus_components_2d(h, s):
