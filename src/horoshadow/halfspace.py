@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .numeric import widen
+
 Vector = tuple
 INF = float("inf")
 
@@ -141,7 +143,8 @@ class ArcGeodesic:
 
     Arclength parametrization p(t) = (m + rho*tanh(t)*u, rho*sech(t)) with
     m the Euclidean midpoint of [a, b], rho half the gap and u the unit
-    vector from a to b; the apex sits at t = 0.
+    vector from a to b; the apex sits at t = 0.  point_at evaluates the
+    base from the nearer end.
     """
 
     a: Vector
@@ -173,9 +176,13 @@ class ArcGeodesic:
         return vscale(d, 1.0 / vnorm(d))
 
     def point_at(self, t: float) -> Point:
-        m, rho, u = self.midpoint, self.rho, self.unit
-        return Point(vadd(m, vscale(u, rho * math.tanh(t))),
-                     rho / math.cosh(t))
+        # the base m + rho tanh(t) u is a + (b - a) e^2t / (1 + e^2t), taken
+        # from the nearer end so that it does not cancel near that end
+        a, b = _flv(self.a), _flv(self.b)
+        e = math.exp(-2 * abs(t))
+        step = vscale(vsub(b, a), e / (1 + e))
+        base = vadd(a, step) if t <= 0 else vsub(b, step)
+        return Point(base, self.rho / math.cosh(t))
 
     def restricted(self, lo: float, hi: float) -> "ArcGeodesic":
         return ArcGeodesic(self.a, self.b, (lo, hi))
@@ -195,11 +202,13 @@ def _flv(v: Vector) -> tuple:
 
 
 def hyperbolic_dist(p: Point, q: Point) -> float:
-    """Hyperbolic distance arccosh(1 + (|db|^2 + dh^2) / (2 h_p h_q))."""
+    """Hyperbolic distance arccosh(1 + (|db|^2 + dh^2) / (2 h_p h_q)),
+    evaluated as 2 arsinh(sqrt(|db|^2 + dh^2) / (2 sqrt(h_p h_q))), which
+    does not cancel between nearby points."""
     db2 = vnorm2(vsub(_flv(p.base), _flv(q.base)))
     hp, hq = float(p.height), float(q.height)
     dh = hp - hq
-    return math.acosh(1 + (db2 + dh * dh) / (2 * hp * hq))
+    return 2 * math.asinh(math.sqrt(db2 + dh * dh) / (2 * math.sqrt(hp * hq)))
 
 
 def dist_alg_horoballs(h1: Horoball, h2: Horoball) -> float:
@@ -320,6 +329,65 @@ def penetration_interval(g: Geodesic, h: Horoball) -> Optional[tuple]:
         return None
     w = 1 + math.sqrt(disc)
     return (math.log(q / w) if q else -INF, math.log(w / p) if p else INF)
+
+
+# ---------------------------------------------------------------------------
+# the same closed forms as float passes over a family's columns, for the
+# filters in front of the scalar forms: each returns its values in family
+# order with a bound on their distance from the scalar values, computed
+# as widen(magnitude); a NaN or infinite bound means "decide exactly"
+
+
+def _by_member(cols, tangent_values, infinity_values):
+    import numpy as np
+    out = np.empty(len(cols.tangent) + len(cols.infinity))
+    out[cols.tangent] = tangent_values
+    out[cols.infinity] = infinity_values
+    return out
+
+
+def sq_norms(rows):
+    """Squared Euclidean norms of the rows of a float array."""
+    import numpy as np
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def point_to_horoball_dists(p: Point, cols) -> tuple:
+    """point_to_horoball_dist from p to every member of the family whose
+    columns (packings.Columns) are cols, with its error bound."""
+    import numpy as np
+    hp = float(p.height)
+    with np.errstate(all="ignore"):
+        u2 = sq_norms(cols.base - _flv(p.base))
+        dist = _by_member(cols, -np.log(2 * cols.radius * hp / (u2 + hp * hp)),
+                          np.log(cols.height / hp))
+    return dist, widen(1 + abs(dist))
+
+
+def penetration_depths(g: Geodesic, cols) -> tuple:
+    """penetration_depth of g into every member of the family whose
+    columns (packings.Columns) are cols, with its error bound."""
+    import numpy as np
+    x = cols.base
+    if isinstance(g, VerticalGeodesic):
+        P = _by_member(cols, 1.0, 0.0)
+        Q = _by_member(cols, sq_norms(x - _flv(g.foot)), cols.height)
+        c = _by_member(cols, 2 * cols.radius, 1.0)
+    else:
+        P = _by_member(cols, sq_norms(x - _flv(g.b)), cols.height)
+        Q = _by_member(cols, sq_norms(x - _flv(g.a)), cols.height)
+        c = _by_member(cols, 4 * cols.radius * g.rho, 2 * g.rho)
+    lo, hi = g.param_range
+    with np.errstate(all="ignore"):
+        p, q = 2 * P / c, 2 * Q / c
+        tstar = np.log(q / p) / 2
+        t = np.clip(tstar, lo, hi)
+        d = abs(t - tstar)
+        depth = -np.log(p * q) / 2 - d - np.log1p(np.expm1(-2 * d) / 2)
+        # monotone where an end is the base; the bound is then infinite
+        depth = np.where(p == 0, np.log(2 / q) + hi, depth)
+        depth = np.where((q == 0) & (p != 0), np.log(2 / p) - lo, depth)
+        return depth, widen(1 + abs(np.log(p)) + abs(np.log(q)) + abs(t))
 
 
 # ---------------------------------------------------------------------------

@@ -72,17 +72,26 @@ def dilate(a: HeisPoint, t: float) -> HeisPoint:
 # CC geodesics from the identity
 
 
-def _arc_angle(R: float, v: float) -> float:
-    """Swept angle theta in (0, 2 pi) of the arc from 0 to a point at
-    planar distance R with vertical holonomy v, solving
-    (theta - sin theta) / (2 sin^2(theta/2)) = |v| / R^2 (increasing)."""
-    target = abs(v) / (R * R)
+#: the bracket of the arc angle: theta in [1e-9, 2 pi - 1e-9]
+_THETA_MIN, _THETA_MAX = 1e-9, TWO_PI - 1e-9
 
-    def h(th: float) -> float:
-        s = math.sin(th / 2)
-        return (th - math.sin(th)) / (2 * s * s)
 
-    return bisect_increasing(h, 1e-9, TWO_PI - 1e-9, target)
+def _holonomy_ratio(th: float) -> float:
+    """(theta - sin theta) / (2 sin^2(theta/2)): |v| / R^2 of an arc that
+    sweeps the angle theta; increasing on (0, 2 pi)."""
+    s = math.sin(th / 2)
+    return (th - math.sin(th)) / (2 * s * s)
+
+
+#: largest |v| / R^2 whose arc angle lies in the bracket
+_RATIO_MAX = _holonomy_ratio(_THETA_MAX)
+
+
+def _arc_angle(ratio: float) -> float:
+    """Swept angle theta in the bracket of the arc from 0 to a point at
+    planar distance R with vertical holonomy v, given ratio = |v| / R^2
+    (at most _RATIO_MAX)."""
+    return bisect_increasing(_holonomy_ratio, _THETA_MIN, _THETA_MAX, ratio)
 
 
 def _geodesic_data(g: HeisPoint):
@@ -101,13 +110,15 @@ def _geodesic_data(g: HeisPoint):
 
         return L, at_line
     sigma = -1.0 if v > 0 else 1.0
-    if R < 1e-14 * math.sqrt(abs(v)):
-        # pure vertical displacement: a full circle of area |v|/4
+    ratio = abs(v) / (R * R) if R * R > 0 else math.inf
+    if ratio > _RATIO_MAX:
+        # the arc angle lies beyond the bracket, within 1e-9 of 2 pi: a
+        # full circle of area |v|/4
         rho = math.sqrt(abs(v) / (4 * math.pi))
         theta = TWO_PI
         c = complex(rho, 0.0)
     else:
-        theta = _arc_angle(R, v)
+        theta = _arc_angle(ratio)
         rho = R / (2 * math.sin(theta / 2))
         c = g.zeta / (1 - cmath.exp(1j * sigma * theta))
     L = rho * theta

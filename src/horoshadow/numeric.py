@@ -1,11 +1,12 @@
 """Shared numeric plumbing: the default tolerance, the sharp scale, the
-certificate kernel, the sweep over intervals, 1-D searches."""
+certificate kernel, the float filters in front of exact predicates, the
+sweep over intervals, 1-D searches."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 DEFAULT_TOL = 1e-9
 
@@ -29,42 +30,81 @@ class Certificate:
     checks: int
 
 
-def certify(margins: dict, tol: float) -> Certificate:
+def certify(margins: dict, tol: float, checks: Optional[int] = None) -> Certificate:
     """Certificate over {member index: margin}, where a margin is the
     distance from the output to a member's center minus its scaled
     radius; raises CertificateError when the minimum is below -tol.
-    Ties in the minimum go to the first index."""
+    Ties in the minimum go to the first index.  checks is the number of
+    members checked, len(margins) by default; it is larger when a float
+    filter (min_candidates) left out members that cannot hold the
+    minimum."""
     index = min(margins, key=margins.__getitem__)
     margin = margins[index]
     if margin < -tol:
         raise CertificateError(
             f"output meets scaled ball of member {index} "
             f"(margin {float(margin):.3e})")
-    return Certificate(margin, index, len(margins))
+    return Certificate(margin, index, len(margins) if checks is None else checks)
 
 
-#: widening of the float intervals of sweep_pairs, relative to |key| + half
-#: and absolute; together they exceed every rounding error of a float
-#: conversion, of the interval ends and of a float test whose squares
-#: leave the normal range only below 2^-511
+#: widening of a float evaluation, relative to the sum of the absolute
+#: values of its terms and absolute; together they exceed every rounding
+#: error of a float conversion, of a short sum or product and of a float
+#: test whose squares leave the normal range only below 2^-511
 _REL_PAD = 2.0 ** -40
 _ABS_PAD = 2.0 ** -500
+
+
+def to_float(v) -> float:
+    """float(v), or +-inf where v lies beyond the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def widen(mag):
+    """Error bound of a float evaluation whose terms add up to mag in
+    absolute value (a float or a numpy array)."""
+    return _REL_PAD * mag + _ABS_PAD
+
+
+def may_be_le(lhs, rhs, mag):
+    """Filter for the exact test lhs <= rhs, given float evaluations of
+    both sides whose terms add up to mag in absolute value (numpy arrays
+    or floats): false only where lhs > rhs holds beyond widen(mag), so
+    it is true wherever the exact test holds, and wherever a side is NaN.
+    """
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~(lhs > rhs + widen(mag))
+
+
+def min_candidates(approx, err):
+    """Positions, increasing, at which values v with |v - approx| <= err
+    (numpy arrays) may reach their minimum: approx - err is at most the
+    smallest approx + err.  A NaN in approx or err is a candidate."""
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = approx + err
+        bound = np.min(np.where(np.isnan(upper), np.inf, upper), initial=np.inf)
+        return np.flatnonzero(~(approx - err > bound))
 
 
 def sweep_pairs(key, half):
     """Index pairs (a, b), a < b, whose intervals [key - half, key + half]
     may meet (two float sequences in, two numpy index arrays out).
 
-    Each float interval is widened by _REL_PAD and _ABS_PAD so that it
-    contains the exact one; an end that overflows or is NaN becomes -inf
-    or +inf.  Sorted by left end, the intervals meeting interval i from
-    the right are the run of left ends up to its right end (sweep and
-    prune), so the cost is O(N log N + pairs).
+    Each float interval is widened (widen) so that it contains the exact
+    one; an end that overflows or is NaN becomes -inf or +inf.  Sorted by
+    left end, the intervals meeting interval i from the right are the run
+    of left ends up to its right end (sweep and prune), so the cost is
+    O(N log N + pairs).
     """
     import numpy as np
     x, half = np.asarray(key, float), np.asarray(half, float)
     with np.errstate(over="ignore", invalid="ignore"):
-        pad = _REL_PAD * (np.abs(x) + half) + _ABS_PAD
+        pad = widen(np.abs(x) + half)
         lo = x - half - pad
         hi = x + half + pad
     lo = np.where(np.isnan(lo), -np.inf, lo)

@@ -13,6 +13,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -23,12 +24,40 @@ from .halfspace import (
     vnorm2,
     vsub,
 )
-from .numeric import DEFAULT_TOL, SHARP_SCALE, sweep_pairs
+from .numeric import DEFAULT_TOL, SHARP_SCALE, may_be_le, sweep_pairs, to_float
+
+
+@dataclass(frozen=True)
+class Columns:
+    """Float column view of a family, for the numpy filters in front of
+    the scalar predicates: the indices of the tangent members
+    (increasing) with their base rows and radii, and the indices of the
+    members at infinity with their heights.  A value beyond the float
+    range reads as -inf or +inf.  exact says that no value is a Fraction
+    (or another type numpy keeps as an object), so float arithmetic on
+    the columns is the arithmetic on the members."""
+
+    tangent: object
+    base: object
+    radius: object
+    infinity: object
+    height: object
+    exact: bool
+
+
+def _float_array(values, shape):
+    """(float array, whether numpy read every value as a number)"""
+    import numpy as np
+    array = np.array(values).reshape(shape)
+    if array.dtype != object:
+        return array.astype(float), True
+    return np.frompyfunc(to_float, 1, 1)(array).astype(float), False
 
 
 @dataclass
 class HoroballFamily:
-    """Finite ordered family of horoballs in upper half-space."""
+    """Finite ordered family of horoballs in upper half-space; the
+    members are fixed once it is built (`columns` is computed once)."""
 
     dim: int
     horoballs: list[Horoball]
@@ -45,19 +74,25 @@ class HoroballFamily:
         return [(i, h) for i, h in enumerate(self.horoballs)
                 if isinstance(h, TangentHoroball)]
 
+    @cached_property
+    def columns(self) -> Columns:
+        import numpy as np
+        items = self.tangent_items()
+        infs = [(i, h.height) for i, h in enumerate(self.horoballs)
+                if isinstance(h, AtInfinityHoroball)]
+        base, base_exact = _float_array([h.base for _, h in items],
+                                        (len(items), self.dim - 1))
+        radius, radius_exact = _float_array([h.radius for _, h in items], len(items))
+        height, height_exact = _float_array([x for _, x in infs], len(infs))
+        return Columns(np.array([i for i, _ in items], dtype=np.intp), base, radius,
+                       np.array([i for i, _ in infs], dtype=np.intp), height,
+                       base_exact and radius_exact and height_exact)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     violations: list = field(default_factory=list)
-
-
-def _to_float(v) -> float:
-    """float(v), or +-inf where v lies beyond the float range."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
 
 
 def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
@@ -67,7 +102,8 @@ def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
     For two tangent horoballs the test is the quadratic certificate
     |x - x'|^2 >= 4 r r' (exact under Fraction coordinates when
     exact=True); a tangent horoball against a horoball at infinity of
-    height h requires 2r <= h.  Violating index pairs are reported.
+    height h requires 2r <= h, tested on the members that a float filter
+    (may_be_le) leaves.  Violating index pairs are reported.
 
     Two tangent horoballs can overlap only if their shadow intervals
     [x_1 - r, x_1 + r] on the first base coordinate meet, because
@@ -86,17 +122,19 @@ def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
     for k in range(len(infs)):
         for m in range(k + 1, len(infs)):
             bad.append((infs[k][0], infs[m][0]))
-    for i, t in tangs:
-        for j, inf in infs:
-            if 2 * t.radius > inf.height * (1 + slack):
-                bad.append(tuple(sorted((i, j))))
     if tangs:
         import numpy as np
         # the float test keeps raising on values beyond the float range;
         # the exact test only prunes with them
-        to_float = _to_float if exact else float
-        xs = np.array([[to_float(c) for c in h.base] for _, h in tangs])
-        rs = np.array([to_float(h.radius) for _, h in tangs])
+        as_float = to_float if exact else float
+        xs = np.array([[as_float(c) for c in h.base] for _, h in tangs])
+        rs = np.array([as_float(h.radius) for _, h in tangs])
+        for j, inf in infs:
+            cap = to_float(inf.height) * (1 + slack)
+            for k in np.flatnonzero(may_be_le(cap, 2 * rs, abs(cap) + 2 * rs)).tolist():
+                i, t = tangs[k]
+                if 2 * t.radius > inf.height * (1 + slack):
+                    bad.append(tuple(sorted((i, j))))
         # a negative slack lets the float test reach sqrt(1 - slack) times
         # further than the shadows
         a, b = sweep_pairs(xs[:, 0], rs * math.sqrt(max(1.0, 1.0 - slack)))

@@ -25,19 +25,22 @@ from .halfspace import (
     AtInfinityHoroball,
     Geodesic,
     Point,
+    TangentHoroball,
     VerticalGeodesic,
     geodesic_through,
     invert_horoball,
     param_of,
     penetration_depth,
+    penetration_depths,
     penetration_interval,
     point_to_horoball_dist,
+    point_to_horoball_dists,
     vadd,
     vnorm2,
     vscale,
     vsub,
 )
-from .numeric import DEFAULT_TOL, CertificateError
+from .numeric import DEFAULT_TOL, CertificateError, min_candidates, widen
 from .packings import HoroballFamily
 from .sharp2d import Side, solve_2d
 from .sharpnd import solve_hnr
@@ -66,13 +69,21 @@ class AvoidanceReport:
 def verify_avoidance(g: Geodesic, fam: HoroballFamily, t: float,
                      tol: float = DEFAULT_TOL) -> AvoidanceReport:
     """Depths of g into the family shrunk by t: shrinking a horoball by t
-    lowers every depth into it by exactly t."""
+    lowers every depth into it by exactly t.
+
+    One float pass (penetration_depths) gives every depth; the members
+    whose depth may be the largest (min_candidates) get the scalar
+    penetration_depth, which alone decides ok and margin."""
     if not 0 <= t < INF:
         raise ValueError("shrink time must be finite and nonnegative")
-    depths = [(i, penetration_depth(g, h) - t)
-              for i, h in enumerate(fam.horoballs)]
-    worst = max(d for _, d in depths) if depths else -INF
-    return AvoidanceReport(g, depths, worst <= tol, -worst)
+    approx, err = penetration_depths(g, fam.columns)
+    approx = approx - t
+    values = approx.tolist()
+    worst = -INF
+    for i in min_candidates(-approx, err + widen(t)).tolist():
+        values[i] = penetration_depth(g, fam.horoballs[i]) - t
+        worst = max(worst, values[i])
+    return AvoidanceReport(g, list(enumerate(values)), worst <= tol, -worst)
 
 
 @dataclass
@@ -95,10 +106,15 @@ def _first_hit_after(g: Geodesic, t_x: float, forward: bool,
                      fam: HoroballFamily, skip: int,
                      tol: float) -> Optional[int]:
     """Index of the first horoball the sub-ray of g starting at t_x
-    (toward +inf when forward) penetrates beyond depth tol, or None."""
+    (toward +inf when forward) penetrates beyond depth tol, or None;
+    the scalar depth runs on the members a float pass may put beyond
+    tol."""
+    import numpy as np
     ray = g.restricted(t_x, INF) if forward else g.restricted(-INF, t_x)
+    approx, err = penetration_depths(ray, fam.columns)
     best = None
-    for i, h in enumerate(fam.horoballs):
+    for i in np.flatnonzero(~(approx + err <= tol)).tolist():
+        h = fam.horoballs[i]
         if i == skip or penetration_depth(ray, h) <= tol:
             continue
         span = penetration_interval(g, h)
@@ -108,6 +124,46 @@ def _first_hit_after(g: Geodesic, t_x: float, forward: bool,
         if best is None or entry < best[1]:
             best = (i, entry)
     return None if best is None else best[0]
+
+
+def _nearest(fam: HoroballFamily, x: Point, tol: float) -> int:
+    """Index of the member nearest to x (the first on ties), by
+    point_to_horoball_dist on the members a float pass leaves; raises
+    when x lies deeper than tol inside one."""
+    if not fam.horoballs:
+        raise ValueError("empty family")
+    approx, err = point_to_horoball_dists(x, fam.columns)
+    dists = {i: point_to_horoball_dist(x, fam.horoballs[i])
+             for i in min_candidates(approx, err).tolist()}
+    n0 = min(dists, key=dists.__getitem__)
+    if dists[n0] < -tol:
+        raise ValueError("start point lies inside an open horoball")
+    return n0
+
+
+def _inverted(fam: HoroballFamily, p: tuple) -> HoroballFamily:
+    """fam under the inversion at the boundary point p, member for member
+    equal to invert_horoball: one numpy pass, in the float operations of
+    invert_horoball, over the tangent members when p is a float point
+    and the columns are exact, and invert_horoball on the rest."""
+    import numpy as np
+    cols, hs = fam.columns, fam.horoballs
+    out = list(hs)
+    scalar = range(len(hs))
+    if cols.exact and all(type(c) is float for c in p):
+        d = cols.base - p
+        n2 = d[:, 0] * d[:, 0]
+        for k in range(1, d.shape[1]):
+            n2 = n2 + d[:, k] * d[:, k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bases, radii = ((1 / n2)[:, None] * d).tolist(), (cols.radius / n2).tolist()
+        for i, b, r, at_p in zip(cols.tangent.tolist(), bases, radii, (n2 == 0).tolist()):
+            if not at_p:
+                out[i] = TangentHoroball(tuple(b), r)
+        scalar = cols.infinity.tolist() + cols.tangent[n2 == 0].tolist()
+    for i in scalar:
+        out[i] = invert_horoball(hs[i], p)
+    return HoroballFamily(fam.dim, out)
 
 
 def _solver_endpoint(fam: HoroballFamily, s: float, start: Optional[int],
@@ -135,12 +191,7 @@ def ray_from_point(fam: HoroballFamily, x: Point, t: float,
     The result is re-verified at shrink t against the whole family, and
     against the unshrunk nearest horoball.
     """
-    dists = [point_to_horoball_dist(x, h) for h in fam.horoballs]
-    if not dists:
-        raise ValueError("empty family")
-    if min(dists) < -tol:
-        raise ValueError("start point lies inside an open horoball")
-    n0 = dists.index(min(dists))
+    n0 = _nearest(fam, x, tol)
     h0 = fam.horoballs[n0]
     at_inf = isinstance(h0, AtInfinityHoroball)
     xi0 = None if at_inf else h0.base
@@ -164,8 +215,7 @@ def ray_from_point(fam: HoroballFamily, x: Point, t: float,
             eta = _solver_endpoint(mapped, s, n1, Side.RIGHT, tol)
             target = eta
         else:
-            mapped = HoroballFamily(
-                fam.dim, [invert_horoball(h, xi0) for h in fam.horoballs])
+            mapped = _inverted(fam, xi0)
             eta = _solver_endpoint(mapped, s, n1, Side.RIGHT, tol)
             n2 = vnorm2(eta)
             if n2 <= tol * tol:

@@ -1,8 +1,10 @@
 """JSON interchange for families, geodesics and tree configurations.
 
 Numbers travel as decimal strings (repr round-trips floats bit-exactly)
-with an optional exact rational "p/q" companion field that wins when
-present, so exact families survive a round trip unhurt.
+with an optional exact rational "p/q" companion field.  Exact mode reads
+the companions, so exact families survive a round trip unhurt; float
+mode reads the decimal strings alone, so it computes in floats whether
+or not the companions are present.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ def _exact_out(x) -> Optional[str]:
 
 
 def _num_in(decimal: str, exact: Optional[str], want_exact: bool):
-    if exact is not None:
-        return Fraction(exact)
-    if want_exact:
+    if not want_exact:
+        return float(decimal)
+    if exact is None:
         raise ValueError(f"no exact form for {decimal!r} in exact mode")
-    return float(decimal)
+    return Fraction(exact)
 
 
 def horoball_to_entry(h: Horoball) -> dict:

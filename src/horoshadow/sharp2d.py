@@ -19,7 +19,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .halfspace import TangentHoroball
-from .numeric import DEFAULT_TOL, SHARP_SCALE, Certificate, CertificateError, certify
+from .numeric import (
+    DEFAULT_TOL,
+    SHARP_SCALE,
+    Certificate,
+    CertificateError,
+    certify,
+    may_be_le,
+    min_candidates,
+    to_float,
+    widen,
+)
 from .packings import HoroballFamily
 from .uncover import scan_chain, scan_order
 
@@ -104,6 +114,29 @@ def fit_component(interval: tuple, b, r, s, index: int = -1,
     return best[1]
 
 
+def may_meet_line(interval: tuple, b, sr, tol):
+    """Float filter in front of fit_component: a mask over shadows
+    centered at b with scaled radii sr (float arrays, s r converted) that
+    is false only where [b - sr, b + sr] misses the interval widened by
+    tol, that is where fit_component returns None."""
+    import numpy as np
+    tf = to_float(tol)
+    lo, hi = to_float(interval[0]) - tf, to_float(interval[1]) + tf
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = abs(b) + sr + tf
+        return may_be_le(lo, b + sr, mag + abs(lo)) & may_be_le(b - sr, hi, mag + abs(hi))
+
+
+def line_margins(e, b, sr) -> tuple:
+    """Float margins |e - b| - sr of a point e on the line against the
+    shadows centered at b with scaled radii sr (float arrays, converted
+    from exact values), with a bound on their error."""
+    import numpy as np
+    ef = to_float(e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return abs(ef - b) - sr, widen(abs(ef) + abs(b) + sr)
+
+
 def step_2d(K: IntervalComponent, h2: TangentHoroball, s,
             index: int = -1, tol: float = DEFAULT_TOL
             ) -> Optional[IntervalComponent]:
@@ -148,9 +181,12 @@ def solve_2d(fam: HoroballFamily, s, start: Optional[int] = None,
     non-increasing radius (ties by input index), seeded at the chosen
     side component of the start horoball (largest by default); members
     at infinity are skipped, as no geodesic from infinity can avoid
-    them.  The returned endpoint is the midpoint of the final interval;
-    the avoidance certificate |endpoint - b_n| >= s r_n - tol is checked
-    against every tangent member before returning.
+    them.  Each time the interval shrinks, one float pass over the rest
+    of the order (may_be_le) leaves the members whose scaled shadow may
+    meet it, and step_2d decides on those.  The returned endpoint is the
+    midpoint of the final interval; the avoidance certificate
+    |endpoint - b_n| >= s r_n - tol is checked against every tangent
+    member, exactly on the members a float pass (min_candidates) leaves.
     """
     if fam.dim != 2:
         raise ValueError("the interval solver needs a planar family")
@@ -158,12 +194,21 @@ def solve_2d(fam: HoroballFamily, s, start: Optional[int] = None,
     hs = fam.horoballs
     radii = {i: h.radius for i, h in items}
     base = {i: h.base[0] for i, h in items}
-    a0, order = scan_order(radii, lambda i, j: abs(base[i] - base[j]), start, tol)
+    a0, order = scan_order(radii, lambda j: lambda i: abs(base[i] - base[j]),
+                           start, tol)
     b0, r0 = base[a0], radii[a0]
+    cols = fam.columns
+    xs, srs = cols.base[:, 0], to_float(s) * cols.radius
+    rows = cols.tangent.searchsorted(order)
+    xo, sro = xs[rows], srs[rows]
     chain = scan_chain(component_of(hs[a0], s, side, a0), order,
-                       lambda K, j: step_2d(K, hs[j], s, index=j, tol=tol))
+                       lambda K, j: step_2d(K, hs[j], s, index=j, tol=tol),
+                       lambda K, begin: may_meet_line(K.interval, xo[begin:],
+                                                      sro[begin:], tol))
     endpoint = chain[-1][1].midpoint
-    cert = certify({i: abs(endpoint - base[i]) - s * r for i, r in radii.items()}, tol)
+    near = min_candidates(*line_margins(endpoint, xs, srs))
+    cert = certify({i: abs(endpoint - base[i]) - s * radii[i]
+                    for i in cols.tangent[near].tolist()}, tol, len(radii))
     if not (b0 - r0 - tol <= endpoint <= b0 + r0 + tol):
         raise CertificateError("endpoint escaped the start shadow")
     return Solution(endpoint, [K for _, K in chain], a0, s, cert)

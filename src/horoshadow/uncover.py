@@ -297,38 +297,54 @@ class NestedWitness:
     certificate: Certificate
 
 
-def scan_order(radii: dict, dist: Callable, start: Optional[int],
+def scan_order(radii: dict, dist_from: Callable, start: Optional[int],
                tol: float) -> tuple[int, list]:
     """Seed index and scan order of a family given as {index: radius}.
 
     The seed is `start` (which must be a key of radii), or the largest
     member with ties going to the lowest index.  The others are kept
-    when their radius is at most the seed's (plus tol) and dist(i, seed)
-    is at most three times the largest radius, since no farther scaled
-    ball can meet the seed's ball, and are sorted by non-increasing
-    radius (ties by index).  dist is only called on members that pass
-    the radius test.
+    when their radius is at most the seed's (plus tol) and their
+    distance to the seed, dist_from(seed)(i), is at most three times the
+    largest radius, since no farther scaled ball can meet the seed's
+    ball, and are sorted by non-increasing radius (ties by index).
+    dist_from is called once, and the function it returns only on
+    members that pass the radius test.
     """
     a0 = max(radii, key=lambda i: (radii[i], -i)) if start is None else start
     r0 = radii[a0]
     sup = max(radii.values())
+    dist = dist_from(a0)
     keep = [i for i, r in radii.items()
-            if i != a0 and r <= r0 + tol and dist(i, a0) <= 3 * sup]
+            if i != a0 and r <= r0 + tol and dist(i) <= 3 * sup]
     keep.sort(key=lambda i: (-radii[i], i))
     return a0, keep
 
 
-def scan_chain(K, order: Sequence[int], step: Callable) -> list[tuple[int, object]]:
+def scan_chain(K, order: Sequence[int], step: Callable,
+               may_meet: Optional[Callable] = None) -> list[tuple[int, object]]:
     """Nested chain from the seed ball K: the scan visits the members in
     order and step(K, j) returns the refinement of the current ball
     against member j, or None when member j misses it.  Entries are
-    (scan position, ball), with the seed at position 0."""
+    (scan position, ball), with the seed at position 0.
+
+    may_meet(K, begin), when given, is a filter: a boolean numpy mask
+    over order[begin:] that is false only at members for which step(K, j)
+    returns None.  Each time K changes it runs once over the rest of the
+    order, and the step runs on the members it leaves alone, so the
+    chain is the same as without it."""
     chain = [(0, K)]
-    for pos, j in enumerate(order, start=1):
-        K2 = step(K, j)
-        if K2 is not None:
-            chain.append((pos, K2))
-            K = K2
+    begin = 0
+    while begin < len(order):
+        todo = range(begin, len(order)) if may_meet is None else \
+            (begin + may_meet(K, begin).nonzero()[0]).tolist()
+        for pos in todo:
+            K2 = step(K, order[pos])
+            if K2 is not None:
+                chain.append((pos + 1, K2))
+                K, begin = K2, pos + 1
+                break
+        else:
+            break
     return chain
 
 
@@ -350,7 +366,7 @@ def _prepare(fam: BallFamily, s: float, start: Optional[int], tol: float):
                 f"start ball {start} too small to seed the loop "
                 f"(need radius >= {(1 - eps) * sup:.6g})")
     return scan_order({i: r for i, (_, r) in enumerate(balls)},
-                      lambda i, j: space.dist(balls[i][0], balls[j][0]),
+                      lambda j: lambda i: space.dist(balls[i][0], balls[j][0]),
                       start, tol)
 
 

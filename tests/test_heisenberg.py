@@ -1,9 +1,11 @@
+import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horoshadow.heisenberg import (
@@ -167,6 +169,54 @@ class TestCarnotCaratheodory:
             t = rnd.uniform(0.2, 3)
             got = cc_dist(dilate(a, t), dilate(b, t))
             assert got == pytest.approx(t * cc_dist(a, b), rel=2e-3)
+
+
+def mp_cc_length(R, v):
+    """CC length from the identity to a point at planar distance R > 0
+    with holonomy v != 0, at 50 digits: the arc sweeps theta = 2 pi - e
+    with (theta - sin theta) / (2 sin^2(theta / 2)) = |v| / R^2, and has
+    length theta R / (2 sin(theta / 2))."""
+    with mpmath.workdps(50):
+        R, ratio = mpmath.mpf(R), abs(mpmath.mpf(v)) / mpmath.mpf(R) ** 2
+        pi = mpmath.pi
+        e = mpmath.findroot(
+            lambda e: 2 * pi - e + mpmath.sin(e) - 2 * ratio * mpmath.sin(e / 2) ** 2,
+            mpmath.sqrt(4 * pi / ratio))
+        return float((2 * pi - e) * R / (2 * mpmath.sin(e / 2)))
+
+
+class TestNearVertical:
+    """Displacements with |dzeta| / sqrt|dv| from 1e-15 to 1e-8, across
+    the end of the bracket of the arc angle, where cc_dist used to raise
+    "target not bracketed" (for ratios 1e-13 to 1e-10)."""
+
+    @pytest.mark.parametrize("ratio", [10 ** (k / 4) for k in range(-60, -31)])
+    @pytest.mark.parametrize("v", [1.0, -4.0, 1e-6, 1e6])
+    def test_against_mpmath(self, ratio, v):
+        z = ratio * math.sqrt(abs(v)) * cmath.exp(0.7j)
+        got = cc_dist(IDENTITY, HeisPoint(z, v))
+        assert got == pytest.approx(mp_cc_length(abs(z), v), rel=5e-5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-15, -8), st.floats(-6, 6), st.floats(0, 2 * math.pi),
+           st.sampled_from([-1.0, 1.0]))
+    def test_drawn_against_mpmath(self, log_ratio, log_v, phase, sign):
+        v = sign * 10 ** log_v
+        z = 10 ** log_ratio * math.sqrt(abs(v)) * cmath.exp(1j * phase)
+        assume(abs(z) > 0)
+        got = cc_dist(IDENTITY, HeisPoint(z, v))
+        assert got == pytest.approx(mp_cc_length(abs(z), v), rel=5e-5)
+
+    def test_full_circle_below_the_old_switch_is_unchanged(self):
+        # below 1e-14 the full circle of area |v| / 4, as before
+        rho = math.sqrt(1.0 / (4 * math.pi))
+        assert cc_dist(IDENTITY, HeisPoint(1e-15, 1.0)) == rho * (2 * math.pi)
+
+    def test_interpolation_in_the_old_gap(self):
+        b = HeisPoint(1e-12, 1.0)
+        L = cc_dist(IDENTITY, b)
+        mid = cc_point_toward(IDENTITY, b, L / 2)
+        assert cc_dist(IDENTITY, mid) == pytest.approx(L / 2, rel=1e-3)
 
 
 class TestGeodesicInterpolation:

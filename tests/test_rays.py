@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from horoshadow.cli import main
 from horoshadow.halfspace import (
@@ -226,6 +228,24 @@ class TestRayNearABase:
             g = ArcGeodesic(a, b)
             t = rnd.uniform(-8, 8)
             assert param_of(g, g.point_at(t)) == pytest.approx(t, abs=1e-9)
+
+    def test_ray_starts_at_the_start_point(self):
+        # the ray's arc has half-width ~2e18; its start must be found
+        # again at the start point, not 2.4e-7 away as m + rho tanh(t) u
+        # put it
+        ray = ray_from_point(farey(1, (0, 1)), Point(1e-9, 2.0), 2.2).ray
+        start = ray.point_at(ray.param_range[0])
+        assert start.base[0] == pytest.approx(1e-9, rel=1e-6)
+        assert start.height == pytest.approx(2.0, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2), st.data(), st.floats(-30, 30))
+    def test_point_at_round_trips_far_out(self, dim, data, t):
+        point = st.tuples(*[st.floats(-3, 3, allow_nan=False)] * dim)
+        a, b = data.draw(point), data.draw(point)
+        assume(sum((x - y) ** 2 for x, y in zip(a, b)) >= 1e-6)
+        g = ArcGeodesic(a, b)
+        assert param_of(g, g.point_at(t)) == pytest.approx(t, abs=1e-9)
 
     def test_point_off_the_geodesic_rejected(self):
         with pytest.raises(ValueError, match="not on the arc"):

@@ -665,7 +665,9 @@ CLI_CASES = [
 
 @pytest.mark.parametrize("name,mode,s,start,side,two", CLI_CASES)
 def test_cli_uncloud_matches_oracle(family_files, capsys, name, mode, s, start, side, two):
-    fam, exact = CLI_FAMILIES[name]
+    _, exact = CLI_FAMILIES[name]
+    # the oracle runs on the family the CLI reads: floats unless --exact
+    fam = serialize.document_to_family(json.loads(family_files[name].read_text()), exact)
     argv = ["uncloud", str(family_files[name]), "--mode", mode, "--shrink-s", s,
             "--side", side]
     argv += ["--start", str(start)] if start is not None else []

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horoshadow import serialize
 from horoshadow.cli import main
@@ -16,7 +21,7 @@ from horoshadow.halfspace import (
     TangentHoroball,
     VerticalGeodesic,
 )
-from horoshadow.packings import HoroballFamily, farey, random_disjoint
+from horoshadow.packings import HoroballFamily, extremal, farey, geometric, random_disjoint
 from horoshadow.trees import covering_family, three_regular_tree
 
 
@@ -286,3 +291,54 @@ def test_cli_import_loads_no_numpy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def strip_exact(doc):
+    """The document without its "*_exact" companion fields."""
+    return dict(doc, entries=[{k: v for k, v in e.items() if not k.endswith("_exact")}
+                              for e in doc["entries"]])
+
+
+def run_cli(argv):
+    """(exit status, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFloatModeReadsFloats:
+    """Without --exact the CLI computes on the decimal strings alone, so
+    the exact companions of a document change no output byte."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["farey", "farey+inf", "farey-wide+inf", "extremal-exact",
+                                 "geometric"]),
+           q=st.integers(2, 12), s=st.sampled_from(["1/5", "0.37", "3/5", "0.6"]),
+           t_line=st.floats(1.35, 1.8), t_ray=st.floats(1.9, 2.4),
+           point=st.tuples(st.floats(0.05, 0.95), st.floats(0.2, 0.9)))
+    def test_outputs_are_byte_identical(self, kind, q, s, t_line, t_ray, point):
+        fam = {"farey": lambda: farey(q),
+               "farey+inf": lambda: farey(q, (0, 1), include_infinity=True),
+               "farey-wide+inf": lambda: farey(q, (-1, 2), include_infinity=True),
+               "extremal-exact": lambda: extremal(min(q, 6), Fraction(1, 2)),
+               "geometric": lambda: geometric(-q, q)}[kind]()
+        doc = serialize.family_to_document(fam)
+        assert any(k.endswith("_exact") for e in doc["entries"] for k in e)
+        geodesic = json.dumps({"type": "vertical", "foot": [point[0]]})
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = []
+            for variant in (doc, strip_exact(doc)):
+                path = Path(tmp) / "fam.json"
+                path.write_text(serialize.dumps(variant))
+                f = str(path)
+                runs = [run_cli(["uncloud", f, "--mode", mode, "--two", "--shrink-s", sv])
+                        for mode, sv in (("dim2", s), ("hnr", s), ("generic", "1/5"))]
+                runs.append(run_cli(["line", "--family", f, "--t", repr(t_line)]))
+                runs.append(run_cli(["ray", "--family", f, "--point",
+                                     f"{point[0]!r};{point[1]!r}", "--t", repr(t_ray)]))
+                runs.append(run_cli(["verify", "packing", "--family", f]))
+                runs.append(run_cli(["verify", "avoidance", "--family", f,
+                                     "--geodesic", geodesic, "--t", repr(t_ray)]))
+                outputs.append(runs)
+        assert outputs[0] == outputs[1]
