@@ -289,8 +289,7 @@ def _verify_constants(args) -> int:
                      "tolerance": tolerance, "pass": good})
         print(f"{name:18s} = {got:.12f}  expected {want:.12f}  "
               f"[{'PASS' if good else 'FAIL'}]", file=sys.stderr)
-    if args.json:
-        _emit({"checks": rows, "ok": ok}, args.out)
+    _emit({"checks": rows, "ok": ok}, args.out)
     return 0 if ok else 1
 
 
@@ -325,8 +324,6 @@ def _common_flags() -> argparse.ArgumentParser:
     c.add_argument("--exact", action="store_true", default=argparse.SUPPRESS,
                    help="require exact rational inputs throughout")
     c.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    c.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                   help="emit machine-readable output where optional")
     c.add_argument("--out", default=argparse.SUPPRESS,
                    help="output file (default stdout)")
     return c
@@ -337,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="horoshadow", parents=[common],
         description="horoball shadows, packings and avoidance solvers")
-    top.set_defaults(tolerance=DEFAULT_TOL, exact=False, seed=0,
-                     json=False, out=None)
+    top.set_defaults(tolerance=DEFAULT_TOL, exact=False, seed=0, out=None)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pack", help="generate a named horoball family")

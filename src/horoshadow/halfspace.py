@@ -168,7 +168,9 @@ class ArcGeodesic:
 
     @property
     def rho(self) -> float:
-        return vnorm(vsub(_flv(self.b), _flv(self.a))) / 2
+        d = vsub(_flv(self.b), _flv(self.a))
+        # the squares underflow to 0 when the ends are within about 1e-162
+        return (vnorm(d) or math.hypot(*d)) / 2
 
     @property
     def unit(self) -> tuple:
@@ -307,9 +309,13 @@ def penetration_depth(g: Geodesic, h: Horoball) -> float:
         if math.isinf(t):
             return INF if (t > 0) == (p == 0) else -INF
         return math.log(2 / (p or q)) + (t if p == 0 else -t)
-    tstar = math.log(q / p) / 2
+    if math.isfinite(p) and not (p * q and q / p):
+        # p q or q / p underflows: the same in logarithms
+        tstar, peak = (math.log(q) - math.log(p)) / 2, -(math.log(p) + math.log(q)) / 2
+    else:
+        tstar, peak = math.log(q / p) / 2, -math.log(p * q) / 2
     d = abs(min(max(tstar, lo), hi) - tstar)
-    return -math.log(p * q) / 2 - d - math.log1p(math.expm1(-2 * d) / 2)
+    return peak - d - math.log1p(math.expm1(-2 * d) / 2)
 
 
 def penetration_interval(g: Geodesic, h: Horoball) -> Optional[tuple]:
@@ -380,10 +386,13 @@ def penetration_depths(g: Geodesic, cols) -> tuple:
     lo, hi = g.param_range
     with np.errstate(all="ignore"):
         p, q = 2 * P / c, 2 * Q / c
-        tstar = np.log(q / p) / 2
+        # in logarithms where p q or q / p underflows, as penetration_depth
+        direct = ~np.isfinite(p) | ((p * q != 0) & (q / p != 0))
+        tstar = np.where(direct, np.log(q / p) / 2, (np.log(q) - np.log(p)) / 2)
+        peak = np.where(direct, -np.log(p * q) / 2, -(np.log(p) + np.log(q)) / 2)
         t = np.clip(tstar, lo, hi)
         d = abs(t - tstar)
-        depth = -np.log(p * q) / 2 - d - np.log1p(np.expm1(-2 * d) / 2)
+        depth = peak - d - np.log1p(np.expm1(-2 * d) / 2)
         # monotone where an end is the base; the bound is then infinite
         depth = np.where(p == 0, np.log(2 / q) + hi, depth)
         depth = np.where((q == 0) & (p != 0), np.log(2 / p) - lo, depth)

@@ -114,41 +114,28 @@ def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
     in rational arithmetic with zero slack when exact=True.  Cost is
     O(N log N + candidates).
     """
-    bad = []
-    hs = fam.horoballs
+    import numpy as np
+    hs, cols = fam.horoballs, fam.columns
     slack = 0 if exact else tol
-    tangs = [(i, h) for i, h in enumerate(hs) if isinstance(h, TangentHoroball)]
-    infs = [(i, h) for i, h in enumerate(hs) if isinstance(h, AtInfinityHoroball)]
-    for k in range(len(infs)):
-        for m in range(k + 1, len(infs)):
-            bad.append((infs[k][0], infs[m][0]))
-    if tangs:
-        import numpy as np
-        # the float test keeps raising on values beyond the float range;
-        # the exact test only prunes with them
-        as_float = to_float if exact else float
-        xs = np.array([[as_float(c) for c in h.base] for _, h in tangs])
-        rs = np.array([as_float(h.radius) for _, h in tangs])
-        for j, inf in infs:
-            cap = to_float(inf.height) * (1 + slack)
-            for k in np.flatnonzero(may_be_le(cap, 2 * rs, abs(cap) + 2 * rs)).tolist():
-                i, t = tangs[k]
-                if 2 * t.radius > inf.height * (1 + slack):
-                    bad.append(tuple(sorted((i, j))))
-        # a negative slack lets the float test reach sqrt(1 - slack) times
-        # further than the shadows
-        a, b = sweep_pairs(xs[:, 0], rs * math.sqrt(max(1.0, 1.0 - slack)))
-        if exact:
-            for p, q in zip(a.tolist(), b.tolist()):
-                (ip, hp), (iq, hq) = tangs[p], tangs[q]
-                if vnorm2(vsub(hp.base, hq.base)) < 4 * hp.radius * hq.radius:
-                    bad.append((ip, iq))
-        else:
-            diff = xs[a] - xs[b]
-            lhs = np.einsum("ij,ij->i", diff, diff)
-            hit = lhs < 4 * rs[a] * rs[b] * (1 - slack)
-            idx = np.array([i for i, _ in tangs])
-            bad.extend(zip(idx[a[hit]].tolist(), idx[b[hit]].tolist()))
+    infs, tangs = cols.infinity.tolist(), cols.tangent.tolist()
+    bad = [(i, j) for k, i in enumerate(infs) for j in infs[k + 1:]]
+    xs, rs = cols.base, cols.radius
+    for j in infs:
+        cap = to_float(hs[j].height) * (1 + slack)
+        for k in np.flatnonzero(may_be_le(cap, 2 * rs, abs(cap) + 2 * rs)).tolist():
+            if 2 * hs[tangs[k]].radius > hs[j].height * (1 + slack):
+                bad.append(tuple(sorted((tangs[k], j))))
+    # a negative slack lets the float test reach sqrt(1 - slack) times
+    # further than the shadows
+    a, b = sweep_pairs(xs[:, 0], rs * math.sqrt(max(1.0, 1.0 - slack)))
+    if exact:
+        for p, q in zip(cols.tangent[a].tolist(), cols.tangent[b].tolist()):
+            if vnorm2(vsub(hs[p].base, hs[q].base)) < 4 * hs[p].radius * hs[q].radius:
+                bad.append((p, q))
+    else:
+        diff = xs[a] - xs[b]
+        hit = np.einsum("ij,ij->i", diff, diff) < 4 * rs[a] * rs[b] * (1 - slack)
+        bad.extend(zip(cols.tangent[a[hit]].tolist(), cols.tangent[b[hit]].tolist()))
     bad.sort()
     return ValidationReport(not bad, bad)
 

@@ -1,4 +1,5 @@
-"""Sharp interval solver on the boundary line of the hyperbolic plane.
+"""Sharp interval solver on the boundary line of the hyperbolic plane,
+and the pipeline both sharp solvers share.
 
 For horoballs tangent to the real line the complement of a scaled shadow
 inside the full shadow consists of two closed intervals.  As long as the
@@ -8,6 +9,7 @@ of its two annulus components fits entirely inside it, so a nested
 interval chain pins down an endpoint whose vertical geodesic avoids
 every scaled horoball.  The threshold is sharp: the extremal binary-tree
 packing tiles each component with the shadows of two maximal children.
+The solver of sharpnd runs its rotated steps in the same pipeline.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
-from .halfspace import TangentHoroball
+from .halfspace import TangentHoroball, sq_norms
 from .numeric import (
     DEFAULT_TOL,
     SHARP_SCALE,
@@ -58,6 +60,12 @@ class IntervalComponent:
     @property
     def midpoint(self):
         return (self.interval[0] + self.interval[1]) / 2
+
+    center = midpoint
+
+    @property
+    def radius(self):
+        return (self.interval[1] - self.interval[0]) / 2
 
 
 def sharp_shrink_time(a: float = 1.0) -> float:
@@ -114,29 +122,6 @@ def fit_component(interval: tuple, b, r, s, index: int = -1,
     return best[1]
 
 
-def may_meet_line(interval: tuple, b, sr, tol):
-    """Float filter in front of fit_component: a mask over shadows
-    centered at b with scaled radii sr (float arrays, s r converted) that
-    is false only where [b - sr, b + sr] misses the interval widened by
-    tol, that is where fit_component returns None."""
-    import numpy as np
-    tf = to_float(tol)
-    lo, hi = to_float(interval[0]) - tf, to_float(interval[1]) + tf
-    with np.errstate(over="ignore", invalid="ignore"):
-        mag = abs(b) + sr + tf
-        return may_be_le(lo, b + sr, mag + abs(lo)) & may_be_le(b - sr, hi, mag + abs(hi))
-
-
-def line_margins(e, b, sr) -> tuple:
-    """Float margins |e - b| - sr of a point e on the line against the
-    shadows centered at b with scaled radii sr (float arrays, converted
-    from exact values), with a bound on their error."""
-    import numpy as np
-    ef = to_float(e)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return abs(ef - b) - sr, widen(abs(ef) + abs(b) + sr)
-
-
 def step_2d(K: IntervalComponent, h2: TangentHoroball, s,
             index: int = -1, tol: float = DEFAULT_TOL
             ) -> Optional[IntervalComponent]:
@@ -148,70 +133,103 @@ def step_2d(K: IntervalComponent, h2: TangentHoroball, s,
 @dataclass
 class Solution:
     """Output of a sharp solver: the endpoint (a number on the line, a
-    tuple in R^(n-1)), the witness chain, the seed member, the scale and
-    the avoidance certificate."""
+    tuple in R^(n-1)), the witness chain, the seed member and the
+    avoidance certificate."""
 
     endpoint: object
     witness: list
     start_index: int
-    scale: float
     certificate: Certificate
-
-
-def checked_items(fam: HoroballFamily, s, start: Optional[int]) -> list:
-    """The tangent members of fam as (index, horoball) pairs, after the
-    checks both sharp solvers open with: s in (0, SHARP_SCALE], at least
-    one tangent member, and start (when given) the index of one."""
-    if not 0 < s <= SHARP_SCALE * (1 + 1e-12):
-        raise ValueError(f"scale factor must lie in (0, {SHARP_SCALE}]")
-    items = fam.tangent_items()
-    if not items:
-        raise ValueError("no tangent horoballs to solve against")
-    if start is not None and start not in dict(items):
-        raise ValueError("start index is not a tangent horoball")
-    return items
 
 
 def solve_2d(fam: HoroballFamily, s, start: Optional[int] = None,
              side: Side = Side.RIGHT, tol: float = DEFAULT_TOL) -> Solution:
     """Boundary point whose vertical geodesic avoids every open scaled
-    horoball of a planar family, by nested annulus components.
-
-    The scan (uncover.scan_order) runs over tangent members by
-    non-increasing radius (ties by input index), seeded at the chosen
-    side component of the start horoball (largest by default); members
-    at infinity are skipped, as no geodesic from infinity can avoid
-    them.  Each time the interval shrinks, one float pass over the rest
-    of the order (may_be_le) leaves the members whose scaled shadow may
-    meet it, and step_2d decides on those.  The returned endpoint is the
-    midpoint of the final interval; the avoidance certificate
-    |endpoint - b_n| >= s r_n - tol is checked against every tangent
-    member, exactly on the members a float pass (min_candidates) leaves.
-    """
+    horoball of a planar family: solve_sharp from the chosen side
+    component of the start horoball (largest by default) by step_2d."""
     if fam.dim != 2:
         raise ValueError("the interval solver needs a planar family")
-    items = checked_items(fam, s, start)
     hs = fam.horoballs
-    radii = {i: h.radius for i, h in items}
-    base = {i: h.base[0] for i, h in items}
-    a0, order = scan_order(radii, lambda j: lambda i: abs(base[i] - base[j]),
-                           start, tol)
-    b0, r0 = base[a0], radii[a0]
-    cols = fam.columns
-    xs, srs = cols.base[:, 0], to_float(s) * cols.radius
+    return solve_sharp(fam, s, start, lambda a0: component_of(hs[a0], s, side, a0),
+                       lambda K, j: step_2d(K, hs[j], s, index=j, tol=tol), tol)
+
+
+def solve_sharp(fam: HoroballFamily, s, start: Optional[int], seed: Callable,
+                step: Callable, tol) -> Solution:
+    """Nested chain of elements (intervals or balls, each with a center
+    and a radius) from seed(a0) by step(K, j), and its endpoint, the
+    center of the last element, with its certificate.
+
+    The scan (uncover.scan_order) visits the tangent members within
+    3 sup of a0 (start, or the largest member) by non-increasing radius,
+    ties by index; members at infinity are left out, as no geodesic from
+    infinity avoids them.
+    Each time K shrinks, one float pass (may_meet) over the rest of the
+    order leaves the members whose scaled shadow may meet it, and the
+    step decides on those.  The certificate |endpoint - b_i| >= s r_i - tol
+    holds for every tangent member, checked on those a float pass
+    (margin_bounds) leaves, and the endpoint lies in the start shadow.
+    """
+    if not 0 < s <= SHARP_SCALE * (1 + 1e-12):
+        raise ValueError(f"scale factor must lie in (0, {SHARP_SCALE}]")
+    hs, cols = fam.horoballs, fam.columns
+    radii = {i: hs[i].radius for i in cols.tangent.tolist()}
+    if not radii:
+        raise ValueError("no tangent horoballs to solve against")
+    if start is not None and start not in radii:
+        raise ValueError("start index is not a tangent horoball")
+    dist, dist_from = _distances(fam)
+    a0, order = scan_order(radii, dist_from, start, tol)
+    srs = to_float(s) * cols.radius
     rows = cols.tangent.searchsorted(order)
-    xo, sro = xs[rows], srs[rows]
-    chain = scan_chain(component_of(hs[a0], s, side, a0), order,
-                       lambda K, j: step_2d(K, hs[j], s, index=j, tol=tol),
-                       lambda K, begin: may_meet_line(K.interval, xo[begin:],
-                                                      sro[begin:], tol))
-    endpoint = chain[-1][1].midpoint
-    near = min_candidates(*line_margins(endpoint, xs, srs))
-    cert = certify({i: abs(endpoint - base[i]) - s * radii[i]
+    xo, sro = cols.base[rows], srs[rows]
+    chain = scan_chain(seed(a0), order, step,
+                       lambda K, begin: may_meet(K, xo[begin:], sro[begin:], tol))
+    endpoint = chain[-1][1].center
+    near = min_candidates(*margin_bounds(endpoint, cols.base, srs))
+    cert = certify({i: dist(endpoint, i) - s * radii[i]
                     for i in cols.tangent[near].tolist()}, tol, len(radii))
-    if not (b0 - r0 - tol <= endpoint <= b0 + r0 + tol):
+    if dist(endpoint, a0) > radii[a0] + tol:
         raise CertificateError("endpoint escaped the start shadow")
-    return Solution(endpoint, [K for _, K in chain], a0, s, cert)
+    return Solution(endpoint, [K for _, K in chain], a0, cert)
+
+
+def _distances(fam: HoroballFamily) -> tuple:
+    """dist(p, i) = |p - b_i| for a point p (a number on the line, a tuple
+    beyond), exact on the line, and dist_from(j) = i -> |b_i - b_j|, one
+    float pass over the column rows beyond the line."""
+    import numpy as np
+    hs, cols = fam.horoballs, fam.columns
+    if fam.dim == 2:
+        def dist(p, i):
+            return abs((p[0] if isinstance(p, tuple) else p) - hs[i].base[0])
+        return dist, lambda j: lambda i: dist(hs[j].base, i)
+
+    def dist(p, i):
+        return float(np.linalg.norm(np.subtract(p, np.asarray(hs[i].base, float))))
+    return dist, lambda j: dict(zip(cols.tangent.tolist(), np.sqrt(
+        sq_norms(cols.base - np.asarray(hs[j].base, float))).tolist())).get
+
+
+def margin_bounds(e, bases, sr) -> tuple:
+    """Float margins |e - b| - sr of a point e (a number on the line, a
+    tuple beyond) against shadows centered at the rows of bases with scaled
+    radii sr (float arrays), and a bound on their error that covers the
+    conversion of exact values too, as |e| + |b| <= 2|e| + |e - b|."""
+    import numpy as np
+    ef = np.array([to_float(c) for c in (e if isinstance(e, tuple) else (e,))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.sqrt(sq_norms(bases - ef))
+        return gap - sr, widen(gap + sr + 2 * np.abs(ef).sum())
+
+
+def may_meet(K, bases, sr, tol):
+    """Float filter in front of both steps: a mask over the shadows of
+    margin_bounds, false only where a shadow misses the element K (by
+    its center and radius) by more than tol, so that the step is None."""
+    approx, err = margin_bounds(K.center, bases, sr)
+    reach = to_float(K.radius) + to_float(tol)
+    return may_be_le(approx - err, reach, reach)
 
 
 def scaled_shadow_residual(fam: HoroballFamily, s,

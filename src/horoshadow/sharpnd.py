@@ -16,19 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .halfspace import TangentHoroball, sq_norms
-from .numeric import (
-    DEFAULT_TOL,
-    CertificateError,
-    certify,
-    may_be_le,
-    min_candidates,
-    to_float,
-    widen,
-)
+from .halfspace import TangentHoroball
+from .numeric import DEFAULT_TOL, CertificateError
 from .packings import HoroballFamily
-from .sharp2d import Solution, checked_items, fit_component
-from .uncover import scan_chain, scan_order
+from .sharp2d import Solution, fit_component, solve_sharp
 
 #: below this sine of the rotation angle the configuration counts as
 #: collinear and the rotation (ill-conditioned there) is skipped
@@ -118,60 +109,16 @@ def step_hnr(parent: TangentHoroball, K: AnnulusBall, other: TangentHoroball,
     return K2
 
 
-def may_meet_ball(K: AnnulusBall, bases, sr, tol: float):
-    """Float filter in front of step_hnr: a mask over shadows centered at
-    the rows of bases with scaled radii sr (float arrays) that is false
-    only where the shadow misses K by more than tol, that is where
-    step_hnr returns None before any other test."""
-    import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = _row_norms(bases - K.c)
-        reach = K.radius + sr + tol
-        return may_be_le(gap, reach, gap + reach)
-
-
 def solve_hnr(fam: HoroballFamily, s: float, start: Optional[int] = None,
               direction=None, tol: float = DEFAULT_TOL) -> Solution:
     """Boundary point in R^(n-1) whose vertical geodesic avoids every open
-    scaled horoball; the planar solver's scan (uncover.scan_order) with
-    annulus balls, each step reduced to the line by step_hnr.
-
-    Antipodal seed directions produce endpoints at distance at least
-    s times the start radius.  As in solve_2d, a float pass over the rest
-    of the order leaves the members whose scaled shadow may meet the
-    current ball, and step_hnr decides on those.  The avoidance
-    certificate |endpoint - b_n| >= s r_n - tol is checked for every
-    tangent member, on the members a float pass leaves.
-    """
-    import numpy as np
-    checked_items(fam, s, start)
+    scaled horoball: sharp2d.solve_sharp from the maximal annulus ball of
+    the start horoball in the direction (the first axis by default) by
+    step_hnr.  Antipodal directions give endpoints s r0 or more apart."""
     hs = fam.horoballs
     if direction is None:
         direction = (1.0,) + (0.0,) * (fam.dim - 2)
-    cols = fam.columns
-    radii = dict(zip(cols.tangent.tolist(), cols.radius.tolist()))
-    base = dict(zip(radii, cols.base))
-    a0, order = scan_order(
-        radii, lambda j: dict(zip(radii, _row_norms(cols.base - base[j]).tolist())).get,
-        start, tol)
-    srs = to_float(s) * cols.radius
-    rows = cols.tangent.searchsorted(order)
-    xo, sro = cols.base[rows], srs[rows]
-    chain = scan_chain(maximal_annulus_ball(hs[a0], s, direction, a0), order,
+    return solve_sharp(fam, s, start,
+                       lambda a0: maximal_annulus_ball(hs[a0], s, direction, a0),
                        lambda ball, j: step_hnr(hs[ball.horoball_index], ball, hs[j],
-                                                s, index=j, tol=tol),
-                       lambda ball, begin: may_meet_ball(ball, xo[begin:], sro[begin:], tol))
-    endpoint = chain[-1][1].c
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = _row_norms(cols.base - endpoint)
-        near = min_candidates(gap - srs, widen(gap + srs))
-    cert = certify({i: float(np.linalg.norm(endpoint - base[i]) - s * radii[i])
-                    for i in cols.tangent[near].tolist()}, tol, len(radii))
-    if np.linalg.norm(endpoint - base[a0]) > radii[a0] + tol:
-        raise CertificateError("endpoint escaped the start shadow")
-    return Solution(tuple(map(float, endpoint)), [K for _, K in chain], a0, s, cert)
-
-
-def _row_norms(rows):
-    import numpy as np
-    return np.sqrt(sq_norms(rows))
+                                                s, index=j, tol=tol), tol)

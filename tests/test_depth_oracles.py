@@ -14,6 +14,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -37,7 +38,7 @@ from horoshadow.halfspace import (
 )
 from horoshadow.numeric import DEFAULT_TOL
 from horoshadow.packings import HoroballFamily, farey
-from horoshadow.rays import _first_hit_after
+from horoshadow.rays import _first_hit_after, verify_avoidance
 
 # ---------------------------------------------------------------------------
 # oracles: the case splits as they stood before the factored kernel
@@ -443,6 +444,33 @@ class TestFarParameters:
         assert isinstance(depth, float) and not math.isnan(depth)
         span = penetration_interval(g, h)
         assert span is None or not any(math.isnan(e) for e in span)
+
+    def test_arc_whose_half_width_underflows(self):
+        # |b - a|^2 underflows to 0, so rho read 0 and c = 4 r rho did too
+        # (ZeroDivisionError); the arc ends at the base of the member at 0
+        fam = farey(12)
+        g = ArcGeodesic((0.0,), (6.76e-289,))
+        assert g.rho == 3.38e-289
+        assert penetration_depth(g, fam.horoballs[0]) == INF
+        assert penetration_interval(g, fam.horoballs[0]) == (-INF, INF)
+        rep = verify_avoidance(g, fam, 0.0)
+        assert not rep.ok and rep.max_depths[0] == (0, INF)
+
+    def test_vertical_where_p_q_underflows(self):
+        # p q underflows inside log (ValueError); the depth is log(r / x)
+        fam = farey(12)
+        k = 2 ** 60
+        big = HoroballFamily(2, [TangentHoroball(tuple(k * c for c in h.base), k * h.radius)
+                                 for h in fam.horoballs])
+        g = VerticalGeodesic((3.15e-149,))
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.mpf(2) ** 59 / mpmath.mpf(3.15e-149)))
+        depth = penetration_depth(g, big.horoballs[0])
+        assert depth == pytest.approx(want, rel=1e-12) and depth == pytest.approx(382.833, abs=1e-3)
+        lo, hi = penetration_interval(g, big.horoballs[0])
+        assert lo < 0 < hi
+        rep = verify_avoidance(g, big, 0.0)
+        assert not rep.ok and rep.max_depths[0] == (0, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from horoshadow import rays, sharp2d, sharpnd
+from horoshadow import rays, sharp2d
 from horoshadow.halfspace import (
     INF,
     ArcGeodesic,
@@ -36,8 +36,15 @@ from horoshadow.halfspace import (
 )
 from horoshadow.numeric import DEFAULT_TOL, certify, may_be_le, min_candidates, to_float
 from horoshadow.packings import HoroballFamily, farey, random_disjoint, validate_disjoint
-from horoshadow.sharp2d import Side, fit_component, line_margins, may_meet_line, solve_2d
-from horoshadow.sharpnd import AnnulusBall, may_meet_ball, solve_hnr, step_hnr
+from horoshadow.sharp2d import (
+    IntervalComponent,
+    Side,
+    fit_component,
+    margin_bounds,
+    may_meet,
+    solve_2d,
+)
+from horoshadow.sharpnd import AnnulusBall, solve_hnr, step_hnr
 
 # ---------------------------------------------------------------------------
 # oracles: the per-member loops before the filters, verbatim up to names
@@ -213,7 +220,8 @@ class TestLineScan:
         b = (edge - reach) if edge == lo - tol else (edge + reach)
         for _ in range(abs(ulps)):
             b = math.nextafter(b, math.copysign(INF, ulps))
-        kept = bool(may_meet_line((lo, hi), np.array([b]), np.array([s * r]), tol)[0])
+        K = IntervalComponent((lo, hi), -1, Side.LEFT)
+        kept = bool(may_meet(K, np.array([[b]]), np.array([s * r]), tol)[0])
         scalar = outcome(fit_component, (lo, hi), b, r, s, -1, tol)
         assert kept or scalar == ("ok", None)
 
@@ -226,27 +234,54 @@ class TestLineScan:
         # every scale, also where every float conversion overflows
         lo, hi, r = k * lo, k * (lo + width), k * r
         b = (lo - s * r if left else hi + s * r) + nudge * k * Fraction(1, 10 ** 30)
-        float_b = np.array([to_float(b)])
-        kept = bool(may_meet_line((lo, hi), float_b,
-                                  np.array([to_float(s) * to_float(r)]), 0)[0])
+        float_b = np.array([[to_float(b)]])
+        K = IntervalComponent((lo, hi), -1, Side.LEFT)
+        kept = bool(may_meet(K, float_b, np.array([to_float(s) * to_float(r)]), 0)[0])
         assert kept or fit_component((lo, hi), b, r, s, -1, 0) is None
 
 
-class TestLineMargins:
+def within_bound(approx, err, sq_gap, sr):
+    """Whether sqrt(sq_gap) - sr (Fractions) lies within err of approx
+    (floats), decided over the rationals: squared, as
+    approx - err + sr <= sqrt(sq_gap) <= approx + err + sr."""
+    low, high = Fraction(approx) - Fraction(err) + sr, Fraction(approx) + Fraction(err) + sr
+    return (low <= 0 or low * low <= sq_gap) and high >= 0 and sq_gap <= high * high
+
+
+class TestMarginBounds:
     @settings(max_examples=300, deadline=None)
     @given(st.fractions(-4, 4, max_denominator=10 ** 12),
            st.fractions(-4, 4, max_denominator=10 ** 9),
            st.fractions(Fraction(1, 10 ** 6), 1, max_denominator=10 ** 9),
            st.fractions(Fraction(1, 20), Fraction(3, 5), max_denominator=10 ** 6),
-           st.sampled_from(FRACTIONS))
-    def test_bound_holds_on_exact_values(self, e, b, r, s, k):
-        # the certificate's float margins against the exact ones
+           st.sampled_from(FRACTIONS), st.booleans())
+    def test_bound_holds_on_exact_values(self, e, b, r, s, k, near):
+        # the certificate's float margins against the exact ones, on the
+        # line, where e is a number; near puts b within 4e-15 of e
+        if near:
+            b = e + b * Fraction(1, 10 ** 15)
         e, b, r = k * e, k * b, k * r
-        approx, err = line_margins(e, np.array([to_float(b)]),
-                                   np.array([to_float(s) * to_float(r)]))
+        approx, err = margin_bounds(e, np.array([[to_float(b)]]),
+                                    np.array([to_float(s) * to_float(r)]))
         exact = abs(e - b) - s * r
         if err[0] < INF and abs(approx[0]) < INF:
             assert abs(Fraction(approx[0]) - exact) <= Fraction(err[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(2, 3),
+           st.sampled_from([1.0, 2.0 ** 60, 2.0 ** -60, 1e12, 1e-12]))
+    def test_bound_holds_on_float_rows(self, data, n, k):
+        # a point e and a base b in R^n, b at most 2^-30 k away in some
+        # draws, against the exact margin |e - b| - s r of the floats
+        e = tuple(k * data.draw(st.floats(-4, 4)) for _ in range(n))
+        near = data.draw(st.booleans())
+        step = st.floats(-2.0 ** -30, 2.0 ** -30) if near else st.floats(-4, 4)
+        b = np.array([c + k * data.draw(step) for c in e])
+        r = k * data.draw(st.floats(1e-6, 1))
+        s = data.draw(st.floats(0.05, 0.62))
+        approx, err = margin_bounds(e, b[None, :], np.array([s * r]))
+        sq_gap = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(e, b.tolist()))
+        assert within_bound(approx[0], err[0], sq_gap, Fraction(s) * Fraction(r))
 
 
 class TestSpaceScan:
@@ -258,7 +293,7 @@ class TestSpaceScan:
         direction = (sign,) + (0.0,) * (fam.dim - 2)
         new = outcome(solve_hnr, fam, s, None, direction)
         with pytest.MonkeyPatch.context() as mp:
-            oracle_scan(mp, sharpnd)
+            oracle_scan(mp, sharp2d)
             old = outcome(solve_hnr, fam, s, None, direction)
         assert new[0] == old[0]
         if new[0] == "raised":
@@ -285,7 +320,7 @@ class TestSpaceScan:
         x2 = y + u * (reach / np.linalg.norm(u))
         x2[0] = x2[0] + data.draw(st.integers(-4, 4)) * np.spacing(x2[0])
         K = AnnulusBall(tuple(map(float, y)), R, 0)
-        kept = bool(may_meet_ball(K, x2[None, :], np.array([s * r2]), tol)[0])
+        kept = bool(may_meet(K, x2[None, :], np.array([s * r2]), tol)[0])
         parent = TangentHoroball(tuple(map(float, x)), k)
         other = TangentHoroball(tuple(map(float, x2)), r2)
         scalar = outcome(step_hnr, parent, K, other, s, 1, tol)

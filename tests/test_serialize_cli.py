@@ -71,6 +71,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("[PASS]") == 5 and "[FAIL]" not in err
 
+    def test_verify_constants_prints_its_document(self, capsys):
+        assert main(["verify", "constants"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is True
+        assert [c["name"] for c in doc["checks"]] == [
+            "t1(1)", "e^-t1(1)", "s0(1/4, lines)", "t0(H^n_R)", "t0(H^2_C)"]
+        assert all(c["pass"] for c in doc["checks"])
+
+    def test_json_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "constants", "--json"])
+        assert exc.value.code == 2
+        assert "--json" in capsys.readouterr().err
+
     def test_pack_then_uncloud_pipe(self, tmp_path, capsys):
         fam_file = tmp_path / "fam.json"
         assert main(["pack", "farey", "--qmax", "5", "--range", "0..1",
