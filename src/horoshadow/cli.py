@@ -34,7 +34,9 @@ def _read_text(path) -> str:
 
 
 def _read_family(path, exact: bool) -> HoroballFamily:
-    return serialize.document_to_family(json.loads(_read_text(path)), exact)
+    text = _read_text(path)
+    with serialize.bulk():
+        return serialize.document_to_family(json.loads(text), exact)
 
 
 def _read_geodesic(text: str):
@@ -178,9 +180,9 @@ def cmd_uncloud(args) -> int:
     s = _shrink_factor(args)
     tol = 0 if args.exact else args.tolerance
     if args.mode == "generic":
-        items = fam.tangent_items()
-        members = [i for i, _ in items]
-        balls = [(tuple(float(c) for c in h.base), float(h.radius)) for _, h in items]
+        cols = fam.columns
+        members = cols.tangent.tolist()
+        balls = list(zip(map(tuple, cols.base.tolist()), cols.radius.tolist()))
         bf = BallFamily(euclidean_space(fam.dim - 1), balls, 0.25)
         start = args.start
         if start is not None:

@@ -289,6 +289,49 @@ def _depth_form(g: Geodesic, h: Horoball) -> tuple:
             4 * float(h.radius) * g.rho)
 
 
+#: log 2, for the depth form in logarithms
+_LN2 = math.log(2)
+
+
+def _log_pq(g: Geodesic, h: Horoball) -> tuple:
+    """(log p, log q) of penetration_depth, from the distances rather than
+    their squares, so that nothing underflows; log 0 = -inf exactly
+    where an end is the base."""
+    def log_sq(v):
+        n = math.hypot(*v)
+        return 2 * math.log(n) if n else -INF
+
+    if isinstance(g, VerticalGeodesic):
+        if isinstance(h, AtInfinityHoroball):
+            return -INF, math.log(2 * float(h.height))
+        lP, lQ = 0.0, log_sq(vsub(_flv(g.foot), _flv(h.base)))
+        lc = math.log(2 * float(h.radius))
+    elif isinstance(h, AtInfinityHoroball):
+        lP = lQ = math.log(float(h.height))
+        lc = math.log(2 * g.rho)
+    else:
+        x = _flv(h.base)
+        lP, lQ = log_sq(vsub(_flv(g.b), x)), log_sq(vsub(_flv(g.a), x))
+        lc = 2 * _LN2 + math.log(float(h.radius)) + math.log(g.rho)
+    return _LN2 + lP - lc, _LN2 + lQ - lc
+
+
+def _pq(g: Geodesic, h: Horoball) -> tuple:
+    """(p, q, None) with p = 2P/c and q = 2Q/c of _depth_form, or (None,
+    None, (log p, log q)) where c underflows to 0, or p or q does while
+    no end is the base (where one is, the monotone reading of p = 0 or
+    q = 0 holds)."""
+    P, Q, c = _depth_form(g, h)
+    if c != 0:
+        p, q = 2 * P / c, 2 * Q / c
+        if p != 0 and q != 0:
+            return p, q, None
+    logs = _log_pq(g, h)
+    if c != 0 and -INF in logs:
+        return p, q, None
+    return None, None, logs
+
+
 def penetration_depth(g: Geodesic, h: Horoball) -> float:
     """Signed hyperbolic depth of the deepest point of g inside h,
     restricted to g.param_range; <= 0 means g avoids the open horoball.
@@ -299,17 +342,21 @@ def penetration_depth(g: Geodesic, h: Horoball) -> float:
     away from t*, and is the peak minus log cosh(d) = d + log((1 + e^-2d)
     / 2), finite at every finite d.  For an arc p and q are ratios, so
     dilating by a power of two leaves every bit of the result unchanged.
+    Where c, p or q underflows the same runs on log p and log q (_pq).
     """
-    P, Q, c = _depth_form(g, h)
-    p, q = 2 * P / c, 2 * Q / c
+    p, q, logs = _pq(g, h)
     lo, hi = g.param_range
-    if p == 0 or q == 0:
+    rising, falling = (p == 0, q == 0) if logs is None else (logs[0] == -INF, logs[1] == -INF)
+    if rising or falling:
         # monotone: rising toward +inf when p = 0, toward -inf when q = 0
-        t = hi if p == 0 else lo
+        t = hi if rising else lo
         if math.isinf(t):
-            return INF if (t > 0) == (p == 0) else -INF
-        return math.log(2 / (p or q)) + (t if p == 0 else -t)
-    if math.isfinite(p) and not (p * q and q / p):
+            return INF if (t > 0) == rising else -INF
+        end = math.log(2 / (p or q)) if logs is None else _LN2 - max(logs)
+        return end + (t if rising else -t)
+    if logs is not None:
+        tstar, peak = (logs[1] - logs[0]) / 2, -(logs[0] + logs[1]) / 2
+    elif math.isfinite(p) and not (p * q and q / p):
         # p q or q / p underflows: the same in logarithms
         tstar, peak = (math.log(q) - math.log(p)) / 2, -(math.log(p) + math.log(q)) / 2
     else:
@@ -325,11 +372,17 @@ def penetration_interval(g: Geodesic, h: Horoball) -> Optional[tuple]:
     With x = e^t the interval is P x^2 - c x + Q <= 0, whose roots
     2Q / w and w / 2P, w = c + sqrt(c^2 - 4PQ), carry no cancellation;
     they are taken divided through by c, as q / w' and w' / p with the p
-    and q of `penetration_depth`, so the interval is None exactly when
-    the depth of the full geodesic is negative.
+    and q of `penetration_depth` (or their logarithms where they
+    underflow), so the interval is None exactly when the depth of the
+    full geodesic is negative.
     """
-    P, Q, c = _depth_form(g, h)
-    p, q = 2 * P / c, 2 * Q / c
+    p, q, logs = _pq(g, h)
+    if logs is not None:
+        lp, lq = logs
+        if lp + lq > 0:
+            return None
+        lw = math.log(1 + math.sqrt(-math.expm1(lp + lq)))
+        return (lq - lw, lw - lp)
     disc = 1 - p * q
     if disc < 0:
         return None

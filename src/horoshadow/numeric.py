@@ -80,6 +80,22 @@ def may_be_le(lhs, rhs, mag):
         return ~(lhs > rhs + widen(mag))
 
 
+def decide_le(lhs, rhs, err, exact_le):
+    """Mask of the exact tests lhs <= rhs, given float evaluations of both
+    sides (numpy arrays or floats) within err of them in all: read off
+    the floats where the sides differ by more than err, and decided by
+    exact_le(positions), a list of booleans, on the rest and wherever a
+    side is NaN.  With err = 0 the floats decide alone, as where they
+    are the exact values."""
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(lhs <= rhs - err)
+        unsure = np.flatnonzero(~out & ~(lhs > rhs + err))
+    if len(unsure):
+        out[unsure] = exact_le(unsure)
+    return out
+
+
 def min_candidates(approx, err):
     """Positions, increasing, at which values v with |v - approx| <= err
     (numpy arrays) may reach their minimum: approx - err is at most the

@@ -5,6 +5,9 @@ families, in the normalization where the distinguished boundary point is
 infinity and the reference horosphere sits at Euclidean height 1.  The
 arithmetic families (Farey, geometric) carry exact Fraction coordinates
 so disjointness and tangency can be certified with integer arithmetic.
+
+A family is held as columns (see HoroballFamily); numpy is imported
+inside the functions that use it.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -45,6 +49,72 @@ class Columns:
     exact: bool
 
 
+#: integers below this size convert to floats exactly, so numpy divides
+#: them correctly rounded, as Python divides ints
+_EXACT_INT = 2 ** 53
+
+
+def int_column(values):
+    """Python ints as a numpy array: int64 where every value converts to
+    a float exactly, an object array otherwise."""
+    import numpy as np
+    values = list(values)
+    small = not values or -_EXACT_INT < min(values) and max(values) < _EXACT_INT
+    return np.array(values, dtype=np.int64 if small else object)
+
+
+class Ratios:
+    """Exact values of the tangent rows of Columns as num / den in lowest
+    terms with den > 0 (int_column arrays): base_num and base_den of
+    shape (rows, dim - 1), radius_num and radius_den of shape (rows,).
+    Equal values have equal pairs."""
+
+    __slots__ = ("base_num", "base_den", "radius_num", "radius_den")
+
+    def __init__(self, base_num, base_den, radius_num, radius_den):
+        self.base_num, self.base_den = base_num, base_den
+        self.radius_num, self.radius_den = radius_num, radius_den
+
+    @classmethod
+    def lowest_terms(cls, base_num, base_den, radius_num, radius_den) -> "Ratios":
+        import numpy as np
+        gb, gr = np.gcd(base_num, base_den), np.gcd(radius_num, radius_den)
+        return cls(base_num // gb, base_den // gb, radius_num // gr, radius_den // gr)
+
+    @classmethod
+    def of(cls, bases: list, radii: list, width: int) -> "Ratios":
+        """The Ratios of exact values (base tuples of the given width, radii)."""
+        fb = [Fraction(c) for b in bases for c in b]
+        fr = [Fraction(r) for r in radii]
+        return cls(int_column([f.numerator for f in fb]).reshape(len(bases), width),
+                   int_column([f.denominator for f in fb]).reshape(len(bases), width),
+                   int_column([f.numerator for f in fr]), int_column([f.denominator for f in fr]))
+
+    def bases(self, rows) -> list[tuple]:
+        return [tuple(map(Fraction, n, d)) for n, d in
+                zip(self.base_num[rows].tolist(), self.base_den[rows].tolist())]
+
+    def radii(self, rows) -> list:
+        return list(map(Fraction, self.radius_num[rows].tolist(),
+                        self.radius_den[rows].tolist()))
+
+    def floats(self) -> tuple:
+        """(base, radius) float arrays: each value correctly rounded, as
+        float(Fraction), or -inf or +inf beyond the float range."""
+        return _ratio_floats(self.base_num, self.base_den), \
+            _ratio_floats(self.radius_num, self.radius_den)
+
+
+def _ratio_floats(num, den):
+    """to_float(num / den) elementwise over int_column arrays."""
+    import numpy as np
+    if num.dtype != object and den.dtype != object:
+        return num / den
+    return np.array([to_float(Fraction(n, d)) for n, d in
+                     zip(num.ravel().tolist(), den.ravel().tolist())],
+                    dtype=float).reshape(num.shape)
+
+
 def _float_array(values, shape):
     """(float array, whether numpy read every value as a number)"""
     import numpy as np
@@ -54,39 +124,179 @@ def _float_array(values, shape):
     return np.frompyfunc(to_float, 1, 1)(array).astype(float), False
 
 
-@dataclass
+def check_shape(dim, widths) -> None:
+    """The checks on the shape of a family, with their messages: dim is
+    at least 2 and every tangent base (of the lengths widths) has length
+    dim - 1."""
+    if dim < 2:
+        raise ValueError("ambient dimension must be at least 2")
+    if set(widths) - {dim - 1}:
+        raise ValueError("horoball base dimension does not match family")
+
+
+class Members(Sequence):
+    """The members of a family as a sequence of horoballs: a member is
+    built on first access and kept, so len() builds none.  It compares
+    equal to any list or tuple of the same horoballs."""
+
+    __slots__ = ("_fam",)
+    __hash__ = None
+
+    def __init__(self, fam: "HoroballFamily"):
+        self._fam = fam
+
+    def __len__(self) -> int:
+        return len(self._fam._members)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        built = self._fam._members
+        h = built[i]
+        if h is None:
+            h = built[i] = self._fam._build(range(len(built))[i])
+        return h
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Members, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class HoroballFamily:
-    """Finite ordered family of horoballs in upper half-space; the
-    members are fixed once it is built (`columns` is computed once)."""
+    """Finite ordered family of horoballs in upper half-space, held as
+    columns: the float view `columns` and, for a family built from exact
+    tangent values, those values `exact` (Ratios; else None).
+    `horoballs` builds a member object on first access to it (Members);
+    the members at infinity are held as objects.  The members are fixed
+    once the family is built.
 
-    dim: int
-    horoballs: list[Horoball]
-    labels: Optional[list[str]] = None
+    HoroballFamily(dim, horoballs, labels) builds a family from member
+    objects (its columns follow on first use); from_columns builds one
+    from columns.  Both run the same checks, with the same messages."""
 
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("ambient dimension must be at least 2")
-        for h in self.horoballs:
-            if isinstance(h, TangentHoroball) and len(h.base) != self.dim - 1:
-                raise ValueError("horoball base dimension does not match family")
+    def __init__(self, dim: int, horoballs, labels: Optional[list[str]] = None):
+        self.dim, self.labels, self.exact = dim, labels, None
+        self._members = list(horoballs)
+        check_shape(dim, [len(h.base) for h in self._members if isinstance(h, TangentHoroball)])
 
-    def tangent_items(self) -> list[tuple[int, TangentHoroball]]:
-        return [(i, h) for i, h in enumerate(self.horoballs)
-                if isinstance(h, TangentHoroball)]
+    @classmethod
+    def from_columns(cls, dim: int, tangent, base, radius, exact: Optional[Ratios] = None,
+                     members: Optional[dict] = None,
+                     labels: Optional[list[str]] = None) -> "HoroballFamily":
+        """The family whose members at the increasing indices `tangent`
+        are the tangent horoballs with the float base rows and radii
+        given, or with the exact values `exact` (which the floats then
+        round, as Ratios.floats); `members` maps every other index to its
+        member object."""
+        import numpy as np
+        members = members or {}
+        extra = sorted(i for i, h in members.items() if isinstance(h, TangentHoroball))
+        check_shape(dim, base.shape[1:] * bool(len(tangent))
+                    + tuple(len(members[i].base) for i in extra))
+        if not (radius > 0 if exact is None else exact.radius_num > 0).all():
+            raise ValueError("radius must be positive")
+        fam = cls.__new__(cls)
+        fam.dim, fam.labels, fam.exact = dim, labels, exact
+        fam._members = [None] * (len(tangent) + len(members))
+        for i, h in members.items():
+            fam._members[i] = h
+        flags = exact is None or not len(tangent)
+        if extra:
+            hs = [members[i] for i in extra]
+            xb, xb_flag = _float_array([h.base for h in hs], (len(hs), dim - 1))
+            xr, xr_flag = _float_array([h.radius for h in hs], len(hs))
+            tangent = np.concatenate([tangent, extra]).astype(np.intp)
+            perm = np.argsort(tangent, kind="stable")
+            tangent, base = tangent[perm], np.concatenate([base, xb])[perm]
+            radius = np.concatenate([radius, xr])[perm]
+            if exact is not None:
+                more = Ratios.of([h.base for h in hs], [h.radius for h in hs], dim - 1)
+                fam.exact = Ratios(*(np.concatenate([getattr(exact, k), getattr(more, k)])[perm]
+                                     for k in Ratios.__slots__))
+            flags = flags and xb_flag and xr_flag
+        infs = sorted(i for i, h in members.items() if isinstance(h, AtInfinityHoroball))
+        height, h_flag = _float_array([members[i].height for i in infs], len(infs))
+        fam.columns = Columns(np.asarray(tangent, dtype=np.intp), base, radius,
+                              np.array(infs, dtype=np.intp), height, flags and h_flag)
+        return fam
+
+    @property
+    def horoballs(self) -> Members:
+        return Members(self)
+
+    def known_member(self, i: int) -> Optional[Horoball]:
+        """Member i if it is built, else None."""
+        return self._members[i]
+
+    def _build(self, i: int) -> TangentHoroball:
+        cols = self.columns
+        row = int(cols.tangent.searchsorted(i))
+        if self.exact is not None:
+            return TangentHoroball(self.exact.bases([row])[0], self.exact.radii([row])[0])
+        return TangentHoroball(tuple(cols.base[row].tolist()), cols.radius[row].item())
 
     @cached_property
     def columns(self) -> Columns:
+        # of a family built from member objects (from_columns sets it):
+        # the columns of the family with no rows and every member given
         import numpy as np
-        items = self.tangent_items()
-        infs = [(i, h.height) for i, h in enumerate(self.horoballs)
-                if isinstance(h, AtInfinityHoroball)]
-        base, base_exact = _float_array([h.base for _, h in items],
-                                        (len(items), self.dim - 1))
-        radius, radius_exact = _float_array([h.radius for _, h in items], len(items))
-        height, height_exact = _float_array([x for _, x in infs], len(infs))
-        return Columns(np.array([i for i, _ in items], dtype=np.intp), base, radius,
-                       np.array([i for i, _ in infs], dtype=np.intp), height,
-                       base_exact and radius_exact and height_exact)
+        return HoroballFamily.from_columns(
+            self.dim, np.empty(0, dtype=np.intp), np.empty((0, self.dim - 1)), np.empty(0),
+            members=dict(enumerate(self._members))).columns
+
+    def __eq__(self, other):
+        if not isinstance(other, HoroballFamily):
+            return NotImplemented
+        return (self.dim, self.labels) == (other.dim, other.labels) and \
+            self.horoballs == other.horoballs
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"HoroballFamily(dim={self.dim!r}, horoballs={self.horoballs!r}, " \
+            f"labels={self.labels!r})"
+
+    def tangent_items(self) -> list[tuple[int, TangentHoroball]]:
+        hs = self.horoballs
+        return [(i, hs[i]) for i in self.columns.tangent.tolist()]
+
+    def bases(self, rows) -> list[tuple]:
+        """Exact bases of the tangent rows `rows`, without building members
+        where the family holds exact columns."""
+        if self.exact is not None:
+            return self.exact.bases(rows)
+        return [h.base for h in self._tangent_members(rows)]
+
+    def radii(self, rows) -> list:
+        """Exact radii of the tangent rows `rows`, as bases."""
+        if self.exact is not None:
+            return self.exact.radii(rows)
+        return [h.radius for h in self._tangent_members(rows)]
+
+    def _tangent_members(self, rows) -> list:
+        hs = self.horoballs
+        return [hs[i] for i in self.columns.tangent[rows].tolist()]
+
+    def same_radii(self, a, b):
+        """Mask over two arrays of tangent rows: where the radii are equal."""
+        import numpy as np
+        ex = self.exact
+        if ex is not None:
+            return (ex.radius_num[a] == ex.radius_num[b]) & (ex.radius_den[a] == ex.radius_den[b])
+        return np.array([x == y for x, y in zip(self.radii(a), self.radii(b))], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -129,9 +339,12 @@ def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
     # further than the shadows
     a, b = sweep_pairs(xs[:, 0], rs * math.sqrt(max(1.0, 1.0 - slack)))
     if exact:
-        for p, q in zip(cols.tangent[a].tolist(), cols.tangent[b].tolist()):
-            if vnorm2(vsub(hs[p].base, hs[q].base)) < 4 * hs[p].radius * hs[q].radius:
-                bad.append((p, q))
+        rows = np.flatnonzero(np.bincount(np.concatenate([a, b]), minlength=len(rs)))
+        base, radius = fam.bases(rows), fam.radii(rows)
+        for p, q, i, j in zip(rows.searchsorted(a).tolist(), rows.searchsorted(b).tolist(),
+                              cols.tangent[a].tolist(), cols.tangent[b].tolist()):
+            if vnorm2(vsub(base[p], base[q])) < 4 * radius[p] * radius[q]:
+                bad.append((i, j))
     else:
         diff = xs[a] - xs[b]
         hit = np.einsum("ij,ij->i", diff, diff) < 4 * rs[a] * rs[b] * (1 - slack)
@@ -144,31 +357,38 @@ def farey(q_max: int, p_range: tuple = (0, 1),
           include_infinity: bool = False) -> HoroballFamily:
     """Horoballs tangent at the reduced fractions p/q with q <= q_max and
     p/q inside the closed interval p_range, each of Euclidean radius
-    1/(2 q^2); optionally with the reference horoball at infinity.
+    1/(2 q^2), in the order of increasing q, then p; optionally with the
+    reference horoball at infinity after them.
 
-    Two members are tangent exactly when |p q' - p' q| = 1.
+    Two members are tangent exactly when |p q' - p' q| = 1.  The family
+    is built from the integer columns p and q (one numpy pass, in int64
+    while every value converts to a float exactly).
     """
+    import numpy as np
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
     lo, hi = Fraction(p_range[0]), Fraction(p_range[1])
     if lo > hi:
         raise ValueError("empty fraction range")
-    balls: list[Horoball] = []
-    labels: list[str] = []
-    for q in range(1, q_max + 1):
-        p_lo = math.ceil(lo * q)
-        p_hi = math.floor(hi * q)
-        for p in range(p_lo, p_hi + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            balls.append(TangentHoroball((Fraction(p, q),), Fraction(1, 2 * q * q)))
-            labels.append(f"{p}/{q}")
+    big = max(abs(lo.numerator), abs(hi.numerator), lo.denominator, hi.denominator, 2 * q_max)
+    q = np.arange(1, q_max + 1, dtype=np.int64 if big * q_max < _EXACT_INT else object)
+    p_lo = -(-lo.numerator * q // lo.denominator)
+    counts = np.maximum(hi.numerator * q // hi.denominator - p_lo + 1, 0).astype(np.int64)
+    p = np.repeat(p_lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    q = np.repeat(q, counts)
+    keep = np.gcd(p, q) == 1
+    p, q = p[keep], q[keep]
+    labels = [f"{a}/{b}" for a, b in zip(p.tolist(), q.tolist())]
+    members = {}
     if include_infinity:
-        balls.append(AtInfinityHoroball(1))
+        members[len(p)] = AtInfinityHoroball(1)
         labels.append("inf")
-    if not balls:
+    if not labels:
         raise ValueError("no fractions in range")
-    return HoroballFamily(2, balls, labels)
+    exact = Ratios(p[:, None], q[:, None], np.ones_like(q), 2 * q * q)
+    base, radius = exact.floats()
+    return HoroballFamily.from_columns(2, np.arange(len(p)), base, radius, exact,
+                                       members, labels)
 
 
 def geometric(n_min: int, n_max: int) -> HoroballFamily:

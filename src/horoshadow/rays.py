@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .halfspace import (
@@ -25,7 +26,6 @@ from .halfspace import (
     AtInfinityHoroball,
     Geodesic,
     Point,
-    TangentHoroball,
     VerticalGeodesic,
     geodesic_through,
     invert_horoball,
@@ -41,7 +41,7 @@ from .halfspace import (
     vsub,
 )
 from .numeric import DEFAULT_TOL, CertificateError, min_candidates, widen
-from .packings import HoroballFamily
+from .packings import HoroballFamily, Ratios
 from .sharp2d import Side, solve_2d
 from .sharpnd import solve_hnr
 
@@ -143,27 +143,41 @@ def _nearest(fam: HoroballFamily, x: Point, tol: float) -> int:
 
 def _inverted(fam: HoroballFamily, p: tuple) -> HoroballFamily:
     """fam under the inversion at the boundary point p, member for member
-    equal to invert_horoball: one numpy pass, in the float operations of
-    invert_horoball, over the tangent members when p is a float point
-    and the columns are exact, and invert_horoball on the rest."""
+    equal to invert_horoball, built as columns without member objects for
+    its tangent rows: one numpy pass in the float operations of
+    invert_horoball where p is a float point (over the rows whose columns
+    are the floats invert_horoball reads), the same operations on the
+    exact values where p and the family are exact, and invert_horoball
+    on the members at infinity, at p and left over."""
     import numpy as np
     cols, hs = fam.columns, fam.horoballs
-    out = list(hs)
-    scalar = range(len(hs))
-    if cols.exact and all(type(c) is float for c in p):
+    t = cols.tangent
+    rows, base, radius, exact = t[:0], cols.base[:0], cols.radius[:0], None
+    if all(type(c) is float for c in p):
         d = cols.base - p
         n2 = d[:, 0] * d[:, 0]
         for k in range(1, d.shape[1]):
             n2 = n2 + d[:, k] * d[:, k]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bases, radii = ((1 / n2)[:, None] * d).tolist(), (cols.radius / n2).tolist()
-        for i, b, r, at_p in zip(cols.tangent.tolist(), bases, radii, (n2 == 0).tolist()):
-            if not at_p:
-                out[i] = TangentHoroball(tuple(b), r)
-        scalar = cols.infinity.tolist() + cols.tangent[n2 == 0].tolist()
-    for i in scalar:
-        out[i] = invert_horoball(hs[i], p)
-    return HoroballFamily(fam.dim, out)
+        # a value beyond the float range is not what float() reads
+        vector = (n2 != 0) & (cols.exact | np.isfinite(cols.base).all(axis=1)
+                              & np.isfinite(cols.radius))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            base, radius = (1 / n2)[:, None] * d, cols.radius / n2
+        rows, base, radius = np.flatnonzero(vector), base[vector], radius[vector]
+    elif fam.exact is not None and all(type(c) in (int, Fraction) for c in p):
+        keep, bases, radii = [], [], []
+        for row, (b, r) in enumerate(zip(fam.bases(slice(None)), fam.radii(slice(None)))):
+            d = vsub(b, p)
+            n2 = vnorm2(d)
+            if n2 != 0:
+                keep.append(row)
+                bases.append(vscale(d, 1 / n2))
+                radii.append(r / n2)
+        exact = Ratios.of(bases, radii, fam.dim - 1)
+        rows, (base, radius) = np.array(keep, dtype=np.intp), exact.floats()
+    done = set(t[rows].tolist())
+    members = {i: invert_horoball(hs[i], p) for i in range(len(hs)) if i not in done}
+    return HoroballFamily.from_columns(fam.dim, t[rows], base, radius, exact, members)
 
 
 def _solver_endpoint(fam: HoroballFamily, s: float, start: Optional[int],

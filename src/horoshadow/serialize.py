@@ -4,12 +4,16 @@ Numbers travel as decimal strings (repr round-trips floats bit-exactly)
 with an optional exact rational "p/q" companion field.  Exact mode reads
 the companions, so exact families survive a round trip unhurt; float
 mode reads the decimal strings alone, so it computes in floats whether
-or not the companions are present.
+or not the companions are present.  A family document is written from
+the family's columns and read into columns in one pass over its
+entries; no member object is built for a tangent entry.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -18,16 +22,10 @@ from .halfspace import (
     ArcGeodesic,
     AtInfinityHoroball,
     Geodesic,
-    Horoball,
-    TangentHoroball,
     VerticalGeodesic,
 )
-from .packings import HoroballFamily
+from .packings import HoroballFamily, Ratios, check_shape, int_column
 from .trees import MetricTree, TreeHoroball
-
-
-def _num_out(x) -> str:
-    return repr(float(x))
 
 
 def _exact_out(x) -> Optional[str]:
@@ -46,42 +44,80 @@ def _num_in(decimal: str, exact: Optional[str], want_exact: bool):
     return Fraction(exact)
 
 
-def horoball_to_entry(h: Horoball) -> dict:
-    if isinstance(h, AtInfinityHoroball):
-        entry = {"type": "at_infinity", "height": _num_out(h.height)}
-        ex = _exact_out(h.height)
-        if ex is not None:
-            entry["height_exact"] = ex
-        return entry
-    entry = {"type": "tangent",
-             "base": [_num_out(c) for c in h.base],
-             "radius": _num_out(h.radius)}
-    exs = [_exact_out(c) for c in h.base]
-    exr = _exact_out(h.radius)
-    if exr is not None and all(e is not None for e in exs):
-        entry["base_exact"] = exs
-        entry["radius_exact"] = exr
-    return entry
+def _ratio_in(decimal: str, exact: Optional[str]) -> tuple:
+    """(num, den), den > 0, of the value _num_in reads in exact mode:
+    "n/d" and "n", the forms this module writes, through int(), which
+    reads their digits as Fraction does; any other form through
+    Fraction."""
+    if exact is None:
+        raise ValueError(f"no exact form for {decimal!r} in exact mode")
+    num, slash, den = exact.partition("/") if isinstance(exact, str) else ("", "", "")
+    if (num[1:] if num[:1] == "-" else num).isdecimal() and \
+            (not slash or den.isdecimal() and int(den)):
+        return int(num), int(den or 1)
+    f = Fraction(exact)  # any other form Fraction reads, or its error
+    return f.numerator, f.denominator
 
 
-def entry_to_horoball(entry: dict, exact: bool = False) -> Horoball:
-    if entry["type"] == "at_infinity":
-        return AtInfinityHoroball(
-            _num_in(entry["height"], entry.get("height_exact"), exact))
-    if entry["type"] == "tangent":
-        exs = entry.get("base_exact")
-        base = tuple(_num_in(d, exs[i] if exs else None, exact)
-                     for i, d in enumerate(entry["base"]))
-        radius = _num_in(entry["radius"], entry.get("radius_exact"), exact)
-        return TangentHoroball(base, radius)
-    raise ValueError(f"unknown horoball entry type {entry['type']!r}")
+@contextmanager
+def bulk():
+    """Cyclic garbage collection paused for the block.  A document and
+    its family are acyclic, so the collections that their hundreds of
+    thousands of containers would trigger find nothing, and each scans
+    the whole heap."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _rows(strings: list, width: int) -> list:
+    return [strings[k:k + width] for k in range(0, len(strings), width)]
 
 
 def family_to_document(fam: HoroballFamily, metadata: Optional[dict] = None) -> dict:
+    """The document of a family, its tangent entries written from the
+    columns: the decimals from the float columns, the companions from
+    the exact columns or else from the members already built (a member
+    built from float columns has none)."""
+    with bulk():
+        return _family_to_document(fam, metadata)
+
+
+def _family_to_document(fam: HoroballFamily, metadata: Optional[dict]) -> dict:
+    cols, ex = fam.columns, fam.exact
+    width = fam.dim - 1
+    entries = [None] * len(fam.horoballs)
+    tangent = cols.tangent.tolist()
+    bases = _rows(list(map(repr, cols.base.ravel().tolist())), width)
+    radii = map(repr, cols.radius.tolist())
+    if ex is not None:
+        base_ex = _rows([f"{n}/{d}" for n, d in zip(ex.base_num.ravel().tolist(),
+                                                    ex.base_den.ravel().tolist())], width)
+        radius_ex = [f"{n}/{d}" for n, d in zip(ex.radius_num.tolist(), ex.radius_den.tolist())]
+        for i, b, r, bx, rx in zip(tangent, bases, radii, base_ex, radius_ex):
+            entries[i] = {"type": "tangent", "base": b, "radius": r,
+                          "base_exact": bx, "radius_exact": rx}
+    else:
+        for i, b, r in zip(tangent, bases, radii):
+            entries[i] = {"type": "tangent", "base": b, "radius": r}
+            h = fam.known_member(i)
+            if h is not None:
+                exs, exr = list(map(_exact_out, h.base)), _exact_out(h.radius)
+                if exr is not None and None not in exs:
+                    entries[i]["base_exact"], entries[i]["radius_exact"] = exs, exr
+    for i, height in zip(cols.infinity.tolist(), cols.height.tolist()):
+        entries[i] = {"type": "at_infinity", "height": repr(height)}
+        hx = _exact_out(fam.horoballs[i].height)
+        if hx is not None:
+            entries[i]["height_exact"] = hx
     doc = {
         "model": "upper_half_space",
         "dim": fam.dim,
-        "entries": [horoball_to_entry(h) for h in fam.horoballs],
+        "entries": entries,
         "metadata": dict(metadata or {}),
     }
     if fam.labels:
@@ -90,11 +126,55 @@ def family_to_document(fam: HoroballFamily, metadata: Optional[dict] = None) -> 
 
 
 def document_to_family(doc: dict, exact: bool = False) -> HoroballFamily:
+    """The family of a document, read in one pass over its entries into
+    columns, with the checks and messages of building its members in
+    entry order.  Float mode reads the decimals; exact mode reads the
+    companions into exact columns (Ratios), which the float columns then
+    round."""
+    with bulk():
+        return _document_to_family(doc, exact)
+
+
+def _document_to_family(doc: dict, exact: bool) -> HoroballFamily:
+    import numpy as np
     if doc.get("model") != "upper_half_space":
         raise ValueError(f"not an upper_half_space document: {doc.get('model')!r}")
-    entries = [entry_to_horoball(e, exact) for e in doc["entries"]]
+    tangent, base, radius, members = [], [], [], {}
+    for i, e in enumerate(doc["entries"]):
+        kind = e["type"]
+        if kind == "at_infinity":
+            members[i] = AtInfinityHoroball(
+                _num_in(e["height"], e.get("height_exact"), exact))
+        elif kind == "tangent":
+            if exact:
+                exs = e.get("base_exact")
+                row = [_ratio_in(d, exs[k] if exs else None) for k, d in enumerate(e["base"])]
+                r = _ratio_in(e["radius"], e.get("radius_exact"))
+                positive = r[0] > 0
+            else:
+                row = list(map(float, e["base"]))
+                r = float(e["radius"])
+                positive = r > 0
+            if not positive:
+                raise ValueError("radius must be positive")
+            tangent.append(i)
+            base.append(row)
+            radius.append(r)
+        else:
+            raise ValueError(f"unknown horoball entry type {kind!r}")
+    dim = doc["dim"]
     labels = doc.get("metadata", {}).get("labels")
-    return HoroballFamily(doc["dim"], entries, labels)
+    check_shape(dim, map(len, base))
+    tangent, shape = np.array(tangent, dtype=np.intp), (len(base), dim - 1)
+    if not exact:
+        return HoroballFamily.from_columns(dim, tangent, np.array(base, dtype=float).reshape(shape),
+                                           np.array(radius, dtype=float), None, members, labels)
+    pairs = [c for row in base for c in row]
+    ratios = Ratios.lowest_terms(int_column([n for n, _ in pairs]).reshape(shape),
+                                 int_column([d for _, d in pairs]).reshape(shape),
+                                 int_column([n for n, _ in radius]),
+                                 int_column([d for _, d in radius]))
+    return HoroballFamily.from_columns(dim, tangent, *ratios.floats(), ratios, members, labels)
 
 
 def tree_to_document(tree: MetricTree, balls: list[TreeHoroball],
@@ -156,4 +236,5 @@ def json_to_geodesic(obj: dict) -> Geodesic:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """Compact single-line JSON with sorted keys (json's C encoder)."""
+    return json.dumps(doc, sort_keys=True)

@@ -27,6 +27,7 @@ from .numeric import (
     Certificate,
     CertificateError,
     certify,
+    decide_le,
     may_be_le,
     min_candidates,
     to_float,
@@ -160,55 +161,72 @@ def solve_sharp(fam: HoroballFamily, s, start: Optional[int], seed: Callable,
     and a radius) from seed(a0) by step(K, j), and its endpoint, the
     center of the last element, with its certificate.
 
-    The scan (uncover.scan_order) visits the tangent members within
-    3 sup of a0 (start, or the largest member) by non-increasing radius,
-    ties by index; members at infinity are left out, as no geodesic from
-    infinity avoids them.
+    The scan (uncover.scan_order, on the radius column) visits the
+    tangent members within 3 sup of a0 (start, or the largest member)
+    by non-increasing radius, ties by index; members at infinity are
+    left out, as no geodesic from infinity avoids them.
     Each time K shrinks, one float pass (may_meet) over the rest of the
     order leaves the members whose scaled shadow may meet it, and the
     step decides on those.  The certificate |endpoint - b_i| >= s r_i - tol
     holds for every tangent member, checked on those a float pass
     (margin_bounds) leaves, and the endpoint lies in the start shadow.
+    Member objects are built only for the members a scalar test reads.
     """
     if not 0 < s <= SHARP_SCALE * (1 + 1e-12):
         raise ValueError(f"scale factor must lie in (0, {SHARP_SCALE}]")
     hs, cols = fam.horoballs, fam.columns
-    radii = {i: hs[i].radius for i in cols.tangent.tolist()}
-    if not radii:
+    if not len(cols.tangent):
         raise ValueError("no tangent horoballs to solve against")
-    if start is not None and start not in radii:
-        raise ValueError("start index is not a tangent horoball")
-    dist, dist_from = _distances(fam)
-    a0, order = scan_order(radii, dist_from, start, tol)
+    row0 = None
+    if start is not None:
+        row0 = int(cols.tangent.searchsorted(start))
+        if row0 == len(cols.tangent) or cols.tangent[row0] != start:
+            raise ValueError("start index is not a tangent horoball")
+    dist, near = _distances(fam)
+    a0, rows = scan_order(cols.radius, row0, tol, near, None if cols.exact else fam)
+    a0 = int(cols.tangent[a0])
     srs = to_float(s) * cols.radius
-    rows = cols.tangent.searchsorted(order)
     xo, sro = cols.base[rows], srs[rows]
-    chain = scan_chain(seed(a0), order, step,
+    chain = scan_chain(seed(a0), cols.tangent[rows].tolist(), step,
                        lambda K, begin: may_meet(K, xo[begin:], sro[begin:], tol))
     endpoint = chain[-1][1].center
-    near = min_candidates(*margin_bounds(endpoint, cols.base, srs))
-    cert = certify({i: dist(endpoint, i) - s * radii[i]
-                    for i in cols.tangent[near].tolist()}, tol, len(radii))
-    if dist(endpoint, a0) > radii[a0] + tol:
+    near_rows = min_candidates(*margin_bounds(endpoint, cols.base, srs))
+    cert = certify({i: dist(endpoint, i) - s * hs[i].radius
+                    for i in cols.tangent[near_rows].tolist()}, tol, len(cols.tangent))
+    if dist(endpoint, a0) > hs[a0].radius + tol:
         raise CertificateError("endpoint escaped the start shadow")
     return Solution(endpoint, [K for _, K in chain], a0, cert)
 
 
 def _distances(fam: HoroballFamily) -> tuple:
     """dist(p, i) = |p - b_i| for a point p (a number on the line, a tuple
-    beyond), exact on the line, and dist_from(j) = i -> |b_i - b_j|, one
-    float pass over the column rows beyond the line."""
+    beyond), exact on the line, and near(a, bound, rows), the mask of
+    dist(b_a, row) <= bound over tangent rows: one float pass, decided
+    by dist on the rows where the floats do not settle it (the float
+    distances are the distances beyond the line)."""
     import numpy as np
     hs, cols = fam.horoballs, fam.columns
     if fam.dim == 2:
         def dist(p, i):
             return abs((p[0] if isinstance(p, tuple) else p) - hs[i].base[0])
-        return dist, lambda j: lambda i: dist(hs[j].base, i)
+
+        def near(a, bound, rows):
+            x, x0 = cols.base[rows, 0], cols.base[a, 0]
+            err = 0 if cols.exact else widen(np.abs(x) + abs(x0) + abs(to_float(bound)))
+            t = cols.tangent
+            return decide_le(np.abs(x - x0), to_float(bound), err, lambda pos: [
+                dist(hs[t[a]].base, i) <= bound for i in t[rows[pos]].tolist()])
+        return dist, near
 
     def dist(p, i):
         return float(np.linalg.norm(np.subtract(p, np.asarray(hs[i].base, float))))
-    return dist, lambda j: dict(zip(cols.tangent.tolist(), np.sqrt(
-        sq_norms(cols.base - np.asarray(hs[j].base, float))).tolist())).get
+
+    def near(a, bound, rows):
+        gap = np.sqrt(sq_norms(cols.base[rows] - cols.base[a]))
+        err = 0 if cols.exact else widen(abs(to_float(bound)))
+        return decide_le(gap, to_float(bound), err,
+                         lambda pos: [g <= bound for g in gap[pos].tolist()])
+    return dist, near
 
 
 def margin_bounds(e, bases, sr) -> tuple:

@@ -21,7 +21,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .numeric import DEFAULT_TOL, Certificate, CertificateError, certify, golden_max, sweep_pairs
+from .numeric import (
+    DEFAULT_TOL,
+    Certificate,
+    CertificateError,
+    certify,
+    decide_le,
+    golden_max,
+    sweep_pairs,
+    to_float,
+    widen,
+)
 
 #: relative error of the dist of every space here, with room to spare:
 #: 1e-16 for the Euclidean metric, below 5e-5 for heisenberg.cc_dist
@@ -297,27 +307,58 @@ class NestedWitness:
     certificate: Certificate
 
 
-def scan_order(radii: dict, dist_from: Callable, start: Optional[int],
-               tol: float) -> tuple[int, list]:
-    """Seed index and scan order of a family given as {index: radius}.
+def scan_order(radius, start: Optional[int], tol: float, near: Callable,
+               exact=None) -> tuple[int, object]:
+    """Seed row and scan order (a numpy array of rows) of a family whose
+    radii are the float array radius, one per row.
 
-    The seed is `start` (which must be a key of radii), or the largest
-    member with ties going to the lowest index.  The others are kept
-    when their radius is at most the seed's (plus tol) and their
-    distance to the seed, dist_from(seed)(i), is at most three times the
-    largest radius, since no farther scaled ball can meet the seed's
-    ball, and are sorted by non-increasing radius (ties by index).
-    dist_from is called once, and the function it returns only on
-    members that pass the radius test.
+    The seed is `start`, or the largest member with ties going to the
+    lowest row.  The others are kept when their radius is at most the
+    seed's (plus tol) and their distance to the seed is at most three
+    times the largest radius sup, since no farther scaled ball can meet
+    the seed's ball, and are sorted by non-increasing radius (ties by
+    row).  near(seed, 3 sup, rows) is the mask of the distance test over
+    the rows that pass the radius test, and is called once.
+
+    exact, given where the floats only round the radii (correctly, so
+    that their order is the exact order wherever they differ), has
+    radii(rows), the exact radii as a list, and same_radii(a, b), the
+    mask of equal radii over two arrays of rows; they decide the order
+    between equal floats and the radius test near the threshold.
     """
-    a0 = max(radii, key=lambda i: (radii[i], -i)) if start is None else start
-    r0 = radii[a0]
-    sup = max(radii.values())
-    dist = dist_from(a0)
-    keep = [i for i, r in radii.items()
-            if i != a0 and r <= r0 + tol and dist(i) <= 3 * sup]
-    keep.sort(key=lambda i: (-radii[i], i))
-    return a0, keep
+    import numpy as np
+    order = np.lexsort((np.arange(len(radius)), -radius))
+    if exact is not None:
+        order = _exact_ties(order, radius, exact)
+    a0 = int(order[0]) if start is None else start
+    value = exact.radii if exact is not None else lambda rows: radius[rows].tolist()
+    r0, sup = value([a0, order[0]])
+    cap = r0 + tol
+    err = 0 if exact is None else widen(radius + abs(to_float(cap)))
+    keep = decide_le(radius, to_float(cap), err,
+                     lambda rows: [r <= cap for r in value(rows)])
+    keep[a0] = False
+    rows = order[keep[order]]
+    return a0, rows[near(a0, 3 * sup, rows)]
+
+
+def _exact_ties(order, radius, exact):
+    """order (rows by non-increasing float radius, ties by row) with each
+    run of equal floats whose exact radii differ sorted exactly."""
+    import numpy as np
+    r = radius[order]
+    starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    ends = np.r_[starts[1:], len(order)]
+    first = order[np.repeat(starts, ends - starts)]
+    differ = np.flatnonzero(~exact.same_radii(order, first))
+    split = np.flatnonzero(np.bincount(np.searchsorted(starts, differ, side="right") - 1,
+                                       minlength=len(starts)))
+    order = order.copy()
+    for k in split.tolist():
+        run = order[starts[k]:ends[k]].tolist()
+        ranked = sorted(zip(exact.radii(run), run), key=lambda vr: (-vr[0], vr[1]))
+        order[starts[k]:ends[k]] = [row for _, row in ranked]
+    return order
 
 
 def scan_chain(K, order: Sequence[int], step: Callable,
@@ -351,6 +392,7 @@ def scan_chain(K, order: Sequence[int], step: Callable,
 def _prepare(fam: BallFamily, s: float, start: Optional[int], tol: float):
     """Seed and scan order of a ball family, after checking the scale
     factor and that a user start ball is large enough to seed the loop."""
+    import numpy as np
     space = fam.space
     balls = fam.balls
     s0 = safe_scale(fam.D, space.modulus, space.has_lines)
@@ -365,9 +407,11 @@ def _prepare(fam: BallFamily, s: float, start: Optional[int], tol: float):
             raise ValueError(
                 f"start ball {start} too small to seed the loop "
                 f"(need radius >= {(1 - eps) * sup:.6g})")
-    return scan_order({i: r for i, (_, r) in enumerate(balls)},
-                      lambda j: lambda i: space.dist(balls[i][0], balls[j][0]),
-                      start, tol)
+    a0, order = scan_order(
+        np.array([r for _, r in balls], dtype=float), start, tol,
+        lambda a0, bound, rows: np.array([space.dist(balls[i][0], balls[a0][0]) <= bound
+                                          for i in rows.tolist()], dtype=bool))
+    return a0, order.tolist()
 
 
 def _run(fam: BallFamily, s: float, a0: int, order: Sequence[int],

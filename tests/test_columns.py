@@ -1,0 +1,380 @@
+"""The columnar family against the member-by-member code it replaced,
+which is kept here as the oracle: the entry-by-entry loader and writer
+of family documents.  Also: documents written from columns equal the
+documents the oracle writes, exact columns come from the companions, the
+loader raises the oracle's errors, and the solvers build member objects
+only for the members a scalar test reads."""
+
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from horoshadow import serialize
+from horoshadow.cli import main
+from horoshadow.halfspace import AtInfinityHoroball, Point, TangentHoroball
+from horoshadow.packings import HoroballFamily, extremal, farey, geometric, random_disjoint
+from horoshadow.rays import biinfinite_line, ray_from_point
+from horoshadow.sharp2d import solve_2d
+from horoshadow.sharpnd import solve_hnr
+from test_packing_oracles import old_farey
+
+# ---------------------------------------------------------------------------
+# oracles: the writer and the loader before the columns, verbatim up to names
+
+
+def old_num_out(x):
+    return repr(float(x))
+
+
+def old_exact_out(x):
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, int):
+        return str(x)
+    return None
+
+
+def old_num_in(decimal, exact, want_exact):
+    if not want_exact:
+        return float(decimal)
+    if exact is None:
+        raise ValueError(f"no exact form for {decimal!r} in exact mode")
+    return Fraction(exact)
+
+
+def old_horoball_to_entry(h):
+    if isinstance(h, AtInfinityHoroball):
+        entry = {"type": "at_infinity", "height": old_num_out(h.height)}
+        ex = old_exact_out(h.height)
+        if ex is not None:
+            entry["height_exact"] = ex
+        return entry
+    entry = {"type": "tangent",
+             "base": [old_num_out(c) for c in h.base],
+             "radius": old_num_out(h.radius)}
+    exs = [old_exact_out(c) for c in h.base]
+    exr = old_exact_out(h.radius)
+    if exr is not None and all(e is not None for e in exs):
+        entry["base_exact"] = exs
+        entry["radius_exact"] = exr
+    return entry
+
+
+def old_entry_to_horoball(entry, exact=False):
+    if entry["type"] == "at_infinity":
+        return AtInfinityHoroball(
+            old_num_in(entry["height"], entry.get("height_exact"), exact))
+    if entry["type"] == "tangent":
+        exs = entry.get("base_exact")
+        base = tuple(old_num_in(d, exs[i] if exs else None, exact)
+                     for i, d in enumerate(entry["base"]))
+        radius = old_num_in(entry["radius"], entry.get("radius_exact"), exact)
+        return TangentHoroball(base, radius)
+    raise ValueError(f"unknown horoball entry type {entry['type']!r}")
+
+
+def old_family_to_document(fam, metadata=None):
+    doc = {
+        "model": "upper_half_space",
+        "dim": fam.dim,
+        "entries": [old_horoball_to_entry(h) for h in fam.horoballs],
+        "metadata": dict(metadata or {}),
+    }
+    if fam.labels:
+        doc["metadata"]["labels"] = list(fam.labels)
+    return doc
+
+
+def old_document_to_family(doc, exact=False):
+    if doc.get("model") != "upper_half_space":
+        raise ValueError(f"not an upper_half_space document: {doc.get('model')!r}")
+    entries = [old_entry_to_horoball(e, exact) for e in doc["entries"]]
+    labels = doc.get("metadata", {}).get("labels")
+    return HoroballFamily(doc["dim"], entries, labels)
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ValueError, ZeroDivisionError, OverflowError, IndexError, KeyError) as exc:
+        return "raised", (type(exc), str(exc))
+
+
+def bits(array):
+    return array.shape, array.dtype, array.tobytes()
+
+
+def assert_same_family(got, want):
+    assert got == want
+    assert (got.dim, got.labels) == (want.dim, want.labels)
+    assert list(got.horoballs) == list(want.horoballs)
+    assert [type(c) for h in got.horoballs for c in vars(h).values() if not isinstance(c, tuple)] \
+        == [type(c) for h in want.horoballs for c in vars(h).values() if not isinstance(c, tuple)]
+    a, b = got.columns, want.columns
+    assert np.array_equal(a.tangent, b.tangent) and np.array_equal(a.infinity, b.infinity)
+    for name in ("base", "radius", "height"):
+        assert bits(getattr(a, name)) == bits(getattr(b, name)), name
+    assert a.exact == b.exact
+
+
+def assert_loads_like_oracle(doc):
+    """Both modes: the same family, bit for bit, or the same error."""
+    for exact in (False, True):
+        new = outcome(serialize.document_to_family, doc, exact)
+        old = outcome(old_document_to_family, doc, exact)
+        assert new[0] == old[0], (exact, new, old)
+        if new[0] == "raised":
+            assert new == old
+        else:
+            assert_same_family(new[1], old[1])
+
+
+def without_companions(doc):
+    doc = json.loads(json.dumps(doc))
+    for e in doc["entries"]:
+        for key in ("base_exact", "radius_exact", "height_exact"):
+            e.pop(key, None)
+    return doc
+
+
+def dilated(fam, k):
+    return HoroballFamily(fam.dim, [
+        TangentHoroball(tuple(k * c for c in h.base), k * h.radius)
+        if isinstance(h, TangentHoroball) else AtInfinityHoroball(k * h.height)
+        for h in fam.horoballs], fam.labels)
+
+
+# ---------------------------------------------------------------------------
+# round trips
+
+
+floats = st.floats(allow_nan=False, width=64)
+positive = st.floats(min_value=0, exclude_min=True, allow_nan=False)
+
+
+@st.composite
+def float_families(draw):
+    dim = draw(st.integers(2, 4))
+    balls = [TangentHoroball(tuple(draw(floats) for _ in range(dim - 1)), draw(positive))
+             for _ in range(draw(st.integers(0, 12)))]
+    for _ in range(draw(st.integers(0, 2))):
+        balls.insert(draw(st.integers(0, len(balls))), AtInfinityHoroball(draw(positive)))
+    labels = [str(i) for i in range(len(balls))] if draw(st.booleans()) else None
+    return HoroballFamily(dim, balls, labels)
+
+
+EXACT = {"farey": farey(6, (0, 1), include_infinity=True),
+         "farey-wide": farey(4, (-2, Fraction(7, 3))),
+         "geometric": geometric(-3, 3),
+         "extremal": extremal(3, Fraction(1, 3))}
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(float_families())
+    def test_float_families(self, fam):
+        doc = serialize.family_to_document(fam, {"k": 1})
+        assert doc == old_family_to_document(fam, {"k": 1})
+        assert_loads_like_oracle(json.loads(serialize.dumps(doc)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 60), st.integers(0, 99))
+    def test_random_families(self, dim, count, seed):
+        fam = random_disjoint(count, dim, seed)
+        doc = serialize.family_to_document(fam)
+        assert doc == old_family_to_document(fam)
+        assert_loads_like_oracle(doc)
+
+    @pytest.mark.parametrize("name", sorted(EXACT))
+    @pytest.mark.parametrize("k", [Fraction(2) ** 1100, Fraction(1, 2 ** 1100), Fraction(1)],
+                             ids=["2^1100", "2^-1100", "1"])
+    @pytest.mark.parametrize("companions", [True, False])
+    def test_exact_families(self, name, k, companions):
+        fam = EXACT[name] if k == 1 else dilated(EXACT[name], k)
+        doc = serialize.family_to_document(fam, {"generator": name})
+        if k == 1:
+            assert doc == old_family_to_document(fam, {"generator": name})
+        if not companions:
+            doc = without_companions(doc)
+        assert_loads_like_oracle(doc)
+        if companions:
+            back = serialize.document_to_family(doc, exact=True)
+            assert back == fam
+            for name in ("base", "radius", "height"):
+                assert bits(getattr(back.columns, name)) == bits(getattr(fam.columns, name))
+
+    def test_columns_beyond_the_float_range(self):
+        doc = serialize.family_to_document(dilated(EXACT["farey"], Fraction(2) ** 1100))
+        cols = serialize.document_to_family(doc, exact=True).columns
+        assert np.isinf(cols.radius).all() and (cols.radius > 0).all()
+        assert doc["entries"][0]["radius"] == "inf"
+        tiny = serialize.document_to_family(
+            serialize.family_to_document(dilated(EXACT["farey"], Fraction(1, 2 ** 1100))), True)
+        assert (tiny.columns.radius == 0).all()  # 2^-1101 rounds to 0.0, and passes
+        assert tiny.horoballs[0].radius == Fraction(1, 2 ** 1101)
+
+    def test_companions_decide_under_exact(self):
+        # decimals that disagree with their companions
+        doc = {"model": "upper_half_space", "dim": 2, "entries": [
+            {"type": "tangent", "base": ["0.25"], "base_exact": ["1/3"],
+             "radius": "0.5", "radius_exact": "1/10"},
+            {"type": "at_infinity", "height": "2.0", "height_exact": "3"}]}
+        assert_loads_like_oracle(doc)
+        exact = serialize.document_to_family(doc, exact=True)
+        assert exact.horoballs[0] == TangentHoroball((Fraction(1, 3),), Fraction(1, 10))
+        assert exact.columns.base[0, 0] == 1 / 3 and exact.columns.radius[0] == 0.1
+        assert exact.columns.height[0] == 3.0
+        floats_ = serialize.document_to_family(doc)
+        assert floats_.horoballs[0] == TangentHoroball((0.25,), 0.5)
+        assert floats_.columns.base[0, 0] == 0.25 and floats_.columns.height[0] == 2.0
+
+    def test_companion_forms_fraction_reads(self):
+        # forms beyond "n/d": decimals, signs, spaces, unreduced and zero
+        for text in ["2/4", "+3/4", " 3/4 ", "0.5", "1e-3", "-6/8", "3/-4", "3 /4", "1_000/3",
+                     "3/0", "abc"]:
+            doc = {"model": "upper_half_space", "dim": 2, "entries": [
+                {"type": "tangent", "base": ["0.0"], "base_exact": [text],
+                 "radius": "0.5", "radius_exact": "1/2"}]}
+            assert_loads_like_oracle(doc)
+
+
+# ---------------------------------------------------------------------------
+# the loader's errors
+
+
+def doc_of(*entries, dim=2):
+    return {"model": "upper_half_space", "dim": dim, "entries": list(entries)}
+
+
+TANGENT = {"type": "tangent", "base": ["0.5"], "base_exact": ["1/2"],
+           "radius": "0.25", "radius_exact": "1/4"}
+
+
+class TestErrors:
+    @pytest.mark.parametrize("doc", [
+        doc_of(TANGENT, {"type": "cusp"}),
+        doc_of({**TANGENT, "radius_exact": None}),
+        doc_of({k: v for k, v in TANGENT.items() if k != "base_exact"}),
+        doc_of({**TANGENT, "radius": "0.0", "radius_exact": "0/1"}),
+        doc_of({**TANGENT, "radius": "-0.5", "radius_exact": "-1/2"}),
+        doc_of({**TANGENT, "radius": "nan"}),
+        doc_of({**TANGENT, "radius": "-0.0", "radius_exact": "-0"}),
+        doc_of({"type": "at_infinity", "height": "0.0", "height_exact": "0"}),
+        doc_of({"type": "at_infinity", "height": "-1.0"}),
+        doc_of(TANGENT, {**TANGENT, "base": ["1", "2"], "base_exact": ["1", "2"]}),
+        doc_of(TANGENT, dim=3),
+        doc_of(TANGENT, dim=1),
+        doc_of(TANGENT, {"type": "cusp"}, {**TANGENT, "radius": "0.0", "radius_exact": "0"}),
+        doc_of({**TANGENT, "radius": "0.0", "radius_exact": "0"}, {"type": "cusp"}),
+        doc_of({**TANGENT, "base": ["0.5", "1.0"], "base_exact": ["1/2", "1"]}, {"type": "cusp"}),
+        doc_of(),
+        {"model": "tree", "dim": 0, "entries": []},
+    ], ids=["unknown-type", "missing-radius-companion", "missing-base-companions",
+            "radius-zero", "radius-negative", "radius-nan",
+            "radius-minus-zero", "height-zero", "height-negative", "base-length",
+            "dim-mismatch", "dim-one", "type-before-radius", "radius-before-type",
+            "base-length-after-type", "empty", "not-upper-half-space"])
+    def test_same_error_as_oracle(self, doc):
+        assert_loads_like_oracle(doc)
+
+    def test_messages(self):
+        cases = {"unknown horoball entry type 'cusp'": doc_of({"type": "cusp"}),
+                 "radius must be positive": doc_of({**TANGENT, "radius": "0.0",
+                                                    "radius_exact": "0"}),
+                 "horoball base dimension does not match family": doc_of(TANGENT, dim=3)}
+        for message, doc in cases.items():
+            for exact in (False, True):
+                with pytest.raises(ValueError, match=message):
+                    serialize.document_to_family(doc, exact)
+        with pytest.raises(ValueError, match="no exact form for '0.25' in exact mode"):
+            serialize.document_to_family(doc_of({**TANGENT, "radius_exact": None}), True)
+
+
+# ---------------------------------------------------------------------------
+# documents the CLI writes
+
+
+def pack(tmp_path, *argv):
+    """The document `pack` writes; it exits 1 on an overlapping family."""
+    out = tmp_path / "fam.json"
+    assert main(["pack", *argv, "--out", str(out)]) in (0, 1)
+    return out.read_text()
+
+
+class TestPackDocuments:
+    @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["float", "exact"])
+    @pytest.mark.parametrize("qmax,rng,inf", [(1, "0..1", False), (12, "0..1", True),
+                                              (9, "-3..4", True), (30, "1/3..2/5", False)])
+    def test_farey_as_the_oracle_writes_it(self, tmp_path, exact, qmax, rng, inf):
+        argv = ["farey", "--qmax", str(qmax), f"--range={rng}"] + (["--infinity"] if inf else [])
+        text = pack(tmp_path, *argv, *exact)
+        lo, _, hi = rng.partition("..")
+        want = old_family_to_document(old_farey(qmax, (Fraction(lo), Fraction(hi)), inf),
+                                      {"generator": "farey", "qmax": qmax, "range": rng})
+        assert json.loads(text) == want
+        # compact: one line with sorted keys
+        assert text.count("\n") == 1 and text == json.dumps(want, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv,fam,meta", [
+        (["geometric", "--nmin", "-3", "--nmax", "4"], geometric(-3, 4),
+         {"generator": "geometric", "nmin": -3, "nmax": 4}),
+        (["extremal", "--generations", "3", "--s", "1/3", "--exact"],
+         extremal(3, Fraction(1, 3)), {"generator": "extremal", "generations": 3, "s": 1 / 3}),
+        (["random", "--count", "25", "--dim", "3"], random_disjoint(25, 3, 0),
+         {"generator": "random", "count": 25, "dim": 3, "seed": 0}),
+    ], ids=["geometric", "extremal", "random"])
+    def test_other_packs(self, tmp_path, argv, fam, meta):
+        assert json.loads(pack(tmp_path, *argv)) == old_family_to_document(fam, meta)
+
+
+# ---------------------------------------------------------------------------
+# laziness: member objects only where a scalar test reads one
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    count = [0]
+    init = TangentHoroball.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        init(self)
+    monkeypatch.setattr(TangentHoroball, "__post_init__", counted)
+    return count
+
+
+class TestLaziness:
+    @pytest.mark.parametrize("run", [
+        lambda fam: solve_2d(fam, 0.23),
+        lambda fam: solve_hnr(fam, 0.23),
+        lambda fam: biinfinite_line(fam, 1.5),
+        lambda fam: ray_from_point(fam, Point((0.43,), 0.9), 1.88),
+        lambda fam: ray_from_point(fam, Point((0.61,), 0.85), 1.95),
+    ], ids=["solve_2d", "solve_hnr", "biinfinite_line", "ray_from_point", "ray-other-side"])
+    @pytest.mark.parametrize("read", ["generated", "float-document", "exact-document"])
+    def test_solvers_build_few_members(self, constructions, run, read):
+        fam = farey(200, (0, 1), include_infinity=True)
+        if read != "generated":
+            doc = json.loads(serialize.dumps(serialize.family_to_document(fam)))
+            fam = serialize.document_to_family(doc, read == "exact-document")
+        n = len(fam.horoballs)
+        constructions[0] = 0
+        run(fam)
+        assert constructions[0] < n / 10
+
+    def test_generate_dump_load_build_none(self, constructions):
+        fam = farey(200, (0, 1), include_infinity=True)
+        doc = json.loads(serialize.dumps(serialize.family_to_document(fam)))
+        back = [serialize.document_to_family(doc, exact) for exact in (False, True)]
+        assert len(fam.horoballs) == len(back[0].horoballs) == len(back[1].horoballs) > 12000
+        assert constructions[0] == 0
+        assert math.isclose(back[0].columns.radius.sum(), fam.columns.radius.sum())

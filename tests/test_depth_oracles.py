@@ -456,6 +456,49 @@ class TestFarParameters:
         rep = verify_avoidance(g, fam, 0.0)
         assert not rep.ok and rep.max_depths[0] == (0, INF)
 
+    @staticmethod
+    def arc_reference(g, h):
+        """(depth, interval) of the full arc g in the tangent h, in mpmath:
+        log(c / 2 sqrt(PQ)) and the logs of the roots 2Q / w and w / 2P,
+        w = c + sqrt(c^2 - 4PQ), of P x^2 - c x + Q."""
+        with mpmath.workdps(60):
+            a, b, x, r = (mpmath.mpf(v) for v in (g.a[0], g.b[0], h.base[0], h.radius))
+            P, Q, c = (b - x) ** 2, (a - x) ** 2, 2 * r * abs(b - a)
+            depth = float(mpmath.log(c / (2 * mpmath.sqrt(P * Q))))
+            disc = c * c - 4 * P * Q
+            if disc < 0:
+                return depth, None
+            root = mpmath.sqrt(disc)
+            return depth, (float(mpmath.log(2 * Q / (c + root))),
+                           float(mpmath.log((c + root) / (2 * P))))
+
+    def test_arc_where_c_underflows(self):
+        # c = 4 r rho underflows to 0 although rho does not (ZeroDivisionError)
+        g = ArcGeodesic((-4.573558994551331e-274,), (1.1455867883162989e-260,))
+        h = TangentHoroball((1.7851248964719006e-91,), 2.028551018718069e-93)
+        want, span = self.arc_reference(g, h)
+        depth = penetration_depth(g, h)
+        assert depth == pytest.approx(want, rel=1e-9) and depth == pytest.approx(-394.0578, abs=1e-4)
+        assert span is None and penetration_interval(g, h) is None
+        rep = verify_avoidance(g, HoroballFamily(2, [h]), 0.0)
+        assert rep.ok and rep.max_depths == [(0, depth)] and rep.margin == -depth
+
+    def test_arc_whose_end_distances_underflow(self):
+        # P and Q both underflow to 0, which read as "an end is the base"
+        # (+inf, and the interval (-inf, inf))
+        g = ArcGeodesic((1e-200,), (2e-200,))
+        h = TangentHoroball((0.0,), 0.5)
+        want, span = self.arc_reference(g, h)
+        depth = penetration_depth(g, h)
+        assert depth == pytest.approx(want, rel=1e-9) and depth == pytest.approx(459.1307, abs=1e-4)
+        lo, hi = penetration_interval(g, h)
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert (lo, hi) == pytest.approx(span, rel=1e-9)
+        fam = HoroballFamily(2, [h])
+        rep = verify_avoidance(g, fam, 0.0)
+        assert not rep.ok and rep.max_depths == [(0, depth)] and rep.margin == -depth
+        assert verify_avoidance(g.restricted(hi + 1, INF), fam, 0.0).max_depths[0][1] < 0
+
     def test_vertical_where_p_q_underflows(self):
         # p q underflows inside log (ValueError); the depth is log(r / x)
         fam = farey(12)

@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,83 @@ def families(draw):
     if draw(st.booleans()):
         balls.insert(draw(st.integers(0, len(balls))), AtInfinityHoroball(1))
     return HoroballFamily(dim, balls)
+
+
+def old_farey(q_max, p_range=(0, 1), include_infinity=False):
+    """The gcd loop farey ran before it built integer columns."""
+    if q_max < 1:
+        raise ValueError("q_max must be at least 1")
+    lo, hi = Fraction(p_range[0]), Fraction(p_range[1])
+    if lo > hi:
+        raise ValueError("empty fraction range")
+    balls = []
+    labels = []
+    for q in range(1, q_max + 1):
+        p_lo = math.ceil(lo * q)
+        p_hi = math.floor(hi * q)
+        for p in range(p_lo, p_hi + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            balls.append(TangentHoroball((Fraction(p, q),), Fraction(1, 2 * q * q)))
+            labels.append(f"{p}/{q}")
+    if include_infinity:
+        balls.append(AtInfinityHoroball(1))
+        labels.append("inf")
+    if not balls:
+        raise ValueError("no fractions in range")
+    return HoroballFamily(2, balls, labels)
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+class TestFareyOracle:
+    @pytest.mark.parametrize("p_range", [(0, 1), (-3, 4), (Fraction(1, 3), Fraction(2, 5)),
+                                         (Fraction(5, 2), Fraction(5, 2))],
+                             ids=["0..1", "-3..4", "1/3..2/5", "5/2..5/2"])
+    def test_members_labels_and_order(self, p_range):
+        # the oracle's loop runs over q independently of q_max, so its
+        # family for q_max is the prefix of its family for 120 with q <= q_max
+        want = old_farey(120, p_range)
+        qs = [h.radius.denominator for h in want.horoballs]  # 2 q^2
+        for q_max in range(1, 121):
+            include = q_max % 2 == 0
+            n = bisect_right(qs, 2 * q_max * q_max)
+            if n == 0 and not include:
+                assert outcome(farey, q_max, p_range) == outcome(old_farey, q_max, p_range) \
+                    == ("raised", "no fractions in range")
+                continue
+            got = farey(q_max, p_range, include)
+            tail = ["inf"] if include else []
+            assert got.labels == want.labels[:n] + tail
+            ex = got.exact
+            assert ex.base_num[:, 0].tolist() == [h.base[0].numerator for h in want.horoballs[:n]]
+            assert ex.base_den[:, 0].tolist() == [h.base[0].denominator for h in want.horoballs[:n]]
+            assert ex.radius_den.tolist() == qs[:n] and set(ex.radius_num.tolist()) <= {1}
+            if q_max in (1, 2, 3, 7, 60, 119, 120):
+                assert got.horoballs == old_farey(q_max, p_range, include).horoballs
+                assert all(type(c) is Fraction for h in got.horoballs[:n]
+                           for c in h.base + (h.radius,))
+
+    @pytest.mark.parametrize("args", [(5, (1, 0)), (5, (Fraction(1, 3), Fraction(1, 4))),
+                                      (3, (Fraction(1, 7), Fraction(1, 6))),
+                                      (1, (Fraction(1, 3), Fraction(2, 3))),
+                                      (0, (0, 1)), (-2, (0, 1))])
+    def test_errors(self, args):
+        for include in (False, True):
+            assert outcome(farey, *args, include) == outcome(old_farey, *args, include)
+
+    def test_with_infinity_and_far_ranges(self):
+        for p_range in [(10 ** 20, 10 ** 20 + 1), (Fraction(-10 ** 30, 7), Fraction(-10 ** 30 + 5, 7)),
+                        (-2, Fraction(-3, 2))]:
+            got, want = farey(9, p_range, True), old_farey(9, p_range, True)
+            assert (got.labels, got.horoballs) == (want.labels, want.horoballs)
+            assert got.horoballs[-1] == AtInfinityHoroball(1)
+            assert type(got.horoballs[-1].height) is int
 
 
 class TestValidateDisjointOracle:
