@@ -319,15 +319,15 @@ def _log_pq(g: Geodesic, h: Horoball) -> tuple:
 def _pq(g: Geodesic, h: Horoball) -> tuple:
     """(p, q, None) with p = 2P/c and q = 2Q/c of _depth_form, or (None,
     None, (log p, log q)) where c underflows to 0, or p or q does while
-    no end is the base (where one is, the monotone reading of p = 0 or
-    q = 0 holds)."""
+    its end is not the base (where an end is the base and the other
+    ratio is nonzero, the monotone reading of p = 0 or q = 0 holds)."""
     P, Q, c = _depth_form(g, h)
     if c != 0:
         p, q = 2 * P / c, 2 * Q / c
         if p != 0 and q != 0:
             return p, q, None
     logs = _log_pq(g, h)
-    if c != 0 and -INF in logs:
+    if c != 0 and ((p == 0) == (logs[0] == -INF)) and ((q == 0) == (logs[1] == -INF)):
         return p, q, None
     return None, None, logs
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .numeric import bisect_increasing
-from .uncover import UncoverSpace, generic_shrink_time
+from .uncover import Gauge, UncoverSpace, generic_shrink_time
 
 TWO_PI = 2 * math.pi
 
@@ -58,6 +58,24 @@ def cygan_norm(a: HeisPoint) -> float:
 
 def cygan_dist(a: HeisPoint, b: HeisPoint) -> float:
     return cygan_norm(heis_mul(heis_inv(a), b))
+
+
+def _columns(points):
+    """(Re zeta, Im zeta, v) rows of Heisenberg points."""
+    import numpy as np
+    return np.array([(p.zeta.real, p.zeta.imag, p.v) for p in points],
+                    dtype=float).reshape(len(points), 3)
+
+
+def _cygan_rho(P, Q):
+    """cygan_dist between the rows of P and Q (columns as _columns), of
+    the displacement p^-1 q formed in the float operations heis_mul and
+    heis_inv use, so that it is the displacement cc_dist reads."""
+    import numpy as np
+    xa, ya, va = P[..., 0], P[..., 1], P[..., 2]
+    xb, yb, vb = Q[..., 0], Q[..., 1], Q[..., 2]
+    dv = (-va + vb) + 2 * (xa * yb - ya * xb)
+    return (np.hypot(-xa + xb, -ya + yb) ** 4 + dv ** 2) ** 0.25
 
 
 def dilate(a: HeisPoint, t: float) -> HeisPoint:
@@ -185,12 +203,14 @@ def _antipodes(c: HeisPoint, r: float) -> tuple[HeisPoint, HeisPoint]:
 
 
 def heisenberg_space() -> UncoverSpace:
-    """(H, d_CC) packaged for the uncovering engine."""
+    """(H, d_CC) packaged for the uncovering engine, with the Cygan metric
+    as its gauge: d_Cyg <= d_CC <= CC_EQUIVALENCE d_Cyg."""
     return UncoverSpace(
         dist=cc_dist,
         point_toward=cc_point_toward,
         extend_sphere=extend_sphere_cc,
         modulus=heis_modulus,
+        gauge=Gauge(_columns, _cygan_rho, CC_EQUIVALENCE),
         has_lines=False,
         antipodes=_antipodes,
     )

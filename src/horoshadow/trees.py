@@ -49,6 +49,10 @@ class MetricTree:
     """
 
     def __init__(self, edges: list[tuple], stubs, root: Optional[int] = None):
+        """The rooted structure is kept as indexes: parent, depth, and the
+        preorder entry and exit indices tin, tout, so that w lies in the
+        subtree of v (v is w or an ancestor of it) iff
+        tin[v] <= tin[w] < tout[v]."""
         self.adj: dict[int, dict[int, float]] = {}
         for u, v, length in edges:
             if length <= 0:
@@ -65,7 +69,9 @@ class MetricTree:
         self._parent: dict[int, Optional[int]] = {}
         self._depth: dict[int, float] = {}
         self._rooted()
-        self._ancestors: dict[int, dict[int, float]] = {}
+        self._tin: dict[int, int] = {}
+        self._tout: dict[int, int] = {}
+        self._preorder()
 
     # -- structure ---------------------------------------------------------
 
@@ -102,32 +108,49 @@ class MetricTree:
                     self._depth[v] = self._depth[u] + length
                     queue.append(v)
 
+    def _preorder(self):
+        order = []
+        stack = [self.root]
+        while stack:
+            u = stack.pop()
+            self._tin[u] = len(order)
+            order.append(u)
+            stack.extend(v for v in self.adj[u] if v != self._parent[u])
+        size = dict.fromkeys(order, 1)
+        for u in reversed(order[1:]):
+            size[self._parent[u]] += size[u]
+        for u in order:
+            self._tout[u] = self._tin[u] + size[u]
+
     @property
     def ell_max(self) -> float:
         return max(l for nbrs in self.adj.values() for l in nbrs.values())
 
-    def _stub_ancestors(self, stub: int) -> dict[int, float]:
-        """Vertices of the root-to-stub ray mapped to their depth."""
-        if stub not in self._ancestors:
-            if stub not in self.stubs:
-                raise ValueError(f"unknown stub {stub}")
-            chain = {}
-            v: Optional[int] = stub
-            while v is not None:
-                chain[v] = self._depth[v]
-                v = self._parent[v]
-            self._ancestors[stub] = chain
-        return self._ancestors[stub]
+    def _under(self, v: int, w: int) -> bool:
+        """w lies in the subtree of v."""
+        return self._tin[v] <= self._tin[w] < self._tout[v]
+
+    def _stub_tin(self, stub: int) -> int:
+        if stub not in self.stubs:
+            raise ValueError(f"unknown stub {stub}")
+        return self._tin[stub]
+
+    def _path(self, vertex: int) -> list[int]:
+        """Vertices from the root down to vertex."""
+        path = []
+        v: Optional[int] = vertex
+        while v is not None:
+            path.append(v)
+            v = self._parent[v]
+        return path[::-1]
 
     def _meet_depth(self, vertex: int, stub: int) -> float:
         """Metric depth of the point where vertex joins the root-stub ray."""
-        chain = self._stub_ancestors(stub)
-        v: Optional[int] = vertex
-        while v is not None:
-            if v in chain:
-                return self._depth[v]
+        self._stub_tin(stub)
+        v = vertex
+        while not self._under(v, stub):
             v = self._parent[v]
-        raise AssertionError("disconnected tree")
+        return self._depth[v]
 
     def busemann_vertex(self, stub: int, vertex: int) -> float:
         """Busemann value toward the end behind `stub`, zero at the root:
@@ -136,11 +159,11 @@ class MetricTree:
 
     def next_toward(self, u: int, stub: int) -> int:
         """Neighbor of u on the path from u toward the stub."""
-        chain = self._stub_ancestors(stub)
-        if u in chain:
-            # descend: the unique neighbor in the chain deeper than u
+        self._stub_tin(stub)
+        if self._under(u, stub):
+            # descend: the unique child whose subtree holds the stub
             for v in self.adj[u]:
-                if v in chain and self._depth[v] > self._depth[u]:
+                if v != self._parent[u] and self._under(v, stub):
                     return v
             raise ValueError(f"{u} is the stub itself")
         return self._parent[u]
@@ -161,6 +184,41 @@ def tree_busemann(tree: MetricTree, end: int,
     return bu + (bv - bu) * (x.offset / length)
 
 
+def _ball_columns(tree: MetricTree, balls: list[TreeHoroball]):
+    """(tin of each end, level) as numpy arrays, one entry per ball."""
+    import numpy as np
+    return (np.array([tree._stub_tin(b.end) for b in balls], dtype=np.int64),
+            np.array([b.level for b in balls], dtype=float))
+
+
+def _meet_depths(tree: MetricTree, vertex: int, ends):
+    """Depth of the point where vertex joins the ray to each end (an
+    array of stub tins): the deepest vertex on the root-vertex path whose
+    subtree holds the end.  Those subtrees are nested, so the ones that
+    hold it are a prefix of the path, counted in one pass."""
+    import numpy as np
+    path = tree._path(vertex)
+    tin = np.array([tree._tin[v] for v in path])
+    tout = np.array([tree._tout[v] for v in path])
+    depth = np.array([tree._depth[v] for v in path])
+    holds = (tin[:, None] <= ends) & (ends < tout[:, None])
+    return depth[holds.sum(axis=0) - 1]
+
+
+def _busemann_at(tree: MetricTree, ends, x: TreePoint):
+    """tree_busemann toward every end (array of stub tins) at x, in the
+    same operations."""
+    def at(v):
+        return 2 * _meet_depths(tree, v, ends) - tree._depth[v]
+
+    bu = at(x.u)
+    if x.u == x.v or x.offset == 0:
+        return bu
+    bv = at(x.v)
+    length = tree.adj[x.u][x.v]
+    return bu + (bv - bu) * (x.offset / length)
+
+
 def validate_tree_horoballs(tree: MetricTree,
                             balls: list[TreeHoroball],
                             tol: float = DEFAULT_TOL) -> list[tuple[int, int]]:
@@ -168,18 +226,17 @@ def validate_tree_horoballs(tree: MetricTree,
 
     Two horoballs at ends w, w' with levels l, l' have disjoint open
     horoballs iff l + l' >= 2 * depth(meet of the two rays), the maximum
-    of the two Busemann sums along the connecting geodesic.
+    of the two Busemann sums along the connecting geodesic.  One pass
+    per ball reads the meets with all later ends off the preorder index.
     """
+    import numpy as np
+    ends, levels = _ball_columns(tree, balls)
     bad = []
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            a, b = balls[i], balls[j]
-            if a.end == b.end:
-                bad.append((i, j))
-                continue
-            meet = tree._meet_depth(a.end, b.end)
-            if a.level + b.level < 2 * meet - tol:
-                bad.append((i, j))
+    for i, b in enumerate(balls[:-1]):
+        later = ends[i + 1:]
+        meet = _meet_depths(tree, b.end, later)
+        hit = (later == ends[i]) | (levels[i] + levels[i + 1:] < 2 * meet - tol)
+        bad += [(i, i + 1 + j) for j in np.flatnonzero(hit).tolist()]
     return bad
 
 
@@ -198,16 +255,16 @@ class GreedyRayResult:
     max_depth: float
 
 
-def _walk(tree: MetricTree, balls: list[TreeHoroball], x0: TreePoint,
-          overrides: dict[int, int], tol: float
+def _walk(tree: MetricTree, balls: list[TreeHoroball], cols, x0: TreePoint,
+          start_depth: float, overrides: dict[int, int], tol: float
           ) -> tuple[TreeWalk, list[tuple[int, list[int]]]]:
-    """One greedy walk; overrides maps decision index -> forced choice.
+    """One greedy walk over balls with columns cols (_ball_columns) from
+    x0, where their largest Busemann excess is start_depth; overrides
+    maps decision index -> forced choice.
 
     Returns the walk and the list of decisions (index, alternatives).
     """
-    beta0 = [tree_busemann(tree, b.end, x0) for b in balls]
-    max_depth = max((beta0[i] - balls[i].level for i in range(len(balls))),
-                    default=float("-inf"))
+    max_depth = start_depth
     decisions: list[tuple[int, list[int]]] = []
     detours: list[int] = []
 
@@ -236,14 +293,13 @@ def _walk(tree: MetricTree, balls: list[TreeHoroball], x0: TreePoint,
         steps += 1
         if steps > limit:
             raise RuntimeError("walk exceeded the edge budget (cycle?)")
-        depth_here, inside = max_ball_depth(tree, balls, cur)
+        depth_here, inside = _deepest(tree, cols, cur)
         max_depth = max(max_depth, depth_here)
         if cur in tree.stubs:
-            for b in balls:
-                if b.end == cur:
-                    raise RuntimeError(
-                        f"walk exits through the end of a horoball at stub {cur}; "
-                        f"progress: {path}")
+            if (cols[0] == tree._tin[cur]).any():
+                raise RuntimeError(
+                    f"walk exits through the end of a horoball at stub {cur}; "
+                    f"progress: {path}")
             break
         candidates = [v for v in sorted(tree.adj[cur]) if v != prev]
         if inside is not None and depth_here > tol:
@@ -258,16 +314,24 @@ def _walk(tree: MetricTree, balls: list[TreeHoroball], x0: TreePoint,
     return TreeWalk(x0, path, max_depth, detours), decisions
 
 
+def _deepest(tree: MetricTree, cols, vertex: int) -> tuple[float, Optional[int]]:
+    """max_ball_depth over balls with columns cols."""
+    import numpy as np
+    ends, levels = cols
+    if not len(levels):
+        return float("-inf"), None
+    excess = 2 * _meet_depths(tree, vertex, ends) - tree._depth[vertex] - levels
+    who = int(np.argmax(excess))
+    best = float(excess[who])
+    return best, (who if best > 0 else None)
+
+
 def max_ball_depth(tree: MetricTree, balls: list[TreeHoroball],
                    vertex: int) -> tuple[float, Optional[int]]:
     """Largest Busemann excess over all horoballs at a vertex, and the
-    index of a horoball strictly containing it (None when outside all)."""
-    best, who = float("-inf"), None
-    for i, b in enumerate(balls):
-        d = tree.busemann_vertex(b.end, vertex) - b.level
-        if d > best:
-            best, who = d, i
-    return best, (who if best > 0 else None)
+    (first) index of a horoball strictly containing it (None when
+    outside all)."""
+    return _deepest(tree, _ball_columns(tree, balls), vertex)
 
 
 def greedy_ray(tree: MetricTree, balls: list[TreeHoroball],
@@ -284,21 +348,24 @@ def greedy_ray(tree: MetricTree, balls: list[TreeHoroball],
     and picks the next admissible edge there.  Ties are broken toward
     smaller vertex identifiers throughout.
     """
+    import numpy as np
     if isinstance(x0, int):
         x0 = TreePoint.at_vertex(x0)
     if validate:
         bad = validate_tree_horoballs(tree, balls, tol)
         if bad:
             raise ValueError(f"open horoballs overlap at pairs {bad}")
-    for b in balls:
-        if tree_busemann(tree, b.end, x0) > b.level + tol:
-            raise ValueError("start point lies inside an open horoball")
-    first, decisions = _walk(tree, balls, x0, {}, tol)
+    cols = _ball_columns(tree, balls)
+    beta0 = _busemann_at(tree, cols[0], x0)
+    if (beta0 > cols[1] + tol).any():
+        raise ValueError("start point lies inside an open horoball")
+    start_depth = float(np.max(beta0 - cols[1], initial=float("-inf")))
+    first, decisions = _walk(tree, balls, cols, x0, start_depth, {}, tol)
     second = None
     for idx, alternatives in decisions:
         for alt in alternatives:
             try:
-                cand, _ = _walk(tree, balls, x0, {idx: alt}, tol)
+                cand, _ = _walk(tree, balls, cols, x0, start_depth, {idx: alt}, tol)
             except RuntimeError:
                 continue
             if cand.vertices != first.vertices:
@@ -361,28 +428,28 @@ def covering_family(tree: MetricTree) -> list[TreeHoroball]:
     the per-ball intervals (Busemann values are linear on edges).
     """
     balls = [TreeHoroball(_leftmost_stub(tree, tree.root, None), 0.0)]
-    # live[v]: indices of balls covering v (boundary counts)
-    beta_cache: dict[tuple[int, int], float] = {}
-
-    def beta(i: int, v: int) -> float:
-        key = (i, v)
-        if key not in beta_cache:
-            beta_cache[key] = tree.busemann_vertex(balls[i].end, v)
-        return beta_cache[key]
-
-    live = {tree.root: [0]}
+    tin, tout, depth = tree._tin, tree._tout, tree._depth
+    end_tin = [tin[balls[0].end]]
+    # live[v]: (index, meet depth) of the balls covering v (boundary
+    # counts); the meet of ball i at a child v is v itself when v's
+    # subtree holds the end of i, and the meet at its parent otherwise
+    live = {tree.root: [(0, depth[tree.root])]}
     queue = deque([tree.root])
     seen = {tree.root}
     while queue:
         u = queue.popleft()
+        du = depth[u]
         for v, length in tree.adj[u].items():
             if v in seen:
                 continue
             seen.add(v)
+            dv, first, last = depth[v], tin[v], tout[v]
             spans = []
             nxt_live = []
-            for i in live[u]:
-                bu, bv = beta(i, u) - balls[i].level, beta(i, v) - balls[i].level
+            for i, meet_u in live[u]:
+                meet_v = dv if first <= end_tin[i] < last else meet_u
+                level = balls[i].level
+                bu, bv = 2 * meet_u - du - level, 2 * meet_v - dv - level
                 if bu >= 0 and bv >= 0:
                     spans.append((0.0, length))
                 elif bu >= 0:
@@ -390,16 +457,19 @@ def covering_family(tree: MetricTree) -> list[TreeHoroball]:
                 elif bv >= 0:
                     spans.append((length * (-bu) / (bv - bu), length))
                 if bv >= 0:
-                    nxt_live.append(i)
+                    nxt_live.append((i, meet_v))
             covered = _covers_unit(spans, length)
             if not covered:
                 idx = len(balls)
                 end = _leftmost_stub(tree, v, u)
                 # tangent to the existing coverage: the new Busemann
                 # level sits where the covered prefix of the edge ends
-                level = tree.busemann_vertex(end, u) + _reach(spans)
+                # (u lies on the ray to the end, so its Busemann value
+                # there is its depth)
+                level = du + _reach(spans)
                 balls.append(TreeHoroball(end, level))
-                nxt_live.append(idx)
+                end_tin.append(tin[end])
+                nxt_live.append((idx, dv))
             live[v] = nxt_live
             if v not in tree.stubs:
                 queue.append(v)

@@ -10,9 +10,9 @@ shadow annuli, each step certified by a containment assertion, whose
 common center avoids every scaled ball.
 
 The space enters only through a small capability record (distance,
-geodesic interpolation, sphere extension with a modulus, optional lines
-and antipodes), so Euclidean boxes and the Heisenberg group run through
-the same code path.
+geodesic interpolation, sphere extension with a modulus, a comparison
+gauge, optional lines and antipodes), so Euclidean boxes and the
+Heisenberg group run through the same code path.
 """
 
 from __future__ import annotations
@@ -28,17 +28,57 @@ from .numeric import (
     certify,
     decide_le,
     golden_max,
+    min_candidates,
     sweep_pairs,
     to_float,
     widen,
 )
 
 #: relative error of the dist of every space here, with room to spare:
-#: 1e-16 for the Euclidean metric, below 5e-5 for heisenberg.cc_dist
+#: 1e-16 for the Euclidean metric, below 5e-5 for heisenberg.cc_dist;
+#: also the widening of every gauge bound (Gauge)
 _DIST_REL_ERR = 1e-4
 
 # ---------------------------------------------------------------------------
 # capability record and ball family
+
+
+@dataclass(frozen=True)
+class Gauge:
+    """Comparison metric rho of a space with rho <= dist <= C rho,
+    evaluated as numpy passes over center columns.
+
+    columns(points)   float array with one row per point.
+    rho(P, Q)         rho(p, q) between the rows of P and Q (numpy
+                      broadcasting, so one row meets many), formed from
+                      the same coordinate differences, in the same float
+                      operations, as the space's dist forms them.
+    C                 the equivalence constant.
+
+    The computed dist(p, q) then lies in [rho (1 - e), C rho (1 + e)]
+    with e = _DIST_REL_ERR, which covers the error of dist and the
+    rounding of rho; every filter below widens by it, so it drops only
+    what the scalar test on dist drops, and the scalar test decides the
+    rest.  rho never calls dist.
+    """
+
+    columns: Callable
+    rho: Callable
+    C: float = 1.0
+
+    def bounds(self, P, Q):
+        """(lo, hi) with lo <= dist <= hi for the computed dist between
+        the rows of P and Q: rho (1 - e) and C rho (1 + e), each rounded
+        once, which the relative slack of e over the errors absorbs."""
+        r = self.rho(P, Q)
+        return r * (1 - _DIST_REL_ERR), self.C * r * (1 + _DIST_REL_ERR)
+
+    def within(self, P, Q, bound, dist_le):
+        """Mask of dist(p, q) <= bound over the rows of P against Q: read
+        off the bounds, and decided by dist_le(positions), a list of
+        booleans, where bound lies between them (or a bound is NaN)."""
+        lo, hi = self.bounds(P, Q)
+        return decide_le((lo + hi) / 2, bound, (hi - lo) / 2 + widen(hi + abs(bound)), dist_le)
 
 
 @dataclass(frozen=True)
@@ -53,6 +93,10 @@ class UncoverSpace:
                                 must additionally satisfy
                                 dist(near, result) <= eps * r.
     modulus(eps)                sphere-extendability modulus, (0, inf) -> (0, 1).
+    gauge                       a Gauge: a vectorised metric rho with
+                                rho <= dist <= gauge.C rho, the float
+                                filter in front of every per-member and
+                                per-pair pass over dist.
     has_lines                   through any two points passes a geodesic line.
     antipodes(c, r)             pair of points on S(c, r) at mutual distance
                                 2r, or None when unavailable.
@@ -62,6 +106,7 @@ class UncoverSpace:
     point_toward: Callable
     extend_sphere: Callable
     modulus: Callable[[float], float]
+    gauge: Gauge
     has_lines: bool = False
     antipodes: Optional[Callable] = None
 
@@ -91,20 +136,34 @@ class BallFamily:
     def validate_packing(self, tol: float = DEFAULT_TOL) -> list[tuple[int, int]]:
         """Sorted index pairs violating r_i r_j <= D d(x_i, x_j)^2 (within tol).
 
-        Such a pair has d < (r_i + r_j) / (2 sqrt(D (1 + tol))) and the
-        distance k_i to the first center is 1-Lipschitz, so only pairs
-        whose intervals k_i +- r_i / (2 sqrt(D (1 + tol))) meet, widened
-        by _DIST_REL_ERR of r_i and of k_i, are tested (sweep_pairs).
+        Such a pair has d < (r_i + r_j) / (2 sqrt(D (1 + tol))), and
+        rho <= d, so the gauge distance k_i = rho(x_0, x_i) to the first
+        center (1-Lipschitz in rho, as rho is a metric) limits the pairs
+        to those whose intervals k_i +- r_i / (2 sqrt(D (1 + tol))) meet,
+        widened by _DIST_REL_ERR of r_i and of k_i (sweep_pairs).  A
+        candidate pair with r_i r_j <= D lo^2 (1 + tol), lo <= d the
+        gauge's lower bound (Gauge.bounds), holds in floats too, as
+        rounding is monotone; dist decides the others.
         """
-        dist = self.space.dist
-        keys = [dist(self.balls[0][0], x) for x, _ in self.balls]
+        import numpy as np
+        dist, gauge = self.space.dist, self.space.gauge
+        centers = gauge.columns([x for x, _ in self.balls])
+        radius = np.array([r for _, r in self.balls], dtype=float)
+        keys = gauge.rho(centers[:1], centers)
         # 1 + tol <= 0 (or NaN) makes every pair a candidate
         scale = 1 / (2 * math.sqrt(self.D * min(1.0, 1 + tol))) if 1 + tol > 0 else math.inf
-        half = [(r * scale + _DIST_REL_ERR * k) / (1 - _DIST_REL_ERR)
-                for k, (_, r) in zip(keys, self.balls)]
+        with np.errstate(invalid="ignore"):
+            half = (radius * scale + _DIST_REL_ERR * keys) / (1 - _DIST_REL_ERR)
         a, b = sweep_pairs(keys, half)
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order]
+        if 1 + tol > 0:
+            lo, _ = gauge.bounds(centers[a], centers[b])
+            with np.errstate(over="ignore", invalid="ignore"):
+                unsure = ~(radius[a] * radius[b] <= self.D * lo * lo * (1 + tol))
+            a, b = a[unsure], b[unsure]
         bad = []
-        for i, j in sorted(zip(a.tolist(), b.tolist())):
+        for i, j in zip(a.tolist(), b.tolist()):
             (xi, ri), (xj, rj) = self.balls[i], self.balls[j]
             d = dist(xi, xj)
             if ri * rj > self.D * d * d * (1 + tol):
@@ -143,16 +202,28 @@ def _euc_antipodes(c, r):
     return tuple(a + b for a, b in zip(c, e1)), tuple(a - b for a, b in zip(c, e1))
 
 
+def _euc_rho(P, Q):
+    import numpy as np
+    return np.sqrt(((P - Q) ** 2).sum(axis=-1))
+
+
 def euclidean_space(dim: int) -> UncoverSpace:
     """R^dim with its Euclidean metric; every pair of points lies on a
-    line, so the identity modulus applies."""
+    line, so the identity modulus applies.  The gauge is the same norm
+    over the coordinate columns (C = 1)."""
     if dim < 1:
         raise ValueError("dimension must be positive")
+
+    def columns(points):
+        import numpy as np
+        return np.array(points, dtype=float).reshape(len(points), dim)
+
     return UncoverSpace(
         dist=_euc_dist,
         point_toward=_euc_toward,
         extend_sphere=_euc_extend,
         modulus=lambda eps: min(eps, 0.999999),
+        gauge=Gauge(columns, _euc_rho),
         has_lines=True,
         antipodes=_euc_antipodes,
     )
@@ -362,23 +433,21 @@ def _exact_ties(order, radius, exact):
 
 
 def scan_chain(K, order: Sequence[int], step: Callable,
-               may_meet: Optional[Callable] = None) -> list[tuple[int, object]]:
+               may_meet: Callable) -> list[tuple[int, object]]:
     """Nested chain from the seed ball K: the scan visits the members in
     order and step(K, j) returns the refinement of the current ball
     against member j, or None when member j misses it.  Entries are
     (scan position, ball), with the seed at position 0.
 
-    may_meet(K, begin), when given, is a filter: a boolean numpy mask
-    over order[begin:] that is false only at members for which step(K, j)
+    may_meet(K, begin) is a filter: a boolean numpy mask over
+    order[begin:] that is false only at members for which step(K, j)
     returns None.  Each time K changes it runs once over the rest of the
     order, and the step runs on the members it leaves alone, so the
-    chain is the same as without it."""
+    chain is the same as a scan that steps every member."""
     chain = [(0, K)]
     begin = 0
     while begin < len(order):
-        todo = range(begin, len(order)) if may_meet is None else \
-            (begin + may_meet(K, begin).nonzero()[0]).tolist()
-        for pos in todo:
+        for pos in (begin + may_meet(K, begin).nonzero()[0]).tolist():
             K2 = step(K, order[pos])
             if K2 is not None:
                 chain.append((pos + 1, K2))
@@ -391,7 +460,9 @@ def scan_chain(K, order: Sequence[int], step: Callable,
 
 def _prepare(fam: BallFamily, s: float, start: Optional[int], tol: float):
     """Seed and scan order of a ball family, after checking the scale
-    factor and that a user start ball is large enough to seed the loop."""
+    factor and that a user start ball is large enough to seed the loop.
+    The 3 sup distance test reads the gauge, and dist decides where the
+    bound lies between the gauge's bounds."""
     import numpy as np
     space = fam.space
     balls = fam.balls
@@ -407,24 +478,50 @@ def _prepare(fam: BallFamily, s: float, start: Optional[int], tol: float):
             raise ValueError(
                 f"start ball {start} too small to seed the loop "
                 f"(need radius >= {(1 - eps) * sup:.6g})")
-    a0, order = scan_order(
-        np.array([r for _, r in balls], dtype=float), start, tol,
-        lambda a0, bound, rows: np.array([space.dist(balls[i][0], balls[a0][0]) <= bound
-                                          for i in rows.tolist()], dtype=bool))
+    centers = space.gauge.columns([x for x, _ in balls])
+
+    def near(a0, bound, rows):
+        return space.gauge.within(
+            centers[rows], centers[a0], bound,
+            lambda pos: [space.dist(balls[i][0], balls[a0][0]) <= bound
+                         for i in rows[pos].tolist()])
+
+    a0, order = scan_order(np.array([r for _, r in balls], dtype=float), start, tol, near)
     return a0, order.tolist()
 
 
 def _run(fam: BallFamily, s: float, a0: int, order: Sequence[int],
          seed_point, tol: float) -> NestedWitness:
-    space = fam.space
+    """Chain from the seed point, and the certificate of its output.
+
+    The scan's filter drops member j where the gauge's lower bound on
+    dist(x_j, K.center) exceeds K.radius + s r_j + tol, summed as
+    refine_step sums it, so refine_step would return None there.  The
+    certificate checks dist only at the members whose margin, bracketed
+    by the gauge, may be the least (min_candidates)."""
+    import numpy as np
+    space, gauge = fam.space, fam.space.gauge
     balls = fam.balls
+    centers = gauge.columns([x for x, _ in balls])
+    radius = np.array([r for _, r in balls], dtype=float)
+    rows = np.array(order, dtype=np.intp)
+    # a Fraction s times a float radius is float(s) times it
+    scaled = float(s) * radius
     x0, r0 = balls[a0]
+
+    def may_meet(K, begin):
+        lo, _ = gauge.bounds(centers[rows[begin:]], gauge.columns([K.center]))
+        with np.errstate(invalid="ignore"):
+            return ~(lo > K.radius + scaled[rows[begin:]] + tol)
+
     K = canonical_ball(space, x0, r0, s * r0, seed_point, index=a0, tol=tol)
     chain = scan_chain(K, order, lambda ball, j: refine_step(
-        space, ball, balls[j], s, index=j, tol=tol))
+        space, ball, balls[j], s, index=j, tol=tol), may_meet)
     out = chain[-1][1].center
-    margins = {i: space.dist(out, xi) - s * ri for i, (xi, ri) in enumerate(balls)}
-    return NestedWitness(chain, out, certify(margins, tol))
+    lo, hi = gauge.bounds(gauge.columns([out]), centers)
+    picks = min_candidates((lo + hi) / 2 - scaled, (hi - lo) / 2 + widen(hi + scaled))
+    margins = {i: space.dist(out, balls[i][0]) - s * balls[i][1] for i in picks.tolist()}
+    return NestedWitness(chain, out, certify(margins, tol, len(balls)))
 
 
 def uncover(fam: BallFamily, s: float, start: Optional[int] = None,

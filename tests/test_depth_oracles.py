@@ -447,12 +447,19 @@ class TestFarParameters:
 
     def test_arc_whose_half_width_underflows(self):
         # |b - a|^2 underflows to 0, so rho read 0 and c = 4 r rho did too
-        # (ZeroDivisionError); the arc ends at the base of the member at 0
+        # (ZeroDivisionError); the arc ends at the base of the member at 0,
+        # and the squared distance P of its other end underflows, so the
+        # interval ends at log(c / P), not at +inf
         fam = farey(12)
         g = ArcGeodesic((0.0,), (6.76e-289,))
         assert g.rho == 3.38e-289
         assert penetration_depth(g, fam.horoballs[0]) == INF
-        assert penetration_interval(g, fam.horoballs[0]) == (-INF, INF)
+        lo, hi = penetration_interval(g, fam.horoballs[0])
+        with mpmath.workdps(40):
+            c = 4 * mpmath.mpf(0.5) * mpmath.mpf(g.rho)
+            want = float(mpmath.log(c / mpmath.mpf(6.76e-289) ** 2))
+        assert lo == -INF and hi == pytest.approx(want, abs=1e-9)
+        assert want == pytest.approx(663.536, abs=1e-3)
         rep = verify_avoidance(g, fam, 0.0)
         assert not rep.ok and rep.max_depths[0] == (0, INF)
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horoshadow.heisenberg import (
+    CC_EQUIVALENCE,
     IDENTITY,
     HeisPoint,
     cc_dist,
@@ -22,7 +23,7 @@ from horoshadow.heisenberg import (
     heis_mul,
     heisenberg_space,
 )
-from horoshadow.uncover import BallFamily, canonical_ball, uncover
+from horoshadow.uncover import _DIST_REL_ERR, BallFamily, canonical_ball, uncover
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
 
@@ -303,3 +304,72 @@ class TestUncoverInstance:
 
     def test_shrink_time(self):
         assert complex_hyperbolic_shrink_time() == pytest.approx(4.9157, abs=1e-3)
+
+
+def dyadic(bits, bound):
+    return st.integers(-bound * 2 ** bits, bound * 2 ** bits).map(lambda n: n / 2 ** bits)
+
+
+#: points on a grid coarse enough that the group law is exact in floats
+dyadic_points = st.builds(lambda x, y, v: HeisPoint(complex(x, y), v),
+                          dyadic(20, 4), dyadic(20, 4), dyadic(40, 16))
+
+
+@st.composite
+def displacements(draw):
+    """Horizontal, generic and near-vertical displacements, the last
+    with |dzeta| / sqrt|dv| from 1e-15 to 1e-3."""
+    kind = draw(st.sampled_from(["horizontal", "generic", "near-vertical"]))
+    phase = cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+    v = draw(st.floats(0.01, 4)) * draw(st.sampled_from([-1.0, 1.0]))
+    if kind == "horizontal":
+        return HeisPoint(draw(st.floats(0.01, 3)) * phase, 0.0)
+    if kind == "generic":
+        return HeisPoint(draw(st.floats(0.01, 3)) * phase, v)
+    return HeisPoint(10 ** draw(st.floats(-15, -3)) * math.sqrt(abs(v)) * phase, v)
+
+
+class TestCyganGauge:
+    """The bracket the uncovering filters trust: the space's gauge is the
+    Cygan metric, and computed cc_dist lies within its widened bounds."""
+
+    def test_space_gauge(self):
+        gauge = heisenberg_space().gauge
+        assert gauge.C is CC_EQUIVALENCE
+        pts = [IDENTITY, HeisPoint(1 + 2j, -3), HeisPoint(-0.5j, 7)]
+        cols = gauge.columns(pts)
+        assert cols.shape == (3, 3)
+        got = gauge.rho(cols[:, None], cols[None, :])
+        want = [cygan_dist(a, b) for a in pts for b in pts]
+        assert got.ravel().tolist() == pytest.approx(want, rel=1e-15)
+        assert gauge.columns([]).shape == (0, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dyadic_points, dyadic_points, dyadic_points)
+    def test_triangle_inequality(self, a, b, c):
+        assert cygan_dist(a, c) <= (cygan_dist(a, b) + cygan_dist(b, c)) * (1 + 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(lambda x, y, v: HeisPoint(complex(x, y), v), finite, finite,
+                     st.floats(-9, 9)),
+           displacements(), st.integers(-30, 30))
+    def test_cc_dist_within_the_widened_bracket(self, a, g, k):
+        t = 2.0 ** k
+        a, b = dilate(a, t), dilate(heis_mul(a, g), t)
+        gauge = heisenberg_space().gauge
+        rho = gauge.rho(gauge.columns([a]), gauge.columns([b]))[0]
+        assert rho == pytest.approx(cygan_dist(a, b), rel=1e-14)
+        d = cc_dist(a, b)
+        assert rho * (1 - _DIST_REL_ERR) <= d <= CC_EQUIVALENCE * rho * (1 + _DIST_REL_ERR)
+        lo, hi = gauge.bounds(gauge.columns([a]), gauge.columns([b]))
+        assert lo[0] <= d <= hi[0]
+
+    @pytest.mark.parametrize("ratio", [1e-15, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3])
+    @pytest.mark.parametrize("k", [-20, 0, 20])
+    def test_near_vertical_needs_the_widening(self, ratio, k):
+        # d_CC / d_Cyg reaches sqrt(pi) here, and the computed cc_dist
+        # overshoots it by up to ~4e-5, within _DIST_REL_ERR
+        t = 2.0 ** k
+        b = dilate(HeisPoint(ratio, 1.0), t)
+        ratio_to_cygan = cc_dist(IDENTITY, b) / cygan_dist(IDENTITY, b)
+        assert CC_EQUIVALENCE * (1 - 1e-3) <= ratio_to_cygan <= CC_EQUIVALENCE * (1 + _DIST_REL_ERR)

@@ -721,8 +721,9 @@ def test_solvers_call_steps_through_module_attributes(monkeypatch):
     solve_2d(fam, 0.3)
     solve_hnr(fam, 0.3)
     balls = [(tuple(map(float, h.base)), float(h.radius)) for _, h in fam.tangent_items()]
-    uncover(BallFamily(euclidean_space(1), balls, 0.25), 0.2)
+    w = uncover(BallFamily(euclidean_space(1), balls, 0.25), 0.2)
     assert all(n > 0 for n in calls.values()), calls
     a0, order = old_prepare(BallFamily(euclidean_space(1), balls, 0.25), 0.2, None,
                             DEFAULT_TOL)
-    assert calls["refine_step"] == len(order)
+    # the gauge filter skips the members whose refinement is None
+    assert len(w.chain) - 1 <= calls["refine_step"] < len(order)

@@ -1,3 +1,6 @@
+import cmath
+import dataclasses
+import importlib
 import math
 import random
 
@@ -5,9 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horoshadow.numeric import CertificateError
+from horoshadow.heisenberg import (
+    CC_EQUIVALENCE,
+    IDENTITY,
+    HeisPoint,
+    cc_dist,
+    cygan_dist,
+    dilate,
+    heis_modulus,
+    heis_mul,
+    heisenberg_space,
+)
+from horoshadow.numeric import DEFAULT_TOL, CertificateError
 from horoshadow.packings import farey
 from horoshadow.uncover import (
+    _DIST_REL_ERR,
     BallFamily,
     canonical_ball,
     euclidean_space,
@@ -18,6 +33,11 @@ from horoshadow.uncover import (
     uncover,
     uncover_two,
 )
+from test_packing_oracles import assert_packing_matches_oracle, brute_validate_packing
+from test_scan_oracles import check_uncover, old_checked_prepare
+
+# the package exports the function `uncover`, which shadows the module
+uncover_mod = importlib.import_module("horoshadow.uncover")
 
 HEIS_MODULUS = lambda e: 1 - (1 + e * e / math.pi) ** -0.5
 
@@ -284,3 +304,150 @@ class TestUncoverTwo:
         for (c,), r in balls:
             assert abs(w1.output[0] - c) >= 0.2 * r - 1e-9
             assert abs(w2.output[0] - c) >= 0.2 * r - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the gauge filters: every filter drops only what the scalar test drops
+
+
+class TestEuclideanGauge:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+               *[st.tuples(*[st.floats(-1e3, 1e3)] * dim)] * 2)),
+           st.integers(-40, 40))
+    def test_agrees_with_dist_within_the_widening(self, pq, k):
+        p, q = (tuple(c * 2.0 ** k for c in x) for x in pq)
+        space = euclidean_space(len(p))
+        gauge = space.gauge
+        assert gauge.C == 1
+        rho = gauge.rho(gauge.columns([p]), gauge.columns([q]))[0]
+        d = space.dist(p, q)
+        assert rho * (1 - _DIST_REL_ERR) <= d <= rho * (1 + _DIST_REL_ERR)
+        lo, hi = gauge.bounds(gauge.columns([p]), gauge.columns([q]))
+        assert lo[0] <= d <= hi[0]
+
+
+def counting(space):
+    """The space with a dist that counts its calls in .calls."""
+    calls = []
+
+    def dist(p, q):
+        calls.append(1)
+        return space.dist(p, q)
+
+    counted = dataclasses.replace(space, dist=dist)
+    return counted, calls
+
+
+class TestScanFilter:
+    @pytest.mark.parametrize("over_tol", [0.5, 2.0])
+    def test_member_within_tol_of_the_current_ball(self, over_tol):
+        # the member's scaled ball misses K by less than tol, so
+        # refine_step still refines against it; at this scale the
+        # widening of the gauge is below tol, so only the tol of the
+        # filter keeps the member
+        t, s = 2.0 ** -20, 0.2
+        x = 0.6 * t + 0.4 * t + s * 0.1 * t + over_tol * DEFAULT_TOL
+        fam = BallFamily(euclidean_space(1), [((0.0,), t), ((x,), 0.1 * t)], 0.25)
+        assert _DIST_REL_ERR * x < 0.5 * DEFAULT_TOL
+        w = uncover(fam, s)
+        assert [K.annulus_of for _, K in w.chain] == ([0, 1] if over_tol < 1 else [0])
+        check_uncover(fam, s, None, False)
+
+    @pytest.mark.parametrize("beyond", [1e-5, -1e-5])
+    def test_near_vertical_member_at_the_prune_distance(self, beyond):
+        # near the vertical cc_dist exceeds sqrt(pi) d_Cyg by ~3e-5, so
+        # the member lies beyond 3 sup while sqrt(pi) d_Cyg does not
+        y1 = HeisPoint(3e-10, 1.0)
+        y = dilate(y1, 3 * (1 + beyond) / cc_dist(y1, IDENTITY))
+        d = cc_dist(y, IDENTITY)
+        assert (d > 3) == (beyond > 0)
+        assert CC_EQUIVALENCE * cygan_dist(y, IDENTITY) < 3
+        fam = BallFamily(heisenberg_space(), [(IDENTITY, 1.0), (y, 0.01)], 0.25)
+        s = 0.9 * safe_scale(0.25, heis_modulus)
+        a0, order = uncover_mod._prepare(fam, s, None, DEFAULT_TOL)
+        assert (a0, order) == old_checked_prepare(fam, s, None, DEFAULT_TOL)
+        assert order == ([] if beyond > 0 else [1])
+
+
+def cc_heisenberg_balls(seed, count, D=0.25):
+    """Balls with r r' <= D d_CC^2 (the CC condition, not the Cygan one),
+    by rejection sampling in a box, plus pairs at r r' = k D d_CC^2 for k
+    near 1 along generic and near-vertical displacements, where the
+    Cygan bracket cannot decide and cc_dist does."""
+    rng = random.Random(seed)
+    side = 1.2 * count ** 0.25
+
+    def point():
+        return HeisPoint(complex(rng.uniform(0, side), rng.uniform(0, side)),
+                         rng.uniform(-side * side, side * side))
+
+    balls = []
+    while len(balls) < count:
+        x, r = point(), rng.uniform(0.05, 0.5)
+        if all(r * r2 <= D * cc_dist(x, x2) ** 2 for x2, r2 in balls):
+            balls.append((x, r))
+    for k in (1 - 1e-9, 1 + 1e-9, 0.9, 1.1):
+        v = rng.uniform(0.05, 0.5) * rng.choice([-1, 1])
+        phase = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        for g in (HeisPoint(rng.uniform(0.1, 0.7) * phase, v),
+                  HeisPoint(10 ** rng.uniform(-10, -3) * math.sqrt(abs(v)) * phase, v)):
+            x = point()
+            y = heis_mul(x, g)
+            r = math.sqrt(k * D) * cc_dist(x, y)
+            balls += [(x, r), (y, r)]
+    rng.shuffle(balls)
+    return balls
+
+
+class TestCCBuiltFamilies:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("grow", [1.0, 2.0])
+    def test_validate_packing(self, seed, grow):
+        space, calls = counting(heisenberg_space())
+        fam = BallFamily(space, [(x, grow * r) for x, r in cc_heisenberg_balls(seed, 40)], 0.25)
+        assert_packing_matches_oracle(fam)
+        calls.clear()
+        got = fam.validate_packing()
+        assert calls, "no pair was left to cc_dist"
+        assert got == brute_validate_packing(fam)
+        assert got != [] and all(0 <= i < j < len(fam.balls) for i, j in got)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("two", [False, True])
+    def test_uncover_matches_oracle(self, seed, two):
+        balls = cc_heisenberg_balls(seed, 40)
+        # drop the members of pairs beyond the packing condition
+        bad = BallFamily(heisenberg_space(), balls, 0.25).validate_packing()
+        drop = {j for _, j in bad}
+        space, calls = counting(heisenberg_space())
+        fam = BallFamily(space, [b for i, b in enumerate(balls) if i not in drop], 0.25)
+        assert fam.validate_packing() == []
+        s = 0.9 * safe_scale(0.25, heis_modulus)
+        uncover_mod._prepare(fam, s, None, DEFAULT_TOL)
+        assert calls, "no member was left to cc_dist by the prune"
+        by_radius = sorted(range(len(fam.balls)), key=lambda i: -fam.balls[i][1])
+        for start in (None, by_radius[1]):
+            check_uncover(fam, s, start, two)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_euclidean_families(self, dim, seed):
+        rng = random.Random(seed)
+        side = 30 / dim ** 2
+        balls = []
+        for _ in range(3000):
+            x = tuple(rng.uniform(0, side) for _ in range(dim))
+            r = rng.uniform(0.05, 0.5)
+            if all(r * r2 <= 0.25 * math.dist(x, x2) ** 2 for x2, r2 in balls):
+                balls.append((x, r))
+        assert len(balls) >= 20
+        for k in (1 - 1e-9, 1 + 1e-9, 0.9, 1.1):
+            x = tuple(rng.uniform(0, side) for _ in range(dim))
+            y = (x[0] + rng.uniform(0.1, 1),) + x[1:]
+            r = math.sqrt(k * 0.25) * math.dist(x, y)
+            balls += [(x, r), (y, r)]
+        fam = BallFamily(euclidean_space(dim), balls, 0.25)
+        assert_packing_matches_oracle(fam)
+        for two in (False, True):
+            check_uncover(fam, 0.2, None, two)
