@@ -73,13 +73,6 @@ class Gauge:
         r = self.rho(P, Q)
         return r * (1 - _DIST_REL_ERR), self.C * r * (1 + _DIST_REL_ERR)
 
-    def within(self, P, Q, bound, dist_le):
-        """Mask of dist(p, q) <= bound over the rows of P against Q: read
-        off the bounds, and decided by dist_le(positions), a list of
-        booleans, where bound lies between them (or a bound is NaN)."""
-        lo, hi = self.bounds(P, Q)
-        return decide_le((lo + hi) / 2, bound, (hi - lo) / 2 + widen(hi + abs(bound)), dist_le)
-
 
 @dataclass(frozen=True)
 class UncoverSpace:
@@ -481,10 +474,10 @@ def _prepare(fam: BallFamily, s: float, start: Optional[int], tol: float):
     centers = space.gauge.columns([x for x, _ in balls])
 
     def near(a0, bound, rows):
-        return space.gauge.within(
-            centers[rows], centers[a0], bound,
-            lambda pos: [space.dist(balls[i][0], balls[a0][0]) <= bound
-                         for i in rows[pos].tolist()])
+        lo, hi = space.gauge.bounds(centers[rows], centers[a0])
+        return decide_le((lo + hi) / 2, bound, (hi - lo) / 2 + widen(hi + bound),
+                         lambda pos: [space.dist(balls[i][0], balls[a0][0]) <= bound
+                                      for i in rows[pos].tolist()])
 
     a0, order = scan_order(np.array([r for _, r in balls], dtype=float), start, tol, near)
     return a0, order.tolist()
