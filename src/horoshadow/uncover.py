@@ -57,9 +57,9 @@ class Gauge:
 
     The computed dist(p, q) then lies in [rho (1 - e), C rho (1 + e)]
     with e = _DIST_REL_ERR, which covers the error of dist and the
-    rounding of rho; every filter below widens by it, so it drops only
-    what the scalar test on dist drops, and the scalar test decides the
-    rest.  rho never calls dist.
+    rounding of rho; every filter of this module widens by it, so it
+    drops only what the scalar test on dist drops, and the scalar test
+    decides the rest.  rho never calls dist.
     """
 
     columns: Callable
