@@ -318,16 +318,18 @@ def _log_pq(g: Geodesic, h: Horoball) -> tuple:
 
 def _pq(g: Geodesic, h: Horoball) -> tuple:
     """(p, q, None) with p = 2P/c and q = 2Q/c of _depth_form, or (None,
-    None, (log p, log q)) where c underflows to 0, or p or q does while
-    its end is not the base (where an end is the base and the other
+    None, (log p, log q)) where c underflows to 0, where p or q
+    overflows, or where p or q underflows while its end is not the base
+    (where an end is the base and the other
     ratio is nonzero, the monotone reading of p = 0 or q = 0 holds)."""
     P, Q, c = _depth_form(g, h)
     if c != 0:
         p, q = 2 * P / c, 2 * Q / c
-        if p != 0 and q != 0:
+        if p != 0 and q != 0 and p + q < INF:
             return p, q, None
     logs = _log_pq(g, h)
-    if c != 0 and ((p == 0) == (logs[0] == -INF)) and ((q == 0) == (logs[1] == -INF)):
+    if (c != 0 and p + q < INF and ((p == 0) == (logs[0] == -INF))
+            and ((q == 0) == (logs[1] == -INF))):
         return p, q, None
     return None, None, logs
 
@@ -356,11 +358,11 @@ def penetration_depth(g: Geodesic, h: Horoball) -> float:
         return end + (t if rising else -t)
     if logs is not None:
         tstar, peak = (logs[1] - logs[0]) / 2, -(logs[0] + logs[1]) / 2
-    elif math.isfinite(p) and not (p * q and q / p):
-        # p q or q / p underflows: the same in logarithms
-        tstar, peak = (math.log(q) - math.log(p)) / 2, -(math.log(p) + math.log(q)) / 2
-    else:
+    elif 0 < p * q < INF and 0 < q / p < INF:
         tstar, peak = math.log(q / p) / 2, -math.log(p * q) / 2
+    else:
+        # p q or q / p underflows or overflows: the same in logarithms
+        tstar, peak = (math.log(q) - math.log(p)) / 2, -(math.log(p) + math.log(q)) / 2
     d = abs(min(max(tstar, lo), hi) - tstar)
     return peak - d - math.log1p(math.expm1(-2 * d) / 2)
 
@@ -439,8 +441,9 @@ def penetration_depths(g: Geodesic, cols) -> tuple:
     lo, hi = g.param_range
     with np.errstate(all="ignore"):
         p, q = 2 * P / c, 2 * Q / c
-        # in logarithms where p q or q / p underflows, as penetration_depth
-        direct = ~np.isfinite(p) | ((p * q != 0) & (q / p != 0))
+        # in logarithms where p q or q / p underflows or overflows, as
+        # penetration_depth
+        direct = (0 < p * q) & (p * q < INF) & (0 < q / p) & (q / p < INF)
         tstar = np.where(direct, np.log(q / p) / 2, (np.log(q) - np.log(p)) / 2)
         peak = np.where(direct, -np.log(p * q) / 2, -(np.log(p) + np.log(q)) / 2)
         t = np.clip(tstar, lo, hi)
@@ -484,21 +487,24 @@ def param_of(g: Geodesic, p: Point) -> float:
     """Arclength parameter of an interior point lying on g.
 
     On an arc |p - a|^2 / |p - b|^2 = e^(2t), heights included; the
-    inversion at a sends g to the vertical line over (b - a) / |b - a|^2,
-    and the sinh of the distance from p to it is the base gap over the
-    height, without cancellation near either end."""
+    inversion at the end nearer p (say a) sends g to the vertical line
+    over (b - a) / |b - a|^2, and the sinh of the distance from p to it
+    is the base gap over the height, without cancellation near either
+    end."""
     base, h = _flv(p.base), float(p.height)
     if isinstance(g, VerticalGeodesic):
         if vnorm(vsub(base, _flv(g.foot))) > _ON_GEODESIC * h:
             raise ValueError("point not on the vertical geodesic")
         return math.log(h)
     a, b = _flv(g.a), _flv(g.b)
-    da = vsub(base, a)
-    na = vnorm2(da) + h * h
-    t = (math.log(na) - math.log(vnorm2(vsub(base, b)) + h * h)) / 2
-    ba = vsub(b, a)
-    gap = vsub(vscale(da, 1 / na), vscale(ba, 1 / vnorm2(ba)))
-    if vnorm(gap) > _ON_GEODESIC * h / na:
+    da, db = vsub(base, a), vsub(base, b)
+    na, nb = vnorm2(da) + h * h, vnorm2(db) + h * h
+    t = (math.log(na) - math.log(nb)) / 2
+    # invert at the nearer end: at the far one the gap is a difference of
+    # two vectors of length about 1 / |b - a| and cancels
+    d, n, far = (da, na, vsub(b, a)) if na <= nb else (db, nb, vsub(a, b))
+    gap = vsub(vscale(d, 1 / n), vscale(far, 1 / vnorm2(far)))
+    if vnorm(gap) > _ON_GEODESIC * h / n:
         raise ValueError("point not on the arc")
     return t
 

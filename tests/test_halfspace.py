@@ -197,6 +197,14 @@ class TestPenetration:
     def test_arc_hitting_base_point(self):
         assert penetration_depth(ArcGeodesic(0.0, 1.0), TangentHoroball(0.0, 0.3)) == math.inf
 
+    def test_end_just_beside_the_base(self):
+        # p = 2P/c is subnormal and q / p overflows; the depth is still the
+        # peak -log(p q) / 2 = -log b - log 2, to the precision of a
+        # subnormal P = b^2, not NaN
+        b = 9.867184587122407e-161
+        depth = penetration_depth(ArcGeodesic(1.0, b), TangentHoroball(0.0, 0.5))
+        assert depth == pytest.approx(-math.log(b) - math.log(2), rel=1e-6)
+
     def test_degenerate_arc_rejected(self):
         with pytest.raises(ValueError):
             ArcGeodesic(1.0, 1.0)

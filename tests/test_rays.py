@@ -247,6 +247,14 @@ class TestRayNearABase:
         g = ArcGeodesic(a, b)
         assert param_of(g, g.point_at(t)) == pytest.approx(t, abs=1e-9)
 
+    def test_point_at_the_far_end_found_on_the_arc(self):
+        # b - a and p - a round differently next to b; the inversion at a
+        # left a gap of one rounding of 1/3, above the tolerance at height
+        # 3e-10, where the inversion at b leaves none
+        g = ArcGeodesic(3.0, 2.220446049250313e-16)
+        assert param_of(g, g.point_at(23.0)) == pytest.approx(23.0, abs=1e-9)
+        assert param_of(g, g.point_at(-23.0)) == pytest.approx(-23.0, abs=1e-9)
+
     def test_point_off_the_geodesic_rejected(self):
         with pytest.raises(ValueError, match="not on the arc"):
             param_of(ArcGeodesic(0.0, 2.0), Point(1.0, 1.001))
