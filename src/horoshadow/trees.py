@@ -15,9 +15,12 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .numeric import DEFAULT_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,26 @@ class TreeHoroball:
     level: float  # Busemann cut value
 
 
+class TreeColumns(NamedTuple):
+    """A MetricTree in the discovery order of its breadth-first search
+    from the root, one numpy entry per vertex: its id, the position of
+    its parent (-1 at the root), the length of the edge to the parent (0
+    at the root), its depth, its preorder entry and exit indices, the
+    range kid0 <= p < kid1 of its children (contiguous in that order),
+    and the position of the stub that steps to the child of smallest id
+    reach from it."""
+
+    vertex: "np.ndarray"
+    parent: "np.ndarray"
+    length: "np.ndarray"
+    depth: "np.ndarray"
+    tin: "np.ndarray"
+    tout: "np.ndarray"
+    kid0: "np.ndarray"
+    kid1: "np.ndarray"
+    leftmost: "np.ndarray"
+
+
 class MetricTree:
     """Finite truncation of a locally finite metric tree.
 
@@ -49,10 +72,11 @@ class MetricTree:
     """
 
     def __init__(self, edges: list[tuple], stubs, root: Optional[int] = None):
-        """The rooted structure is kept as indexes: parent, depth, and the
-        preorder entry and exit indices tin, tout, so that w lies in the
-        subtree of v (v is w or an ancestor of it) iff
-        tin[v] <= tin[w] < tout[v]."""
+        """One breadth-first search from the root gives the rooted
+        structure, kept as TreeColumns (`_cols`) and, for scalar code,
+        as dicts per vertex: parent, depth, and the preorder entry and
+        exit indices tin, tout, so that w lies in the subtree of v (v is
+        w or an ancestor of it) iff tin[v] <= tin[w] < tout[v]."""
         self.adj: dict[int, dict[int, float]] = {}
         for u, v, length in edges:
             if length <= 0:
@@ -65,26 +89,35 @@ class MetricTree:
         if not self.adj:
             raise ValueError("empty tree")
         self.root = min(self.adj) if root is None else root
-        self._check()
         self._parent: dict[int, Optional[int]] = {}
         self._depth: dict[int, float] = {}
-        self._rooted()
-        self._tin: dict[int, int] = {}
-        self._tout: dict[int, int] = {}
-        self._preorder()
+        bfs = self._rooted()
+        self._check(bfs[0])
+        self._index(*bfs)
+        self.ell_max = float(self._cols.length.max())
 
     # -- structure ---------------------------------------------------------
 
-    def _check(self):
-        seen = {self.root}
-        queue = deque([self.root])
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if len(seen) != len(self.adj):
+    def _rooted(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Parents and depths by breadth-first search.  Returns the
+        discovery order and, by position in it, the position of the
+        parent and the range kid0 <= p < kid1 of the children."""
+        self._parent[self.root] = None
+        self._depth[self.root] = 0.0
+        order, parent, kid0, kid1 = [self.root], [-1], [], []
+        for p, u in enumerate(order):
+            kid0.append(len(order))
+            for v, length in self.adj[u].items():
+                if v not in self._parent:
+                    self._parent[v] = u
+                    self._depth[v] = self._depth[u] + length
+                    order.append(v)
+                    parent.append(p)
+            kid1.append(len(order))
+        return order, parent, kid0, kid1
+
+    def _check(self, order: list[int]):
+        if len(order) != len(self.adj):
             raise ValueError("tree is not connected")
         edge_count = sum(len(n) for n in self.adj.values()) // 2
         if edge_count != len(self.adj) - 1:
@@ -96,35 +129,33 @@ class MetricTree:
             elif len(nbrs) < 3:
                 raise ValueError(f"interior vertex {u} has degree {len(nbrs)} < 3")
 
-    def _rooted(self):
-        self._parent[self.root] = None
-        self._depth[self.root] = 0.0
-        queue = deque([self.root])
-        while queue:
-            u = queue.popleft()
-            for v, length in self.adj[u].items():
-                if v not in self._parent:
-                    self._parent[v] = u
-                    self._depth[v] = self._depth[u] + length
-                    queue.append(v)
-
-    def _preorder(self):
-        order = []
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            self._tin[u] = len(order)
-            order.append(u)
-            stack.extend(v for v in self.adj[u] if v != self._parent[u])
-        size = dict.fromkeys(order, 1)
-        for u in reversed(order[1:]):
-            size[self._parent[u]] += size[u]
-        for u in order:
-            self._tout[u] = self._tin[u] + size[u]
-
-    @property
-    def ell_max(self) -> float:
-        return max(l for nbrs in self.adj.values() for l in nbrs.values())
+    def _index(self, order: list[int], parent: list[int], kid0: list[int],
+               kid1: list[int]):
+        """TreeColumns from the search, and the tin/tout dicts."""
+        import numpy as np
+        n = len(order)
+        size = [1] * n
+        for p in range(n - 1, 0, -1):
+            size[parent[p]] += size[p]
+        # preorder visiting children in discovery order: a first child
+        # follows its parent, a later one the subtree of the sibling before
+        tin = [0] * n
+        for p in range(1, n):
+            q = parent[p]
+            tin[p] = tin[q] + 1 if p == kid0[q] else tin[p - 1] + size[p - 1]
+        tout = [t + s for t, s in zip(tin, size)]
+        leftmost = list(range(n))
+        for p in reversed(range(n)):
+            if order[p] not in self.stubs:
+                leftmost[p] = leftmost[min(range(kid0[p], kid1[p]), key=order.__getitem__)]
+        self._cols = TreeColumns(
+            np.array(order), np.array(parent),
+            np.array([0.0] + [self.adj[v][self._parent[v]] for v in order[1:]]),
+            np.array([self._depth[v] for v in order]),
+            np.array(tin), np.array(tout), np.array(kid0), np.array(kid1),
+            np.array(leftmost))
+        self._tin = dict(zip(order, tin))
+        self._tout = dict(zip(order, tout))
 
     def _under(self, v: int, w: int) -> bool:
         """w lies in the subtree of v."""
@@ -408,15 +439,6 @@ def three_regular_tree(depth: int) -> MetricTree:
     return MetricTree(edges, stubs, root=0)
 
 
-def _leftmost_stub(tree: MetricTree, u: int, banned: Optional[int]) -> int:
-    """Descend from u away from `banned` toward smaller ids to a stub."""
-    prev, cur = banned, u
-    while cur not in tree.stubs:
-        nxt = min(v for v in tree.adj[cur] if v != prev)
-        prev, cur = cur, nxt
-    return cur
-
-
 def covering_family(tree: MetricTree) -> list[TreeHoroball]:
     """Horoballs with pairwise disjoint opens whose closures cover the
     whole truncation.
@@ -426,68 +448,62 @@ def covering_family(tree: MetricTree) -> list[TreeHoroball]:
     upper endpoint is planted toward the leftmost stub below, tangent to
     the ball covering that endpoint.  Coverage per edge is the union of
     the per-ball intervals (Busemann values are linear on edges).
+
+    The sweep takes one hop level per numpy pass, in discovery order, so
+    new balls are numbered as a breadth-first search meets their edges.
+    An edge counts as covered when at most 1e-12 of its length is left.
     """
-    balls = [TreeHoroball(_leftmost_stub(tree, tree.root, None), 0.0)]
-    tin, tout, depth = tree._tin, tree._tout, tree._depth
-    end_tin = [tin[balls[0].end]]
-    # live[v]: (index, meet depth) of the balls covering v (boundary
-    # counts); the meet of ball i at a child v is v itself when v's
+    import numpy as np
+    c = tree._cols
+    n = len(c.vertex)
+    # balls by number, at most one new ball per edge: end position, level
+    end = np.empty(n, dtype=np.int64)
+    level = np.empty(n)
+    end[0], level[0] = c.leftmost[0], 0.0
+    count = 1
+    # the live (vertex, ball, meet depth) triples of one hop level: the
+    # balls whose closure holds the vertex, and the ball planted on the
+    # edge into it; the meet of ball i at a child v is v itself when v's
     # subtree holds the end of i, and the meet at its parent otherwise
-    live = {tree.root: [(0, depth[tree.root])]}
-    queue = deque([tree.root])
-    seen = {tree.root}
-    while queue:
-        u = queue.popleft()
-        du = depth[u]
-        for v, length in tree.adj[u].items():
-            if v in seen:
-                continue
-            seen.add(v)
-            dv, first, last = depth[v], tin[v], tout[v]
-            spans = []
-            nxt_live = []
-            for i, meet_u in live[u]:
-                meet_v = dv if first <= end_tin[i] < last else meet_u
-                level = balls[i].level
-                bu, bv = 2 * meet_u - du - level, 2 * meet_v - dv - level
-                if bu >= 0 and bv >= 0:
-                    spans.append((0.0, length))
-                elif bu >= 0:
-                    spans.append((0.0, length * bu / (bu - bv)))
-                elif bv >= 0:
-                    spans.append((length * (-bu) / (bv - bu), length))
-                if bv >= 0:
-                    nxt_live.append((i, meet_v))
-            covered = _covers_unit(spans, length)
-            if not covered:
-                idx = len(balls)
-                end = _leftmost_stub(tree, v, u)
-                # tangent to the existing coverage: the new Busemann
-                # level sits where the covered prefix of the edge ends
-                # (u lies on the ray to the end, so its Busemann value
-                # there is its depth)
-                level = du + _reach(spans)
-                balls.append(TreeHoroball(end, level))
-                end_tin.append(tin[end])
-                nxt_live.append((idx, dv))
-            live[v] = nxt_live
-            if v not in tree.stubs:
-                queue.append(v)
-    return balls
-
-
-def _reach(spans: list[tuple[float, float]]) -> float:
-    """Length of the covered prefix [0, reach] of the union of spans."""
-    reach = 0.0
-    for a, b in sorted(spans):
-        if a > reach + 1e-12:
-            break
-        reach = max(reach, b)
-    return reach
-
-
-def _covers_unit(spans: list[tuple[float, float]], length: float) -> bool:
-    return _reach(spans) >= length - 1e-12
+    at = np.zeros(1, dtype=np.int64)
+    ball = np.zeros(1, dtype=np.int64)
+    meet = np.zeros(1)
+    first, last = 0, 1
+    while c.kid0[first] < c.kid1[last - 1]:
+        first, last = c.kid0[first], c.kid1[last - 1]
+        kids = c.kid1[at] - c.kid0[at]
+        v = np.arange(kids.sum()) + np.repeat(c.kid0[at] - (np.cumsum(kids) - kids), kids)
+        i = np.repeat(ball, kids)
+        meet_u = np.repeat(meet, kids)
+        du, dv, length, lev = c.depth[c.parent[v]], c.depth[v], c.length[v], level[i]
+        end_tin = c.tin[end[i]]
+        meet_v = np.where((c.tin[v] <= end_tin) & (end_tin < c.tout[v]), dv, meet_u)
+        bu, bv = 2 * meet_u - du - lev, 2 * meet_v - dv - lev
+        # a live ball holds its vertex (bu >= 0: a carried ball had bv >= 0
+        # on the edge above, a planted one has its level at most the depth
+        # of its vertex), so it covers a prefix [0, span] of the edge down
+        # from it, and the edge is covered up to the longest of them
+        span = length.copy()
+        out = bv < 0
+        span[out] = length[out] * bu[out] / (bu[out] - bv[out])
+        reach = np.zeros(last - first)
+        np.maximum.at(reach, v - first, span)
+        edge = c.length[first:last]
+        bare = np.flatnonzero(reach < edge - 1e-12 * edge)
+        # tangent to the existing coverage: the new Busemann level sits
+        # where the covered prefix of the edge ends (u lies on the ray to
+        # the end, so its Busemann value there is its depth)
+        planted = first + bare
+        new = np.arange(count, count + bare.size)
+        end[new] = c.leftmost[planted]
+        level[new] = c.depth[c.parent[planted]] + reach[bare]
+        count += bare.size
+        keep = bv >= 0
+        at = np.concatenate([v[keep], planted])
+        ball = np.concatenate([i[keep], new])
+        meet = np.concatenate([meet_v[keep], c.depth[planted]])
+    return [TreeHoroball(e, lv) for e, lv in
+            zip(c.vertex[end[:count]].tolist(), level[:count].tolist())]
 
 
 def random_tree(seed: int, target_vertices: int = 40) -> MetricTree:

@@ -354,6 +354,11 @@ class TestFirstHitAfter:
             skip, xi = len(fam.horoballs) - 1, None
         else:
             xi = tuple(data.draw(st.floats(-2, 3)) for _ in range(n))
+            # an end exactly at the base of a member is the end-at-base
+            # case, whose tangency the old arc form's float discriminant
+            # can miss (the member draw skips that member instead)
+            assume(all(tuple(map(float, h.base)) != xi for h in fam.horoballs
+                       if isinstance(h, TangentHoroball)))
         # a base nearly below x sends the far end out beyond float range
         assume(xi is None or far(x_base, xi, 1e-3))
         g = geodesic_through(x, xi)

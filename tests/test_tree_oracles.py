@@ -1,9 +1,10 @@
 """Differential tests of the tree kernel against the per-ball loops it
 replaced: covering_family, max_ball_depth, the greedy walk, greedy_ray
 and validate_tree_horoballs as they were before the preorder index,
-kept verbatim below as old_*.  Their Busemann values come from the old
-parent-chain walks (old_meet_depth and friends), not from the index, so
-the two sides share no kernel code."""
+kept verbatim below as old_* (covering_family with its per-edge span
+helpers, from before the level sweep).  Their Busemann values come from
+the old parent-chain walks (old_meet_depth and friends), not from the
+index, so the two sides share no kernel code."""
 
 import random
 from collections import deque
@@ -13,12 +14,10 @@ import pytest
 from horoshadow.numeric import DEFAULT_TOL
 from horoshadow.trees import (
     GreedyRayResult,
+    MetricTree,
     TreeHoroball,
     TreePoint,
     TreeWalk,
-    _covers_unit,
-    _leftmost_stub,
-    _reach,
     covering_family,
     greedy_ray,
     max_ball_depth,
@@ -187,8 +186,31 @@ def old_greedy_ray(tree, balls, x0, tol=DEFAULT_TOL, validate=True):
     return GreedyRayResult(first, second, max(first.max_depth, second.max_depth))
 
 
+def old_leftmost_stub(tree, u, banned):
+    """Descend from u away from `banned` toward smaller ids to a stub."""
+    prev, cur = banned, u
+    while cur not in tree.stubs:
+        nxt = min(v for v in tree.adj[cur] if v != prev)
+        prev, cur = cur, nxt
+    return cur
+
+
+def old_reach(spans):
+    """Length of the covered prefix [0, reach] of the union of spans."""
+    reach = 0.0
+    for a, b in sorted(spans):
+        if a > reach + 1e-12:
+            break
+        reach = max(reach, b)
+    return reach
+
+
+def old_covers_unit(spans, length):
+    return old_reach(spans) >= length - 1e-12
+
+
 def old_covering_family(tree):
-    balls = [TreeHoroball(_leftmost_stub(tree, tree.root, None), 0.0)]
+    balls = [TreeHoroball(old_leftmost_stub(tree, tree.root, None), 0.0)]
     beta_cache = {}
 
     def beta(i, v):
@@ -218,11 +240,11 @@ def old_covering_family(tree):
                     spans.append((length * (-bu) / (bv - bu), length))
                 if bv >= 0:
                     nxt_live.append(i)
-            covered = _covers_unit(spans, length)
+            covered = old_covers_unit(spans, length)
             if not covered:
                 idx = len(balls)
-                end = _leftmost_stub(tree, v, u)
-                level = old_busemann_vertex(tree, end, u) + _reach(spans)
+                end = old_leftmost_stub(tree, v, u)
+                level = old_busemann_vertex(tree, end, u) + old_reach(spans)
                 balls.append(TreeHoroball(end, level))
                 nxt_live.append(idx)
             live[v] = nxt_live
@@ -265,12 +287,21 @@ def starts(tree, rng, count):
     return out
 
 
+def reversed_adjacency(tree):
+    """The same tree with every adjacency in the opposite order, so that a
+    vertex meets its child of smallest id last: the end a leftmost descent
+    reaches then comes right after the subtrees of its siblings."""
+    edges = [(u, v, l) for u, nbrs in tree.adj.items() for v, l in nbrs.items() if u < v]
+    return MetricTree(edges[::-1], tree.stubs, tree.root)
+
+
 # ---------------------------------------------------------------------------
 # the index itself
 
 
-@pytest.mark.parametrize("tree", [three_regular_tree(5), random_tree(3, 60)],
-                         ids=["three-regular-5", "random-3-60"])
+@pytest.mark.parametrize("tree", [three_regular_tree(5), random_tree(3, 60),
+                                  reversed_adjacency(three_regular_tree(5))],
+                         ids=["three-regular-5", "random-3-60", "reversed-three-regular-5"])
 def test_index_reads_the_parent_chains(tree):
     for stub in sorted(tree.stubs):
         for v in sorted(tree.adj):
@@ -283,6 +314,11 @@ def test_index_reads_the_parent_chains(tree):
 
 # ---------------------------------------------------------------------------
 # three-regular trees and their covering families
+
+
+def test_covering_family_of_the_deepest_three_regular_tree():
+    tree = three_regular_tree(13)
+    assert bitwise(covering_family(tree), old_covering_family(tree))
 
 
 @pytest.mark.parametrize("depth", range(2, 13))
@@ -340,6 +376,75 @@ def test_random_trees(size):
                                outcome(old_greedy_ray, tree, fam, x0, validate=False))
             for v in rng.sample(sorted(tree.adj), 10):
                 assert bitwise(max_ball_depth(tree, fam, v), old_max_ball_depth(tree, fam, v))
+
+
+@pytest.mark.parametrize("tree", [reversed_adjacency(three_regular_tree(6)),
+                                  reversed_adjacency(random_tree(7, 60))],
+                         ids=["three-regular-6", "random-7-60"])
+def test_reversed_adjacency(tree):
+    fam = covering_family(tree)
+    assert bitwise(fam, old_covering_family(tree))
+    assert bitwise(outcome(greedy_ray, tree, fam, tree.root),
+                   outcome(old_greedy_ray, tree, fam, tree.root))
+    for v in sorted(tree.adj)[::5]:
+        assert bitwise(max_ball_depth(tree, fam, v), old_max_ball_depth(tree, fam, v))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_covering_family_of_large_random_trees(seed):
+    tree = random_tree(seed, 400)
+    assert bitwise(covering_family(tree), old_covering_family(tree))
+
+
+# ---------------------------------------------------------------------------
+# ties on unit edges, where the absolute 1e-12 of the old kernel and the
+# relative one of the sweep agree.  A ball live at a vertex holds it, so
+# along an edge down from it the ball covers a prefix of the edge or all
+# of it: no edge of a covering family has a suffix span, and the old
+# kernel's suffix branch never runs.
+
+
+@pytest.mark.parametrize("gap", [0.5, 0.99, 1.0, 1.01, 1.5, 2.0])
+def test_prefix_ending_near_the_end_of_an_edge(gap):
+    # the root ball runs 0 -> 1 -> 4 and covers the prefix [0, a] of the
+    # unit edge (1, 5): counted as covered when a is within 1e-12 of 1,
+    # and then the edges below 5 get balls through 5 itself
+    a = 1 - gap * 1e-12
+    tree = MetricTree([(0, 1, a), (0, 2, 1.0), (0, 3, 1.0), (1, 4, 1.0), (1, 5, 1.0),
+                       (5, 6, 1.0), (5, 7, 1.0)], stubs=[2, 3, 4, 6, 7], root=0)
+    fam = covering_family(tree)
+    assert bitwise(fam, old_covering_family(tree))
+    assert [b.end for b in fam] == [4, 2, 3, 6, 7]
+    assert (fam[3].level == tree._depth[5]) == (gap <= 1)
+
+
+def test_prefix_ending_exactly_1e_12_before_the_end():
+    # e = 1 - T with T = 1 - 1e-12 in floats.  Vertex 5, at depth 2 m =
+    # 0.5 + e, lies on the boundary of the root ball, so the edge (5, 6)
+    # gets a ball at level 0.5 + e, whose excess at 6 (depth 1.5) is T.
+    # Along the unit edge (6, 9) it covers [0, T] in exact arithmetic:
+    # covered, with no gap to spare
+    t = 1 - 1e-12
+    e = 1 - t
+    m = 0.25 + e / 2
+    tree = MetricTree([(0, 1, m), (0, 2, 1.0), (0, 3, 1.0), (1, 4, 1.0), (1, 5, m),
+                       (5, 6, t), (5, 7, 1.0), (6, 8, 1.0), (6, 9, 1.0),
+                       (9, 10, 1.0), (9, 11, 1.0)], stubs=[2, 3, 4, 7, 8, 10, 11], root=0)
+    fam = covering_family(tree)
+    assert bitwise(fam, old_covering_family(tree))
+    assert [(b.end, b.level) for b in fam[3:]] == [(8, 0.5 + e), (7, 0.5 + e), (10, 2.5), (11, 2.5)]
+
+
+def test_new_balls_numbered_in_discovery_order():
+    # the root meets 3 before 2, so the uncovered edges (3, 9) and (2, 8)
+    # of the second hop level get balls in that order, against the order
+    # of their ids and of their parents' ids
+    tree = MetricTree([(0, 1, 1.0), (0, 3, 1.0), (0, 2, 1.0), (1, 4, 1.0), (1, 5, 1.0),
+                       (3, 6, 1.0), (3, 9, 2.0), (2, 7, 1.0), (2, 8, 2.0)],
+                      stubs=[4, 5, 6, 7, 8, 9], root=0)
+    fam = covering_family(tree)
+    assert bitwise(fam, old_covering_family(tree))
+    assert [(b.end, b.level) for b in fam] == [(4, 0.0), (6, 0.0), (7, 0.0), (9, 2.0), (8, 2.0)]
 
 
 def test_empty_family_and_unknown_ends():

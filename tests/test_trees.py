@@ -1,8 +1,12 @@
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from horoshadow.numeric import DEFAULT_TOL
 from horoshadow.trees import (
     MetricTree,
     TreeHoroball,
@@ -135,6 +139,55 @@ class TestCovering:
         fam = covering_family(t)
         depth, _ = max_ball_depth(t, fam, t.root)
         assert depth == pytest.approx(0, abs=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def dilatable(kind: str, n: int) -> tuple:
+    """Edges, stubs and root of three_regular_tree(n) or random_tree(n, 60)."""
+    t = three_regular_tree(n) if kind == "three-regular" else random_tree(n, 60)
+    edges = [(u, v, l) for u, nbrs in t.adj.items() for v, l in nbrs.items() if u < v]
+    return edges, t.stubs, t.root
+
+
+def dilated(kind: str, n: int, k: int) -> MetricTree:
+    """The tree with every edge length times 2**k, exact in floats."""
+    edges, stubs, root = dilatable(kind, n)
+    return MetricTree([(u, v, math.ldexp(l, k)) for u, v, l in edges], stubs, root)
+
+
+def covered_everywhere(t, fam) -> bool:
+    """Disjoint opens and closures holding every vertex, with the
+    tolerances taken relative to the longest edge."""
+    if validate_tree_horoballs(t, fam, DEFAULT_TOL * t.ell_max):
+        return False
+    return all(max_ball_depth(t, fam, v)[0] >= -1e-9 * t.ell_max for v in t.adj)
+
+
+class TestDilation:
+    """The geometry is invariant under dilation: the covering family of
+    the tree with every edge times 2**k has the same ends, with every
+    level times exactly 2**k."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.tuples(st.just("three-regular"), st.integers(2, 9)),
+                     st.tuples(st.just("random"), st.integers(0, 99))),
+           st.integers(-60, 60))
+    def test_levels_scale_and_cover(self, case, k):
+        unit, scaled = dilated(*case, 0), dilated(*case, k)
+        fam, fam_k = covering_family(unit), covering_family(scaled)
+        assert [b.end for b in fam_k] == [b.end for b in fam]
+        assert [b.level for b in fam_k] == [math.ldexp(b.level, k) for b in fam]
+        assert scaled.ell_max == math.ldexp(unit.ell_max, k)
+        assert covered_everywhere(scaled, fam_k)
+
+    @pytest.mark.parametrize("depth", [4, 6, 8])
+    def test_tiny_scale_covers_every_vertex(self, depth):
+        # an absolute 1e-12 would count every edge of length 2**-40 as
+        # covered and leave the root ball alone
+        t = dilated("three-regular", depth, -40)
+        fam = covering_family(t)
+        assert len(fam) == len(covering_family(three_regular_tree(depth))) > 1
+        assert covered_everywhere(t, fam)
 
 
 class TestGreedyRay:
