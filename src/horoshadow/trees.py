@@ -13,6 +13,7 @@ need structure past a stub fails loudly instead of inventing it.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
@@ -73,10 +74,10 @@ class MetricTree:
 
     def __init__(self, edges: list[tuple], stubs, root: Optional[int] = None):
         """One breadth-first search from the root gives the rooted
-        structure, kept as TreeColumns (`_cols`) and, for scalar code,
-        as dicts per vertex: parent, depth, and the preorder entry and
-        exit indices tin, tout, so that w lies in the subtree of v (v is
-        w or an ancestor of it) iff tin[v] <= tin[w] < tout[v]."""
+        structure, kept as TreeColumns (`_cols`), with `_pos` mapping
+        each vertex to its position in them, and, for scalar code, the
+        parent and depth of each vertex as dicts.  w lies in the subtree
+        of v (v is w or an ancestor of it) iff tin[v] <= tin[w] < tout[v]."""
         self.adj: dict[int, dict[int, float]] = {}
         for u, v, length in edges:
             if length <= 0:
@@ -98,13 +99,14 @@ class MetricTree:
 
     # -- structure ---------------------------------------------------------
 
-    def _rooted(self) -> tuple[list[int], list[int], list[int], list[int]]:
+    def _rooted(self) -> tuple[list[int], array, array, array]:
         """Parents and depths by breadth-first search.  Returns the
         discovery order and, by position in it, the position of the
-        parent and the range kid0 <= p < kid1 of the children."""
+        parent and the range kid0 <= p < kid1 of the children (int64
+        arrays, which hold no int object per entry)."""
         self._parent[self.root] = None
         self._depth[self.root] = 0.0
-        order, parent, kid0, kid1 = [self.root], [-1], [], []
+        order, parent, kid0, kid1 = [self.root], array("q", [-1]), array("q"), array("q")
         for p, u in enumerate(order):
             kid0.append(len(order))
             for v, length in self.adj[u].items():
@@ -129,42 +131,41 @@ class MetricTree:
             elif len(nbrs) < 3:
                 raise ValueError(f"interior vertex {u} has degree {len(nbrs)} < 3")
 
-    def _index(self, order: list[int], parent: list[int], kid0: list[int],
-               kid1: list[int]):
-        """TreeColumns from the search, and the tin/tout dicts."""
+    def _index(self, order: list[int], parent: array, kid0: array, kid1: array):
+        """TreeColumns from the search, and the position of each vertex."""
         import numpy as np
         n = len(order)
-        size = [1] * n
+        size = array("q", [1]) * n
         for p in range(n - 1, 0, -1):
             size[parent[p]] += size[p]
         # preorder visiting children in discovery order: a first child
         # follows its parent, a later one the subtree of the sibling before
-        tin = [0] * n
+        tin = array("q", [0]) * n
         for p in range(1, n):
             q = parent[p]
             tin[p] = tin[q] + 1 if p == kid0[q] else tin[p - 1] + size[p - 1]
-        tout = [t + s for t, s in zip(tin, size)]
-        leftmost = list(range(n))
+        leftmost = array("q", range(n))
         for p in reversed(range(n)):
             if order[p] not in self.stubs:
                 leftmost[p] = leftmost[min(range(kid0[p], kid1[p]), key=order.__getitem__)]
         self._cols = TreeColumns(
             np.array(order), np.array(parent),
-            np.array([0.0] + [self.adj[v][self._parent[v]] for v in order[1:]]),
-            np.array([self._depth[v] for v in order]),
-            np.array(tin), np.array(tout), np.array(kid0), np.array(kid1),
-            np.array(leftmost))
-        self._tin = dict(zip(order, tin))
-        self._tout = dict(zip(order, tout))
+            np.fromiter((self.adj[v][self._parent[v]] if p else 0.0
+                         for p, v in enumerate(order)), float, n),
+            np.fromiter((self._depth[v] for v in order), float, n),
+            np.array(tin), np.array(tin) + np.array(size), np.array(kid0),
+            np.array(kid1), np.array(leftmost))
+        self._pos = dict(zip(order, range(n)))
 
-    def _under(self, v: int, w: int) -> bool:
-        """w lies in the subtree of v."""
-        return self._tin[v] <= self._tin[w] < self._tout[v]
+    def _holds(self, v: int, t: int) -> bool:
+        """The subtree of v holds the vertex of preorder index t."""
+        p = self._pos[v]
+        return self._cols.tin.item(p) <= t < self._cols.tout.item(p)
 
     def _stub_tin(self, stub: int) -> int:
         if stub not in self.stubs:
             raise ValueError(f"unknown stub {stub}")
-        return self._tin[stub]
+        return self._cols.tin.item(self._pos[stub])
 
     def _path(self, vertex: int) -> list[int]:
         """Vertices from the root down to vertex."""
@@ -177,11 +178,11 @@ class MetricTree:
 
     def _meet_depth(self, vertex: int, stub: int) -> float:
         """Metric depth of the point where vertex joins the root-stub ray."""
-        self._stub_tin(stub)
-        v = vertex
-        while not self._under(v, stub):
-            v = self._parent[v]
-        return self._depth[v]
+        t, c = self._stub_tin(stub), self._cols
+        p = self._pos[vertex]
+        while not c.tin.item(p) <= t < c.tout.item(p):
+            p = c.parent.item(p)
+        return c.depth.item(p)
 
     def busemann_vertex(self, stub: int, vertex: int) -> float:
         """Busemann value toward the end behind `stub`, zero at the root:
@@ -190,11 +191,11 @@ class MetricTree:
 
     def next_toward(self, u: int, stub: int) -> int:
         """Neighbor of u on the path from u toward the stub."""
-        self._stub_tin(stub)
-        if self._under(u, stub):
+        t = self._stub_tin(stub)
+        if self._holds(u, t):
             # descend: the unique child whose subtree holds the stub
             for v in self.adj[u]:
-                if v != self._parent[u] and self._under(v, stub):
+                if v != self._parent[u] and self._holds(v, t):
                     return v
             raise ValueError(f"{u} is the stub itself")
         return self._parent[u]
@@ -218,8 +219,11 @@ def tree_busemann(tree: MetricTree, end: int,
 def _ball_columns(tree: MetricTree, balls: list[TreeHoroball]):
     """(tin of each end, level) as numpy arrays, one entry per ball."""
     import numpy as np
-    return (np.array([tree._stub_tin(b.end) for b in balls], dtype=np.int64),
-            np.array([b.level for b in balls], dtype=float))
+    unknown = [b.end for b in balls if b.end not in tree.stubs]
+    if unknown:
+        raise ValueError(f"unknown stub {unknown[0]}")
+    pos = np.array([tree._pos[b.end] for b in balls], dtype=np.int64)
+    return tree._cols.tin[pos], np.array([b.level for b in balls], dtype=float)
 
 
 def _meet_depths(tree: MetricTree, vertex: int, ends):
@@ -228,12 +232,10 @@ def _meet_depths(tree: MetricTree, vertex: int, ends):
     subtree holds the end.  Those subtrees are nested, so the ones that
     hold it are a prefix of the path, counted in one pass."""
     import numpy as np
-    path = tree._path(vertex)
-    tin = np.array([tree._tin[v] for v in path])
-    tout = np.array([tree._tout[v] for v in path])
-    depth = np.array([tree._depth[v] for v in path])
-    holds = (tin[:, None] <= ends) & (ends < tout[:, None])
-    return depth[holds.sum(axis=0) - 1]
+    c = tree._cols
+    path = np.array([tree._pos[v] for v in tree._path(vertex)])
+    holds = (c.tin[path, None] <= ends) & (ends < c.tout[path, None])
+    return c.depth[path[holds.sum(axis=0) - 1]]
 
 
 def _busemann_at(tree: MetricTree, ends, x: TreePoint):
@@ -327,7 +329,7 @@ def _walk(tree: MetricTree, balls: list[TreeHoroball], cols, x0: TreePoint,
         depth_here, inside = _deepest(tree, cols, cur)
         max_depth = max(max_depth, depth_here)
         if cur in tree.stubs:
-            if (cols[0] == tree._tin[cur]).any():
+            if (cols[0] == tree._stub_tin(cur)).any():
                 raise RuntimeError(
                     f"walk exits through the end of a horoball at stub {cur}; "
                     f"progress: {path}")
@@ -452,6 +454,11 @@ def covering_family(tree: MetricTree) -> list[TreeHoroball]:
     The sweep takes one hop level per numpy pass, in discovery order, so
     new balls are numbered as a breadth-first search meets their edges.
     An edge counts as covered when at most 1e-12 of its length is left.
+    Each pass costs a fixed numpy overhead (about 75 us on a 2-core Xeon)
+    on top of its work per edge, so the sweep is fast where the hop depth
+    is much smaller than the vertex count, as in three_regular_tree; on
+    a tree whose hop depth grows with its size, such as a long chain
+    with one stub on each vertex, it is slower than a loop over edges.
     """
     import numpy as np
     c = tree._cols

@@ -138,12 +138,31 @@ def old_penetration_interval(g, h):
     return (tc - w, tc + w)
 
 
-def old_first_hit_after(g, t_x, forward, fam, skip, tol):
+def end_at_base_interval(g, h):
+    """old_penetration_interval, taking its end-at-base branch exactly
+    where an end of the arc g is the base of h.  The old form decides
+    that case by the sign of its float discriminant A^2 - B^2, which
+    rounding can leave positive; it then returns a finite span where the
+    horoball holds a half line (TestFirstHitAfter.test_end_at_a_base)."""
+    if isinstance(g, ArcGeodesic) and isinstance(h, TangentHoroball):
+        base = _flv(h.base)
+        if base in (_flv(g.a), _flv(g.b)):
+            rho = g.rho
+            A = vnorm2(vsub(_flv(g.midpoint), base)) + rho * rho
+            c = 2 * float(h.radius) * rho
+            if base == _flv(g.b):
+                return (math.log(A / c), INF)
+            return (-INF, math.log(c / A))
+    return old_penetration_interval(g, h)
+
+
+def old_first_hit_after(g, t_x, forward, fam, skip, tol,
+                        interval=old_penetration_interval):
     best = None
     for i, h in enumerate(fam.horoballs):
         if i == skip:
             continue
-        span = old_penetration_interval(g, h)
+        span = interval(g, h)
         if span is None:
             continue
         t_in, t_out = span
@@ -354,18 +373,16 @@ class TestFirstHitAfter:
             skip, xi = len(fam.horoballs) - 1, None
         else:
             xi = tuple(data.draw(st.floats(-2, 3)) for _ in range(n))
-            # an end exactly at the base of a member is the end-at-base
-            # case, whose tangency the old arc form's float discriminant
-            # can miss (the member draw skips that member instead)
-            assume(all(tuple(map(float, h.base)) != xi for h in fam.horoballs
-                       if isinstance(h, TangentHoroball)))
         # a base nearly below x sends the far end out beyond float range
         assume(xi is None or far(x_base, xi, 1e-3))
         g = geodesic_through(x, xi)
         t_x = param_of(g, x)
         forward = data.draw(st.booleans())
+        # a boundary end may be exactly the base of a member, where the
+        # old form's float discriminant can miss the end at the base
         assert _first_hit_after(g, t_x, forward, fam, skip, DEFAULT_TOL) == \
-            old_first_hit_after(g, t_x, forward, fam, skip, DEFAULT_TOL)
+            old_first_hit_after(g, t_x, forward, fam, skip, DEFAULT_TOL,
+                                end_at_base_interval)
 
     def test_some_draws_hit(self):
         # the comparison above is not vacuous: rays from a low point hit
@@ -374,6 +391,28 @@ class TestFirstHitAfter:
         hit = _first_hit_after(g, math.log(0.9), False, fam, -1, DEFAULT_TOL)
         assert hit is not None and hit == old_first_hit_after(
             g, math.log(0.9), False, fam, -1, DEFAULT_TOL)
+
+    def test_end_at_a_base(self):
+        # the end a = 0 of the arc is the base of member 0, which holds x
+        fam = FAMILIES["farey12+inf"]
+        h = fam.horoballs[0]
+        x = Point((0.451171875,), 0.4375)
+        g = geodesic_through(x, (0.0,))
+        assert g.a == (0.0,) and h.base == (0,) and h.radius == 0.5
+        t_x = param_of(g, x)
+        span = penetration_interval(g, h)
+        assert span[0] == -INF and agree(span[1], math.log(0.5 / g.rho), 1e-15)
+        ref = end_at_base_interval(g, h)
+        assert ref[0] == -INF and agree(span[1], ref[1], 1e-15)
+        assert t_x < span[1]
+        assert _first_hit_after(g, t_x, True, fam, -1, DEFAULT_TOL) == 0
+        assert old_first_hit_after(g, t_x, True, fam, -1, DEFAULT_TOL,
+                                   end_at_base_interval) == 0
+        # the old form's discriminant stays positive here: a finite span,
+        # ending before x, so it skips the member that holds x
+        old = old_penetration_interval(g, h)
+        assert -INF < old[0] and old[1] < t_x
+        assert old_first_hit_after(g, t_x, True, fam, -1, DEFAULT_TOL) == 1
 
 
 # ---------------------------------------------------------------------------
