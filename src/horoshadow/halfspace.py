@@ -17,6 +17,7 @@ the exact mode of the solvers possible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -59,10 +60,6 @@ def vdot(a: Vector, b: Vector):
 def vnorm2(a: Vector):
     """Squared Euclidean norm; exact on Fraction input."""
     return sum(x * x for x in a)
-
-
-def vnorm(a: Vector) -> float:
-    return math.sqrt(vnorm2(a))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +165,13 @@ class ArcGeodesic:
 
     @property
     def rho(self) -> float:
-        d = vsub(_flv(self.b), _flv(self.a))
-        # the squares underflow to 0 when the ends are within about 1e-162
-        return (vnorm(d) or math.hypot(*d)) / 2
+        # hypot: the squares leave the float range within 1e-162 and beyond 1e154
+        return math.hypot(*vsub(_flv(self.b), _flv(self.a))) / 2
 
     @property
     def unit(self) -> tuple:
         d = vsub(_flv(self.b), _flv(self.a))
-        return vscale(d, 1.0 / vnorm(d))
+        return vscale(d, 1.0 / math.hypot(*d))
 
     def point_at(self, t: float) -> Point:
         # the base m + rho tanh(t) u is a + (b - a) e^2t / (1 + e^2t), taken
@@ -266,137 +262,8 @@ def point_to_horoball_dist(p: Point, h: Horoball) -> float:
 
 
 # ---------------------------------------------------------------------------
-# penetration of geodesics into horoballs (closed forms)
-
-
-def _depth_form(g: Geodesic, h: Horoball) -> tuple:
-    """Floats (P, Q, c) with the depth of g(t) in h equal to
-    log(c / (P e^t + Q e^-t)) at every parameter t.
-
-    For an arc P and Q are the squared distances from the base of h to
-    the ends b and a, so P = 0 or Q = 0 says exactly that an end is the
-    base, and P*Q never cancels.
-    """
-    if isinstance(g, VerticalGeodesic):
-        if isinstance(h, AtInfinityHoroball):
-            return 0.0, float(h.height), 1.0
-        return 1.0, vnorm2(vsub(_flv(g.foot), _flv(h.base))), 2 * float(h.radius)
-    if isinstance(h, AtInfinityHoroball):
-        height = float(h.height)
-        return height, height, 2 * g.rho
-    x = _flv(h.base)
-    return (vnorm2(vsub(_flv(g.b), x)), vnorm2(vsub(_flv(g.a), x)),
-            4 * float(h.radius) * g.rho)
-
-
-#: log 2, for the depth form in logarithms
-_LN2 = math.log(2)
-
-
-def _log_pq(g: Geodesic, h: Horoball) -> tuple:
-    """(log p, log q) of penetration_depth, from the distances rather than
-    their squares, so that nothing underflows; log 0 = -inf exactly
-    where an end is the base."""
-    def log_sq(v):
-        n = math.hypot(*v)
-        return 2 * math.log(n) if n else -INF
-
-    if isinstance(g, VerticalGeodesic):
-        if isinstance(h, AtInfinityHoroball):
-            return -INF, math.log(2 * float(h.height))
-        lP, lQ = 0.0, log_sq(vsub(_flv(g.foot), _flv(h.base)))
-        lc = math.log(2 * float(h.radius))
-    elif isinstance(h, AtInfinityHoroball):
-        lP = lQ = math.log(float(h.height))
-        lc = math.log(2 * g.rho)
-    else:
-        x = _flv(h.base)
-        lP, lQ = log_sq(vsub(_flv(g.b), x)), log_sq(vsub(_flv(g.a), x))
-        lc = 2 * _LN2 + math.log(float(h.radius)) + math.log(g.rho)
-    return _LN2 + lP - lc, _LN2 + lQ - lc
-
-
-def _pq(g: Geodesic, h: Horoball) -> tuple:
-    """(p, q, None) with p = 2P/c and q = 2Q/c of _depth_form, or (None,
-    None, (log p, log q)) where c underflows to 0, where p or q
-    overflows, or where p or q underflows while its end is not the base
-    (where an end is the base and the other
-    ratio is nonzero, the monotone reading of p = 0 or q = 0 holds)."""
-    P, Q, c = _depth_form(g, h)
-    if c != 0:
-        p, q = 2 * P / c, 2 * Q / c
-        if p != 0 and q != 0 and p + q < INF:
-            return p, q, None
-    logs = _log_pq(g, h)
-    if (c != 0 and p + q < INF and ((p == 0) == (logs[0] == -INF))
-            and ((q == 0) == (logs[1] == -INF))):
-        return p, q, None
-    return None, None, logs
-
-
-def penetration_depth(g: Geodesic, h: Horoball) -> float:
-    """Signed hyperbolic depth of the deepest point of g inside h,
-    restricted to g.param_range; <= 0 means g avoids the open horoball.
-
-    With p = 2P/c and q = 2Q/c the depth is -log((p e^t + q e^-t) / 2),
-    concave with its peak -log(pq) / 2 at t* = log(q / p) / 2.  The
-    restricted maximum sits at t* clamped to the parameter interval, d
-    away from t*, and is the peak minus log cosh(d) = d + log((1 + e^-2d)
-    / 2), finite at every finite d.  For an arc p and q are ratios, so
-    dilating by a power of two leaves every bit of the result unchanged.
-    Where c, p or q underflows the same runs on log p and log q (_pq).
-    """
-    p, q, logs = _pq(g, h)
-    lo, hi = g.param_range
-    rising, falling = (p == 0, q == 0) if logs is None else (logs[0] == -INF, logs[1] == -INF)
-    if rising or falling:
-        # monotone: rising toward +inf when p = 0, toward -inf when q = 0
-        t = hi if rising else lo
-        if math.isinf(t):
-            return INF if (t > 0) == rising else -INF
-        end = math.log(2 / (p or q)) if logs is None else _LN2 - max(logs)
-        return end + (t if rising else -t)
-    if logs is not None:
-        tstar, peak = (logs[1] - logs[0]) / 2, -(logs[0] + logs[1]) / 2
-    elif 0 < p * q < INF and 0 < q / p < INF:
-        tstar, peak = math.log(q / p) / 2, -math.log(p * q) / 2
-    else:
-        # p q or q / p underflows or overflows: the same in logarithms
-        tstar, peak = (math.log(q) - math.log(p)) / 2, -(math.log(p) + math.log(q)) / 2
-    d = abs(min(max(tstar, lo), hi) - tstar)
-    return peak - d - math.log1p(math.expm1(-2 * d) / 2)
-
-
-def penetration_interval(g: Geodesic, h: Horoball) -> Optional[tuple]:
-    """Closed parameter interval on which the full geodesic lies in h,
-    or None when it stays outside; not intersected with g.param_range.
-
-    With x = e^t the interval is P x^2 - c x + Q <= 0, whose roots
-    2Q / w and w / 2P, w = c + sqrt(c^2 - 4PQ), carry no cancellation;
-    they are taken divided through by c, as q / w' and w' / p with the p
-    and q of `penetration_depth` (or their logarithms where they
-    underflow), so the interval is None exactly when the depth of the
-    full geodesic is negative.
-    """
-    p, q, logs = _pq(g, h)
-    if logs is not None:
-        lp, lq = logs
-        if lp + lq > 0:
-            return None
-        lw = math.log(1 + math.sqrt(-math.expm1(lp + lq)))
-        return (lq - lw, lw - lp)
-    disc = 1 - p * q
-    if disc < 0:
-        return None
-    w = 1 + math.sqrt(disc)
-    return (math.log(q / w) if q else -INF, math.log(w / p) if p else INF)
-
-
-# ---------------------------------------------------------------------------
-# the same closed forms as float passes over a family's columns, for the
-# filters in front of the scalar forms: each returns its values in family
-# order with a bound on their distance from the scalar values, computed
-# as widen(magnitude); a NaN or infinite bound means "decide exactly"
+# numpy passes over a family's columns (packings.Columns), in family order;
+# the scalar penetration forms are one-row passes
 
 
 def _by_member(cols, tangent_values, infinity_values):
@@ -415,7 +282,8 @@ def sq_norms(rows):
 
 def point_to_horoball_dists(p: Point, cols) -> tuple:
     """point_to_horoball_dist from p to every member of the family whose
-    columns (packings.Columns) are cols, with its error bound."""
+    columns are cols, with a bound on their distance from the scalar
+    values (widen of their magnitude), for the filter in front of it."""
     import numpy as np
     hp = float(p.height)
     with np.errstate(all="ignore"):
@@ -425,34 +293,122 @@ def point_to_horoball_dists(p: Point, cols) -> tuple:
     return dist, widen(1 + abs(dist))
 
 
-def penetration_depths(g: Geodesic, cols) -> tuple:
-    """penetration_depth of g into every member of the family whose
-    columns (packings.Columns) are cols, with its error bound."""
+#: log 2, for the depth form in logarithms
+_LN2 = math.log(2)
+#: the least normal float: a square or ratio below it keeps fewer bits
+_TINY = sys.float_info.min
+
+
+def _ratios(g: Geodesic, cols) -> tuple:
+    """(p, q, lp, lq, direct) of g against every member of the family
+    whose columns are cols, with numpy's float warnings off: the depth of
+    g(t) in a member is log(c / (P e^t + Q e^-t)), p = 2P/c, q = 2Q/c,
+    and lp, lq are their logarithms.  (P, Q, c) is (1, |foot - x|^2, 2r)
+    for a vertical line and (|b - x|^2, |a - x|^2, 4 r rho) for an arc
+    from a to b of half-width rho against a tangent member at x of radius
+    r, and (0, H, 1) and (H, H, 2 rho) against the member at infinity of
+    height H, so P = 0 or Q = 0 says exactly that an end is the base, and
+    P Q never cancels.  direct marks the rows where c, P, Q, p and q are
+    normal, or P and p (Q and q) are 0 with the end at the base; on the
+    rest lp and lq come from the distances rather than their squares, so
+    that nothing underflows or overflows, and p and q are not to be read.
+    """
     import numpy as np
-    x = cols.base
-    if isinstance(g, VerticalGeodesic):
+    x, vertical = cols.base, isinstance(g, VerticalGeodesic)
+    width = len(g.foot if vertical else g.a)
+    if len(cols.tangent) and x.shape[1] != width:
+        raise ValueError(f"dimension mismatch: {width} vs {x.shape[1]}")
+    if vertical:
         P = _by_member(cols, 1.0, 0.0)
         Q = _by_member(cols, sq_norms(x - _flv(g.foot)), cols.height)
         c = _by_member(cols, 2 * cols.radius, 1.0)
     else:
-        P = _by_member(cols, sq_norms(x - _flv(g.b)), cols.height)
-        Q = _by_member(cols, sq_norms(x - _flv(g.a)), cols.height)
+        P, Q = (_by_member(cols, sq_norms(x - _flv(end)), cols.height) for end in (g.b, g.a))
         c = _by_member(cols, 4 * cols.radius * g.rho, 2 * g.rho)
+    p, q = 2 * P / c, 2 * Q / c
+    lp, lq = np.log(p), np.log(q)
+    ranged, P_min, Q_min = (c >= _TINY) & (p + q < INF), np.minimum(P, p), np.minimum(Q, q)
+    direct = ranged & (P_min >= _TINY) & (Q_min >= _TINY)
+    rest = np.flatnonzero(~direct)
+    if not rest.size:
+        return p, q, lp, lq, direct
+    # (log P, log Q, log c) on the rest, from the distances
+    t, i = ~direct[cols.tangent], ~direct[cols.infinity]
+    lh = np.log(cols.height[i])
+    log_sq = [2 * np.log(np.hypot.reduce(abs(x[t] - _flv(end)), axis=1))
+              for end in ((g.foot,) if vertical else (g.b, g.a))]
+    if vertical:
+        tangent, infinity = (0.0, *log_sq, np.log(2 * cols.radius[t])), (-INF, lh, 0.0)
+    else:
+        lc = 2 * _LN2 + np.log(cols.radius[t]) + math.log(g.rho)
+        tangent, infinity = (*log_sq, lc), (lh, lh, math.log(2 * g.rho))
+    logs = np.empty((3, len(c)))
+    for k in range(3):
+        logs[k, cols.tangent[t]], logs[k, cols.infinity[i]] = tangent[k], infinity[k]
+    log_p, log_q = _LN2 + logs[:2, rest] - logs[2, rest]
+    # log 0 = -inf exactly at a base, where p = 0 or q = 0 reads directly
+    back = (ranged[rest] & ((P_min[rest] >= _TINY) | (log_p == -INF))
+            & ((Q_min[rest] >= _TINY) | (log_q == -INF)))
+    lp[rest[~back]], lq[rest[~back]] = log_p[~back], log_q[~back]
+    direct[rest[back]] = True
+    return p, q, lp, lq, direct
+
+
+def penetrations(g: Geodesic, cols) -> tuple:
+    """(depths, lower ends, upper ends): penetration_depth and
+    penetration_interval of g into every member of the family whose
+    columns are cols, the ends NaN where the full geodesic stays outside.
+    The depth -log((p e^t + q e^-t) / 2) is concave with its peak
+    -log(pq) / 2 at t* = log(q / p) / 2 (in lp and lq where p q or q / p
+    leaves the float range, and off the direct rows); the restricted
+    maximum, at t* clamped to g.param_range, d away, is the peak minus
+    log cosh(d) = d + log((1 + e^-2d) / 2), finite at every finite d.
+    With x = e^t the interval solves P x^2 - c x + Q <= 0; its ends, the
+    roots 2Q / w and w / 2P, w = c + sqrt(c^2 - 4PQ), divided through by
+    c, carry no cancellation, and it is empty exactly where the full
+    geodesic's depth is negative."""
+    import numpy as np
     lo, hi = g.param_range
     with np.errstate(all="ignore"):
-        p, q = 2 * P / c, 2 * Q / c
-        # in logarithms where p q or q / p underflows or overflows, as
-        # penetration_depth
-        direct = (0 < p * q) & (p * q < INF) & (0 < q / p) & (q / p < INF)
-        tstar = np.where(direct, np.log(q / p) / 2, (np.log(q) - np.log(p)) / 2)
-        peak = np.where(direct, -np.log(p * q) / 2, -(np.log(p) + np.log(q)) / 2)
-        t = np.clip(tstar, lo, hi)
-        d = abs(t - tstar)
+        p, q, lp, lq, direct = _ratios(g, cols)
+        pq, ratio = p * q, q / p
+        fast = direct & (np.minimum(pq, ratio) > 0) & (np.maximum(pq, ratio) < INF)
+        tstar = np.where(fast, np.log(ratio), lq - lp) / 2
+        peak = -np.where(fast, np.log(pq), lp + lq) / 2
+        d = abs(np.clip(tstar, lo, hi) - tstar)
         depth = peak - d - np.log1p(np.expm1(-2 * d) / 2)
-        # monotone where an end is the base; the bound is then infinite
-        depth = np.where(p == 0, np.log(2 / q) + hi, depth)
-        depth = np.where((q == 0) & (p != 0), np.log(2 / p) - lo, depth)
-        return depth, widen(1 + abs(np.log(p)) + abs(np.log(q)) + abs(t))
+        # monotone where an end is the base: rising where p = 0, falling where q = 0
+        depth = np.where(lp == -INF, _LN2 - lq + hi, depth)
+        depth = np.where(lq == -INF, _LN2 - lp - lo, depth)
+        w = 1 + np.sqrt(np.where(direct, 1 - pq, -np.expm1(lp + lq)))
+        lw = np.log(w)
+        return (depth, np.where(direct, np.log(q / w), lq - lw),
+                np.where(direct, np.log(w / p), lw - lp))
+
+
+def _one_row(h: Horoball):
+    """The columns of the family {h}, without building it."""
+    import numpy as np
+
+    from .packings import Columns
+    if isinstance(h, AtInfinityHoroball):
+        return Columns(np.arange(0), np.empty((0, 1)), np.empty(0), np.arange(1),
+                       np.array([float(h.height)]), False)
+    return Columns(np.arange(1), np.array([_flv(h.base)]), np.array([float(h.radius)]),
+                   np.arange(0), np.empty(0), False)
+
+
+def penetration_depth(g: Geodesic, h: Horoball) -> float:
+    """Signed hyperbolic depth of the deepest point of g inside h,
+    restricted to g.param_range; <= 0 means g avoids the open horoball."""
+    return float(penetrations(g, _one_row(h))[0][0])
+
+
+def penetration_interval(g: Geodesic, h: Horoball) -> Optional[tuple]:
+    """Closed parameter interval on which the full geodesic lies in h,
+    or None when it stays outside; not intersected with g.param_range."""
+    _, lo, hi = (float(e[0]) for e in penetrations(g, _one_row(h)))
+    return None if math.isnan(lo) else (lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +449,7 @@ def param_of(g: Geodesic, p: Point) -> float:
     end."""
     base, h = _flv(p.base), float(p.height)
     if isinstance(g, VerticalGeodesic):
-        if vnorm(vsub(base, _flv(g.foot))) > _ON_GEODESIC * h:
+        if math.hypot(*vsub(base, _flv(g.foot))) > _ON_GEODESIC * h:
             raise ValueError("point not on the vertical geodesic")
         return math.log(h)
     a, b = _flv(g.a), _flv(g.b)
@@ -504,7 +460,7 @@ def param_of(g: Geodesic, p: Point) -> float:
     # two vectors of length about 1 / |b - a| and cancels
     d, n, far = (da, na, vsub(b, a)) if na <= nb else (db, nb, vsub(a, b))
     gap = vsub(vscale(d, 1 / n), vscale(far, 1 / vnorm2(far)))
-    if vnorm(gap) > _ON_GEODESIC * h / n:
+    if math.hypot(*gap) > _ON_GEODESIC * h / n:
         raise ValueError("point not on the arc")
     return t
 

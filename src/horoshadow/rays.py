@@ -31,8 +31,7 @@ from .halfspace import (
     invert_horoball,
     param_of,
     penetration_depth,
-    penetration_depths,
-    penetration_interval,
+    penetrations,
     point_to_horoball_dist,
     point_to_horoball_dists,
     vadd,
@@ -40,7 +39,7 @@ from .halfspace import (
     vscale,
     vsub,
 )
-from .numeric import DEFAULT_TOL, CertificateError, min_candidates, widen
+from .numeric import DEFAULT_TOL, CertificateError, min_candidates
 from .packings import HoroballFamily, Ratios
 from .sharp2d import Side, solve_2d
 from .sharpnd import solve_hnr
@@ -68,22 +67,13 @@ class AvoidanceReport:
 
 def verify_avoidance(g: Geodesic, fam: HoroballFamily, t: float,
                      tol: float = DEFAULT_TOL) -> AvoidanceReport:
-    """Depths of g into the family shrunk by t: shrinking a horoball by t
-    lowers every depth into it by exactly t.
-
-    One float pass (penetration_depths) gives every depth; the members
-    whose depth may be the largest (min_candidates) get the scalar
-    penetration_depth, which alone decides ok and margin."""
+    """Depths of g into the family shrunk by t: the depths of one numpy
+    pass (penetrations) minus t, since shrinking by t lowers each by t."""
     if not 0 <= t < INF:
         raise ValueError("shrink time must be finite and nonnegative")
-    approx, err = penetration_depths(g, fam.columns)
-    approx = approx - t
-    values = approx.tolist()
-    worst = -INF
-    for i in min_candidates(-approx, err + widen(t)).tolist():
-        values[i] = penetration_depth(g, fam.horoballs[i]) - t
-        worst = max(worst, values[i])
-    return AvoidanceReport(g, list(enumerate(values)), worst <= tol, -worst)
+    depths = penetrations(g, fam.columns)[0] - t
+    worst = float(depths.max(initial=-INF))
+    return AvoidanceReport(g, list(enumerate(depths.tolist())), worst <= tol, -worst)
 
 
 @dataclass
@@ -106,24 +96,17 @@ def _first_hit_after(g: Geodesic, t_x: float, forward: bool,
                      fam: HoroballFamily, skip: int,
                      tol: float) -> Optional[int]:
     """Index of the first horoball the sub-ray of g starting at t_x
-    (toward +inf when forward) penetrates beyond depth tol, or None;
-    the scalar depth runs on the members a float pass may put beyond
-    tol."""
+    (toward +inf when forward) penetrates beyond depth tol, or None: of
+    those whose interval on g is not empty, the one g enters first past
+    t_x, the lowest index on ties."""
     import numpy as np
     ray = g.restricted(t_x, INF) if forward else g.restricted(-INF, t_x)
-    approx, err = penetration_depths(ray, fam.columns)
-    best = None
-    for i in np.flatnonzero(~(approx + err <= tol)).tolist():
-        h = fam.horoballs[i]
-        if i == skip or penetration_depth(ray, h) <= tol:
-            continue
-        span = penetration_interval(g, h)
-        if span is None:
-            continue
-        entry = max(span[0] - t_x, 0) if forward else max(t_x - span[1], 0)
-        if best is None or entry < best[1]:
-            best = (i, entry)
-    return None if best is None else best[0]
+    depth, lo, hi = penetrations(ray, fam.columns)
+    hit = np.flatnonzero(~(depth <= tol) & ~np.isnan(lo) & (np.arange(len(lo)) != skip))
+    if not hit.size:
+        return None
+    entry = np.maximum(lo[hit] - t_x, 0) if forward else np.maximum(t_x - hi[hit], 0)
+    return int(hit[np.argmin(entry)])
 
 
 def _nearest(fam: HoroballFamily, x: Point, tol: float) -> int:

@@ -255,7 +255,8 @@ def _busemann_at(tree: MetricTree, ends, x: TreePoint):
 def validate_tree_horoballs(tree: MetricTree,
                             balls: list[TreeHoroball],
                             tol: float = DEFAULT_TOL) -> list[tuple[int, int]]:
-    """Pairs of horoballs whose open horoballs overlap.
+    """Pairs of horoballs whose open horoballs overlap beyond tol times
+    the longest edge (relative, so the verdict scales with the tree).
 
     Two horoballs at ends w, w' with levels l, l' have disjoint open
     horoballs iff l + l' >= 2 * depth(meet of the two rays), the maximum
@@ -268,7 +269,7 @@ def validate_tree_horoballs(tree: MetricTree,
     for i, b in enumerate(balls[:-1]):
         later = ends[i + 1:]
         meet = _meet_depths(tree, b.end, later)
-        hit = (later == ends[i]) | (levels[i] + levels[i + 1:] < 2 * meet - tol)
+        hit = (later == ends[i]) | (levels[i] + levels[i + 1:] < 2 * meet - tol * tree.ell_max)
         bad += [(i, i + 1 + j) for j in np.flatnonzero(hit).tolist()]
     return bad
 

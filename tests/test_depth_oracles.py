@@ -1,7 +1,8 @@
 """Differential tests of the factored depth kernel of `halfspace` against
-the three closed-form case splits it replaced, which are kept here as
-oracles, and against an exact rational predicate where the old arc form
-cancelled.
+the three closed-form case splits it replaced and against the scalar
+forms of the factored kernel that stood beside its column pass, both kept
+here as oracles, and against an exact rational predicate where the old
+arc form cancelled.
 
 The kernel writes the depth of g(t) in h as log(c / (P e^t + Q e^-t));
 for an arc against a tangent horoball of radius r at x, P = |b - x|^2,
@@ -12,6 +13,7 @@ float inputs themselves.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -184,6 +186,143 @@ def old_first_hit_after(g, t_x, forward, fam, skip, tol,
 
 
 # ---------------------------------------------------------------------------
+# oracles: the scalar depth and interval that stood beside the column pass
+# until it became the one kernel, verbatim up to names
+
+
+def _depth_form(g, h):
+    """Floats (P, Q, c) with the depth of g(t) in h equal to
+    log(c / (P e^t + Q e^-t)) at every parameter t.
+
+    For an arc P and Q are the squared distances from the base of h to
+    the ends b and a, so P = 0 or Q = 0 says exactly that an end is the
+    base, and P*Q never cancels.
+    """
+    if isinstance(g, VerticalGeodesic):
+        if isinstance(h, AtInfinityHoroball):
+            return 0.0, float(h.height), 1.0
+        return 1.0, vnorm2(vsub(_flv(g.foot), _flv(h.base))), 2 * float(h.radius)
+    if isinstance(h, AtInfinityHoroball):
+        height = float(h.height)
+        return height, height, 2 * g.rho
+    x = _flv(h.base)
+    return (vnorm2(vsub(_flv(g.b), x)), vnorm2(vsub(_flv(g.a), x)),
+            4 * float(h.radius) * g.rho)
+
+
+#: log 2, for the depth form in logarithms
+_LN2 = math.log(2)
+
+
+def _log_pq(g, h):
+    """(log p, log q) of scalar_penetration_depth, from the distances rather than
+    their squares, so that nothing underflows; log 0 = -inf exactly
+    where an end is the base."""
+    def log_sq(v):
+        n = math.hypot(*v)
+        return 2 * math.log(n) if n else -INF
+
+    if isinstance(g, VerticalGeodesic):
+        if isinstance(h, AtInfinityHoroball):
+            return -INF, math.log(2 * float(h.height))
+        lP, lQ = 0.0, log_sq(vsub(_flv(g.foot), _flv(h.base)))
+        lc = math.log(2 * float(h.radius))
+    elif isinstance(h, AtInfinityHoroball):
+        lP = lQ = math.log(float(h.height))
+        lc = math.log(2 * g.rho)
+    else:
+        x = _flv(h.base)
+        lP, lQ = log_sq(vsub(_flv(g.b), x)), log_sq(vsub(_flv(g.a), x))
+        lc = 2 * _LN2 + math.log(float(h.radius)) + math.log(g.rho)
+    return _LN2 + lP - lc, _LN2 + lQ - lc
+
+
+def _pq(g, h):
+    """(p, q, None) with p = 2P/c and q = 2Q/c of _depth_form, or (None,
+    None, (log p, log q)) where c underflows to 0, where p or q
+    overflows, or where p or q underflows while its end is not the base
+    (where an end is the base and the other
+    ratio is nonzero, the monotone reading of p = 0 or q = 0 holds)."""
+    P, Q, c = _depth_form(g, h)
+    if c != 0:
+        p, q = 2 * P / c, 2 * Q / c
+        if p != 0 and q != 0 and p + q < INF:
+            return p, q, None
+    logs = _log_pq(g, h)
+    if (c != 0 and p + q < INF and ((p == 0) == (logs[0] == -INF))
+            and ((q == 0) == (logs[1] == -INF))):
+        return p, q, None
+    return None, None, logs
+
+
+def scalar_penetration_depth(g, h):
+    """Signed hyperbolic depth of the deepest point of g inside h,
+    restricted to g.param_range; <= 0 means g avoids the open horoball.
+
+    With p = 2P/c and q = 2Q/c the depth is -log((p e^t + q e^-t) / 2),
+    concave with its peak -log(pq) / 2 at t* = log(q / p) / 2.  The
+    restricted maximum sits at t* clamped to the parameter interval, d
+    away from t*, and is the peak minus log cosh(d) = d + log((1 + e^-2d)
+    / 2), finite at every finite d.  For an arc p and q are ratios, so
+    dilating by a power of two leaves every bit of the result unchanged.
+    Where c, p or q underflows the same runs on log p and log q (_pq).
+    """
+    p, q, logs = _pq(g, h)
+    lo, hi = g.param_range
+    rising, falling = (p == 0, q == 0) if logs is None else (logs[0] == -INF, logs[1] == -INF)
+    if rising or falling:
+        # monotone: rising toward +inf when p = 0, toward -inf when q = 0
+        t = hi if rising else lo
+        if math.isinf(t):
+            return INF if (t > 0) == rising else -INF
+        end = math.log(2 / (p or q)) if logs is None else _LN2 - max(logs)
+        return end + (t if rising else -t)
+    if logs is not None:
+        tstar, peak = (logs[1] - logs[0]) / 2, -(logs[0] + logs[1]) / 2
+    elif 0 < p * q < INF and 0 < q / p < INF:
+        tstar, peak = math.log(q / p) / 2, -math.log(p * q) / 2
+    else:
+        # p q or q / p underflows or overflows: the same in logarithms
+        tstar, peak = (math.log(q) - math.log(p)) / 2, -(math.log(p) + math.log(q)) / 2
+    d = abs(min(max(tstar, lo), hi) - tstar)
+    return peak - d - math.log1p(math.expm1(-2 * d) / 2)
+
+
+def scalar_penetration_interval(g, h):
+    """Closed parameter interval on which the full geodesic lies in h,
+    or None when it stays outside; not intersected with g.param_range.
+
+    With x = e^t the interval is P x^2 - c x + Q <= 0, whose roots
+    2Q / w and w / 2P, w = c + sqrt(c^2 - 4PQ), carry no cancellation;
+    they are taken divided through by c, as q / w' and w' / p with the p
+    and q of `scalar_penetration_depth` (or their logarithms where they
+    underflow), so the interval is None exactly when the depth of the
+    full geodesic is negative.
+    """
+    p, q, logs = _pq(g, h)
+    if logs is not None:
+        lp, lq = logs
+        if lp + lq > 0:
+            return None
+        lw = math.log(1 + math.sqrt(-math.expm1(lp + lq)))
+        return (lq - lw, lw - lp)
+    disc = 1 - p * q
+    if disc < 0:
+        return None
+    w = 1 + math.sqrt(disc)
+    return (math.log(q / w) if q else -INF, math.log(w / p) if p else INF)
+
+
+def scalar_reads_subnormal(g, h):
+    """Whether scalar_penetration_depth reads a square or ratio below the
+    least normal float (not 0) directly, keeping fewer bits than the
+    column pass, which takes that row in logarithms."""
+    P, Q, c = _depth_form(g, h)
+    values = (P, Q, c) + ((2 * P / c, 2 * Q / c) if c else ())
+    return any(0 < v < sys.float_info.min for v in values)
+
+
+# ---------------------------------------------------------------------------
 # draws
 
 
@@ -270,6 +409,11 @@ def near_tangent_sample(rnd):
 
 def agree(x, y, tol=1e-9):
     return x == y or abs(x - y) <= tol
+
+
+def near(x, y, rel):
+    """x equals y, or both are finite and x is within rel max(1, |y|)."""
+    return x == y or math.isfinite(y) and abs(x - y) <= rel * max(1, abs(y))
 
 
 #: the two cancellation repros: entered though the old form reports a
@@ -507,6 +651,35 @@ class TestFarParameters:
         rep = verify_avoidance(g, fam, 0.0)
         assert not rep.ok and rep.max_depths[0] == (0, INF)
 
+    def test_end_beside_the_base_keeps_every_bit(self):
+        # P = b^2 is subnormal: read directly it keeps about 11 bits
+        # (367.73374), taken from the distance all of them
+        b = 9.867e-161
+        depth = penetration_depth(ArcGeodesic((1.0,), (b,)), TangentHoroball((0,), 0.5))
+        assert depth == pytest.approx(-math.log(b) - math.log(2), rel=1e-12)
+        assert depth == pytest.approx(367.7338569, abs=1e-7)
+
+    def test_arc_beyond_the_square_range(self):
+        # |b - a| > 1.34e154, where the square of the gap overflowed: rho
+        # read +inf, so the arc reported depth +inf and the interval
+        # (-inf, inf) against a member it avoids, and raised
+        # ZeroDivisionError restricted to (-3, -2) against the member at
+        # infinity; the exact dilation by 2^-600 is the reference
+        g = ArcGeodesic((-1e200,), (0.5,))
+        h = TangentHoroball((0.0,), 0.25)
+        g2, h2 = dilate(g, h, -600)
+        rep = verify_avoidance(g, HoroballFamily(2, [h]), 0.0)
+        assert rep.ok and rep.max_depths[0][1] == pytest.approx(
+            penetration_depth(g2, h2), rel=1e-12)
+        assert rep.max_depths[0][1] == pytest.approx(-math.log(2), abs=1e-12)
+        assert penetration_interval(g, h) is None and penetration_interval(g2, h2) is None
+        part, top = g.restricted(-3.0, -2.0), AtInfinityHoroball(0.25)
+        part2, top2 = dilate(part, top, -600)
+        depth, span = penetration_depth(part, top), penetration_interval(part, top)
+        assert depth == pytest.approx(penetration_depth(part2, top2), rel=1e-12)
+        assert depth == pytest.approx(459.885163, abs=1e-6)
+        assert span == pytest.approx(penetration_interval(part2, top2), rel=1e-12)
+
     @staticmethod
     def arc_reference(g, h):
         """(depth, interval) of the full arc g in the tangent h, in mpmath:
@@ -614,6 +787,30 @@ class TestIsometries:
         if span is not None:
             for e, e2 in zip(span, span2):
                 assert agree(e2, e + k * math.log(2), 1e-12 * (1 + abs(k)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(configurations(), st.integers(-1000, 1000))
+    def test_dilation_out_of_the_square_range(self, case, k):
+        # by 2^k with |k| up to 1000 the squares, products and ratios of
+        # the direct form leave the float range (c underflows, p or q
+        # overflows or underflows) and the rows run in logarithms
+        g, h = case
+        g2, h2 = dilate(g, h, k)
+        scaled = (g2.foot if isinstance(g2, VerticalGeodesic) else g2.a + g2.b) + (
+            h2.base + (h2.radius,) if isinstance(h2, TangentHoroball) else (h2.height,))
+        assume(all(v == 0 or sys.float_info.min <= abs(v) < INF for v in scaled))
+        shift = k * math.log(2) if isinstance(g, VerticalGeodesic) else 0.0
+        if isinstance(g2, VerticalGeodesic):
+            # a vertical line's parameter shifts by k log 2
+            g2 = VerticalGeodesic(g2.foot, tuple(e + shift for e in g.param_range))
+        assert near(penetration_depth(g2, h2), penetration_depth(g, h), 1e-12)
+        if abs(old_full_line_peak(g, h)[1]) < 1e-3:
+            return  # the interval ends are ill-conditioned near tangency
+        span, span2 = penetration_interval(g, h), penetration_interval(g2, h2)
+        assert (span is None) == (span2 is None)
+        if span is not None:
+            for e, e2 in zip(span, span2):
+                assert near(e2, e + shift, 1e-9)
 
     @pytest.mark.parametrize("k", [-500, -300, 300, 500])
     def test_far_scales(self, k):

@@ -2,7 +2,9 @@
 predicates against the per-member loops they replaced, which are kept
 here as oracles: the scan that stepped every member, the certificates
 over every margin, verify_avoidance, _first_hit_after, and the nearest
-horoball search and the inversion of ray_from_point.
+horoball search and the inversion of ray_from_point; and of the depth
+and interval pass, which no filter guards, against the scalar forms it
+replaced (test_depth_oracles).
 
 Each filter is also tested on its own, on draws at its bound: it may
 keep a member the scalar test drops, never the other way round.  Draws
@@ -29,8 +31,8 @@ from horoshadow.halfspace import (
     invert_horoball,
     param_of,
     penetration_depth,
-    penetration_depths,
     penetration_interval,
+    penetrations,
     point_to_horoball_dist,
     point_to_horoball_dists,
 )
@@ -45,6 +47,12 @@ from horoshadow.sharp2d import (
     solve_2d,
 )
 from horoshadow.sharpnd import AnnulusBall, solve_hnr, step_hnr
+from test_depth_oracles import (
+    near,
+    scalar_penetration_depth,
+    scalar_penetration_interval,
+    scalar_reads_subnormal,
+)
 
 # ---------------------------------------------------------------------------
 # oracles: the per-member loops before the filters, verbatim up to names
@@ -410,20 +418,25 @@ class TestDepthPasses:
     @given(st.sampled_from(sorted(RAY_FAMILIES)), st.data(),
            st.sampled_from([1.0, 2.0 ** 60, 2.0 ** -60, 1e12, 1e-12]))
     def test_bounds_hold(self, name, data, k):
+        # the depth and interval pass against the scalar forms it replaced:
+        # equal, or within 1e-15 max(1, |value|) (numpy's log1p and expm1
+        # differ from math's in the last bit), with the same infinities
+        # and empty intervals, except where the scalar form reads a
+        # subnormal value; the distance pass within its bound
         fam = RAY_FAMILIES[name]
         if k != 1.0:
             fam = scaled(as_floats(fam), k)
         g = data.draw(geodesics(fam.dim - 1, k))
-        approx, err = penetration_depths(g, fam.columns)
+        depths, lo, hi = penetrations(g, fam.columns)
         for i, h in enumerate(fam.horoballs):
-            got = outcome(penetration_depth, g, h)
-            if got[0] == "raised":
-                # where p q underflows the scalar form fails, and the pass
-                # reads +inf (or NaN), so every filter leaves the member to it
-                assert not approx[i] < INF
+            got = outcome(scalar_penetration_depth, g, h)
+            if got[0] == "raised" or scalar_reads_subnormal(g, h):
                 continue
-            want = got[1]
-            assert approx[i] == want or not err[i] < INF or abs(approx[i] - want) <= err[i]
+            assert near(depths[i], got[1], 1e-15)
+            span = scalar_penetration_interval(g, h)
+            assert (span is None) == math.isnan(lo[i]) == math.isnan(hi[i])
+            if span is not None:
+                assert near(lo[i], span[0], 1e-15) and near(hi[i], span[1], 1e-15)
         x = Point(tuple(k * data.draw(st.floats(0, 1)) for _ in range(fam.dim - 1)),
                   k * data.draw(st.floats(0.01, 3)))
         approx, err = point_to_horoball_dists(x, fam.columns)

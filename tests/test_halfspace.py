@@ -198,12 +198,20 @@ class TestPenetration:
         assert penetration_depth(ArcGeodesic(0.0, 1.0), TangentHoroball(0.0, 0.3)) == math.inf
 
     def test_end_just_beside_the_base(self):
-        # p = 2P/c is subnormal and q / p overflows; the depth is still the
-        # peak -log(p q) / 2 = -log b - log 2, to the precision of a
-        # subnormal P = b^2, not NaN
+        # P = b^2 and p = 2P/c are subnormal and q / p overflows; the depth
+        # is still the peak -log(p q) / 2 = -log b - log 2, taken in
+        # logarithms to full precision, not NaN
         b = 9.867184587122407e-161
         depth = penetration_depth(ArcGeodesic(1.0, b), TangentHoroball(0.0, 0.5))
-        assert depth == pytest.approx(-math.log(b) - math.log(2), rel=1e-6)
+        assert depth == pytest.approx(-math.log(b) - math.log(2), rel=1e-12)
+
+    def test_dimension_mismatch_rejected(self):
+        # a planar member against a geodesic of H^3, as a geodesic read
+        # from outside may be: numpy would broadcast the base silently
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            penetration_depth(ArcGeodesic((0.1, 0.2), (0.7, 0.1)), TangentHoroball(0.5, 0.25))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            penetration_interval(VerticalGeodesic((0.1, 0.2)), TangentHoroball(0.5, 0.25))
 
     def test_degenerate_arc_rejected(self):
         with pytest.raises(ValueError):
