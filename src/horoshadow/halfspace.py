@@ -25,6 +25,10 @@ from .numeric import widen
 
 Vector = tuple
 INF = float("inf")
+#: log 2, for the forms in logarithms
+_LN2 = math.log(2)
+#: the least normal float: a square or ratio below it keeps fewer bits
+_TINY = sys.float_info.min
 
 # ---------------------------------------------------------------------------
 # small vector helpers on plain tuples (Fraction-friendly)
@@ -202,11 +206,19 @@ def _flv(v: Vector) -> tuple:
 def hyperbolic_dist(p: Point, q: Point) -> float:
     """Hyperbolic distance arccosh(1 + (|db|^2 + dh^2) / (2 h_p h_q)),
     evaluated as 2 arsinh(sqrt(|db|^2 + dh^2) / (2 sqrt(h_p h_q))), which
-    does not cancel between nearby points."""
-    db2 = vnorm2(vsub(_flv(p.base), _flv(q.base)))
+    does not cancel between nearby points.  Where the square or the
+    product leaves the normal range, the hypot of (db, dh) over
+    2 sqrt(h_p) sqrt(h_q), and arsinh x = log 2x where that overflows."""
+    d = vsub(_flv(p.base), _flv(q.base))
     hp, hq = float(p.height), float(q.height)
     dh = hp - hq
-    return 2 * math.asinh(math.sqrt(db2 + dh * dh) / (2 * math.sqrt(hp * hq)))
+    s2, pq = vnorm2(d) + dh * dh, hp * hq
+    if _TINY <= pq < INF and (_TINY <= s2 < INF or s2 == 0):
+        return 2 * math.asinh(math.sqrt(s2) / (2 * math.sqrt(pq)))
+    norm = math.hypot(*d, dh)
+    if (x := norm / (2 * math.sqrt(hp) * math.sqrt(hq))) < INF:
+        return 2 * math.asinh(x)
+    return 2 * math.log(norm) - math.log(hp) - math.log(hq)
 
 
 def dist_alg_horoballs(h1: Horoball, h2: Horoball) -> float:
@@ -253,12 +265,20 @@ def busemann_height(p: Point) -> float:
 
 
 def point_to_horoball_dist(p: Point, h: Horoball) -> float:
-    """Signed hyperbolic distance to the horosphere; negative inside."""
+    """Signed hyperbolic distance to the horosphere; negative inside:
+    log(H / h) from a point at height h to the horoball at infinity of
+    height H, and -log(2 r h / (u^2 + h^2)) to a tangent horoball of
+    radius r whose base is u away.  Where u^2 + h^2, 2 r h or the ratio
+    leaves the normal range, a one-row point_to_horoball_dists."""
     hp = float(p.height)
     if isinstance(h, AtInfinityHoroball):
-        return math.log(float(h.height) / hp)
-    u2 = vnorm2(vsub(_flv(p.base), _flv(h.base)))
-    return -math.log(2 * float(h.radius) * hp / (u2 + hp * hp))
+        if _TINY <= (over := float(h.height) / hp) < INF:
+            return math.log(over)
+    else:
+        n, m = vnorm2(vsub(_flv(p.base), _flv(h.base))) + hp * hp, 2 * float(h.radius) * hp
+        if n >= _TINY and m >= _TINY and _TINY <= (ratio := m / n) < INF:
+            return -math.log(ratio)
+    return float(point_to_horoball_dists(p, _one_row(h))[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +303,29 @@ def sq_norms(rows):
 def point_to_horoball_dists(p: Point, cols) -> tuple:
     """point_to_horoball_dist from p to every member of the family whose
     columns are cols, with a bound on their distance from the scalar
-    values (widen of their magnitude), for the filter in front of it."""
+    values (widen of the magnitude of their terms), for the filter in
+    front of it.  On the rows where a sum of squares, product or ratio
+    leaves the normal range, the logarithms of the heights, the radius
+    and the hypot of (u, h), which the scalar reads there too."""
     import numpy as np
     hp = float(p.height)
     with np.errstate(all="ignore"):
-        u2 = sq_norms(cols.base - _flv(p.base))
-        dist = _by_member(cols, -np.log(2 * cols.radius * hp / (u2 + hp * hp)),
-                          np.log(cols.height / hp))
-    return dist, widen(1 + abs(dist))
+        d = cols.base - _flv(p.base)
+        n, m = sq_norms(d) + hp * hp, 2 * cols.radius * hp
+        ratio, over = m / n, cols.height / hp
+        dist = _by_member(cols, -np.log(ratio), np.log(over))
+        mag = 1 + abs(dist)
+        t = np.flatnonzero(~((n >= _TINY) & (m >= _TINY) & (ratio >= _TINY) & (ratio < INF)))
+        i = np.flatnonzero(~((over >= _TINY) & (over < INF)))
+        lh = math.log(hp)
+        for rows, terms in (
+                (cols.tangent[t], (2 * np.log(np.hypot(np.hypot.reduce(abs(d[t]), axis=1), hp)),
+                                   -_LN2 - np.log(cols.radius[t]), -lh)),
+                (cols.infinity[i], (np.log(cols.height[i]), -lh))):
+            dist[rows] = sum(terms)
+            mag[rows] = 1 + sum(map(abs, terms))
+    return dist, widen(mag)
 
-
-#: log 2, for the depth form in logarithms
-_LN2 = math.log(2)
-#: the least normal float: a square or ratio below it keeps fewer bits
-_TINY = sys.float_info.min
 
 
 def _ratios(g: Geodesic, cols) -> tuple:
@@ -446,20 +475,28 @@ def param_of(g: Geodesic, p: Point) -> float:
     inversion at the end nearer p (say a) sends g to the vertical line
     over (b - a) / |b - a|^2, and the sinh of the distance from p to it
     is the base gap over the height, without cancellation near either
-    end."""
+    end.  Where one of the squares leaves the normal range, every
+    difference and the height are first dilated by the power of two
+    that brings the largest of them near 1, which is exact and leaves t
+    as it is."""
     base, h = _flv(p.base), float(p.height)
     if isinstance(g, VerticalGeodesic):
         if math.hypot(*vsub(base, _flv(g.foot))) > _ON_GEODESIC * h:
             raise ValueError("point not on the vertical geodesic")
         return math.log(h)
     a, b = _flv(g.a), _flv(g.b)
-    da, db = vsub(base, a), vsub(base, b)
-    na, nb = vnorm2(da) + h * h, vnorm2(db) + h * h
+    da, db, ab = vsub(base, a), vsub(base, b), vsub(b, a)
+    na, nb, nab = vnorm2(da) + h * h, vnorm2(db) + h * h, vnorm2(ab)
+    if not (_TINY <= min(na, nb, nab) and max(na, nb, nab) < INF):
+        k = -math.frexp(max(map(abs, (*da, *db, *ab, h))))[1]
+        da, db, ab = ([math.ldexp(x, k) for x in v] for v in (da, db, ab))
+        h = math.ldexp(h, k)
+        na, nb, nab = vnorm2(da) + h * h, vnorm2(db) + h * h, vnorm2(ab)
     t = (math.log(na) - math.log(nb)) / 2
     # invert at the nearer end: at the far one the gap is a difference of
     # two vectors of length about 1 / |b - a| and cancels
-    d, n, far = (da, na, vsub(b, a)) if na <= nb else (db, nb, vsub(a, b))
-    gap = vsub(vscale(d, 1 / n), vscale(far, 1 / vnorm2(far)))
+    d, n, far = (da, na, ab) if na <= nb else (db, nb, vscale(ab, -1))
+    gap = vsub(vscale(d, 1 / n), vscale(far, 1 / nab))
     if math.hypot(*gap) > _ON_GEODESIC * h / n:
         raise ValueError("point not on the arc")
     return t

@@ -12,6 +12,7 @@ need structure past a stub fails loudly instead of inventing it.
 
 from __future__ import annotations
 
+import itertools
 import random
 from array import array
 from collections import deque
@@ -74,10 +75,9 @@ class MetricTree:
 
     def __init__(self, edges: list[tuple], stubs, root: Optional[int] = None):
         """One breadth-first search from the root gives the rooted
-        structure, kept as TreeColumns (`_cols`), with `_pos` mapping
-        each vertex to its position in them, and, for scalar code, the
-        parent and depth of each vertex as dicts.  w lies in the subtree
-        of v (v is w or an ancestor of it) iff tin[v] <= tin[w] < tout[v]."""
+        structure, kept only as TreeColumns (`_cols`), with `_pos` mapping
+        each vertex to its position in them.  w lies in the subtree of v
+        (v is w or an ancestor of it) iff tin[v] <= tin[w] < tout[v]."""
         self.adj: dict[int, dict[int, float]] = {}
         for u, v, length in edges:
             if length <= 0:
@@ -90,33 +90,35 @@ class MetricTree:
         if not self.adj:
             raise ValueError("empty tree")
         self.root = min(self.adj) if root is None else root
-        self._parent: dict[int, Optional[int]] = {}
-        self._depth: dict[int, float] = {}
-        bfs = self._rooted()
-        self._check(bfs[0])
-        self._index(*bfs)
+        if self.root not in self.adj:
+            raise ValueError(f"root {self.root} is not a vertex")
+        stray = self.stubs - self.adj.keys()
+        if stray:
+            raise ValueError(f"stub {min(stray, key=repr)} is not a vertex")
+        self._index(*self._rooted())
         self.ell_max = float(self._cols.length.max())
 
     # -- structure ---------------------------------------------------------
 
-    def _rooted(self) -> tuple[list[int], array, array, array]:
-        """Parents and depths by breadth-first search.  Returns the
-        discovery order and, by position in it, the position of the
-        parent and the range kid0 <= p < kid1 of the children (int64
-        arrays, which hold no int object per entry)."""
-        self._parent[self.root] = None
-        self._depth[self.root] = 0.0
-        order, parent, kid0, kid1 = [self.root], array("q", [-1]), array("q"), array("q")
+    def _rooted(self) -> tuple[list[int], array, array, array, array, array]:
+        """Breadth-first search from the root: fills `_pos`, returns the
+        discovery order and, by position in it, the array columns parent
+        position, edge length, depth, kid0 and kid1 (TreeColumns)."""
+        self._pos = {self.root: 0}
+        order = [self.root]
+        parent, length, depth = array("q", [-1]), array("d", [0.0]), array("d", [0.0])
+        kid0, kid1 = array("q"), array("q")
         for p, u in enumerate(order):
             kid0.append(len(order))
-            for v, length in self.adj[u].items():
-                if v not in self._parent:
-                    self._parent[v] = u
-                    self._depth[v] = self._depth[u] + length
+            for v, edge in self.adj[u].items():
+                if v not in self._pos:
+                    self._pos[v] = len(order)
                     order.append(v)
                     parent.append(p)
+                    length.append(edge)
+                    depth.append(depth[p] + edge)
             kid1.append(len(order))
-        return order, parent, kid0, kid1
+        return order, parent, length, depth, kid0, kid1
 
     def _check(self, order: list[int]):
         if len(order) != len(self.adj):
@@ -131,9 +133,11 @@ class MetricTree:
             elif len(nbrs) < 3:
                 raise ValueError(f"interior vertex {u} has degree {len(nbrs)} < 3")
 
-    def _index(self, order: list[int], parent: array, kid0: array, kid1: array):
-        """TreeColumns from the search, and the position of each vertex."""
+    def _index(self, order: list[int], parent: array, length: array, depth: array,
+               kid0: array, kid1: array):
+        """TreeColumns from the search, after checking that it met a tree."""
         import numpy as np
+        self._check(order)
         n = len(order)
         size = array("q", [1]) * n
         for p in range(n - 1, 0, -1):
@@ -149,18 +153,13 @@ class MetricTree:
             if order[p] not in self.stubs:
                 leftmost[p] = leftmost[min(range(kid0[p], kid1[p]), key=order.__getitem__)]
         self._cols = TreeColumns(
-            np.array(order), np.array(parent),
-            np.fromiter((self.adj[v][self._parent[v]] if p else 0.0
-                         for p, v in enumerate(order)), float, n),
-            np.fromiter((self._depth[v] for v in order), float, n),
+            np.array(order), np.array(parent), np.array(length), np.array(depth),
             np.array(tin), np.array(tin) + np.array(size), np.array(kid0),
             np.array(kid1), np.array(leftmost))
-        self._pos = dict(zip(order, range(n)))
 
-    def _holds(self, v: int, t: int) -> bool:
-        """The subtree of v holds the vertex of preorder index t."""
-        p = self._pos[v]
-        return self._cols.tin.item(p) <= t < self._cols.tout.item(p)
+    def depth(self, vertex: int) -> float:
+        """Distance from the root to vertex."""
+        return self._cols.depth.item(self._pos[vertex])
 
     def _stub_tin(self, stub: int) -> int:
         if stub not in self.stubs:
@@ -168,52 +167,36 @@ class MetricTree:
         return self._cols.tin.item(self._pos[stub])
 
     def _path(self, vertex: int) -> list[int]:
-        """Vertices from the root down to vertex."""
-        path = []
-        v: Optional[int] = vertex
-        while v is not None:
-            path.append(v)
-            v = self._parent[v]
+        """Positions of the vertices from the root down to vertex."""
+        path, p, parent = [], self._pos[vertex], self._cols.parent
+        while p >= 0:
+            path.append(p)
+            p = parent.item(p)
         return path[::-1]
 
-    def _meet_depth(self, vertex: int, stub: int) -> float:
-        """Metric depth of the point where vertex joins the root-stub ray."""
-        t, c = self._stub_tin(stub), self._cols
-        p = self._pos[vertex]
-        while not c.tin.item(p) <= t < c.tout.item(p):
-            p = c.parent.item(p)
-        return c.depth.item(p)
-
-    def busemann_vertex(self, stub: int, vertex: int) -> float:
-        """Busemann value toward the end behind `stub`, zero at the root:
-        2 * depth(meet) - depth(vertex)."""
-        return 2 * self._meet_depth(vertex, stub) - self._depth[vertex]
-
     def next_toward(self, u: int, stub: int) -> int:
-        """Neighbor of u on the path from u toward the stub."""
-        t = self._stub_tin(stub)
-        if self._holds(u, t):
-            # descend: the unique child whose subtree holds the stub
-            for v in self.adj[u]:
-                if v != self._parent[u] and self._holds(v, t):
-                    return v
-            raise ValueError(f"{u} is the stub itself")
-        return self._parent[u]
+        """Neighbor of u on the path from u toward the stub: its parent,
+        unless its subtree holds the stub; then the one child whose
+        subtree does."""
+        t, c, p = self._stub_tin(stub), self._cols, self._pos[u]
+        if not c.tin.item(p) <= t < c.tout.item(p):
+            return c.vertex.item(c.parent.item(p))
+        for k in range(c.kid0.item(p), c.kid1.item(p)):
+            if c.tin.item(k) <= t < c.tout.item(k):
+                return c.vertex.item(k)
+        raise ValueError(f"{u} is the stub itself")
 
 
 def tree_busemann(tree: MetricTree, end: int,
                   x: Union[TreePoint, int]) -> float:
     """Busemann function of the end behind `end`, normalized to vanish at
-    the root; linear with slope +-1 along every edge, so mid-edge values
-    interpolate the endpoint values exactly."""
+    the root: 2 depth(meet) - depth(x) at a vertex, and linear with slope
+    +-1 along every edge, so mid-edge values interpolate the endpoint
+    values exactly.  One row of _busemann_at."""
+    import numpy as np
     if isinstance(x, int):
-        return tree.busemann_vertex(end, x)
-    bu = tree.busemann_vertex(end, x.u)
-    if x.u == x.v or x.offset == 0:
-        return bu
-    bv = tree.busemann_vertex(end, x.v)
-    length = tree.adj[x.u][x.v]
-    return bu + (bv - bu) * (x.offset / length)
+        x = TreePoint.at_vertex(x)
+    return _busemann_at(tree, np.array([tree._stub_tin(end)]), x).item(0)
 
 
 def _ball_columns(tree: MetricTree, balls: list[TreeHoroball]):
@@ -233,16 +216,15 @@ def _meet_depths(tree: MetricTree, vertex: int, ends):
     hold it are a prefix of the path, counted in one pass."""
     import numpy as np
     c = tree._cols
-    path = np.array([tree._pos[v] for v in tree._path(vertex)])
+    path = np.array(tree._path(vertex))
     holds = (c.tin[path, None] <= ends) & (ends < c.tout[path, None])
     return c.depth[path[holds.sum(axis=0) - 1]]
 
 
 def _busemann_at(tree: MetricTree, ends, x: TreePoint):
-    """tree_busemann toward every end (array of stub tins) at x, in the
-    same operations."""
+    """tree_busemann toward every end (array of stub tins) at x."""
     def at(v):
-        return 2 * _meet_depths(tree, v, ends) - tree._depth[v]
+        return 2 * _meet_depths(tree, v, ends) - tree.depth(v)
 
     bu = at(x.u)
     if x.u == x.v or x.offset == 0:
@@ -290,11 +272,12 @@ class GreedyRayResult:
 
 
 def _walk(tree: MetricTree, balls: list[TreeHoroball], cols, x0: TreePoint,
-          start_depth: float, overrides: dict[int, int], tol: float
+          start_depth: float, overrides: dict[int, int], slack: float
           ) -> tuple[TreeWalk, list[tuple[int, list[int]]]]:
     """One greedy walk over balls with columns cols (_ball_columns) from
-    x0, where their largest Busemann excess is start_depth; overrides
-    maps decision index -> forced choice.
+    x0, where their largest Busemann excess is start_depth; it turns off
+    at a vertex deeper than slack inside a ball.  overrides maps decision
+    index -> forced choice.
 
     Returns the walk and the list of decisions (index, alternatives).
     """
@@ -321,12 +304,7 @@ def _walk(tree: MetricTree, balls: list[TreeHoroball], cols, x0: TreePoint,
         cur = choose(sorted((x0.u, x0.v)))
         prev = x0.v if cur == x0.u else x0.u  # never walk back through x0
     path = [cur]
-    steps = 0
-    limit = 2 * len(tree.adj) + 4
-    while True:
-        steps += 1
-        if steps > limit:
-            raise RuntimeError("walk exceeded the edge budget (cycle?)")
+    for _ in range(2 * len(tree.adj) + 4):
         depth_here, inside = _deepest(tree, cols, cur)
         max_depth = max(max_depth, depth_here)
         if cur in tree.stubs:
@@ -336,7 +314,7 @@ def _walk(tree: MetricTree, balls: list[TreeHoroball], cols, x0: TreePoint,
                     f"progress: {path}")
             break
         candidates = [v for v in sorted(tree.adj[cur]) if v != prev]
-        if inside is not None and depth_here > tol:
+        if inside is not None and depth_here > slack:
             away = tree.next_toward(cur, balls[inside].end)
             candidates = [v for v in candidates if v != away]
             detours.append(cur)
@@ -345,6 +323,8 @@ def _walk(tree: MetricTree, balls: list[TreeHoroball], cols, x0: TreePoint,
         nxt = candidates[0] if len(candidates) == 1 else choose(candidates)
         prev, cur = cur, nxt
         path.append(cur)
+    else:
+        raise RuntimeError("walk exceeded the edge budget (cycle?)")
     return TreeWalk(x0, path, max_depth, detours), decisions
 
 
@@ -354,7 +334,7 @@ def _deepest(tree: MetricTree, cols, vertex: int) -> tuple[float, Optional[int]]
     ends, levels = cols
     if not len(levels):
         return float("-inf"), None
-    excess = 2 * _meet_depths(tree, vertex, ends) - tree._depth[vertex] - levels
+    excess = _busemann_at(tree, ends, TreePoint.at_vertex(vertex)) - levels
     who = int(np.argmax(excess))
     best = float(excess[who])
     return best, (who if best > 0 else None)
@@ -380,7 +360,9 @@ def greedy_ray(tree: MetricTree, balls: list[TreeHoroball],
     caps the Busemann excess by the length of the entering edge.  The
     second ray repeats the first until its earliest branching opportunity
     and picks the next admissible edge there.  Ties are broken toward
-    smaller vertex identifiers throughout.
+    smaller vertex identifiers throughout.  "Inside" means deeper than
+    tol times the longest edge, for the start point and the walk alike,
+    so the walks scale with the tree.
     """
     import numpy as np
     if isinstance(x0, int):
@@ -391,15 +373,16 @@ def greedy_ray(tree: MetricTree, balls: list[TreeHoroball],
             raise ValueError(f"open horoballs overlap at pairs {bad}")
     cols = _ball_columns(tree, balls)
     beta0 = _busemann_at(tree, cols[0], x0)
-    if (beta0 > cols[1] + tol).any():
+    slack = tol * tree.ell_max
+    if (beta0 > cols[1] + slack).any():
         raise ValueError("start point lies inside an open horoball")
     start_depth = float(np.max(beta0 - cols[1], initial=float("-inf")))
-    first, decisions = _walk(tree, balls, cols, x0, start_depth, {}, tol)
+    first, decisions = _walk(tree, balls, cols, x0, start_depth, {}, slack)
     second = None
     for idx, alternatives in decisions:
         for alt in alternatives:
             try:
-                cand, _ = _walk(tree, balls, cols, x0, start_depth, {idx: alt}, tol)
+                cand, _ = _walk(tree, balls, cols, x0, start_depth, {idx: alt}, slack)
             except RuntimeError:
                 continue
             if cand.vertices != first.vertices:
@@ -421,19 +404,13 @@ def three_regular_tree(depth: int) -> MetricTree:
     every interior vertex two more, leaves at the given depth are stubs."""
     if depth < 2:
         raise ValueError("need depth at least 2")
-    edges = []
-    stubs = []
-    counter = [0]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0]
+    edges, stubs, ids = [], [], itertools.count(1)
 
     def grow(u: int, d: int, fanout: int):
         if d == depth:
             stubs.append(u)
             return
-        kids = [fresh() for _ in range(fanout)]
+        kids = [next(ids) for _ in range(fanout)]
         for k in kids:
             edges.append((u, k, 1.0))
             grow(k, d + 1, 2)
@@ -518,27 +495,15 @@ def random_tree(seed: int, target_vertices: int = 40) -> MetricTree:
     """Seed-deterministic truncated tree with interior degrees 3 or 4 and
     edge lengths in (0.3, 1]."""
     rng = random.Random(seed)
-    edges = []
-    counter = [0]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0]
-
-    frontier = deque()
-    for _ in range(3):
-        k = fresh()
-        edges.append((0, k, rng.uniform(0.3, 1.0)))
-        frontier.append(k)
-    while counter[0] < target_vertices and frontier:
+    # vertex k > 0 comes with edge k, so the edge count is the last id
+    edges = [(0, k, rng.uniform(0.3, 1.0)) for k in (1, 2, 3)]
+    frontier = deque([1, 2, 3])
+    while len(edges) < target_vertices and frontier:
         u = frontier.popleft()
-        fanout = rng.choice([2, 2, 3])
-        for _ in range(fanout):
-            k = fresh()
-            edges.append((u, k, rng.uniform(0.3, 1.0)))
-            frontier.append(k)
-    stubs = list(frontier)
-    return MetricTree(edges, stubs, root=0)
+        for _ in range(rng.choice([2, 2, 3])):
+            edges.append((u, len(edges) + 1, rng.uniform(0.3, 1.0)))
+            frontier.append(len(edges))
+    return MetricTree(edges, list(frontier), root=0)
 
 
 def random_tree_horoballs(tree: MetricTree, count: int,
@@ -552,15 +517,12 @@ def random_tree_horoballs(tree: MetricTree, count: int,
     """
     rng = random.Random(seed)
     margin = 3 * tree.ell_max
-    stubs = [s for s in sorted(tree.stubs) if tree._depth[s] > margin + 0.2]
-    count = min(count, len(stubs))
-    chosen = rng.sample(stubs, count)
+    stubs = [s for s in sorted(tree.stubs) if tree.depth(s) > margin + 0.2]
     balls = []
-    for s in chosen:
+    for s in rng.sample(stubs, min(count, len(stubs))):
         for _ in range(50):
-            level = rng.uniform(0.1, tree._depth[s] - margin)
-            cand = balls + [TreeHoroball(s, level)]
-            if not validate_tree_horoballs(tree, cand):
-                balls.append(TreeHoroball(s, level))
+            ball = TreeHoroball(s, rng.uniform(0.1, tree.depth(s) - margin))
+            if not validate_tree_horoballs(tree, balls + [ball]):
+                balls.append(ball)
                 break
     return balls

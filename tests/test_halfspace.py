@@ -23,9 +23,12 @@ from horoshadow.halfspace import (
     penetration_depth,
     penetration_interval,
     point_to_horoball_dist,
+    point_to_horoball_dists,
     scale_horoball,
     shrink,
 )
+from horoshadow.packings import HoroballFamily
+from horoshadow.rays import _nearest
 
 coord = st.floats(min_value=-5, max_value=5, allow_nan=False)
 height = st.floats(min_value=0.01, max_value=5, allow_nan=False)
@@ -314,3 +317,95 @@ class TestInversion:
         x, p = (1.7,), (0.4,)
         twice = invert_boundary(invert_boundary(x, p), (0.0,))
         assert twice[0] + p[0] == pytest.approx(x[0])
+
+
+def scaled_point(p, k):
+    return Point(tuple(math.ldexp(x, k) for x in p.base), math.ldexp(p.height, k))
+
+
+def scaled_ball(h, k):
+    if isinstance(h, AtInfinityHoroball):
+        return AtInfinityHoroball(math.ldexp(h.height, k))
+    return TangentHoroball(tuple(math.ldexp(x, k) for x in h.base), math.ldexp(h.radius, k))
+
+
+def scaled_arc(g, k):
+    return ArcGeodesic(*(tuple(math.ldexp(x, k) for x in end) for end in (g.a, g.b)))
+
+
+class TestOutsideTheSquareRange:
+    """Point distances and param_of where a square leaves the float
+    range: the values of the true geometry, or of an exact dilation by a
+    power of two that brings the configuration into range."""
+
+    FAR = 400 * math.log(10)  # 2 log 1e200
+
+    def test_point_to_horoball_dist(self):
+        # u^2 overflowed (ratio 0), and at 2^-600 the product 2 r h
+        # underflowed: both raised math domain error
+        p, h = Point((1e200,), 1.0), TangentHoroball((0.0,), 0.5)
+        for k in (0, -600):
+            assert point_to_horoball_dist(scaled_point(p, k), scaled_ball(h, k)) == \
+                pytest.approx(self.FAR, rel=1e-15)
+        # H / h overflows
+        assert point_to_horoball_dist(Point((0.0,), 1e-300), AtInfinityHoroball(1e300)) == \
+            pytest.approx(600 * math.log(10), rel=1e-15)
+
+    def test_nearest(self):
+        p = Point((1e200,), 1.0)
+        balls = [TangentHoroball((5e200,), 0.5), TangentHoroball((0.0,), 0.5)]
+        for k in (0, -600):
+            fam = HoroballFamily(2, [scaled_ball(h, k) for h in balls])
+            assert _nearest(fam, scaled_point(p, k), 1e-9) == 1
+
+    def test_hyperbolic_dist(self):
+        # the square of 1e200 overflowed to inf; at height 2^-600 both the
+        # square and the product of the heights underflowed to 0
+        assert hyperbolic_dist(Point((1e200,), 1.0), Point((0.0,), 1.0)) == \
+            pytest.approx(self.FAR, rel=1e-15)
+        tiny = 2.0 ** -600
+        assert hyperbolic_dist(Point((tiny,), tiny), Point((0.0,), tiny)) == 2 * math.asinh(0.5)
+        # the ratio itself overflows
+        assert hyperbolic_dist(Point((1e10,), 1e-300), Point((0.0,), 1e-300)) == \
+            pytest.approx(620 * math.log(10), rel=1e-15)
+
+    @pytest.mark.parametrize("a,b,k", [((-1e200,), (0.5,), -600),
+                                       ((0.0,), (1e-170,), 600),
+                                       ((0.0,), (1e-160,), 600)])
+    def test_param_of(self, a, b, k):
+        # NaN, math domain error and 0.30021 before
+        g = ArcGeodesic(a, b)
+        x = g.point_at(0.3)
+        t = param_of(g, x)
+        assert t == pytest.approx(param_of(scaled_arc(g, k), scaled_point(x, k)), abs=1e-12)
+        assert t == pytest.approx(0.3, abs=1e-12)
+
+    def test_in_range_unchanged(self):
+        # where every square is a normal float, the direct formulas
+        rnd = random.Random(5)
+        for _ in range(2000):
+            p = Point((rnd.uniform(-3, 3), rnd.uniform(-3, 3)), rnd.uniform(0.01, 3))
+            q = Point((rnd.uniform(-3, 3), rnd.uniform(-3, 3)), rnd.uniform(0.01, 3))
+            h = TangentHoroball((rnd.uniform(-3, 3), rnd.uniform(-3, 3)), rnd.uniform(0.01, 1))
+            u2 = sum((x - y) ** 2 for x, y in zip(p.base, h.base))
+            assert point_to_horoball_dist(p, h) == \
+                -math.log(2 * h.radius * p.height / (u2 + p.height * p.height))
+            db2 = sum((x - y) ** 2 for x, y in zip(p.base, q.base))
+            dh = p.height - q.height
+            assert hyperbolic_dist(p, q) == \
+                2 * math.asinh(math.sqrt(db2 + dh * dh) / (2 * math.sqrt(p.height * q.height)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(coord, coord), height, st.tuples(coord, coord), height,
+           st.floats(0.05, 2), st.integers(-1000, 1000))
+    def test_dilation(self, x, hx, y, hy, r, k):
+        p, q, h = Point(x, hx), Point(y, hy), TangentHoroball(y, r)
+        p2, q2, h2 = scaled_point(p, k), scaled_point(q, k), scaled_ball(h, k)
+        assert hyperbolic_dist(p2, q2) == pytest.approx(hyperbolic_dist(p, q), rel=1e-12, abs=1e-12)
+        for ball, ball2 in ((h, h2), (AtInfinityHoroball(r), scaled_ball(AtInfinityHoroball(r), k))):
+            want = point_to_horoball_dist(p, ball)
+            got = point_to_horoball_dist(p2, ball2)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            # the column pass stays within its bound of the scalar
+            approx, err = point_to_horoball_dists(p2, HoroballFamily(3, [ball2]).columns)
+            assert abs(approx[0] - got) <= err[0]

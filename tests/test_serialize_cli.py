@@ -241,6 +241,22 @@ class TestCli:
         assert main(["verify", "packing", "--family", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"]
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("root", 777, "root 777 is not a vertex"),
+        ("stubs", [1, 2, 3, 777], "stub 777 is not a vertex")])
+    def test_tree_document_names_a_missing_vertex(self, tmp_path, capsys, field, value, message):
+        # a root that is not a vertex crashed with a KeyError traceback,
+        # and a stray stub was accepted until random_tree_horoballs read it
+        doc = {"model": "tree", "dim": 0, "metadata": {},
+               "entries": {"edges": [[0, 1, 1.0], [0, 2, 1.0], [0, 3, 1.0]],
+                           "stubs": [1, 2, 3], "root": 0, "horoballs": [[1, 1.0]]}}
+        doc["entries"][field] = value
+        out = tmp_path / "tree.json"
+        out.write_text(json.dumps(doc))
+        assert main(["verify", "packing", "--family", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
     def test_tolerance_must_be_finite_and_nonnegative(self, tolerance, capsys):
         # a negative slack reports tangent Farey neighbours as overlapping;

@@ -1,14 +1,19 @@
 """Differential tests of the tree kernel against the per-ball loops it
 replaced: covering_family, max_ball_depth, the greedy walk, greedy_ray
 and validate_tree_horoballs as they were before the preorder index,
-kept verbatim below as old_* (covering_family with its per-edge span
-helpers, from before the level sweep).  Their Busemann values come from
-the old parent-chain walks (old_meet_depth and friends), not from the
-index, so the two sides share no kernel code."""
+kept below as old_* (covering_family with its per-edge span helpers,
+from before the level sweep), verbatim but for their tolerances, which
+are relative to the longest edge as the kernel's are.  Their Busemann
+values come from the old parent-chain walks (old_meet_depth and
+friends) over the parents and depths of their own breadth-first search
+of tree.adj (old_rooted), not from the tree's columns, so the two sides
+share no kernel code."""
 
+import functools
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from horoshadow.numeric import DEFAULT_TOL
@@ -27,44 +32,64 @@ from horoshadow.trees import (
     tree_busemann,
     validate_tree_horoballs,
 )
+from horoshadow.trees import _meet_depths
 
 # ---------------------------------------------------------------------------
 # the old parent-chain helpers (MetricTree methods before the index)
 
 
+@functools.lru_cache(maxsize=16)
+def old_rooted(tree):
+    """Parent and depth of every vertex, by breadth-first search of
+    tree.adj from the root in adjacency order (as MetricTree searched
+    before its columns)."""
+    parent, depth = {tree.root: None}, {tree.root: 0.0}
+    queue = deque([tree.root])
+    while queue:
+        u = queue.popleft()
+        for v, length in tree.adj[u].items():
+            if v not in parent:
+                parent[v], depth[v] = u, depth[u] + length
+                queue.append(v)
+    return parent, depth
+
+
 def old_stub_ancestors(tree, stub):
     if stub not in tree.stubs:
         raise ValueError(f"unknown stub {stub}")
+    parent, depth = old_rooted(tree)
     chain = {}
     v = stub
     while v is not None:
-        chain[v] = tree._depth[v]
-        v = tree._parent[v]
+        chain[v] = depth[v]
+        v = parent[v]
     return chain
 
 
 def old_meet_depth(tree, vertex, stub):
     chain = old_stub_ancestors(tree, stub)
+    parent, depth = old_rooted(tree)
     v = vertex
     while v is not None:
         if v in chain:
-            return tree._depth[v]
-        v = tree._parent[v]
+            return depth[v]
+        v = parent[v]
     raise AssertionError("disconnected tree")
 
 
 def old_busemann_vertex(tree, stub, vertex):
-    return 2 * old_meet_depth(tree, vertex, stub) - tree._depth[vertex]
+    return 2 * old_meet_depth(tree, vertex, stub) - old_rooted(tree)[1][vertex]
 
 
 def old_next_toward(tree, u, stub):
     chain = old_stub_ancestors(tree, stub)
+    parent, depth = old_rooted(tree)
     if u in chain:
         for v in tree.adj[u]:
-            if v in chain and tree._depth[v] > tree._depth[u]:
+            if v in chain and depth[v] > depth[u]:
                 return v
         raise ValueError(f"{u} is the stub itself")
-    return tree._parent[u]
+    return parent[u]
 
 
 def old_tree_busemann(tree, end, x):
@@ -91,7 +116,7 @@ def old_validate_tree_horoballs(tree, balls, tol=DEFAULT_TOL):
                 bad.append((i, j))
                 continue
             meet = old_meet_depth(tree, a.end, b.end)
-            if a.level + b.level < 2 * meet - tol:
+            if a.level + b.level < 2 * meet - tol * tree.ell_max:
                 bad.append((i, j))
     return bad
 
@@ -137,7 +162,7 @@ def old_walk(tree, balls, x0, overrides, tol):
                         f"progress: {path}")
             break
         candidates = [v for v in sorted(tree.adj[cur]) if v != prev]
-        if inside is not None and depth_here > tol:
+        if inside is not None and depth_here > tol * tree.ell_max:
             away = old_next_toward(tree, cur, balls[inside].end)
             candidates = [v for v in candidates if v != away]
             detours.append(cur)
@@ -166,7 +191,7 @@ def old_greedy_ray(tree, balls, x0, tol=DEFAULT_TOL, validate=True):
         if bad:
             raise ValueError(f"open horoballs overlap at pairs {bad}")
     for b in balls:
-        if old_tree_busemann(tree, b.end, x0) > b.level + tol:
+        if old_tree_busemann(tree, b.end, x0) > b.level + tol * tree.ell_max:
             raise ValueError("start point lies inside an open horoball")
     first, decisions = old_walk(tree, balls, x0, {}, tol)
     second = None
@@ -303,13 +328,17 @@ def reversed_adjacency(tree):
                                   reversed_adjacency(three_regular_tree(5))],
                          ids=["three-regular-5", "random-3-60", "reversed-three-regular-5"])
 def test_index_reads_the_parent_chains(tree):
-    for stub in sorted(tree.stubs):
-        for v in sorted(tree.adj):
-            assert tree._meet_depth(v, stub) == old_meet_depth(tree, v, stub)
+    stubs = sorted(tree.stubs)
+    tins = np.array([tree._stub_tin(stub) for stub in stubs])
+    depth = old_rooted(tree)[1]
+    for v in sorted(tree.adj):
+        assert tree.depth(v) == depth[v]
+        assert _meet_depths(tree, v, tins).tolist() == [old_meet_depth(tree, v, s) for s in stubs]
+        for stub in stubs:
             assert tree_busemann(tree, stub, v) == old_tree_busemann(tree, stub, v)
             assert outcome(tree.next_toward, v, stub) == outcome(old_next_toward, tree, v, stub)
     with pytest.raises(ValueError, match="unknown stub"):
-        tree._meet_depth(tree.root, tree.root)
+        tree_busemann(tree, tree.root, tree.root)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +444,7 @@ def test_prefix_ending_near_the_end_of_an_edge(gap):
     fam = covering_family(tree)
     assert bitwise(fam, old_covering_family(tree))
     assert [b.end for b in fam] == [4, 2, 3, 6, 7]
-    assert (fam[3].level == tree._depth[5]) == (gap <= 1)
+    assert (fam[3].level == tree.depth(5)) == (gap <= 1)
 
 
 def test_prefix_ending_exactly_1e_12_before_the_end():

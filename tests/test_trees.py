@@ -43,6 +43,13 @@ class TestStructure:
         with pytest.raises(ValueError):
             MetricTree([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)], stubs=[1, 2])
 
+    def test_rejects_root_or_stub_off_the_tree(self):
+        edges = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]
+        with pytest.raises(ValueError, match="root 7 is not a vertex"):
+            MetricTree(edges, stubs=[1, 2, 3], root=7)
+        with pytest.raises(ValueError, match="stub 777 is not a vertex"):
+            MetricTree(edges, stubs=[1, 2, 3, 777], root=0)
+
     def test_three_regular_counts(self):
         t = three_regular_tree(4)
         assert len(t.stubs) == 3 * 2 ** 3
@@ -77,8 +84,7 @@ class TestBusemann:
         for _ in range(200):
             u, v = rnd.sample(verts, 2)
             gap = abs(tree_busemann(t, stub, u) - tree_busemann(t, stub, v))
-            d = abs(t._depth[u] - t._depth[v])  # lower bound on distance
-            assert gap <= 2 * max(t._depth[u], t._depth[v]) + 1e-9
+            assert gap <= 2 * max(t.depth(u), t.depth(v)) + 1e-9
             assert gap >= 0
 
     def test_unknown_stub(self):
@@ -163,6 +169,17 @@ def covered_everywhere(t, fam) -> bool:
     return all(max_ball_depth(t, fam, v)[0] >= -1e-9 * t.ell_max for v in t.adj)
 
 
+def walks(t, fam):
+    """(vertices and detours of both rays, max_depth) of greedy_ray from
+    the root, or its error message."""
+    try:
+        res = greedy_ray(t, fam, t.root)
+    except (ValueError, RuntimeError) as e:
+        return str(e)
+    rays = [(w.vertices, w.detours) for w in (res.path, res.two)]
+    return rays, res.max_depth
+
+
 class TestDilation:
     """The geometry is invariant under dilation: the covering family of
     the tree with every edge times 2**k has the same ends, with every
@@ -179,6 +196,28 @@ class TestDilation:
         assert [b.level for b in fam_k] == [math.ldexp(b.level, k) for b in fam]
         assert scaled.ell_max == math.ldexp(unit.ell_max, k)
         assert covered_everywhere(scaled, fam_k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.tuples(st.just("three-regular"), st.integers(2, 8)),
+                     st.tuples(st.just("random"), st.integers(0, 39))),
+           st.integers(-60, 60))
+    def test_walks_scale(self, case, k):
+        # an absolute start check and detour test skipped a detour on
+        # three_regular_tree(4) at 2**-30 (max_depth 2 ell_max) and ran
+        # out through a stub at 2**-40
+        unit, scaled = dilated(*case, 0), dilated(*case, k)
+        families = [covering_family(unit)]
+        if case[0] == "random":
+            families.append(random_tree_horoballs(unit, 4, case[1] + 1))
+        for fam in families:
+            fam_k = [TreeHoroball(b.end, math.ldexp(b.level, k)) for b in fam]
+            got = [walks(t, f) for t, f in ((unit, fam), (scaled, fam_k))]
+            if isinstance(got[0], str):
+                assert got[1] == got[0]
+                continue
+            (rays, depth), (rays_k, depth_k) = got
+            assert rays_k == rays
+            assert depth_k == math.ldexp(depth, k)
 
     @pytest.mark.parametrize("k", [40, 60])
     def test_validation_at_the_default_tol_scales(self, k):
