@@ -243,7 +243,7 @@ def cmd_verify(args) -> int:
         return _verify_constants(args)
     if args.what == "packing":
         doc = json.loads(_read_text(args.family))
-        if doc.get("model") == "tree":
+        if isinstance(doc, dict) and doc.get("model") == "tree":
             from .trees import validate_tree_horoballs
             tree, balls = serialize.document_to_tree(doc)
             bad = validate_tree_horoballs(tree, balls, args.tolerance)

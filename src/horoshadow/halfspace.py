@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Union
 
 from .numeric import widen
@@ -64,6 +65,13 @@ def vdot(a: Vector, b: Vector):
 def vnorm2(a: Vector):
     """Squared Euclidean norm; exact on Fraction input."""
     return sum(x * x for x in a)
+
+
+def _unit_scale(*vectors) -> tuple:
+    """(k, the float vectors times 2^k): the dilation, exact but where it
+    underflows, that brings the largest |coordinate| into [1/2, 1)."""
+    k = -math.frexp(max(abs(x) for v in vectors for x in v))[1]
+    return k, [[math.ldexp(x, k) for x in v] for v in vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +239,18 @@ def dist_alg_horoballs(h1: Horoball, h2: Horoball) -> float:
         h1, h2 = h2, h1
     if isinstance(h2, AtInfinityHoroball):
         return math.log(float(h2.height) / (2 * float(h1.radius)))
-    u2 = vnorm2(vsub(_flv(h1.base), _flv(h2.base)))
-    if u2 == 0:
+    d, r1, r2 = vsub(_flv(h1.base), _flv(h2.base)), float(h1.radius), float(h2.radius)
+    if not any(d):
         raise ValueError("horoballs share their base point")
-    return math.log(u2 / (4 * float(h1.radius) * float(h2.radius)))
+    # log(|d|^2 / 4 r1 r2), dilated near 1 (_unit_scale) where a square or
+    # product leaves the normal range; from logs where the ratio still does
+    u2, m = vnorm2(d), 4 * r1 * r2
+    if not (_TINY <= min(u2, m) and max(u2, m) < INF):
+        _, (sd, (s1, s2)) = _unit_scale(d, (r1, r2))
+        u2, m = vnorm2(sd), 4 * s1 * s2
+    if _TINY <= min(u2, m) and _TINY <= u2 / m < INF:
+        return math.log(u2 / m)
+    return 2 * math.log(math.hypot(*d)) - 2 * _LN2 - math.log(r1) - math.log(r2)
 
 
 def scale_horoball(h: Horoball, s) -> Horoball:
@@ -416,15 +432,10 @@ def penetrations(g: Geodesic, cols) -> tuple:
 
 
 def _one_row(h: Horoball):
-    """The columns of the family {h}, without building it."""
-    import numpy as np
-
-    from .packings import Columns
-    if isinstance(h, AtInfinityHoroball):
-        return Columns(np.arange(0), np.empty((0, 1)), np.empty(0), np.arange(1),
-                       np.array([float(h.height)]), False)
-    return Columns(np.arange(1), np.array([_flv(h.base)]), np.array([float(h.radius)]),
-                   np.arange(0), np.empty(0), False)
+    """The columns of the family {h}."""
+    from .packings import HoroballFamily
+    dim = 2 if isinstance(h, AtInfinityHoroball) else len(h.base) + 1
+    return HoroballFamily(dim, [h]).columns
 
 
 def penetration_depth(g: Geodesic, h: Horoball) -> float:
@@ -450,15 +461,20 @@ def geodesic_through(p: Point, xi: Optional[Vector]) -> Geodesic:
     xi = None stands for the point at infinity (vertical line).  For a
     finite endpoint the other endpoint is computed by inverting at xi;
     the returned arc is oriented from xi toward the second endpoint.
+    The second endpoint is xi + d (|d|^2 + h^2) / |d|^2, d = base - xi, or
+    xi + d + (d q) q, q = h / hypot(d), where a float square is off range.
     """
     if xi is None:
         return VerticalGeodesic(p.base)
     xi = as_vector(xi)
     d = vsub(p.base, xi)
-    u2 = vnorm2(d)
-    if u2 == 0:
+    if not any(d):
         return VerticalGeodesic(xi)
-    lam = (u2 + p.height * p.height) / u2
+    u2, h2 = vnorm2(d), p.height * p.height
+    if isinstance(u2, float) and not (_TINY <= u2 and u2 + h2 < INF):
+        q = float(p.height) / math.hypot(*_flv(d))
+        return ArcGeodesic(xi, vadd(xi, vadd(d, vscale(vscale(d, q), q))))
+    lam = (u2 + h2) / u2
     other = vadd(xi, vscale(d, lam))
     return ArcGeodesic(xi, other)
 
@@ -488,9 +504,7 @@ def param_of(g: Geodesic, p: Point) -> float:
     da, db, ab = vsub(base, a), vsub(base, b), vsub(b, a)
     na, nb, nab = vnorm2(da) + h * h, vnorm2(db) + h * h, vnorm2(ab)
     if not (_TINY <= min(na, nb, nab) and max(na, nb, nab) < INF):
-        k = -math.frexp(max(map(abs, (*da, *db, *ab, h))))[1]
-        da, db, ab = ([math.ldexp(x, k) for x in v] for v in (da, db, ab))
-        h = math.ldexp(h, k)
+        _, (da, db, ab, (h,)) = _unit_scale(da, db, ab, (h,))
         na, nb, nab = vnorm2(da) + h * h, vnorm2(db) + h * h, vnorm2(ab)
     t = (math.log(na) - math.log(nb)) / 2
     # invert at the nearer end: at the far one the gap is a difference of
@@ -507,27 +521,36 @@ def param_of(g: Geodesic, p: Point) -> float:
 # to horoballs.
 
 
+def _inverse(d: Vector, h, x) -> tuple:
+    """(d / n2, x / n2) for n2 = |d|^2 + h^2, as (1 / n2) d and x / n2.
+    Where a float n2 leaves the normal range, through the dilation of
+    (d, h) that brings n2 into [1/4, len(d) + 1] (_unit_scale)."""
+    n2 = vnorm2(d) + h * h
+    if not isinstance(n2, float) or _TINY <= n2 < INF:
+        return vscale(d, 1 / n2), x / n2
+    k, (d, (h,)) = _unit_scale(_flv(d), (float(h),))
+    n = vnorm2(d) + h * h
+    return tuple(math.ldexp(c / n, k) for c in d), math.ldexp(float(x) / n, 2 * k)
+
+
 def invert_boundary(x: Vector, p: Vector) -> Vector:
     d = vsub(as_vector(x), as_vector(p))
-    n2 = vnorm2(d)
-    if n2 == 0:
+    if not any(d):
         raise ValueError("cannot invert the center itself")
-    return vscale(d, 1 / n2)
+    return _inverse(d, 0, 0)[0]
 
 
 def invert_point(pt: Point, p: Vector) -> Point:
-    d = vsub(pt.base, as_vector(p))
-    n2 = vnorm2(d) + pt.height * pt.height
-    return Point(vscale(d, 1 / n2), pt.height / n2)
+    return Point(*_inverse(vsub(pt.base, as_vector(p)), pt.height, pt.height))
 
 
 def invert_horoball(h: Horoball, p: Vector) -> Horoball:
+    """The image of h under the inversion at p; the member at infinity
+    goes to the horoball at 0 of radius 1 / 2h, exact for an exact h."""
     p = as_vector(p)
     if isinstance(h, AtInfinityHoroball):
-        dim = len(p)
-        return TangentHoroball((0,) * dim, 1 / (2 * h.height))
+        return TangentHoroball((0,) * len(p), Fraction(1, 2) / h.height)
     d = vsub(h.base, p)
-    n2 = vnorm2(d)
-    if n2 == 0:
+    if not any(d):
         return AtInfinityHoroball(1 / (2 * h.radius))
-    return TangentHoroball(vscale(d, 1 / n2), h.radius / n2)
+    return TangentHoroball(*_inverse(d, 0, h.radius))

@@ -17,13 +17,11 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
 from .halfspace import (
     AtInfinityHoroball,
-    Horoball,
     TangentHoroball,
     vnorm2,
     vsub,
@@ -37,16 +35,13 @@ class Columns:
     the scalar predicates: the indices of the tangent members
     (increasing) with their base rows and radii, and the indices of the
     members at infinity with their heights.  A value beyond the float
-    range reads as -inf or +inf.  exact says that no value is a Fraction
-    (or another type numpy keeps as an object), so float arithmetic on
-    the columns is the arithmetic on the members."""
+    range reads as -inf or +inf."""
 
     tangent: object
     base: object
     radius: object
     infinity: object
     height: object
-    exact: bool
 
 
 #: integers below this size convert to floats exactly, so numpy divides
@@ -115,15 +110,6 @@ def _ratio_floats(num, den):
                     dtype=float).reshape(num.shape)
 
 
-def _float_array(values, shape):
-    """(float array, whether numpy read every value as a number)"""
-    import numpy as np
-    array = np.array(values).reshape(shape)
-    if array.dtype != object:
-        return array.astype(float), True
-    return np.frompyfunc(to_float, 1, 1)(array).astype(float), False
-
-
 def check_shape(dim, widths) -> None:
     """The checks on the shape of a family, with their messages: dim is
     at least 2 and every tangent base (of the lengths widths) has length
@@ -177,20 +163,21 @@ class Members(Sequence):
 
 class HoroballFamily:
     """Finite ordered family of horoballs in upper half-space, held as
-    columns: the float view `columns` and, for a family built from exact
-    tangent values, those values `exact` (Ratios; else None).
-    `horoballs` builds a member object on first access to it (Members);
-    the members at infinity are held as objects.  The members are fixed
-    once the family is built.
+    columns: the float view `columns` and, for an exact family, the exact
+    values of its tangent rows `exact` (Ratios); exact is None exactly
+    when the floats are the values, and for a family with no tangent
+    rows.  `horoballs` builds a tangent member from the columns on first
+    access to it (Members); the members at infinity are held as objects.
+    The members are fixed once the family is built.
 
-    HoroballFamily(dim, horoballs, labels) builds a family from member
-    objects (its columns follow on first use); from_columns builds one
-    from columns.  Both run the same checks, with the same messages."""
+    HoroballFamily(dim, horoballs, labels) is from_columns with no column
+    rows and every member given as an object.  Tangent members given as
+    objects join the exact columns where the family has them, or where it
+    has no column rows and every base coordinate and radius given is an
+    int or a Fraction; else they join the float columns (to_float)."""
 
     def __init__(self, dim: int, horoballs, labels: Optional[list[str]] = None):
-        self.dim, self.labels, self.exact = dim, labels, None
-        self._members = list(horoballs)
-        check_shape(dim, [len(h.base) for h in self._members if isinstance(h, TangentHoroball)])
+        self._init(dim, (), None, None, None, dict(enumerate(horoballs)), labels)
 
     @classmethod
     def from_columns(cls, dim: int, tangent, base, radius, exact: Optional[Ratios] = None,
@@ -201,61 +188,53 @@ class HoroballFamily:
         given, or with the exact values `exact` (which the floats then
         round, as Ratios.floats); `members` maps every other index to its
         member object."""
+        fam = cls.__new__(cls)
+        fam._init(dim, tangent, base, radius, exact, members or {}, labels)
+        return fam
+
+    def _init(self, dim, tangent, base, radius, exact, members, labels) -> None:
         import numpy as np
-        members = members or {}
         extra = sorted(i for i, h in members.items() if isinstance(h, TangentHoroball))
-        check_shape(dim, base.shape[1:] * bool(len(tangent))
-                    + tuple(len(members[i].base) for i in extra))
+        hs = [members[i] for i in extra]
+        check_shape(dim, (base.shape[1:] if len(tangent) else ())
+                    + tuple(len(h.base) for h in hs))
+        if not len(tangent):
+            tangent, base, radius = np.empty(0, dtype=np.intp), np.empty((0, dim - 1)), np.empty(0)
+            if exact is None and all(isinstance(c, (int, Fraction))
+                                     for h in hs for c in (*h.base, h.radius)):
+                exact = Ratios.of([], [], dim - 1)
         if not (radius > 0 if exact is None else exact.radius_num > 0).all():
             raise ValueError("radius must be positive")
-        fam = cls.__new__(cls)
-        fam.dim, fam.labels, fam.exact = dim, labels, exact
-        fam._members = [None] * (len(tangent) + len(members))
-        for i, h in members.items():
-            fam._members[i] = h
-        flags = exact is None or not len(tangent)
-        if extra:
-            hs = [members[i] for i in extra]
-            xb, xb_flag = _float_array([h.base for h in hs], (len(hs), dim - 1))
-            xr, xr_flag = _float_array([h.radius for h in hs], len(hs))
+        if hs:
             tangent = np.concatenate([tangent, extra]).astype(np.intp)
             perm = np.argsort(tangent, kind="stable")
-            tangent, base = tangent[perm], np.concatenate([base, xb])[perm]
-            radius = np.concatenate([radius, xr])[perm]
             if exact is not None:
                 more = Ratios.of([h.base for h in hs], [h.radius for h in hs], dim - 1)
-                fam.exact = Ratios(*(np.concatenate([getattr(exact, k), getattr(more, k)])[perm]
-                                     for k in Ratios.__slots__))
-            flags = flags and xb_flag and xr_flag
+                exact = Ratios(*(np.concatenate([getattr(exact, k), getattr(more, k)])[perm]
+                                 for k in Ratios.__slots__))
+                xb, xr = more.floats()
+            else:
+                xb = np.array([[to_float(c) for c in h.base] for h in hs], dtype=float)
+                xr = np.array([to_float(h.radius) for h in hs], dtype=float)
+            tangent, base = tangent[perm], np.concatenate([base, xb])[perm]
+            radius = np.concatenate([radius, xr])[perm]
         infs = sorted(i for i, h in members.items() if isinstance(h, AtInfinityHoroball))
-        height, h_flag = _float_array([members[i].height for i in infs], len(infs))
-        fam.columns = Columns(np.asarray(tangent, dtype=np.intp), base, radius,
-                              np.array(infs, dtype=np.intp), height, flags and h_flag)
-        return fam
+        self.dim, self.labels = dim, labels
+        self.exact = exact if len(tangent) else None
+        self._members = [None] * (len(tangent) + len(infs))
+        for i in infs:
+            self._members[i] = members[i]
+        self.columns = Columns(np.asarray(tangent, dtype=np.intp), base, radius,
+                               np.array(infs, dtype=np.intp),
+                               np.array([to_float(members[i].height) for i in infs], dtype=float))
 
     @property
     def horoballs(self) -> Members:
         return Members(self)
 
-    def known_member(self, i: int) -> Optional[Horoball]:
-        """Member i if it is built, else None."""
-        return self._members[i]
-
     def _build(self, i: int) -> TangentHoroball:
-        cols = self.columns
-        row = int(cols.tangent.searchsorted(i))
-        if self.exact is not None:
-            return TangentHoroball(self.exact.bases([row])[0], self.exact.radii([row])[0])
-        return TangentHoroball(tuple(cols.base[row].tolist()), cols.radius[row].item())
-
-    @cached_property
-    def columns(self) -> Columns:
-        # of a family built from member objects (from_columns sets it):
-        # the columns of the family with no rows and every member given
-        import numpy as np
-        return HoroballFamily.from_columns(
-            self.dim, np.empty(0, dtype=np.intp), np.empty((0, self.dim - 1)), np.empty(0),
-            members=dict(enumerate(self._members))).columns
+        row = [int(self.columns.tangent.searchsorted(i))]
+        return TangentHoroball(self.bases(row)[0], self.radii(row)[0])
 
     def __eq__(self, other):
         if not isinstance(other, HoroballFamily):
@@ -274,29 +253,24 @@ class HoroballFamily:
         return [(i, hs[i]) for i in self.columns.tangent.tolist()]
 
     def bases(self, rows) -> list[tuple]:
-        """Exact bases of the tangent rows `rows`, without building members
-        where the family holds exact columns."""
+        """Exact bases of the tangent rows `rows`, without building members:
+        the exact columns, or the float ones where they are the values."""
         if self.exact is not None:
             return self.exact.bases(rows)
-        return [h.base for h in self._tangent_members(rows)]
+        return list(map(tuple, self.columns.base[rows].tolist()))
 
     def radii(self, rows) -> list:
         """Exact radii of the tangent rows `rows`, as bases."""
         if self.exact is not None:
             return self.exact.radii(rows)
-        return [h.radius for h in self._tangent_members(rows)]
-
-    def _tangent_members(self, rows) -> list:
-        hs = self.horoballs
-        return [hs[i] for i in self.columns.tangent[rows].tolist()]
+        return self.columns.radius[rows].tolist()
 
     def same_radii(self, a, b):
         """Mask over two arrays of tangent rows: where the radii are equal."""
-        import numpy as np
         ex = self.exact
-        if ex is not None:
-            return (ex.radius_num[a] == ex.radius_num[b]) & (ex.radius_den[a] == ex.radius_den[b])
-        return np.array([x == y for x, y in zip(self.radii(a), self.radii(b))], dtype=bool)
+        if ex is None:
+            return self.columns.radius[a] == self.columns.radius[b]
+        return (ex.radius_num[a] == ex.radius_num[b]) & (ex.radius_den[a] == ex.radius_den[b])
 
 
 @dataclass(frozen=True)
@@ -453,14 +427,15 @@ def random_disjoint(count: int, dim: int = 2, seed: int = 0) -> HoroballFamily:
         raise ValueError("count must be positive")
     if dim < 2:
         raise ValueError("ambient dimension must be at least 2")
+    import numpy as np
     rng = random.Random(seed)
     # through sqrt, so that dim 3 keeps its correctly rounded side
     side = max(4.0, 2.0 * math.sqrt(count) ** (2 / (dim - 1)))
     # covers the rounding of the float test and of the window ends
     pad = 1e-9 * side
-    placed: list[TangentHoroball] = []
-    by_x: list[TangentHoroball] = []      # the same balls sorted by base[0]
-    first = lambda h: h.base[0]  # noqa: E731
+    placed: list[tuple] = []      # (base, radius)
+    by_x: list[tuple] = []        # the same pairs sorted by base[0]
+    first = lambda ball: ball[0][0]  # noqa: E731
     attempts = 0
     max_attempts = 400 * count
     while len(placed) < count:
@@ -474,9 +449,8 @@ def random_disjoint(count: int, dim: int = 2, seed: int = 0) -> HoroballFamily:
         reach = radius + 0.5 + pad
         near = by_x[bisect_left(by_x, base[0] - reach, key=first):
                     bisect_right(by_x, base[0] + reach, key=first)]
-        if not any(vnorm2(vsub(base, other.base)) < 4 * radius * other.radius
-                   for other in near):
-            ball = TangentHoroball(base, radius)
-            placed.append(ball)
-            insort(by_x, ball, key=first)
-    return HoroballFamily(dim, placed)
+        if not any(vnorm2(vsub(base, b)) < 4 * radius * r for b, r in near):
+            placed.append((base, radius))
+            insort(by_x, (base, radius), key=first)
+    return HoroballFamily.from_columns(dim, np.arange(count), np.array([b for b, _ in placed]),
+                                       np.array([r for _, r in placed]))

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .halfspace import (
+    _TINY,
     INF,
     ArcGeodesic,
     AtInfinityHoroball,
@@ -40,7 +41,7 @@ from .halfspace import (
     vsub,
 )
 from .numeric import DEFAULT_TOL, CertificateError, min_candidates
-from .packings import HoroballFamily, Ratios
+from .packings import HoroballFamily, Ratios, int_column
 from .sharp2d import Side, solve_2d
 from .sharpnd import solve_hnr
 
@@ -127,37 +128,39 @@ def _nearest(fam: HoroballFamily, x: Point, tol: float) -> int:
 def _inverted(fam: HoroballFamily, p: tuple) -> HoroballFamily:
     """fam under the inversion at the boundary point p, member for member
     equal to invert_horoball, built as columns without member objects for
-    its tangent rows: one numpy pass in the float operations of
-    invert_horoball where p is a float point (over the rows whose columns
-    are the floats invert_horoball reads), the same operations on the
-    exact values where p and the family are exact, and invert_horoball
+    its tangent rows: for a float family, one numpy pass at p in floats,
+    in the float operations of invert_horoball, over the rows whose
+    |b - p|^2 is a normal float; for an exact family, one pass at p in
+    Fractions, in Python integers over its Ratios (b - p = en / ed per
+    coordinate, so |b - p|^2 = N / M with M the product of the ed^2, the
+    base en (M / ed) / N and the radius rn M / (rd N)); invert_horoball
     on the members at infinity, at p and left over."""
     import numpy as np
     cols, hs = fam.columns, fam.horoballs
+    if fam.exact is None:
+        p = tuple(map(float, p))
+        with np.errstate(all="ignore"):
+            d = cols.base - p
+            n2 = sum(d[:, k] * d[:, k] for k in range(d.shape[1]))  # as vnorm2
+            rows = np.flatnonzero((n2 >= _TINY) & (n2 < INF))
+            base, radius, exact = ((1 / n2)[:, None] * d)[rows], (cols.radius / n2)[rows], None
+    else:
+        # in object arrays of Python ints, as int64 products overflow silently
+        p, ex = tuple(map(Fraction, p)), fam.exact
+        pn, pd = (np.array([getattr(c, k) for c in p], dtype=object)
+                  for k in ("numerator", "denominator"))
+        bd = ex.base_den.astype(object)
+        en, ed = ex.base_num.astype(object) * pd - pn * bd, bd * pd
+        M = np.prod(ed * ed, axis=1)
+        N = (en * en * (M[:, None] // (ed * ed))).sum(axis=1)
+        rows = np.flatnonzero(N != 0)
+        en, ed, M, N = en[rows], ed[rows], M[rows], N[rows]
+        low = Ratios.lowest_terms(en * (M[:, None] // ed), np.broadcast_to(N[:, None], en.shape),
+                                  ex.radius_num[rows] * M, ex.radius_den[rows] * N)
+        exact = Ratios(*(int_column(a.ravel().tolist()).reshape(a.shape)
+                         for a in (getattr(low, k) for k in Ratios.__slots__)))
+        base, radius = exact.floats()
     t = cols.tangent
-    rows, base, radius, exact = t[:0], cols.base[:0], cols.radius[:0], None
-    if all(type(c) is float for c in p):
-        d = cols.base - p
-        n2 = d[:, 0] * d[:, 0]
-        for k in range(1, d.shape[1]):
-            n2 = n2 + d[:, k] * d[:, k]
-        # a value beyond the float range is not what float() reads
-        vector = (n2 != 0) & (cols.exact | np.isfinite(cols.base).all(axis=1)
-                              & np.isfinite(cols.radius))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            base, radius = (1 / n2)[:, None] * d, cols.radius / n2
-        rows, base, radius = np.flatnonzero(vector), base[vector], radius[vector]
-    elif fam.exact is not None and all(type(c) in (int, Fraction) for c in p):
-        keep, bases, radii = [], [], []
-        for row, (b, r) in enumerate(zip(fam.bases(slice(None)), fam.radii(slice(None)))):
-            d = vsub(b, p)
-            n2 = vnorm2(d)
-            if n2 != 0:
-                keep.append(row)
-                bases.append(vscale(d, 1 / n2))
-                radii.append(r / n2)
-        exact = Ratios.of(bases, radii, fam.dim - 1)
-        rows, (base, radius) = np.array(keep, dtype=np.intp), exact.floats()
     done = set(t[rows].tolist())
     members = {i: invert_horoball(hs[i], p) for i in range(len(hs)) if i not in done}
     return HoroballFamily.from_columns(fam.dim, t[rows], base, radius, exact, members)

@@ -60,6 +60,16 @@ def _ratio_in(decimal: str, exact: Optional[str]) -> tuple:
 
 
 @contextmanager
+def _reading(kind: str):
+    """A document that lacks a field or holds one of the wrong shape, as
+    a ValueError that names the kind of document."""
+    try:
+        yield
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed {kind} document: {type(exc).__name__}: {exc}") from exc
+
+
+@contextmanager
 def bulk():
     """Cyclic garbage collection paused for the block.  A document and
     its family are acyclic, so the collections that their hundreds of
@@ -81,48 +91,38 @@ def _rows(strings: list, width: int) -> list:
 def family_to_document(fam: HoroballFamily, metadata: Optional[dict] = None) -> dict:
     """The document of a family, its tangent entries written from the
     columns: the decimals from the float columns, the companions from
-    the exact columns or else from the members already built (a member
-    built from float columns has none)."""
+    the exact columns (Ratios), which a float family has none of."""
     with bulk():
-        return _family_to_document(fam, metadata)
-
-
-def _family_to_document(fam: HoroballFamily, metadata: Optional[dict]) -> dict:
-    cols, ex = fam.columns, fam.exact
-    width = fam.dim - 1
-    entries = [None] * len(fam.horoballs)
-    tangent = cols.tangent.tolist()
-    bases = _rows(list(map(repr, cols.base.ravel().tolist())), width)
-    radii = map(repr, cols.radius.tolist())
-    if ex is not None:
-        base_ex = _rows([f"{n}/{d}" for n, d in zip(ex.base_num.ravel().tolist(),
-                                                    ex.base_den.ravel().tolist())], width)
-        radius_ex = [f"{n}/{d}" for n, d in zip(ex.radius_num.tolist(), ex.radius_den.tolist())]
-        for i, b, r, bx, rx in zip(tangent, bases, radii, base_ex, radius_ex):
-            entries[i] = {"type": "tangent", "base": b, "radius": r,
-                          "base_exact": bx, "radius_exact": rx}
-    else:
-        for i, b, r in zip(tangent, bases, radii):
-            entries[i] = {"type": "tangent", "base": b, "radius": r}
-            h = fam.known_member(i)
-            if h is not None:
-                exs, exr = list(map(_exact_out, h.base)), _exact_out(h.radius)
-                if exr is not None and None not in exs:
-                    entries[i]["base_exact"], entries[i]["radius_exact"] = exs, exr
-    for i, height in zip(cols.infinity.tolist(), cols.height.tolist()):
-        entries[i] = {"type": "at_infinity", "height": repr(height)}
-        hx = _exact_out(fam.horoballs[i].height)
-        if hx is not None:
-            entries[i]["height_exact"] = hx
-    doc = {
-        "model": "upper_half_space",
-        "dim": fam.dim,
-        "entries": entries,
-        "metadata": dict(metadata or {}),
-    }
-    if fam.labels:
-        doc["metadata"]["labels"] = list(fam.labels)
-    return doc
+        cols, ex = fam.columns, fam.exact
+        width = fam.dim - 1
+        entries = [None] * len(fam.horoballs)
+        tangent = cols.tangent.tolist()
+        bases = _rows(list(map(repr, cols.base.ravel().tolist())), width)
+        radii = map(repr, cols.radius.tolist())
+        if ex is not None:
+            base_ex = _rows([f"{n}/{d}" for n, d in zip(ex.base_num.ravel().tolist(),
+                                                        ex.base_den.ravel().tolist())], width)
+            radius_ex = [f"{n}/{d}" for n, d in zip(ex.radius_num.tolist(), ex.radius_den.tolist())]
+            for i, b, r, bx, rx in zip(tangent, bases, radii, base_ex, radius_ex):
+                entries[i] = {"type": "tangent", "base": b, "radius": r,
+                              "base_exact": bx, "radius_exact": rx}
+        else:
+            for i, b, r in zip(tangent, bases, radii):
+                entries[i] = {"type": "tangent", "base": b, "radius": r}
+        for i, height in zip(cols.infinity.tolist(), cols.height.tolist()):
+            entries[i] = {"type": "at_infinity", "height": repr(height)}
+            hx = _exact_out(fam.horoballs[i].height)
+            if hx is not None:
+                entries[i]["height_exact"] = hx
+        doc = {
+            "model": "upper_half_space",
+            "dim": fam.dim,
+            "entries": entries,
+            "metadata": dict(metadata or {}),
+        }
+        if fam.labels:
+            doc["metadata"]["labels"] = list(fam.labels)
+        return doc
 
 
 def document_to_family(doc: dict, exact: bool = False) -> HoroballFamily:
@@ -131,50 +131,47 @@ def document_to_family(doc: dict, exact: bool = False) -> HoroballFamily:
     entry order.  Float mode reads the decimals; exact mode reads the
     companions into exact columns (Ratios), which the float columns then
     round."""
-    with bulk():
-        return _document_to_family(doc, exact)
-
-
-def _document_to_family(doc: dict, exact: bool) -> HoroballFamily:
     import numpy as np
-    if doc.get("model") != "upper_half_space":
-        raise ValueError(f"not an upper_half_space document: {doc.get('model')!r}")
-    tangent, base, radius, members = [], [], [], {}
-    for i, e in enumerate(doc["entries"]):
-        kind = e["type"]
-        if kind == "at_infinity":
-            members[i] = AtInfinityHoroball(
-                _num_in(e["height"], e.get("height_exact"), exact))
-        elif kind == "tangent":
-            if exact:
-                exs = e.get("base_exact")
-                row = [_ratio_in(d, exs[k] if exs else None) for k, d in enumerate(e["base"])]
-                r = _ratio_in(e["radius"], e.get("radius_exact"))
-                positive = r[0] > 0
+    with bulk(), _reading("family"):
+        if doc.get("model") != "upper_half_space":
+            raise ValueError(f"not an upper_half_space document: {doc.get('model')!r}")
+        tangent, base, radius, members = [], [], [], {}
+        for i, e in enumerate(doc["entries"]):
+            kind = e["type"]
+            if kind == "at_infinity":
+                members[i] = AtInfinityHoroball(
+                    _num_in(e["height"], e.get("height_exact"), exact))
+            elif kind == "tangent":
+                if exact:
+                    exs = e.get("base_exact")
+                    row = [_ratio_in(d, exs[k] if exs else None) for k, d in enumerate(e["base"])]
+                    r = _ratio_in(e["radius"], e.get("radius_exact"))
+                    positive = r[0] > 0
+                else:
+                    row = list(map(float, e["base"]))
+                    r = float(e["radius"])
+                    positive = r > 0
+                if not positive:
+                    raise ValueError("radius must be positive")
+                tangent.append(i)
+                base.append(row)
+                radius.append(r)
             else:
-                row = list(map(float, e["base"]))
-                r = float(e["radius"])
-                positive = r > 0
-            if not positive:
-                raise ValueError("radius must be positive")
-            tangent.append(i)
-            base.append(row)
-            radius.append(r)
-        else:
-            raise ValueError(f"unknown horoball entry type {kind!r}")
-    dim = doc["dim"]
-    labels = doc.get("metadata", {}).get("labels")
-    check_shape(dim, map(len, base))
-    tangent, shape = np.array(tangent, dtype=np.intp), (len(base), dim - 1)
-    if not exact:
-        return HoroballFamily.from_columns(dim, tangent, np.array(base, dtype=float).reshape(shape),
-                                           np.array(radius, dtype=float), None, members, labels)
-    pairs = [c for row in base for c in row]
-    ratios = Ratios.lowest_terms(int_column([n for n, _ in pairs]).reshape(shape),
-                                 int_column([d for _, d in pairs]).reshape(shape),
-                                 int_column([n for n, _ in radius]),
-                                 int_column([d for _, d in radius]))
-    return HoroballFamily.from_columns(dim, tangent, *ratios.floats(), ratios, members, labels)
+                raise ValueError(f"unknown horoball entry type {kind!r}")
+        dim = doc["dim"]
+        labels = doc.get("metadata", {}).get("labels")
+        check_shape(dim, map(len, base))
+        tangent, shape = np.array(tangent, dtype=np.intp), (len(base), dim - 1)
+        if not exact:
+            return HoroballFamily.from_columns(
+                dim, tangent, np.array(base, dtype=float).reshape(shape),
+                np.array(radius, dtype=float), None, members, labels)
+        pairs = [c for row in base for c in row]
+        ratios = Ratios.lowest_terms(int_column([n for n, _ in pairs]).reshape(shape),
+                                     int_column([d for _, d in pairs]).reshape(shape),
+                                     int_column([n for n, _ in radius]),
+                                     int_column([d for _, d in radius]))
+        return HoroballFamily.from_columns(dim, tangent, *ratios.floats(), ratios, members, labels)
 
 
 def tree_to_document(tree: MetricTree, balls: list[TreeHoroball],
@@ -200,9 +197,10 @@ def tree_to_document(tree: MetricTree, balls: list[TreeHoroball],
 def document_to_tree(doc: dict) -> tuple[MetricTree, list[TreeHoroball]]:
     if doc.get("model") != "tree":
         raise ValueError("not a tree document")
-    e = doc["entries"]
-    tree = MetricTree([tuple(x) for x in e["edges"]], e["stubs"], e.get("root"))
-    balls = [TreeHoroball(end, level) for end, level in e["horoballs"]]
+    with _reading("tree"):
+        e = doc["entries"]
+        tree = MetricTree([tuple(x) for x in e["edges"]], e["stubs"], e.get("root"))
+        balls = [TreeHoroball(end, level) for end, level in e["horoballs"]]
     return tree, balls
 
 
@@ -227,12 +225,13 @@ def geodesic_to_json(g: Geodesic) -> dict:
 
 
 def json_to_geodesic(obj: dict) -> Geodesic:
-    rng = _range_in(obj.get("range"))
-    if obj["type"] == "vertical":
-        return VerticalGeodesic(tuple(obj["foot"]), rng)
-    if obj["type"] == "arc":
-        return ArcGeodesic(tuple(obj["a"]), tuple(obj["b"]), rng)
-    raise ValueError(f"unknown geodesic type {obj['type']!r}")
+    with _reading("geodesic"):
+        rng = _range_in(obj.get("range"))
+        if obj["type"] == "vertical":
+            return VerticalGeodesic(tuple(obj["foot"]), rng)
+        if obj["type"] == "arc":
+            return ArcGeodesic(tuple(obj["a"]), tuple(obj["b"]), rng)
+        raise ValueError(f"unknown geodesic type {obj['type']!r}")
 
 
 def dumps(doc: dict) -> str:

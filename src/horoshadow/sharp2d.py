@@ -183,7 +183,7 @@ def solve_sharp(fam: HoroballFamily, s, start: Optional[int], seed: Callable,
         if row0 == len(cols.tangent) or cols.tangent[row0] != start:
             raise ValueError("start index is not a tangent horoball")
     dist, near = _distances(fam)
-    a0, rows = scan_order(cols.radius, row0, tol, near, None if cols.exact else fam)
+    a0, rows = scan_order(cols.radius, row0, tol, near, None if fam.exact is None else fam)
     a0 = int(cols.tangent[a0])
     srs = to_float(s) * cols.radius
     xo, sro = cols.base[rows], srs[rows]
@@ -212,7 +212,7 @@ def _distances(fam: HoroballFamily) -> tuple:
 
         def near(a, bound, rows):
             x, x0 = cols.base[rows, 0], cols.base[a, 0]
-            err = 0 if cols.exact else widen(np.abs(x) + abs(x0) + abs(to_float(bound)))
+            err = 0 if fam.exact is None else widen(np.abs(x) + abs(x0) + abs(to_float(bound)))
             t = cols.tangent
             return decide_le(np.abs(x - x0), to_float(bound), err, lambda pos: [
                 dist(hs[t[a]].base, i) <= bound for i in t[rows[pos]].tolist()])
@@ -223,7 +223,7 @@ def _distances(fam: HoroballFamily) -> tuple:
 
     def near(a, bound, rows):
         gap = np.sqrt(sq_norms(cols.base[rows] - cols.base[a]))
-        err = 0 if cols.exact else widen(abs(to_float(bound)))
+        err = 0 if fam.exact is None else widen(abs(to_float(bound)))
         return decide_le(gap, to_float(bound), err,
                          lambda pos: [g <= bound for g in gap[pos].tolist()])
     return dist, near

@@ -16,8 +16,16 @@ from hypothesis import strategies as st
 
 from horoshadow import serialize
 from horoshadow.cli import main
-from horoshadow.halfspace import AtInfinityHoroball, Point, TangentHoroball
-from horoshadow.packings import HoroballFamily, extremal, farey, geometric, random_disjoint
+from horoshadow.halfspace import AtInfinityHoroball, Point, TangentHoroball, invert_horoball
+from horoshadow.numeric import to_float
+from horoshadow.packings import (
+    HoroballFamily,
+    Ratios,
+    extremal,
+    farey,
+    geometric,
+    random_disjoint,
+)
 from horoshadow.rays import biinfinite_line, ray_from_point
 from horoshadow.sharp2d import solve_2d
 from horoshadow.sharpnd import solve_hnr
@@ -123,7 +131,7 @@ def assert_same_family(got, want):
     assert np.array_equal(a.tangent, b.tangent) and np.array_equal(a.infinity, b.infinity)
     for name in ("base", "radius", "height"):
         assert bits(getattr(a, name)) == bits(getattr(b, name)), name
-    assert a.exact == b.exact
+    assert (got.exact is None) == (want.exact is None)
 
 
 def assert_loads_like_oracle(doc):
@@ -297,6 +305,106 @@ class TestErrors:
                     serialize.document_to_family(doc, exact)
         with pytest.raises(ValueError, match="no exact form for '0.25' in exact mode"):
             serialize.document_to_family(doc_of({**TANGENT, "radius_exact": None}), True)
+
+
+# ---------------------------------------------------------------------------
+# one constructor: a family given as member objects is from_columns on
+# their values, exact exactly when every tangent value is an int or a
+# Fraction
+
+
+def value_of(kind):
+    return {"float": st.floats(-1e6, 1e6, allow_nan=False),
+            "int": st.integers(-10 ** 20, 10 ** 20),
+            "fraction": st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 12)}[kind]
+
+
+def positive_of(kind):
+    return {"float": st.floats(1e-9, 1e6),
+            "int": st.integers(1, 10 ** 20),
+            "fraction": st.fractions(0, 10 ** 6, max_denominator=10 ** 12)
+            .filter(lambda f: f > 0)}[kind]
+
+
+@st.composite
+def member_lists(draw):
+    """(dim, members): tangent values of one kind, or of kinds drawn per
+    value (mixed), with members at infinity of any kind among them."""
+    dim = draw(st.integers(2, 4))
+    kinds = ["float", "int", "fraction"]
+    mode = draw(st.sampled_from(kinds + ["mixed"]))
+    pick = (lambda: draw(st.sampled_from(kinds))) if mode == "mixed" else (lambda: mode)
+    hs = [TangentHoroball(tuple(draw(value_of(pick())) for _ in range(dim - 1)),
+                          draw(positive_of(pick())))
+          for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 2))):
+        hs.insert(draw(st.integers(0, len(hs))),
+                  AtInfinityHoroball(draw(positive_of(draw(st.sampled_from(kinds))))))
+    return dim, hs
+
+
+class TestOneConstructor:
+    @settings(max_examples=200, deadline=None)
+    @given(member_lists())
+    def test_members_are_columns(self, drawn):
+        dim, hs = drawn
+        fam = HoroballFamily(dim, hs)
+        idx = [i for i, h in enumerate(hs) if isinstance(h, TangentHoroball)]
+        tangents = [hs[i] for i in idx]
+        exact = bool(tangents) and all(isinstance(c, (int, Fraction))
+                                       for h in tangents for c in h.base + (h.radius,))
+        assert (fam.exact is not None) == exact
+        # the members rebuilt from the columns: the given ones, or their
+        # float images in a float family
+        number = Fraction if exact else to_float
+        want = [TangentHoroball(tuple(map(number, h.base)), number(h.radius))
+                if isinstance(h, TangentHoroball) else h for h in hs]
+        assert list(fam.horoballs) == want
+        if all(type(c) is float for h in tangents for c in h.base + (h.radius,)) or exact:
+            assert list(fam.horoballs) == hs
+        rows = np.arange(len(idx))
+        assert fam.bases(rows) == [want[i].base for i in idx]
+        assert fam.radii(rows) == [want[i].radius for i in idx]
+        # bit for bit the family from_columns builds on the same values
+        if exact:
+            ratios = Ratios.of([h.base for h in tangents], [h.radius for h in tangents], dim - 1)
+            base, radius = ratios.floats()
+        else:
+            ratios = None
+            base = np.array([[to_float(c) for c in h.base] for h in tangents],
+                            dtype=float).reshape(len(idx), dim - 1)
+            radius = np.array([to_float(h.radius) for h in tangents], dtype=float)
+        infs = {i: h for i, h in enumerate(hs) if isinstance(h, AtInfinityHoroball)}
+        assert_same_family(fam, HoroballFamily.from_columns(dim, np.array(idx, dtype=np.intp),
+                                                            base, radius, ratios, infs))
+        if exact:
+            for key in Ratios.__slots__:
+                a, b = getattr(fam.exact, key), getattr(ratios, key)
+                assert (a.dtype, a.tolist()) == (b.dtype, b.tolist())
+
+    def test_mixed_and_integer_families(self):
+        # floats mixed with ints or Fractions make a float family
+        mixed = HoroballFamily(2, [TangentHoroball((Fraction(1, 4),), 1),
+                                   TangentHoroball((2.0,), 0.5)])
+        assert mixed.exact is None
+        assert [type(c) for h in mixed.horoballs for c in h.base + (h.radius,)] == [float] * 4
+        assert mixed.horoballs == [TangentHoroball((0.25,), 1.0), TangentHoroball((2.0,), 0.5)]
+        # ints come back as equal Fractions, written "n/d"
+        ints = HoroballFamily(2, [TangentHoroball((0,), 1), AtInfinityHoroball(3)])
+        assert ints.exact is not None and ints.horoballs[0] == TangentHoroball((0,), 1)
+        assert [type(c) for c in ints.horoballs[0].base + (ints.horoballs[0].radius,)] == \
+            [Fraction, Fraction]
+        entry = serialize.family_to_document(ints)["entries"][0]
+        assert (entry["base_exact"], entry["radius_exact"]) == (["0/1"], "1/1")
+        # no tangent rows: no exact columns
+        assert HoroballFamily(2, [AtInfinityHoroball(1)]).exact is None
+        assert HoroballFamily(3, []).exact is None
+
+    def test_inverted_height_stays_exact(self):
+        h = invert_horoball(AtInfinityHoroball(1), (0.0,))
+        assert h.radius == Fraction(1, 2) and type(h.radius) is Fraction
+        assert invert_horoball(AtInfinityHoroball(Fraction(2, 3)), (0,)).radius == Fraction(3, 4)
+        assert invert_horoball(AtInfinityHoroball(3.0), (0.0,)).radius == 1 / (2 * 3.0)
 
 
 # ---------------------------------------------------------------------------

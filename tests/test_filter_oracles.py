@@ -37,7 +37,13 @@ from horoshadow.halfspace import (
     point_to_horoball_dists,
 )
 from horoshadow.numeric import DEFAULT_TOL, certify, may_be_le, min_candidates, to_float
-from horoshadow.packings import HoroballFamily, farey, random_disjoint, validate_disjoint
+from horoshadow.packings import (
+    HoroballFamily,
+    Ratios,
+    farey,
+    random_disjoint,
+    validate_disjoint,
+)
 from horoshadow.sharp2d import (
     IntervalComponent,
     Side,
@@ -375,9 +381,9 @@ class TestMayBeLe:
 # the depth passes of rays
 
 
-def ford_like():
+def ford_like(number=float):
     """Gaussian Ford spheres of |q|^2 <= 5 in the unit square, plus the
-    horoball at infinity."""
+    horoball at infinity, with every value of the type number."""
     best = {}
     for q1 in range(-3, 4):
         for q2 in range(-3, 4):
@@ -390,8 +396,9 @@ def ford_like():
                         continue
                     z = (Fraction(z1, n), Fraction(z2, n))
                     best[z] = min(best.get(z, n), n)
-    balls = [TangentHoroball(tuple(map(float, z)), 1 / (2 * n)) for z, n in sorted(best.items())]
-    return HoroballFamily(3, balls + [AtInfinityHoroball(1.0)])
+    balls = [TangentHoroball(tuple(map(number, z)), number(Fraction(1, 2 * n)))
+             for z, n in sorted(best.items())]
+    return HoroballFamily(3, balls + [AtInfinityHoroball(number(1))])
 
 
 RAY_FAMILIES = {"farey12+inf": farey(12, (0, 1), include_infinity=True),
@@ -541,6 +548,40 @@ class TestRayFromPoint:
                     for c in h.base + (h.radius,)] == \
                 [type(c) for h in want.horoballs if isinstance(h, TangentHoroball)
                  for c in h.base + (h.radius,)]
+
+    @pytest.mark.parametrize("fam", [farey(12, (0, 1), include_infinity=True),
+                                     ford_like(Fraction)], ids=["farey12+inf", "ford5+inf"])
+    @pytest.mark.parametrize("k", FRACTIONS, ids=["10^12", "10^-12", "2^1100", "2^-1100", "1"])
+    def test_exact_inversion_in_integers(self, fam, k):
+        # the integer pass over the Ratios against invert_horoball in
+        # Fractions: the same members and the same Ratios, int64 columns
+        # included; at 2^(+-1100) the values pass int64
+        fam = scaled(fam, k)
+        for p in (fam.horoballs[3].base, (Fraction(1, 3),) * (fam.dim - 1),
+                  (0.375,) * (fam.dim - 1)):
+            got, want = rays._inverted(fam, p), old_inverted(fam, tuple(map(Fraction, p)))
+            assert got.horoballs == want.horoballs
+            for key in Ratios.__slots__:
+                a, b = getattr(got.exact, key), getattr(want.exact, key)
+                assert (a.dtype, a.tolist()) == (b.dtype, b.tolist()), key
+            if k in (Fraction(2) ** 1100, Fraction(1, 2 ** 1100)):
+                assert any(getattr(got.exact, key).dtype == object for key in Ratios.__slots__)
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_float_inversion_outside_the_square_range(self, k):
+        # the rows whose |b - p|^2 leaves the normal range go through
+        # invert_horoball, which inverts them at unit scale
+        unit = RAY_FAMILIES["farey12+inf-float"]
+        fam = scaled(unit, 2.0 ** k)
+        p = fam.horoballs[3].base
+        got = rays._inverted(fam, p)
+        assert got.horoballs == old_inverted(fam, p).horoballs
+        for h, h1 in zip(got.horoballs, rays._inverted(unit, unit.horoballs[3].base).horoballs):
+            if isinstance(h, TangentHoroball):
+                assert h.radius == pytest.approx(math.ldexp(h1.radius, -k), rel=1e-15)
+                assert h.base[0] == pytest.approx(math.ldexp(h1.base[0], -k), rel=1e-15)
+            else:
+                assert h.height == pytest.approx(math.ldexp(h1.height, -k), rel=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 10 ** 6), st.data())

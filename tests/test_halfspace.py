@@ -380,6 +380,30 @@ class TestOutsideTheSquareRange:
         assert t == pytest.approx(param_of(scaled_arc(g, k), scaled_point(x, k)), abs=1e-12)
         assert t == pytest.approx(0.3, abs=1e-12)
 
+    R = 2.0 ** -600
+
+    def test_horoball_gaps(self):
+        # inf, and "share their base point" for the tangent pair, before
+        assert dist_alg_horoballs(TangentHoroball((0.0,), 0.5), TangentHoroball((1e200,), 0.5)) \
+            == pytest.approx(self.FAR, rel=1e-15)
+        r = self.R
+        assert dist_alg_horoballs(TangentHoroball((0.0,), r), TangentHoroball((2 * r,), r)) == 0
+
+    def test_geodesic_through(self):
+        # a NaN far end, and a vertical line, before
+        assert geodesic_through(Point((1e200,), 1e200), (0.0,)) == ArcGeodesic((0.0,), (2e200,))
+        r = self.R
+        assert geodesic_through(Point((r,), r), (0.0,)) == ArcGeodesic((0.0,), (2.0 ** -599,))
+
+    def test_inversions(self):
+        # ZeroDivisionError, "cannot invert the center itself" and a silent
+        # AtInfinityHoroball(2.07e180) before
+        r = self.R
+        assert invert_point(Point((r,), r), (0.0,)) == Point((2.0 ** 599,), 2.0 ** 599)
+        assert invert_boundary((r,), (0.0,)) == (2.0 ** 600,)
+        assert invert_horoball(TangentHoroball((r,), r), (0.0,)) == \
+            TangentHoroball((2.0 ** 600,), 2.0 ** 600)
+
     def test_in_range_unchanged(self):
         # where every square is a normal float, the direct formulas
         rnd = random.Random(5)
@@ -390,6 +414,19 @@ class TestOutsideTheSquareRange:
             u2 = sum((x - y) ** 2 for x, y in zip(p.base, h.base))
             assert point_to_horoball_dist(p, h) == \
                 -math.log(2 * h.radius * p.height / (u2 + p.height * p.height))
+            # the inversions, geodesic_through and dist_alg_horoballs at q
+            d = tuple(x - y for x, y in zip(p.base, q.base))
+            e = tuple(x - y for x, y in zip(h.base, q.base))
+            n2, u2 = sum(x * x for x in d), sum(x * x for x in e)
+            m2 = n2 + p.height * p.height
+            assert invert_boundary(p.base, q.base) == tuple((1 / n2) * x for x in d)
+            assert invert_point(p, q.base) == Point(tuple((1 / m2) * x for x in d), p.height / m2)
+            assert invert_horoball(h, q.base) == \
+                TangentHoroball(tuple((1 / u2) * x for x in e), h.radius / u2)
+            assert geodesic_through(p, q.base) == \
+                ArcGeodesic(q.base, tuple(y + (m2 / n2) * x for x, y in zip(d, q.base)))
+            assert dist_alg_horoballs(h, TangentHoroball(q.base, 0.5)) == \
+                math.log(u2 / (4 * h.radius * 0.5))
             db2 = sum((x - y) ** 2 for x, y in zip(p.base, q.base))
             dh = p.height - q.height
             assert hyperbolic_dist(p, q) == \

@@ -309,6 +309,48 @@ class TestCli:
                     "error: start index is not a tangent horoball\n"
 
 
+def tree_document(edit):
+    doc = serialize.tree_to_document(three_regular_tree(2), covering_family(three_regular_tree(2)))
+    edit(doc["entries"])
+    return doc
+
+
+def family_document(edit):
+    doc = serialize.family_to_document(farey(3))
+    edit(doc)
+    return doc
+
+
+class TestMalformedDocuments:
+    """A document that lacks a field, or holds one of the wrong shape,
+    makes the CLI exit 1 with an error line naming the document kind,
+    not a traceback."""
+
+    @pytest.mark.parametrize("doc,kind", [
+        (tree_document(lambda e: e["edges"][0].__setitem__(2, "x")), "tree"),
+        (tree_document(lambda e: e.__setitem__("root", [0])), "tree"),
+        (family_document(lambda d: d.pop("dim")), "family"),
+        (family_document(lambda d: d["entries"][0].pop("base")), "family"),
+        (family_document(lambda d: d.__setitem__("entries", {"a": 1})), "family"),
+        ([1], "family"),
+    ], ids=["edge-length", "root", "no-dim", "no-base", "entries-object", "list"])
+    def test_verify_packing(self, tmp_path, doc, kind):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(["verify", "packing", "--family", str(path)])
+        assert code == 1 and err.startswith(f"error: malformed {kind} document")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("geodesic", ['{"type": "arc"}', "[1]"], ids=["no-ends", "list"])
+    def test_verify_avoidance(self, tmp_path, geodesic):
+        path = tmp_path / "fam.json"
+        path.write_text(serialize.dumps(serialize.family_to_document(farey(3))))
+        code, _, err = run_cli(["verify", "avoidance", "--family", str(path),
+                                "--geodesic", geodesic])
+        assert code == 1 and err.startswith("error: malformed geodesic document")
+        assert "Traceback" not in err
+
+
 def test_cli_import_loads_no_numpy():
     # numpy is imported by the functions that use it, so a CLI run that
     # needs no numpy work does not pay for loading it
