@@ -196,11 +196,11 @@ def cmd_uncloud(args) -> int:
         results = []
         for side in sides:
             sol = solve_2d(fam, s, args.start, side, tol)
-            results.append({**_witness_json((sol.endpoint,), sol.witness, sol.certificate),
+            results.append({**_witness_json(sol.endpoint, sol.witness, sol.certificate),
                             "side": side.value})
     else:
-        signs = (1.0, -1.0) if args.two else ((-1.0,) if args.side == "L" else (1.0,))
-        sols = [solve_hnr(fam, s, args.start, (e,) + (0.0,) * (fam.dim - 2), tol)
+        signs = (1, -1) if args.two else ((-1,) if args.side == "L" else (1,))
+        sols = [solve_hnr(fam, s, args.start, (e,) + (0,) * (fam.dim - 2), tol)
                 for e in signs]
         results = [_witness_json(sol.endpoint, sol.witness, sol.certificate) for sol in sols]
     # every solver raises CertificateError rather than return an

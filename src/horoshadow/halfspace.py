@@ -62,6 +62,11 @@ def vdot(a: Vector, b: Vector):
     return sum(x * y for x, y in zip(a, b))
 
 
+def vnorm(a: Vector):
+    """Euclidean norm: abs (exact) on one coordinate, math.hypot beyond."""
+    return abs(a[0]) if len(a) == 1 else math.hypot(*a)
+
+
 def vnorm2(a: Vector):
     """Squared Euclidean norm; exact on Fraction input."""
     return sum(x * x for x in a)
@@ -238,7 +243,10 @@ def dist_alg_horoballs(h1: Horoball, h2: Horoball) -> float:
     if isinstance(h1, AtInfinityHoroball):
         h1, h2 = h2, h1
     if isinstance(h2, AtInfinityHoroball):
-        return math.log(float(h2.height) / (2 * float(h1.radius)))
+        H, r = float(h2.height), float(h1.radius)
+        if _TINY <= (q := H / (2 * r)) < INF:
+            return math.log(q)
+        return math.log(H) - _LN2 - math.log(r)
     d, r1, r2 = vsub(_flv(h1.base), _flv(h2.base)), float(h1.radius), float(h2.radius)
     if not any(d):
         raise ValueError("horoballs share their base point")

@@ -169,12 +169,9 @@ def _inverted(fam: HoroballFamily, p: tuple) -> HoroballFamily:
 def _solver_endpoint(fam: HoroballFamily, s: float, start: Optional[int],
                      side: Side, tol: float) -> tuple:
     if fam.dim == 2:
-        sol = solve_2d(fam, s, start=start, side=side, tol=tol)
-        return (sol.endpoint,)
-    direction = [0.0] * (fam.dim - 1)
-    direction[0] = 1.0 if side is Side.RIGHT else -1.0
-    sol = solve_hnr(fam, s, start=start, direction=tuple(direction), tol=tol)
-    return sol.endpoint
+        return solve_2d(fam, s, start=start, side=side, tol=tol).endpoint
+    direction = (1 if side is Side.RIGHT else -1,) + (0,) * (fam.dim - 2)
+    return solve_hnr(fam, s, start=start, direction=direction, tol=tol).endpoint
 
 
 def ray_from_point(fam: HoroballFamily, x: Point, t: float,

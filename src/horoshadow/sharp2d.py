@@ -1,5 +1,6 @@
-"""Sharp interval solver on the boundary line of the hyperbolic plane,
-and the pipeline both sharp solvers share.
+"""Sharp interval dichotomy on the boundary line of the hyperbolic
+plane, and the pipeline of the sharp solver (sharpnd.solve_hnr), which
+planar families run along the line.
 
 For horoballs tangent to the real line the complement of a scaled shadow
 inside the full shadow consists of two closed intervals.  As long as the
@@ -9,18 +10,20 @@ of its two annulus components fits entirely inside it, so a nested
 interval chain pins down an endpoint whose vertical geodesic avoids
 every scaled horoball.  The threshold is sharp: the extremal binary-tree
 packing tiles each component with the shadows of two maximal children.
-The solver of sharpnd runs its rotated steps in the same pipeline.
+step_2d is that dichotomy; sharpnd.step_hnr calls it on the line it
+rotates each step onto, and a planar step is one on the line itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .halfspace import TangentHoroball, sq_norms
+from .halfspace import sq_norms, vnorm, vsub
 from .numeric import (
     DEFAULT_TOL,
     SHARP_SCALE,
@@ -42,33 +45,6 @@ class Side(Enum):
     RIGHT = "R"
 
 
-@dataclass(frozen=True)
-class IntervalComponent:
-    """One of the two components of a shadow annulus on the line."""
-
-    interval: tuple
-    horoball_index: int
-    side: Side
-
-    @property
-    def lo(self):
-        return self.interval[0]
-
-    @property
-    def hi(self):
-        return self.interval[1]
-
-    @property
-    def midpoint(self):
-        return (self.interval[0] + self.interval[1]) / 2
-
-    center = midpoint
-
-    @property
-    def radius(self):
-        return (self.interval[1] - self.interval[0]) / 2
-
-
 def sharp_shrink_time(a: float = 1.0) -> float:
     """Sharp uniform shrink time for surfaces with curvature pinched in
     [-a^2, -1]; at a = 1 it equals -log(4 sqrt(2) - 5).
@@ -84,20 +60,8 @@ def sharp_shrink_time(a: float = 1.0) -> float:
     return -math.log(em)
 
 
-def component_of(h: TangentHoroball, s, side: Side,
-                 index: int = -1) -> IntervalComponent:
-    """The annulus component [b - r, b - s r] or [b + s r, b + r] of the
-    shadow of h on the given side."""
-    if not 0 < s < 1:
-        raise ValueError("scale factor must lie in (0, 1)")
-    b, r = h.base[0], h.radius
-    if side is Side.LEFT:
-        return IntervalComponent((b - r, b - s * r), index, side)
-    return IntervalComponent((b + s * r, b + r), index, side)
-
-
-def fit_component(interval: tuple, b, r, s, index: int = -1,
-                  tol: float = DEFAULT_TOL) -> Optional[IntervalComponent]:
+def step_2d(interval: tuple, b, r, s, index: int = -1,
+            tol: float = DEFAULT_TOL) -> Optional[tuple]:
     """Interval dichotomy on a line: None when the scaled shadow
     [b - s r, b + s r] misses the interval; otherwise the annulus
     component of the shadow of radius r at b that lies in the interval,
@@ -110,12 +74,11 @@ def fit_component(interval: tuple, b, r, s, index: int = -1,
     if b + s * r < lo - tol or b - s * r > hi + tol:
         return None
     best = None
-    for side, c_lo, c_hi in ((Side.LEFT, b - r, b - s * r),
-                             (Side.RIGHT, b + s * r, b + r)):
+    for c_lo, c_hi in ((b - r, b - s * r), (b + s * r, b + r)):
         if c_lo >= lo - tol and c_hi <= hi + tol:
             margin = min(c_lo - lo, hi - c_hi)
             if best is None or margin >= best[0]:
-                best = (margin, IntervalComponent((c_lo, c_hi), index, side))
+                best = (margin, (c_lo, c_hi))
     if best is None:
         raise CertificateError(
             f"no annulus component of horoball {index} fits in {interval}; "
@@ -123,21 +86,12 @@ def fit_component(interval: tuple, b, r, s, index: int = -1,
     return best[1]
 
 
-def step_2d(K: IntervalComponent, h2: TangentHoroball, s,
-            index: int = -1, tol: float = DEFAULT_TOL
-            ) -> Optional[IntervalComponent]:
-    """Interval dichotomy step against h2 on the boundary line (see
-    fit_component)."""
-    return fit_component(K.interval, h2.base[0], h2.radius, s, index, tol)
-
-
 @dataclass
 class Solution:
-    """Output of a sharp solver: the endpoint (a number on the line, a
-    tuple in R^(n-1)), the witness chain, the seed member and the
-    avoidance certificate."""
+    """Output of a sharp solver: the endpoint (a tuple in R^(n-1)), the
+    witness chain, the seed member and the avoidance certificate."""
 
-    endpoint: object
+    endpoint: tuple
     witness: list
     start_index: int
     certificate: Certificate
@@ -146,20 +100,20 @@ class Solution:
 def solve_2d(fam: HoroballFamily, s, start: Optional[int] = None,
              side: Side = Side.RIGHT, tol: float = DEFAULT_TOL) -> Solution:
     """Boundary point whose vertical geodesic avoids every open scaled
-    horoball of a planar family: solve_sharp from the chosen side
-    component of the start horoball (largest by default) by step_2d."""
+    horoball of a planar family: sharpnd.solve_hnr along -1 or +1 from
+    the start horoball (largest by default), whose steps are step_2d on
+    the line, in the arithmetic of the family and of s."""
     if fam.dim != 2:
         raise ValueError("the interval solver needs a planar family")
-    hs = fam.horoballs
-    return solve_sharp(fam, s, start, lambda a0: component_of(hs[a0], s, side, a0),
-                       lambda K, j: step_2d(K, hs[j], s, index=j, tol=tol), tol)
+    from .sharpnd import solve_hnr
+    return solve_hnr(fam, s, start, (1,) if side is Side.RIGHT else (-1,), tol)
 
 
 def solve_sharp(fam: HoroballFamily, s, start: Optional[int], seed: Callable,
                 step: Callable, tol) -> Solution:
-    """Nested chain of elements (intervals or balls, each with a center
-    and a radius) from seed(a0) by step(K, j), and its endpoint, the
-    center of the last element, with its certificate.
+    """Nested chain of balls (each with a center tuple and a radius)
+    from seed(a0) by step(K, j), and its endpoint, the center of the
+    last ball, with its certificate.
 
     The scan (uncover.scan_order, on the radius column) visits the
     tangent members within 3 sup of a0 (start, or the largest member)
@@ -199,52 +153,42 @@ def solve_sharp(fam: HoroballFamily, s, start: Optional[int], seed: Callable,
 
 
 def _distances(fam: HoroballFamily) -> tuple:
-    """dist(p, i) = |p - b_i| for a point p (a number on the line, a tuple
-    beyond), exact on the line, and near(a, bound, rows), the mask of
-    dist(b_a, row) <= bound over tangent rows: one float pass, decided
-    by dist on the rows where the floats do not settle it (the float
-    distances are the distances beyond the line)."""
+    """dist(p, i) = |p - b_i| for a point p (a tuple), exact on the line
+    and a float beyond (halfspace.vnorm), and near(a, bound, rows), the
+    mask of dist(b_a, row) <= bound over tangent rows: one float pass,
+    decided by dist on the rows where the floats do not settle it."""
     import numpy as np
     hs, cols = fam.horoballs, fam.columns
-    if fam.dim == 2:
-        def dist(p, i):
-            return abs((p[0] if isinstance(p, tuple) else p) - hs[i].base[0])
-
-        def near(a, bound, rows):
-            x, x0 = cols.base[rows, 0], cols.base[a, 0]
-            err = 0 if fam.exact is None else widen(np.abs(x) + abs(x0) + abs(to_float(bound)))
-            t = cols.tangent
-            return decide_le(np.abs(x - x0), to_float(bound), err, lambda pos: [
-                dist(hs[t[a]].base, i) <= bound for i in t[rows[pos]].tolist()])
-        return dist, near
 
     def dist(p, i):
-        return float(np.linalg.norm(np.subtract(p, np.asarray(hs[i].base, float))))
+        return vnorm(vsub(p, hs[i].base))
 
     def near(a, bound, rows):
-        gap = np.sqrt(sq_norms(cols.base[rows] - cols.base[a]))
-        err = 0 if fam.exact is None else widen(abs(to_float(bound)))
-        return decide_le(gap, to_float(bound), err,
-                         lambda pos: [g <= bound for g in gap[pos].tolist()])
+        gap = functools.reduce(np.hypot, np.abs(cols.base[rows] - cols.base[a]).T)
+        err = 0 if fam.exact is None else widen(
+            np.abs(cols.base[rows]).sum(1) + np.abs(cols.base[a]).sum() + abs(to_float(bound)))
+        t = cols.tangent
+        return decide_le(gap, to_float(bound), err, lambda pos: [
+            dist(hs[t[a]].base, i) <= bound for i in t[rows[pos]].tolist()])
     return dist, near
 
 
 def margin_bounds(e, bases, sr) -> tuple:
-    """Float margins |e - b| - sr of a point e (a number on the line, a
-    tuple beyond) against shadows centered at the rows of bases with scaled
-    radii sr (float arrays), and a bound on their error that covers the
-    conversion of exact values too, as |e| + |b| <= 2|e| + |e - b|."""
+    """Float margins |e - b| - sr of a point e (a tuple) against shadows
+    centered at the rows of bases with scaled radii sr (float arrays),
+    and a bound on their error that covers the conversion of exact
+    values too, as |e| + |b| <= 2|e| + |e - b|."""
     import numpy as np
-    ef = np.array([to_float(c) for c in (e if isinstance(e, tuple) else (e,))])
+    ef = np.array([to_float(c) for c in e])
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.sqrt(sq_norms(bases - ef))
         return gap - sr, widen(gap + sr + 2 * np.abs(ef).sum())
 
 
 def may_meet(K, bases, sr, tol):
-    """Float filter in front of both steps: a mask over the shadows of
-    margin_bounds, false only where a shadow misses the element K (by
-    its center and radius) by more than tol, so that the step is None."""
+    """Float filter in front of the step: a mask over the shadows of
+    margin_bounds, false only where a shadow misses the ball K (by its
+    center and radius) by more than tol, so that the step is None."""
     approx, err = margin_bounds(K.center, bases, sr)
     reach = to_float(K.radius) + to_float(tol)
     return may_be_le(approx - err, reach, reach)

@@ -18,7 +18,7 @@ Heisenberg group run through the same code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .numeric import (
@@ -112,19 +112,24 @@ class UncoverSpace:
 
 @dataclass
 class BallFamily:
-    """Balls (center, radius) in an UncoverSpace with packing constant D."""
+    """Balls (center, radius) in an UncoverSpace with packing constant D,
+    and their gauge columns (centers) and float radii, built once."""
 
     space: UncoverSpace
     balls: list[tuple]
     D: float = 0.25
+    centers: object = field(init=False, repr=False, compare=False)
+    radius: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        import numpy as np
         hi = 0.5 if self.space.has_lines else 0.25
         if not 0 < self.D <= hi:
             raise ValueError(f"packing constant must lie in (0, {hi}]")
-        for _, r in self.balls:
-            if not r > 0:
-                raise ValueError("radii must be positive")
+        self.radius = np.array([r for _, r in self.balls], dtype=float)
+        if not (self.radius > 0).all():
+            raise ValueError("radii must be positive")
+        self.centers = self.space.gauge.columns([x for x, _ in self.balls])
 
     def validate_packing(self, tol: float = DEFAULT_TOL) -> list[tuple[int, int]]:
         """Sorted index pairs violating r_i r_j <= D d(x_i, x_j)^2 (within tol).
@@ -140,8 +145,7 @@ class BallFamily:
         """
         import numpy as np
         dist, gauge = self.space.dist, self.space.gauge
-        centers = gauge.columns([x for x, _ in self.balls])
-        radius = np.array([r for _, r in self.balls], dtype=float)
+        centers, radius = self.centers, self.radius
         keys = gauge.rho(centers[:1], centers)
         # 1 + tol <= 0 (or NaN) makes every pair a candidate
         scale = 1 / (2 * math.sqrt(self.D * min(1.0, 1 + tol))) if 1 + tol > 0 else math.inf
@@ -456,7 +460,6 @@ def _prepare(fam: BallFamily, s: float, start: Optional[int], tol: float):
     factor and that a user start ball is large enough to seed the loop.
     The 3 sup distance test reads the gauge, and dist decides where the
     bound lies between the gauge's bounds."""
-    import numpy as np
     space = fam.space
     balls = fam.balls
     s0 = safe_scale(fam.D, space.modulus, space.has_lines)
@@ -471,15 +474,14 @@ def _prepare(fam: BallFamily, s: float, start: Optional[int], tol: float):
             raise ValueError(
                 f"start ball {start} too small to seed the loop "
                 f"(need radius >= {(1 - eps) * sup:.6g})")
-    centers = space.gauge.columns([x for x, _ in balls])
 
     def near(a0, bound, rows):
-        lo, hi = space.gauge.bounds(centers[rows], centers[a0])
+        lo, hi = space.gauge.bounds(fam.centers[rows], fam.centers[a0])
         return decide_le((lo + hi) / 2, bound, (hi - lo) / 2 + widen(hi + bound),
                          lambda pos: [space.dist(balls[i][0], balls[a0][0]) <= bound
                                       for i in rows[pos].tolist()])
 
-    a0, order = scan_order(np.array([r for _, r in balls], dtype=float), start, tol, near)
+    a0, order = scan_order(fam.radius, start, tol, near)
     return a0, order.tolist()
 
 
@@ -494,12 +496,10 @@ def _run(fam: BallFamily, s: float, a0: int, order: Sequence[int],
     by the gauge, may be the least (min_candidates)."""
     import numpy as np
     space, gauge = fam.space, fam.space.gauge
-    balls = fam.balls
-    centers = gauge.columns([x for x, _ in balls])
-    radius = np.array([r for _, r in balls], dtype=float)
+    balls, centers = fam.balls, fam.centers
     rows = np.array(order, dtype=np.intp)
     # a Fraction s times a float radius is float(s) times it
-    scaled = float(s) * radius
+    scaled = float(s) * fam.radius
     x0, r0 = balls[a0]
 
     def may_meet(K, begin):

@@ -231,7 +231,7 @@ def test_criterion_06_sharp_solvers():
             R @ np.asarray(base.endpoint) - np.asarray(solr.endpoint))))
     ok &= worst_rot <= 1e-9
     _report(6, ok,
-            f"extremal endpoint {sol.endpoint:.9f}; residual {max_gap:.2e}; "
+            f"extremal endpoint {sol.endpoint[0]:.9f}; residual {max_gap:.2e}; "
             f"rotation deviation {worst_rot:.2e}",
             time.perf_counter() - t0, 5.0)
 
@@ -326,9 +326,9 @@ def test_criterion_10_cross_module_oracles():
     balls3 = [TangentHoroball((float(h.base[0]), 0.0), float(h.radius))
               for h in fam1.horoballs]
     fam3 = HoroballFamily(3, balls3)
-    a = solve_2d(fam1, 0.4, side=Side.RIGHT).endpoint
+    (a,) = solve_2d(fam1, 0.4, side=Side.RIGHT).endpoint
     b = solve_hnr(fam3, 0.4, direction=(1.0, 0.0)).endpoint
-    ok = abs(float(a) - b[0]) <= 1e-9 and abs(b[1]) <= 1e-9
+    ok = abs(a - b[0]) <= 1e-9 and abs(b[1]) <= 1e-9
     rnd = random.Random(10)
     worst = 0.0
     for _ in range(100):
@@ -343,6 +343,6 @@ def test_criterion_10_cross_module_oracles():
         worst = max(worst, abs(closed - sampled))
     ok &= worst <= 1e-6
     _report(10, ok,
-            f"collinear endpoints agree to {abs(float(a) - b[0]):.2e}; "
+            f"collinear endpoints agree to {abs(a - b[0]):.2e}; "
             f"sampling deviation {worst:.2e}",
             time.perf_counter() - t0, 10.0)

@@ -44,14 +44,7 @@ from horoshadow.packings import (
     random_disjoint,
     validate_disjoint,
 )
-from horoshadow.sharp2d import (
-    IntervalComponent,
-    Side,
-    fit_component,
-    margin_bounds,
-    may_meet,
-    solve_2d,
-)
+from horoshadow.sharp2d import Side, margin_bounds, may_meet, solve_2d, step_2d
 from horoshadow.sharpnd import AnnulusBall, solve_hnr, step_hnr
 from test_depth_oracles import (
     near,
@@ -77,7 +70,7 @@ def old_scan_chain(K, order, step):
 def old_certificate_2d(fam, endpoint, s, tol):
     radii = {i: h.radius for i, h in fam.tangent_items()}
     base = {i: h.base[0] for i, h in fam.tangent_items()}
-    return certify({i: abs(endpoint - base[i]) - s * r for i, r in radii.items()}, tol)
+    return certify({i: abs(endpoint[0] - base[i]) - s * r for i, r in radii.items()}, tol)
 
 
 def old_certificate_hnr(fam, endpoint, s, tol):
@@ -221,7 +214,7 @@ class TestLineScan:
 
     @settings(max_examples=400, deadline=None)
     @given(st.data(), st.sampled_from([1.0, 2.0 ** 60, 2.0 ** -60, 1e12, 1e-12]))
-    def test_filter_keeps_every_member_fit_component_keeps(self, data, k):
+    def test_filter_keeps_every_member_the_line_step_keeps(self, data, k):
         # a shadow end within a few ulps of the widened interval end
         lo = k * data.draw(st.floats(-4, 4))
         hi = lo + k * data.draw(st.floats(1e-3, 2))
@@ -234,9 +227,8 @@ class TestLineScan:
         b = (edge - reach) if edge == lo - tol else (edge + reach)
         for _ in range(abs(ulps)):
             b = math.nextafter(b, math.copysign(INF, ulps))
-        K = IntervalComponent((lo, hi), -1, Side.LEFT)
-        kept = bool(may_meet(K, np.array([[b]]), np.array([s * r]), tol)[0])
-        scalar = outcome(fit_component, (lo, hi), b, r, s, -1, tol)
+        kept = bool(may_meet(interval_ball(lo, hi), np.array([[b]]), np.array([s * r]), tol)[0])
+        scalar = outcome(step_2d, (lo, hi), b, r, s, -1, tol)
         assert kept or scalar == ("ok", None)
 
     @settings(max_examples=200, deadline=None)
@@ -249,9 +241,14 @@ class TestLineScan:
         lo, hi, r = k * lo, k * (lo + width), k * r
         b = (lo - s * r if left else hi + s * r) + nudge * k * Fraction(1, 10 ** 30)
         float_b = np.array([[to_float(b)]])
-        K = IntervalComponent((lo, hi), -1, Side.LEFT)
-        kept = bool(may_meet(K, float_b, np.array([to_float(s) * to_float(r)]), 0)[0])
-        assert kept or fit_component((lo, hi), b, r, s, -1, 0) is None
+        kept = bool(may_meet(interval_ball(lo, hi), float_b,
+                             np.array([to_float(s) * to_float(r)]), 0)[0])
+        assert kept or step_2d((lo, hi), b, r, s, -1, 0) is None
+
+
+def interval_ball(lo, hi):
+    """The interval [lo, hi] as the element of the line solver."""
+    return AnnulusBall(((lo + hi) / 2,), (hi - lo) / 2)
 
 
 def within_bound(approx, err, sq_gap, sr):
@@ -275,7 +272,7 @@ class TestMarginBounds:
         if near:
             b = e + b * Fraction(1, 10 ** 15)
         e, b, r = k * e, k * b, k * r
-        approx, err = margin_bounds(e, np.array([[to_float(b)]]),
+        approx, err = margin_bounds((e,), np.array([[to_float(b)]]),
                                     np.array([to_float(s) * to_float(r)]))
         exact = abs(e - b) - s * r
         if err[0] < INF and abs(approx[0]) < INF:
@@ -315,7 +312,11 @@ class TestSpaceScan:
             return
         sol, want = new[1], old[1]
         assert (sol.endpoint, sol.witness) == (want.endpoint, want.witness)
-        assert sol.certificate == old_certificate_hnr(fam, sol.endpoint, s, DEFAULT_TOL)
+        # the solver measures with math.hypot, the oracle with
+        # np.linalg.norm: the same member and count, margins to rounding
+        want = old_certificate_hnr(fam, sol.endpoint, s, DEFAULT_TOL)
+        assert (sol.certificate.index, sol.certificate.checks) == (want.index, want.checks)
+        assert sol.certificate.margin == pytest.approx(want.margin, rel=1e-12, abs=1e-15 * k)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(1, 3), st.sampled_from([1.0, 2.0 ** 60, 2.0 ** -60, 1e12]))

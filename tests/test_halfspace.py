@@ -388,6 +388,12 @@ class TestOutsideTheSquareRange:
             == pytest.approx(self.FAR, rel=1e-15)
         r = self.R
         assert dist_alg_horoballs(TangentHoroball((0.0,), r), TangentHoroball((2 * r,), r)) == 0
+        # against the member at infinity H / 2r overflowed to inf, and
+        # underflowed to 0 (math domain error)
+        assert dist_alg_horoballs(TangentHoroball((0.0,), 1e-300), AtInfinityHoroball(1e300)) \
+            == pytest.approx(1380.8579086158675, rel=1e-15)
+        assert dist_alg_horoballs(AtInfinityHoroball(1e-300), TangentHoroball((0.0,), 1e300)) \
+            == pytest.approx(-1382.2442029769873, rel=1e-15)
 
     def test_geodesic_through(self):
         # a NaN far end, and a vertical line, before
@@ -427,6 +433,8 @@ class TestOutsideTheSquareRange:
                 ArcGeodesic(q.base, tuple(y + (m2 / n2) * x for x, y in zip(d, q.base)))
             assert dist_alg_horoballs(h, TangentHoroball(q.base, 0.5)) == \
                 math.log(u2 / (4 * h.radius * 0.5))
+            assert dist_alg_horoballs(h, AtInfinityHoroball(p.height)) == \
+                math.log(p.height / (2 * h.radius))
             db2 = sum((x - y) ** 2 for x, y in zip(p.base, q.base))
             dh = p.height - q.height
             assert hyperbolic_dist(p, q) == \

@@ -8,7 +8,9 @@ import importlib
 import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from horoshadow.numeric import (
     certify,
 )
 from horoshadow.packings import extremal, farey, random_disjoint
-from horoshadow.sharp2d import IntervalComponent, Side, solve_2d
+from horoshadow.sharp2d import Side, solve_2d
 from horoshadow.sharpnd import AnnulusBall, maximal_annulus_ball, solve_hnr
 from horoshadow.uncover import (
     BallFamily,
@@ -48,6 +50,88 @@ COLLINEAR_SIN = 1e-12
 # ---------------------------------------------------------------------------
 # oracles: the loops before the shared driver, verbatim up to names and
 # return types (plain tuples instead of the solution records)
+
+# the interval elements of the planar solver before it became solve_hnr
+# along +-1, verbatim
+
+
+@dataclass(frozen=True)
+class IntervalComponent:
+    """One of the two components of a shadow annulus on the line."""
+
+    interval: tuple
+    horoball_index: int
+    side: Side
+
+    @property
+    def lo(self):
+        return self.interval[0]
+
+    @property
+    def hi(self):
+        return self.interval[1]
+
+    @property
+    def midpoint(self):
+        return (self.interval[0] + self.interval[1]) / 2
+
+    center = midpoint
+
+    @property
+    def radius(self):
+        return (self.interval[1] - self.interval[0]) / 2
+
+
+def component_of(h: TangentHoroball, s, side: Side,
+                 index: int = -1) -> IntervalComponent:
+    """The annulus component [b - r, b - s r] or [b + s r, b + r] of the
+    shadow of h on the given side."""
+    if not 0 < s < 1:
+        raise ValueError("scale factor must lie in (0, 1)")
+    b, r = h.base[0], h.radius
+    if side is Side.LEFT:
+        return IntervalComponent((b - r, b - s * r), index, side)
+    return IntervalComponent((b + s * r, b + r), index, side)
+
+
+def fit_component(interval: tuple, b, r, s, index: int = -1,
+                  tol: float = DEFAULT_TOL) -> Optional[IntervalComponent]:
+    """Interval dichotomy on a line: None when the scaled shadow
+    [b - s r, b + s r] misses the interval; otherwise the annulus
+    component of the shadow of radius r at b that lies in the interval,
+    the one with the larger margin to its ends (ties going right).
+
+    A failure to contain either component signals a scale factor above
+    the sharp threshold or an invalid family, and raises.
+    """
+    lo, hi = interval
+    if b + s * r < lo - tol or b - s * r > hi + tol:
+        return None
+    best = None
+    for side, c_lo, c_hi in ((Side.LEFT, b - r, b - s * r),
+                             (Side.RIGHT, b + s * r, b + r)):
+        if c_lo >= lo - tol and c_hi <= hi + tol:
+            margin = min(c_lo - lo, hi - c_hi)
+            if best is None or margin >= best[0]:
+                best = (margin, IntervalComponent((c_lo, c_hi), index, side))
+    if best is None:
+        raise CertificateError(
+            f"no annulus component of horoball {index} fits in {interval}; "
+            "scale above the sharp threshold or family invalid")
+    return best[1]
+
+
+def old_maximal_annulus_ball(h, s, direction, index=-1):
+    if not 0 < s < 1:
+        raise ValueError("scale factor must lie in (0, 1)")
+    u = np.asarray(direction, dtype=float)
+    n = np.linalg.norm(u)
+    if abs(n - 1) > 1e-9:
+        raise ValueError("direction must be a unit vector")
+    b = np.asarray(h.base, dtype=float)
+    r = float(h.radius)
+    center = b + u * (r * (1 + s) / 2)
+    return AnnulusBall(tuple(map(float, center)), r * (1 - s) / 2, index)
 
 
 def old_component_of(h, s, side, index=-1):
@@ -141,7 +225,7 @@ def old_line_step(y1, R, b2, r2, s, tol):
 
 def old_step_hnr(parent, K, other, s, index=-1, tol=DEFAULT_TOL):
     x = np.asarray(parent.base, dtype=float)
-    y = K.c
+    y = np.asarray(K.center, dtype=float)
     x2 = np.asarray(other.base, dtype=float)
     r2 = float(other.radius)
     d_scaled = np.linalg.norm(x2 - y)
@@ -175,7 +259,7 @@ def old_step_hnr(parent, K, other, s, index=-1, tol=DEFAULT_TOL):
                 return None
             center = y + (coord - nu) * (w / nw)
     K2 = AnnulusBall(tuple(map(float, center)), r2 * (1 - s) / 2, index)
-    gap = float(np.linalg.norm(K2.c - y)) + K2.radius - K.radius
+    gap = float(np.linalg.norm(np.asarray(K2.center) - y)) + K2.radius - K.radius
     if gap > tol:
         raise CertificateError(
             f"rotated annulus ball not contained (excess {gap:.3e})")
@@ -201,7 +285,7 @@ def old_solve_hnr(fam, s, start=None, direction=None, tol=DEFAULT_TOL):
     h0 = fam.horoballs[a0]
     r0 = float(h0.radius)
     b0 = np.asarray(h0.base, dtype=float)
-    K = maximal_annulus_ball(h0, s, direction, a0)
+    K = old_maximal_annulus_ball(h0, s, direction, a0)
     sup = max(float(h.radius) for _, h in items)
     order = [(i, h) for i, h in items
              if i != a0 and float(h.radius) <= r0 + tol
@@ -215,7 +299,7 @@ def old_solve_hnr(fam, s, start=None, direction=None, tol=DEFAULT_TOL):
             witness.append(K2)
             K = K2
             parent = h
-    endpoint = K.c
+    endpoint = np.asarray(K.center, dtype=float)
     worst = None
     for i, h in items:
         margin = float(np.linalg.norm(endpoint - np.asarray(h.base, float))
@@ -336,7 +420,8 @@ def old_endpoint_json(coords):
 
 def old_uncloud(fam, s, mode, start, side, two, tol):
     """The witnesses and the verdict of the CLI's uncloud command before
-    it reported the solvers' certificates."""
+    it reported the solvers' certificates; each witness also says
+    whether its chain met no tie (tie_free_length)."""
     results = []
     certified = True
     if mode == "generic":
@@ -348,7 +433,8 @@ def old_uncloud(fam, s, mode, start, side, two, tol):
             checks = old_certify_endpoint(fam, out, s, tol)
             certified &= checks >= 0
             results.append({**old_endpoint_json(out),
-                            "chain_length": len(chain), "checks": checks})
+                            "chain_length": len(chain), "checks": checks,
+                            "tie_free": True})
     elif mode == "dim2":
         sides = (Side.LEFT, Side.RIGHT) if two else \
             ((Side.LEFT if side == "L" else Side.RIGHT),)
@@ -358,7 +444,8 @@ def old_uncloud(fam, s, mode, start, side, two, tol):
             certified &= checks >= 0
             results.append({**old_endpoint_json((endpoint,)),
                             "chain_length": len(witness),
-                            "side": sd.value, "checks": checks})
+                            "side": sd.value, "checks": checks,
+                            "tie_free": tie_free_length(fam, s, witness, tol) == len(witness)})
     else:
         dim = fam.dim - 1
         dirs = [(1.0,) + (0.0,) * (dim - 1)]
@@ -371,7 +458,8 @@ def old_uncloud(fam, s, mode, start, side, two, tol):
             checks = old_certify_endpoint(fam, endpoint, s, tol)
             certified &= checks >= 0
             results.append({"endpoint": list(endpoint),
-                            "chain_length": len(witness), "checks": checks})
+                            "chain_length": len(witness), "checks": checks,
+                            "tie_free": tie_free_length(fam, s, witness, tol) == len(witness)})
     return results, certified
 
 
@@ -482,6 +570,58 @@ class TestCertify:
 # solver differentials
 
 
+def center_of(K) -> tuple:
+    """The center of a chain element as a tuple (an interval's midpoint)."""
+    return K.center if isinstance(K.center, tuple) else (K.center,)
+
+
+def tie_free_length(fam, s, witness, tol=DEFAULT_TOL) -> int:
+    """Length of the prefix of an old chain up to its first step at which
+    both annulus components of the member fit in the element with tied
+    margins (exactly for Fractions, to rounding for floats), or its whole
+    length.  Past such a step the old and the new planar solver may part
+    ways: the old interval step broke ties to the right on the line, the
+    line step of solve_hnr breaks them away from the parent's base, and
+    in floats the two frames round differently.  Chains beyond the line
+    have no ties to break."""
+    if fam.dim != 2:
+        return len(witness)
+    for k, (K, K2) in enumerate(zip(witness, witness[1:]), start=1):
+        (c,), R = center_of(K), K.radius
+        h = fam.horoballs[K2.horoball_index]
+        b, r = h.base[0], h.radius
+        margins = [min(c_lo - (c - R), (c + R) - c_hi)
+                   for c_lo, c_hi in ((b - r, b - s * r), (b + s * r, b + r))]
+        exact = all(isinstance(v, (Fraction, int)) for v in (c, R, b, r, s))
+        eps = 0 if exact else 1e-12 * (abs(float(b)) + float(r) + abs(float(c)) + float(R))
+        if min(margins) >= -tol - eps and abs(margins[0] - margins[1]) <= eps:
+            return k
+    return len(witness)
+
+
+def assert_same_chain(fam, s, sol, endpoint, witness):
+    """A new solution against an old (endpoint tuple, chain): the same
+    members and, to rounding (exactly on Fractions), the same centers and
+    radii up to the old chain's first tie, and the same endpoint where
+    the old chain met none."""
+    scale = max(float(h.radius) for _, h in fam.tangent_items())
+    n = tie_free_length(fam, s, witness)
+
+    def same(a, b):
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return a == b
+        return math.isclose(float(a), float(b), rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+    assert [K.horoball_index for K in sol.witness[:n]] == \
+        [K.horoball_index for K in witness[:n]]
+    for got, want in zip(sol.witness[:n], witness[:n]):
+        assert all(map(same, got.center, center_of(want))), (got, want)
+        assert same(got.radius, want.radius), (got, want)
+    if n == len(witness):
+        assert len(sol.witness) == n
+        assert all(map(same, sol.endpoint, endpoint)), (sol.endpoint, endpoint)
+
+
 def check_line(fam, s, start, side):
     old = outcome(old_solve_2d, fam, s, start, side)
     new = outcome(solve_2d, fam, s, start, side)
@@ -491,10 +631,11 @@ def check_line(fam, s, start, side):
     assert new[0] == "ok", new
     endpoint, witness, a0 = old[1]
     sol = new[1]
-    assert (sol.endpoint, sol.witness, sol.start_index) == (endpoint, witness, a0)
+    assert sol.start_index == a0
+    assert_same_chain(fam, s, sol, (endpoint,), witness)
     items = fam.tangent_items()
     assert sol.certificate.checks == len(items)
-    margins = {i: abs(endpoint - h.base[0]) - s * h.radius for i, h in items}
+    margins = {i: abs(sol.endpoint[0] - h.base[0]) - s * h.radius for i, h in items}
     assert sol.certificate.margin == min(margins.values())
     assert margins[sol.certificate.index] == sol.certificate.margin
 
@@ -508,8 +649,13 @@ def check_space(fam, s, start, direction):
     assert new[0] == "ok", new
     endpoint, witness, a0 = old[1]
     sol = new[1]
-    assert (sol.endpoint, sol.witness, sol.start_index) == (endpoint, witness, a0)
-    assert sol.certificate.checks == len(fam.tangent_items())
+    assert sol.start_index == a0
+    assert_same_chain(fam, s, sol, endpoint, witness)
+    items = fam.tangent_items()
+    assert sol.certificate.checks == len(items)
+    margins = {i: euclid(sol.endpoint, h.base) - s * float(h.radius) for i, h in items}
+    assert sol.certificate.margin == pytest.approx(min(margins.values()), abs=1e-12 * (
+        1 + max(map(abs, sol.endpoint))))
 
 
 def check_uncover(bf, s, start, two):
@@ -531,6 +677,44 @@ def check_uncover(bf, s, start, two):
         assert w.certificate.checks == len(bf.balls)
         margins = exhaustive_margins(enumerate(bf.balls), out, s, bf.space.dist)
         assert w.certificate.margin == min(margins.values())
+
+
+class TestLineStep:
+    """step_2d is fit_component returning the interval, and the planar
+    seed ball is the side component of component_of."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), exact=st.booleans(), tol=st.sampled_from([0, DEFAULT_TOL]))
+    def test_matches_fit_component(self, data, exact, tol):
+        def num(lo, hi):
+            return data.draw(st.fractions(lo, hi, max_denominator=100) if exact
+                              else st.floats(float(lo), float(hi)))
+
+        lo = num(-4, 4)
+        hi, b, r, s = lo + num(Fraction(1, 100), 4), num(-4, 4), num(Fraction(1, 100), 2), \
+            num(Fraction(1, 50), Fraction(31, 50))
+        old = outcome(fit_component, (lo, hi), b, r, s, 3, tol)
+        new = outcome(sharp2d.step_2d, (lo, hi), b, r, s, 3, tol)
+        if old[0] == "ok" and old[1] is not None:
+            old = ("ok", old[1].interval)
+        assert new == old
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=st.fractions(-4, 4, max_denominator=100),
+           r=st.fractions(Fraction(1, 100), 2, max_denominator=100),
+           s=st.fractions(Fraction(1, 50), Fraction(49, 50), max_denominator=100),
+           side=st.sampled_from([Side.LEFT, Side.RIGHT]), exact=st.booleans())
+    def test_seed_is_the_side_component(self, b, r, s, side, exact):
+        if not exact:
+            b, r, s = float(b), float(r), float(s)
+        h = TangentHoroball((b,), r)
+        K = maximal_annulus_ball(h, s, (1,) if side is Side.RIGHT else (-1,))
+        C = component_of(h, s, side)
+        if exact:
+            assert (K.center, K.radius) == ((C.midpoint,), C.radius)
+        else:
+            assert K.center[0] == pytest.approx(C.midpoint, abs=1e-15)
+            assert K.radius == pytest.approx(C.radius, abs=1e-15)
 
 
 class TestLineSolver:
@@ -685,9 +869,20 @@ def test_cli_uncloud_matches_oracle(family_files, capsys, name, mode, s, start, 
     assert certified and code == 0
     doc = json.loads(out)
     assert doc["certified"] is True
-    got = [{k: v for k, v in w.items() if k not in ("margin", "margin_index")}
-           for w in doc["witnesses"]]
-    assert got == results
+    assert len(doc["witnesses"]) == len(results)
+    for w, want in zip(doc["witnesses"], results):
+        got = {k: v for k, v in w.items() if k not in ("margin", "margin_index")}
+        # the rotation solver ran in floats: now an exact planar family
+        # gives an exact endpoint in every sharp mode
+        assert ("endpoint_exact" in got) == (exact and mode != "generic")
+        if mode == "hnr" and exact:
+            want["endpoint_exact"] = got["endpoint_exact"]
+        if not want.pop("tie_free"):
+            for fields in (got, want):
+                for k in ("endpoint", "endpoint_exact", "chain_length"):
+                    fields.pop(k, None)
+        assert got.pop("endpoint", []) == pytest.approx(want.pop("endpoint", []), abs=1e-12)
+        assert got == want
     for w in doc["witnesses"]:
         endpoint = [Fraction(c) for c in w["endpoint_exact"]] if "endpoint_exact" in w \
             else w["endpoint"]

@@ -228,6 +228,26 @@ class TestCli:
         for _, h in farey(12, (0, 1)).tangent_items():
             assert abs(exact - h.base[0]) >= h.radius / 2
 
+    @pytest.mark.parametrize("two,side", [(True, "R"), (False, "L")])
+    def test_exact_hnr_mode_stays_exact_on_the_line(self, tmp_path, capsys, two, side):
+        # the rotation solver runs on a planar family in the family's own
+        # arithmetic, so --exact gives rational endpoints and margins in
+        # every sharp mode
+        fam_file = tmp_path / "fam.json"
+        main(["pack", "farey", "--qmax", "20", "--infinity", "--out", str(fam_file)])
+        capsys.readouterr()
+        argv = ["uncloud", str(fam_file), "--mode", "hnr", "--exact", "--shrink-s", "1/5",
+                "--side", side] + (["--two"] if two else [])
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certified"] and len(doc["witnesses"]) == (2 if two else 1)
+        fam = farey(20, (0, 1))
+        for w in doc["witnesses"]:
+            (e,) = map(Fraction, w["endpoint_exact"])
+            assert w["endpoint"] == [float(e)]
+            margins = {i: abs(e - h.base[0]) - h.radius / 5 for i, h in fam.tangent_items()}
+            assert w["margin"] == float(min(margins.values())) == float(margins[w["margin_index"]])
+
     def test_exact_shrink_time_rejected(self, tmp_path):
         fam_file = tmp_path / "fam.json"
         main(["pack", "farey", "--qmax", "3", "--out", str(fam_file)])

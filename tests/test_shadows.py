@@ -18,7 +18,9 @@ from horoshadow.shadows import (
     hamenstadt_dist_points,
     shadow_of,
 )
-from horoshadow.sharp2d import Side, component_of
+from horoshadow.sharp2d import Side
+from horoshadow.sharpnd import maximal_annulus_ball
+from test_scan_oracles import component_of
 
 
 class TestShadowOf:
@@ -132,8 +134,18 @@ class TestQuadraticSeparation:
 
 
 def annulus_components_2d(h, s):
-    """Both annulus components of the shadow of h on the line, left first."""
-    return tuple(component_of(h, s, side).interval for side in (Side.LEFT, Side.RIGHT))
+    """Both annulus components of the shadow of h on the line, left first:
+    the planar maximal annulus balls along -1 and +1 as intervals, over
+    the exact values of the inputs, which are the components of the old
+    interval solver (component_of); rounded to floats."""
+    h, s = TangentHoroball((Fraction(h.base[0]),), Fraction(h.radius)), Fraction(s)
+    out = []
+    for side, direction in ((Side.LEFT, (-1,)), (Side.RIGHT, (1,))):
+        K = maximal_annulus_ball(h, s, direction)
+        (c,) = K.center
+        assert (c - K.radius, c + K.radius) == component_of(h, s, side).interval
+        out.append((float(c - K.radius), float(c + K.radius)))
+    return tuple(out)
 
 
 class TestAnnulusComponents:

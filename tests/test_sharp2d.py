@@ -2,21 +2,28 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from horoshadow.halfspace import TangentHoroball, VerticalGeodesic, penetration_depth, shrink
+from horoshadow.halfspace import (
+    AtInfinityHoroball,
+    TangentHoroball,
+    VerticalGeodesic,
+    penetration_depth,
+    shrink,
+)
 from horoshadow.numeric import CertificateError
-from horoshadow.packings import HoroballFamily, extremal, farey
+from horoshadow.packings import HoroballFamily, extremal, farey, random_disjoint
 from horoshadow.sharp2d import (
     SHARP_SCALE,
-    IntervalComponent,
     Side,
-    component_of,
     dioph_solutions,
     scaled_shadow_residual,
     sharp_shrink_time,
     solve_2d,
     step_2d,
 )
+from horoshadow.sharpnd import solve_hnr
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -66,74 +73,65 @@ class TestStep2d:
         # scaled shadow of (0.6, 0.04) at s = 0.4 is [0.584, 0.616], inside
         # K = [0.4, 1]; components [0.56, 0.584] (margins 0.16) and
         # [0.616, 0.64] (margin 0.216): the right one wins
-        K = IntervalComponent((0.4, 1.0), 0, Side.RIGHT)
-        got = step_2d(K, TangentHoroball(0.6, 0.04), 0.4, index=7)
-        assert got.interval == pytest.approx((0.616, 0.64))
-        assert got.side is Side.RIGHT and got.horoball_index == 7
+        assert step_2d((0.4, 1.0), 0.6, 0.04, 0.4, index=7) == pytest.approx((0.616, 0.64))
 
     def test_far_shadow_gives_none(self):
-        K = IntervalComponent((0.4, 1.0), 0, Side.RIGHT)
-        assert step_2d(K, TangentHoroball(5.0, 0.5), 0.4) is None
+        assert step_2d((0.4, 1.0), 5.0, 0.5, 0.4) is None
 
     def test_extremal_child_tie_goes_right(self):
-        # at the critical scale the child shadow tiles K exactly; both
-        # components touch the boundary of K, margins tie at zero
+        # at the critical scale the child shadow tiles K, the right
+        # component of the root's shadow, exactly; both components touch
+        # the boundary of K, margins tie at zero
         s = SHARP_SCALE
-        root = TangentHoroball(0.0, 1.0)
-        K = component_of(root, s, Side.RIGHT, 0)
-        child = TangentHoroball((1 + s) / 2, (1 - s) / 2)
-        got = step_2d(K, child, s, index=1)
-        assert got.side is Side.RIGHT
+        b, r = (1 + s) / 2, (1 - s) / 2
+        assert step_2d((s, 1.0), b, r, s, index=1) == (b + s * r, b + r)
 
     def test_left_component_when_only_fit(self):
         # other ball hugging the right edge of K: only its left component fits
-        K = IntervalComponent((0.0, 1.0), 0, Side.RIGHT)
-        got = step_2d(K, TangentHoroball(0.9, 0.12), 0.5)
-        assert got.side is Side.LEFT
-        assert got.interval == pytest.approx((0.78, 0.84))
+        assert step_2d((0.0, 1.0), 0.9, 0.12, 0.5) == pytest.approx((0.78, 0.84))
 
     def test_failure_raises(self):
-        K = IntervalComponent((0.0, 0.2), 0, Side.RIGHT)
-        with pytest.raises(CertificateError):
-            step_2d(K, TangentHoroball(0.1, 0.5), 0.6)
+        with pytest.raises(CertificateError, match="horoball 4"):
+            step_2d((0.0, 0.2), 0.1, 0.5, 0.6, index=4)
 
 
 class TestSolve2d:
     def test_single_horoball(self):
         fam = HoroballFamily(2, [TangentHoroball(0.0, 1.0)])
-        sol = solve_2d(fam, 0.3, side=Side.RIGHT)
-        assert 0.3 <= sol.endpoint <= 1.0
-        sol_l = solve_2d(fam, 0.3, side=Side.LEFT)
-        assert -1.0 <= sol_l.endpoint <= -0.3
+        (e,) = solve_2d(fam, 0.3, side=Side.RIGHT).endpoint
+        assert 0.3 <= e <= 1.0
+        (e,) = solve_2d(fam, 0.3, side=Side.LEFT).endpoint
+        assert -1.0 <= e <= -0.3
 
     def test_farey_200_brute_force(self):
         fam = farey(200, (0, 1))
-        sol = solve_2d(fam, 0.5)
+        (e,) = solve_2d(fam, 0.5).endpoint
         for q in range(1, 201):
             for p in range(0, q + 1):
                 if math.gcd(p, q) == 1:
-                    assert abs(sol.endpoint - p / q) >= 0.5 / (2 * q * q) - 1e-9
+                    assert abs(e - p / q) >= 0.5 / (2 * q * q) - 1e-9
 
     def test_sides_give_distinct_endpoints(self):
         fam = farey(60, (0, 1))
-        a = solve_2d(fam, 0.4, side=Side.LEFT).endpoint
-        b = solve_2d(fam, 0.4, side=Side.RIGHT).endpoint
+        (a,) = solve_2d(fam, 0.4, side=Side.LEFT).endpoint
+        (b,) = solve_2d(fam, 0.4, side=Side.RIGHT).endpoint
         assert abs(a - b) >= 0.4 * 0.5 - 1e-9
 
     def test_extremal_below_critical(self):
         fam = extremal(12)
         sol = solve_2d(fam, SHARP_SCALE - 1e-9)
         assert len(sol.witness) == 13  # seed plus one step per generation
-        assert sol.endpoint == pytest.approx(math.sqrt(2) / 2, abs=1e-6)
+        assert sol.endpoint[0] == pytest.approx(math.sqrt(2) / 2, abs=1e-6)
 
     def test_witness_invariants(self):
         fam = farey(100, (0, 1))
         sol = solve_2d(fam, 0.5)
         for a, b in zip(sol.witness, sol.witness[1:]):
-            assert a.lo - 1e-12 <= b.lo and b.hi <= a.hi + 1e-12
+            assert abs(b.center[0] - a.center[0]) + b.radius <= a.radius + 1e-12
             h = fam.horoballs[b.horoball_index]
-            lo, hi = b.interval
-            assert hi - lo == pytest.approx(float(h.radius) * (1 - 0.5), abs=1e-12)
+            assert 2 * b.radius == pytest.approx(float(h.radius) * (1 - 0.5), abs=1e-12)
+            assert abs(b.center[0] - h.base[0]) == pytest.approx(
+                float(h.radius) * (1 + 0.5) / 2, abs=1e-12)
         assert sol.witness[0].horoball_index == sol.start_index
 
     def test_scale_above_sharp_rejected(self):
@@ -144,9 +142,65 @@ class TestSolve2d:
     def test_exact_arithmetic_run(self):
         fam = farey(30, (0, 1))
         sol = solve_2d(fam, Fraction(1, 2), tol=0)
-        assert isinstance(sol.endpoint, Fraction)
+        (e,) = sol.endpoint
+        assert isinstance(e, Fraction)
         for _, h in fam.tangent_items():
-            assert abs(sol.endpoint - h.base[0]) >= h.radius / 2
+            assert abs(e - h.base[0]) >= h.radius / 2
+
+
+PLANAR = {"farey+inf": farey(12, (0, 1), include_infinity=True),
+          "farey-wide": farey(6, (-2, 3)),
+          "extremal": extremal(6),
+          "extremal-exact": extremal(5, Fraction(1, 3)),
+          "random-2d": random_disjoint(80, 2, 3)}
+
+
+def dilated(fam, k):
+    """fam dilated by 2^k about 0, exactly (Fractions stay Fractions)."""
+    f = Fraction(2) ** k if fam.exact is not None else 2.0 ** k
+    return HoroballFamily(2, [
+        TangentHoroball((f * h.base[0],), f * h.radius) if isinstance(h, TangentHoroball)
+        else AtInfinityHoroball(f * h.height) for h in fam.horoballs])
+
+
+class TestOneSolver:
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(sorted(PLANAR)), k=st.integers(-60, 60),
+           s=st.fractions(Fraction(1, 50), Fraction(31, 50), max_denominator=100),
+           exact_s=st.booleans(), start=st.one_of(st.none(), st.integers(0, 200)),
+           side=st.sampled_from([Side.LEFT, Side.RIGHT]))
+    def test_solve_2d_is_solve_hnr_along_the_side(self, name, k, s, exact_s, start, side):
+        # field for field, in the arithmetic of the family and of s
+        fam = dilated(PLANAR[name], k)
+        s = s if exact_s else float(s)
+        if start is not None:
+            start %= len(fam.horoballs)
+
+        def run(solver, *args):
+            try:
+                return solver(fam, s, start, *args)
+            except (ValueError, CertificateError) as exc:
+                return type(exc), str(exc)
+
+        got = run(solve_2d, side)
+        assert got == run(solve_hnr, (1,) if side is Side.RIGHT else (-1,))
+        if isinstance(got, tuple):
+            return
+        assert all(isinstance(c, type(got.endpoint[0])) for c in got.endpoint)
+        if fam.exact is not None and exact_s:
+            assert isinstance(got.endpoint[0], Fraction)
+            assert isinstance(got.certificate.margin, Fraction)
+            assert all(isinstance(v, Fraction) for K in got.witness for v in (*K.center, K.radius))
+
+    def test_exact_tie_goes_away_from_the_parent(self):
+        # farey(5)+inf at s = 3/5 from the right of the ball at 0: the chain
+        # steps into the left component [3/8, 17/40] of the ball at 1/2,
+        # whose center 2/5 is the base of the next member, so that
+        # member's components tie; the step keeps the one beyond 2/5 as
+        # seen from the parent's base 1/2 (the interval step of the old
+        # planar solver went right, to 52/125)
+        sol = solve_2d(farey(5, (0, 1), include_infinity=True), Fraction(3, 5), tol=0)
+        assert sol.endpoint == (Fraction(48, 125),)
 
 
 class TestResidual:
@@ -168,8 +222,8 @@ class TestResidual:
         root = fam.horoballs[0]
         seed = (s * float(root.radius), float(root.radius))
         residual = scaled_shadow_residual(fam, s, seed)
-        sol = solve_2d(fam, s)
-        assert any(a - 1e-12 <= sol.endpoint <= b + 1e-12 for a, b in residual)
+        (e,) = solve_2d(fam, s).endpoint
+        assert any(a - 1e-12 <= e <= b + 1e-12 for a, b in residual)
 
 
 class TestDiophantine:

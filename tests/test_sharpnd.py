@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from horoshadow.halfspace import TangentHoroball
 from horoshadow.packings import HoroballFamily, random_disjoint
-from horoshadow.sharp2d import SHARP_SCALE, IntervalComponent, Side, step_2d, solve_2d
+from horoshadow.sharp2d import SHARP_SCALE, Side, step_2d, solve_2d
 from horoshadow.sharpnd import (
     maximal_annulus_ball,
     solve_hnr,
@@ -65,11 +65,10 @@ class TestStepHnr:
         K = maximal_annulus_ball(parent, s, (1.0, 0.0), 0)
         other = TangentHoroball((0.62, 0.0), 0.05)
         got = step_hnr(parent, K, other, s, index=1)
-        K1d = IntervalComponent((s, 1.0), 0, Side.RIGHT)
-        want = step_2d(K1d, TangentHoroball(0.62, 0.05), s, index=1)
-        assert got.center[0] == pytest.approx(want.midpoint, abs=1e-12)
+        lo, hi = step_2d((s, 1.0), 0.62, 0.05, s, index=1)
+        assert got.center[0] == pytest.approx((lo + hi) / 2, abs=1e-12)
         assert got.center[1] == pytest.approx(0.0, abs=1e-12)
-        assert got.radius == pytest.approx((want.hi - want.lo) / 2, abs=1e-12)
+        assert got.radius == pytest.approx((hi - lo) / 2, abs=1e-12)
 
     def test_rotation_instance_contained(self):
         parent = TangentHoroball((0.0, 0.0), 1.0)
@@ -139,9 +138,9 @@ class TestSolveHnr:
         balls3 = [TangentHoroball((float(h.base[0]), 0.0), float(h.radius))
                   for h in fam1.horoballs]
         fam3 = HoroballFamily(3, balls3)
-        a = solve_2d(fam1, 0.4, side=Side.RIGHT).endpoint
+        (a,) = solve_2d(fam1, 0.4, side=Side.RIGHT).endpoint
         b = solve_hnr(fam3, 0.4, direction=(1.0, 0.0)).endpoint
-        assert abs(float(a) - b[0]) < 1e-9
+        assert abs(a - b[0]) < 1e-9
         assert abs(b[1]) < 1e-12
 
     def test_rotation_equivariance(self):

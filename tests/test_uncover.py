@@ -295,6 +295,27 @@ class TestUncoverTwo:
         w1, w2 = uncover_two(fam, 0.1)
         assert w1.output[0] * w2.output[0] < 0
 
+    @pytest.mark.parametrize("space", [euclidean_space(1), heisenberg_space()],
+                             ids=["euclidean", "heisenberg"])
+    def test_member_columns_are_built_once(self, space):
+        # the family's gauge columns and radii serve validate_packing,
+        # _prepare and both runs; the other columns calls are one point
+        sizes = []
+
+        def columns(points):
+            sizes.append(len(points))
+            return space.gauge.columns(points)
+
+        counted = dataclasses.replace(space, gauge=dataclasses.replace(space.gauge,
+                                                                       columns=columns))
+        balls = farey_balls(12) if space.has_lines else cc_heisenberg_balls(1, 30)
+        fam = BallFamily(counted, balls, 0.25)
+        fam.validate_packing()
+        uncover_two(fam, 0.5 * safe_scale(0.25, space.modulus, space.has_lines))
+        assert sizes[0] == len(balls) and set(sizes[1:]) == {1}
+        with pytest.raises(ValueError, match="radii must be positive"):
+            BallFamily(space, balls + [(balls[0][0], 0.0)])
+
     def test_random_family(self):
         import horoshadow.packings as packings
         fam2 = packings.random_disjoint(50, 2, 7)
