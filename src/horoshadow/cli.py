@@ -6,6 +6,7 @@ format; exit status is 0 exactly when every requested certificate holds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -320,7 +321,9 @@ def cmd_render(args) -> int:
 
 def _common_flags() -> argparse.ArgumentParser:
     # accepted before or after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values parsed at the top level
+    # subparser from clobbering values parsed at the top level, and the
+    # top level takes its own copy, as its set_defaults rewrites the
+    # defaults of the actions it holds
     c = argparse.ArgumentParser(add_help=False)
     c.add_argument("--tolerance", type=_tolerance, default=argparse.SUPPRESS)
     c.add_argument("--exact", action="store_true", default=argparse.SUPPRESS,
@@ -334,7 +337,7 @@ def _common_flags() -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
     top = argparse.ArgumentParser(
-        prog="horoshadow", parents=[common],
+        prog="horoshadow", parents=[_common_flags()],
         description="horoball shadows, packings and avoidance solvers")
     top.set_defaults(tolerance=DEFAULT_TOL, exact=False, seed=0, out=None)
     sub = top.add_subparsers(dest="command", required=True)
@@ -410,8 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built on its first call: parse_args leaves
+    it as it was, so one serves every call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, CertificateError, OSError,

@@ -26,7 +26,16 @@ from .halfspace import (
     vnorm2,
     vsub,
 )
-from .numeric import DEFAULT_TOL, SHARP_SCALE, may_be_le, sweep_pairs, to_float
+from .numeric import (
+    DEFAULT_TOL,
+    SHARP_SCALE,
+    decide_le,
+    int_decide,
+    may_be_le,
+    sweep_pairs,
+    to_float,
+    widen,
+)
 
 
 @dataclass(frozen=True)
@@ -284,19 +293,24 @@ def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
     """Check pairwise disjointness of the open horoballs.
 
     For two tangent horoballs the test is the quadratic certificate
-    |x - x'|^2 >= 4 r r' (exact under Fraction coordinates when
-    exact=True); a tangent horoball against a horoball at infinity of
-    height h requires 2r <= h, tested on the members that a float filter
-    (may_be_le) leaves.  Violating index pairs are reported.
+    |x - x'|^2 >= 4 r r'; a tangent horoball against a horoball at
+    infinity of height h requires 2r <= h, tested on the members that a
+    float filter (may_be_le) leaves.  Violating index pairs are reported.
 
     Two tangent horoballs can overlap only if their shadow intervals
     [x_1 - r, x_1 + r] on the first base coordinate meet, because
     4 r r' <= (r + r')^2.  Candidate pairs therefore come from a sort
     and sweep of these intervals in floats, widened so that no pair the
     certificate rejects is pruned, at any scale; the certificate then
-    runs on the candidates only: vectorised in floats with slack tol, or
-    in rational arithmetic with zero slack when exact=True.  Cost is
-    O(N log N + candidates).
+    runs on the candidates only, vectorised in floats with slack tol.
+    With exact=True it runs with zero slack on the exact values (the
+    Ratios of an exact family, else the floats read exactly): a float
+    filter (decide_le, with the error bound of _gap_bounds) settles the
+    pairs that are clearly apart or clearly overlap, and the rest (the
+    tangencies) are decided in integers over common denominators
+    (_apart), as is 2r <= h on the rows the filter leaves.  Cost is
+    O(N log N + candidates), with integer work only where the floats
+    cannot decide.
     """
     import numpy as np
     hs, cols = fam.horoballs, fam.columns
@@ -305,26 +319,116 @@ def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
     bad = [(i, j) for k, i in enumerate(infs) for j in infs[k + 1:]]
     xs, rs = cols.base, cols.radius
     for j in infs:
-        cap = to_float(hs[j].height) * (1 + slack)
-        for k in np.flatnonzero(may_be_le(cap, 2 * rs, abs(cap) + 2 * rs)).tolist():
-            if 2 * hs[tangs[k]].radius > hs[j].height * (1 + slack):
-                bad.append(tuple(sorted((tangs[k], j))))
+        cap = hs[j].height if exact else to_float(hs[j].height) * (1 + slack)
+        capf = to_float(cap)
+        rows = np.flatnonzero(may_be_le(capf, 2 * rs, abs(capf) + 2 * rs))
+        bad.extend(tuple(sorted((tangs[k], j))) for k in rows[_exceeds(fam, rows, cap)].tolist())
     # a negative slack lets the float test reach sqrt(1 - slack) times
     # further than the shadows
     a, b = sweep_pairs(xs[:, 0], rs * math.sqrt(max(1.0, 1.0 - slack)))
-    if exact:
-        rows = np.flatnonzero(np.bincount(np.concatenate([a, b]), minlength=len(rs)))
-        base, radius = fam.bases(rows), fam.radii(rows)
-        for p, q, i, j in zip(rows.searchsorted(a).tolist(), rows.searchsorted(b).tolist(),
-                              cols.tangent[a].tolist(), cols.tangent[b].tolist()):
-            if vnorm2(vsub(base[p], base[q])) < 4 * radius[p] * radius[q]:
-                bad.append((i, j))
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):
         diff = xs[a] - xs[b]
-        hit = np.einsum("ij,ij->i", diff, diff) < 4 * rs[a] * rs[b] * (1 - slack)
-        bad.extend(zip(cols.tangent[a[hit]].tolist(), cols.tangent[b[hit]].tolist()))
+        gap = np.einsum("ij,ij->i", diff, diff)
+        if exact:
+            quad, err = _gap_bounds(xs[a], xs[b], diff, rs[a], rs[b])
+            hit = ~decide_le(quad, gap, err, lambda pos: _apart(fam, a[pos], b[pos]))
+        else:
+            hit = gap < 4 * rs[a] * rs[b] * (1 - slack)
+    bad.extend(zip(cols.tangent[a[hit]].tolist(), cols.tangent[b[hit]].tolist()))
     bad.sort()
     return ValidationReport(not bad, bad)
+
+
+def _gap_bounds(xa, xb, diff, ra, rb) -> tuple:
+    """4 r r' in floats over pairs of float base rows and radii, and a
+    bound on the error of it and of the squared gap |xa - xb|^2 (diff is
+    xa - xb) against the exact values that the floats round.  Each
+    coordinate of diff errs by at most 3u (|x| + |x'|) (u = 2^-53), so
+    its square by 6u (|x| + |x'|) |dx| + 9u^2 (|x| + |x'|)^2, and 4 r r'
+    by 3u 4 r r'; widen covers each term.  The 2^-1000 terms cover the
+    absolute error of values rounded to subnormals."""
+    import numpy as np
+    quad = 4 * ra * rb
+    span = np.abs(xa) + np.abs(xb) + _SUBNORMAL_PAD
+    mag = quad + _SUBNORMAL_PAD * (ra + rb) + (span * (np.abs(diff) + span * 2.0 ** -50)).sum(1)
+    return quad, widen(mag)
+
+
+#: above 2^-1074 / widen's relative pad, with room to spare
+_SUBNORMAL_PAD = 2.0 ** -1000
+
+
+def _ratios(fam: HoroballFamily, rows) -> Ratios:
+    """Exact values of the tangent rows `rows`: the family's Ratios, or
+    its float columns read exactly, as Fraction(float)."""
+    import numpy as np
+    if fam.exact is not None:
+        return Ratios(*(getattr(fam.exact, k)[rows] for k in Ratios.__slots__))
+    base, radius = fam.columns.base[rows], fam.columns.radius[rows]
+    if not (np.isfinite(base).all() and np.isfinite(radius).all()):
+        raise ValueError("an exact check needs finite values")
+    return Ratios.of(base.tolist(), radius.tolist(), base.shape[1])
+
+
+def _exceeds(fam: HoroballFamily, rows, cap):
+    """Mask of 2 r > cap over the tangent rows `rows`: in floats where
+    they compare the values (a float cap against the float columns of a
+    float family, or a cap of +-inf or NaN), else 2 rn cd > cn rd in
+    Python ints over the radii rn / rd and the cap cn / cd."""
+    import numpy as np
+    if isinstance(cap, float) and (fam.exact is None or not math.isfinite(cap)):
+        return 2 * fam.columns.radius[rows] > cap
+    cn, cd = Fraction(cap).as_integer_ratio()
+    ex = _ratios(fam, rows)
+    return np.array([2 * n * cd > cn * d for n, d in
+                     zip(ex.radius_num.tolist(), ex.radius_den.tolist())], dtype=bool)
+
+
+def _apart(fam: HoroballFamily, a, b):
+    """Mask of 4 r r' <= |x - x'|^2 over pairs of tangent rows a, b, in
+    integers over their exact values.  Per coordinate x - x' = num / den
+    with num = n d' - n' d and den = d d'; with P the product of the
+    den^2, the test times rd rd' P reads
+
+        4 rn rn' P <= rd rd' sum_k num_k^2 P / den_k^2.
+
+    num and den are formed in int64 when 2 max|n| max d < 2^62, in
+    Python ints otherwise; each pair then runs the test in int64 where a
+    float bound on both sides shows that no step overflows, and in
+    Python ints elsewhere (int_decide)."""
+    import numpy as np
+    used = np.zeros(len(fam.columns.tangent), dtype=bool)
+    used[a] = used[b] = True
+    ex, local = _ratios(fam, np.flatnonzero(used)), np.cumsum(used) - 1
+    a, b = local[a], local[b]
+    n, d, rn, rd = (getattr(ex, k) for k in Ratios.__slots__)
+    if object in (n.dtype, d.dtype) or 2.0 * np.abs(n).max() * d.max() >= 2.0 ** 62:
+        n, d = n.astype(object), d.astype(object)
+    num, den = n[a] * d[b] - n[b] * d[a], d[a] * d[b]
+    rn_a, rn_b, rd_a, rd_b = rn[a], rn[b], rd[a], rd[b]
+    with np.errstate(over="ignore", invalid="ignore"):
+        nf, df = _int_floats(num), _int_floats(den) ** 2
+        pf = np.prod(df, axis=1)
+        rr = _int_floats(rd_a) * _int_floats(rd_b)
+        bound = np.maximum.reduce([rr, rr * (nf * nf * pf[:, None] / df).sum(1),
+                                   4 * _int_floats(rn_a) * _int_floats(rn_b) * pf])
+
+    def decide(pos, dtype):
+        m, dd = num[pos].astype(dtype), den[pos].astype(dtype) ** 2
+        p = np.prod(dd, axis=1)
+        lhs = rd_a[pos].astype(dtype) * rd_b[pos].astype(dtype) * \
+            (m * m * (p[:, None] // dd)).sum(1)
+        return 4 * rn_a[pos].astype(dtype) * rn_b[pos].astype(dtype) * p <= lhs
+    return int_decide(bound, decide)
+
+
+def _int_floats(values):
+    """to_float of each value of an int64 or object array of ints."""
+    import numpy as np
+    if values.dtype != object:
+        return values.astype(float)
+    return np.array([to_float(v) for v in values.ravel().tolist()],
+                    dtype=float).reshape(values.shape)
 
 
 def farey(q_max: int, p_range: tuple = (0, 1),

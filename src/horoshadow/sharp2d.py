@@ -189,9 +189,11 @@ def may_meet(K, bases, sr, tol):
     """Float filter in front of the step: a mask over the shadows of
     margin_bounds, false only where a shadow misses the ball K (by its
     center and radius) by more than tol, so that the step is None."""
+    import numpy as np
     approx, err = margin_bounds(K.center, bases, sr)
     reach = to_float(K.radius) + to_float(tol)
-    return may_be_le(approx - err, reach, reach)
+    with np.errstate(invalid="ignore"):  # inf - inf past the square range keeps the member
+        return may_be_le(approx - err, reach, reach)
 
 
 def scaled_shadow_residual(fam: HoroballFamily, s,

@@ -141,18 +141,21 @@ def old_penetration_interval(g, h):
 
 
 def end_at_base_interval(g, h):
-    """old_penetration_interval, taking its end-at-base branch exactly
-    where an end of the arc g is the base of h.  The old form decides
-    that case by the sign of its float discriminant A^2 - B^2, which
-    rounding can leave positive; it then returns a finite span where the
-    horoball holds a half line (TestFirstHitAfter.test_end_at_a_base)."""
+    """old_penetration_interval, taking its end-at-base branch where an
+    end of the arc g is the base of h, or lies so near it that the float
+    discriminant A^2 - B^2 is within its rounding error (a few ulps of
+    A^2; 2^-44 A^2 here).  The old form decides that case by the sign of
+    the discriminant, which rounding can leave positive; it then returns
+    a finite span, or none, where the horoball holds a half line, or all
+    of it but an end 1e-175 away (TestFirstHitAfter.test_end_at_a_base
+    and test_end_next_to_a_base)."""
     if isinstance(g, ArcGeodesic) and isinstance(h, TangentHoroball):
-        base = _flv(h.base)
-        if base in (_flv(g.a), _flv(g.b)):
-            rho = g.rho
-            A = vnorm2(vsub(_flv(g.midpoint), base)) + rho * rho
+        base, rho = _flv(h.base), g.rho
+        v = vsub(_flv(g.midpoint), base)
+        A, B = vnorm2(v) + rho * rho, 2 * rho * vdot(v, g.unit)
+        if base in (_flv(g.a), _flv(g.b)) or A * A - B * B <= 2.0 ** -44 * A * A:
             c = 2 * float(h.radius) * rho
-            if base == _flv(g.b):
+            if base == _flv(g.b) or (base != _flv(g.a) and B < 0):
                 return (math.log(A / c), INF)
             return (-INF, math.log(c / A))
     return old_penetration_interval(g, h)
@@ -535,6 +538,17 @@ class TestFirstHitAfter:
         hit = _first_hit_after(g, math.log(0.9), False, fam, -1, DEFAULT_TOL)
         assert hit is not None and hit == old_first_hit_after(
             g, math.log(0.9), False, fam, -1, DEFAULT_TOL)
+
+    def test_end_next_to_a_base(self):
+        # the end a = 3.65e-175 of the arc is next to the base 0 of member
+        # 0, which holds x; the old form's discriminant misses member 0
+        fam = FAMILIES["farey12+inf"]
+        x = Point((0.015625,), 0.99609375)
+        g = geodesic_through(x, (3.65189811576253e-175,))
+        t_x = param_of(g, x)
+        assert old_first_hit_after(g, t_x, True, fam, -1, DEFAULT_TOL) == 47
+        assert _first_hit_after(g, t_x, True, fam, -1, DEFAULT_TOL) == 0 == \
+            old_first_hit_after(g, t_x, True, fam, -1, DEFAULT_TOL, end_at_base_interval)
 
     def test_end_at_a_base(self):
         # the end a = 0 of the arc is the base of member 0, which holds x

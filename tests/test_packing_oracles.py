@@ -8,10 +8,12 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horoshadow import packings
 from horoshadow.halfspace import AtInfinityHoroball, TangentHoroball, vnorm2, vsub
 from horoshadow.heisenberg import (
     IDENTITY,
@@ -23,7 +25,7 @@ from horoshadow.heisenberg import (
     heis_mul,
     heisenberg_space,
 )
-from horoshadow.numeric import DEFAULT_TOL
+from horoshadow.numeric import DEFAULT_TOL, int_decide, may_be_le, sweep_pairs, to_float
 from horoshadow.packings import (
     HoroballFamily,
     extremal,
@@ -37,10 +39,12 @@ from horoshadow.uncover import BallFamily, euclidean_space
 
 def brute_validate_disjoint(fam, tol=DEFAULT_TOL, exact=False):
     """All-pairs violation list: every pair of tangent horoballs goes
-    through the quadratic certificate."""
+    through the quadratic certificate; with exact=True over the exact
+    values, float ones read as Fraction(c)."""
     bad = []
     hs = fam.horoballs
     slack = 0 if exact else tol
+    value = Fraction if exact else (lambda c: c)
     tangs = [(i, h) for i, h in enumerate(hs) if isinstance(h, TangentHoroball)]
     infs = [(i, h) for i, h in enumerate(hs) if isinstance(h, AtInfinityHoroball)]
     for k in range(len(infs)):
@@ -48,15 +52,15 @@ def brute_validate_disjoint(fam, tol=DEFAULT_TOL, exact=False):
             bad.append((infs[k][0], infs[m][0]))
     for i, t in tangs:
         for j, inf in infs:
-            if 2 * t.radius > inf.height * (1 + slack):
+            if 2 * value(t.radius) > inf.height * (1 + slack):
                 bad.append(tuple(sorted((i, j))))
     if exact:
         for a in range(len(tangs)):
             ia, ha = tangs[a]
             for b in range(a + 1, len(tangs)):
                 ib, hb = tangs[b]
-                lhs = vnorm2(vsub(ha.base, hb.base))
-                if lhs < 4 * ha.radius * hb.radius:
+                lhs = vnorm2(vsub(tuple(map(value, ha.base)), tuple(map(value, hb.base))))
+                if lhs < 4 * value(ha.radius) * value(hb.radius):
                     bad.append((ia, ib))
     elif tangs:
         import numpy as np
@@ -74,6 +78,34 @@ def brute_validate_disjoint(fam, tol=DEFAULT_TOL, exact=False):
             for r, c in zip(rows, cols):
                 if lo + r < c:
                     bad.append((int(idx[lo + r]), int(idx[c])))
+    bad.sort()
+    return bad
+
+
+def old_validate_disjoint_exact(fam):
+    """The exact branch validate_disjoint ran before its float filter and
+    integer pass: the members at infinity against each tangent member
+    the float filter leaves, and the quadratic certificate in Fractions on
+    every candidate pair of the sweep; a float family's values are read
+    as Fraction(c)."""
+    import numpy as np
+    hs, cols = fam.horoballs, fam.columns
+    infs, tangs = cols.infinity.tolist(), cols.tangent.tolist()
+    bad = [(i, j) for k, i in enumerate(infs) for j in infs[k + 1:]]
+    xs, rs = cols.base, cols.radius
+    for j in infs:
+        cap = to_float(hs[j].height)
+        for k in np.flatnonzero(may_be_le(cap, 2 * rs, abs(cap) + 2 * rs)).tolist():
+            if 2 * Fraction(hs[tangs[k]].radius) > hs[j].height:
+                bad.append(tuple(sorted((tangs[k], j))))
+    a, b = sweep_pairs(xs[:, 0], rs)
+    rows = np.flatnonzero(np.bincount(np.concatenate([a, b]), minlength=len(rs)))
+    base = [tuple(map(Fraction, x)) for x in fam.bases(rows)]
+    radius = list(map(Fraction, fam.radii(rows)))
+    for p, q, i, j in zip(rows.searchsorted(a).tolist(), rows.searchsorted(b).tolist(),
+                          cols.tangent[a].tolist(), cols.tangent[b].tolist()):
+        if vnorm2(vsub(base[p], base[q])) < 4 * radius[p] * radius[q]:
+            bad.append((i, j))
     bad.sort()
     return bad
 
@@ -133,6 +165,7 @@ def assert_matches_oracle(fam):
         want = brute_validate_disjoint(fam, **kw)
         assert got.violations == want, kw
         assert got.ok == (not want)
+    assert validate_disjoint(fam, exact=True).violations == old_validate_disjoint_exact(fam)
 
 
 def transform(fam, scale=1, shift=0):
@@ -301,15 +334,102 @@ class TestIsometryInvariance:
     @given(families(), st.sampled_from(scales), rationals)
     def test_random_families(self, fam, scale, shift):
         want = brute_validate_disjoint(fam, exact=True)
-        assert validate_disjoint(transform(fam, scale, shift), exact=True).violations == want
-        assert validate_disjoint(transform(fam, 1, shift), exact=True).violations == want
+        for moved in (transform(fam, scale, shift), transform(fam, 1, shift)):
+            assert validate_disjoint(moved, exact=True).violations == want
+            assert old_validate_disjoint_exact(moved) == want
 
     @pytest.mark.parametrize("scale", scales)
     def test_named_families(self, scale):
-        for fam in (farey(8), extremal(4, Fraction(1, 2)), ford_spheres(4)):
+        for fam in (farey(8), extremal(4, Fraction(1, 2)), ford_spheres(4),
+                    farey(12, (-1, 2), include_infinity=True), extremal(5, Fraction(3, 5)),
+                    ford_spheres(5, reduced=False)):
             want = brute_validate_disjoint(fam, exact=True)
-            assert validate_disjoint(transform(fam, scale, Fraction(-7, 3)),
-                                     exact=True).violations == want
+            moved = transform(fam, scale, Fraction(-7, 3))
+            assert validate_disjoint(moved, exact=True).violations == want
+            assert old_validate_disjoint_exact(moved) == want
+
+
+def neighbours(q, q2, shift=0):
+    """Farey neighbours p/q and p2/q2 (|p q2 - p2 q| = 1), moved by shift:
+    the horoballs of radii 1/(2 q^2) and 1/(2 q2^2) there are tangent."""
+    p = pow(-q2, -1, q) if q > 1 else 0
+    return Fraction(p, q) + shift, Fraction((1 + p * q2) // q, q2) + shift
+
+
+def nudged_pair(q, q2, shift, nudge, nudge2, rest=()):
+    """Two Farey neighbours whose radius denominators 2 q^2 are moved by
+    nudge and nudge2: tangent at (0, 0), overlapping where the product of
+    the denominators falls below 4 q^2 q2^2, apart where it rises above."""
+    x, x2 = neighbours(q, q2, shift)
+    return [TangentHoroball((x,) + rest, Fraction(1, 2 * q * q + nudge)),
+            TangentHoroball((x2,) + rest, Fraction(1, 2 * q2 * q2 + nudge2))]
+
+
+class TestExactValidation:
+    """The float filter and the integer pass behind it against the
+    Fraction loops."""
+
+    def test_float_pair_that_overlaps_over_the_rationals(self):
+        # the float test passes it with zero slack; over Fraction(float)
+        # 4 r r' exceeds |b - b'|^2
+        fam = HoroballFamily(2, [TangentHoroball((-2.6068268445611213,), 0.643528034736575),
+                                 TangentHoroball((-1.300297847085225,), 0.6631482736972486)])
+        assert fam.exact is None
+        assert validate_disjoint(fam, tol=0.0).ok
+        assert brute_validate_disjoint(fam, exact=True) == old_validate_disjoint_exact(fam) \
+            == [(0, 1)]
+        assert validate_disjoint(fam, exact=True).violations == [(0, 1)]
+
+    def test_int64_and_object_paths_agree(self, monkeypatch):
+        # a tangency with q q2 = 2^30 - 2^15 has the integer bound
+        # 4 q^2 q2^2 below 2^62 and one with 2^30 + 2^15 above it; the
+        # int64 positions are run again on Python ints
+        runs = []
+
+        def both(bound, decide):
+            got = int_decide(bound, decide)
+            small = np.flatnonzero(bound < 2.0 ** 62)
+            runs.append((len(small), len(bound) - len(small)))
+            assert decide(small, object).tolist() == got[small].tolist()
+            return got
+        monkeypatch.setattr(packings, "int_decide", both)
+        balls = []
+        for k, (q, q2) in enumerate([(2 ** 15, 2 ** 15 - 1), (2 ** 15 + 1, 2 ** 15)]):
+            for m, nudge in enumerate((0, -1, 1)):
+                balls += nudged_pair(q, q2, 10 * (3 * k + m), nudge, 0)
+        fam = HoroballFamily(2, balls)
+        got = validate_disjoint(fam, exact=True).violations
+        assert got == old_validate_disjoint_exact(fam) == brute_validate_disjoint(fam, exact=True)
+        assert len(got) == 2
+        assert runs and all(small and wide for small, wide in runs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10 ** 5), st.integers(1, 10 ** 5), st.integers(-10 ** 4, 10 ** 4),
+           st.integers(-1, 1), st.integers(-1, 1), st.sampled_from([1, 2]),
+           st.sampled_from([0, 600, -600, 1100, -1100]))
+    def test_nudged_farey_neighbours(self, q, q2, shift, nudge, nudge2, width, k):
+        if math.gcd(q, q2) != 1 or 2 * min(q, q2) ** 2 + min(nudge, nudge2) <= 0:
+            return
+        rest = (Fraction(shift, 7),) * (width - 1)
+        fam = transform(HoroballFamily(width + 1, nudged_pair(q, q2, shift, nudge, nudge2, rest)),
+                        Fraction(2) ** k)
+        x, x2 = (h.base for h in fam.horoballs)
+        r, r2 = (h.radius for h in fam.horoballs)
+        want = [(0, 1)] if vnorm2(vsub(x, x2)) < 4 * r * r2 else []
+        assert want == ([(0, 1)] if (2 * q * q + nudge) * (2 * q2 * q2 + nudge2)
+                        < 4 * q * q * q2 * q2 else [])
+        assert validate_disjoint(fam, exact=True).violations == want
+        assert old_validate_disjoint_exact(fam) == want
+
+    @pytest.mark.parametrize("nudge,want", [(-1, [(0, 1)]), (0, []), (1, [])])
+    def test_the_floats_leave_the_nudged_pairs(self, monkeypatch, nudge, want):
+        calls = []
+        apart = packings._apart
+        monkeypatch.setattr(packings, "_apart", lambda fam, a, b: calls.append(len(a)) or
+                            apart(fam, a, b))
+        fam = HoroballFamily(2, nudged_pair(987, 610, 3, nudge, 0))
+        assert validate_disjoint(fam, exact=True).violations == want
+        assert calls == [1]
 
 
 class TestRandomDisjointOracle:

@@ -248,6 +248,35 @@ class TestCli:
             margins = {i: abs(e - h.base[0]) - h.radius / 5 for i, h in fam.tangent_items()}
             assert w["margin"] == float(min(margins.values())) == float(margins[w["margin_index"]])
 
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch, capsys):
+        # main parses with one parser; a run with --exact leaves nothing on
+        # it, so the next call reads the default
+        from horoshadow import cli
+        builds = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda build=cli.build_parser: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            fam_file = tmp_path / "fam.json"
+            assert main(["pack", "farey", "--qmax", "3", "--exact", "--out", str(fam_file)]) == 0
+            assert main(["verify", "packing", "--family", str(fam_file)]) == 0
+            assert len(builds) == 1
+            assert cli._parser().parse_args(["verify", "packing", "--family", str(fam_file)]) \
+                .exact is False
+            assert len(builds) == 1
+        finally:
+            cli._parser.cache_clear()
+
+    @pytest.mark.parametrize("argv", [["--exact", "--tolerance", "0.5", "--seed", "3"], []])
+    def test_common_flags_before_or_after_the_subcommand(self, argv):
+        from horoshadow.cli import build_parser
+        parser = build_parser()
+        want = (True, 0.5, 3) if argv else (False, 1e-9, 0)
+        for args in (argv + ["pack", "random", "--count", "2"],
+                     ["pack", "random", "--count", "2"] + argv):
+            ns = parser.parse_args(args)
+            assert (ns.exact, ns.tolerance, ns.seed) == want, args
+
     def test_exact_shrink_time_rejected(self, tmp_path):
         fam_file = tmp_path / "fam.json"
         main(["pack", "farey", "--qmax", "3", "--out", str(fam_file)])

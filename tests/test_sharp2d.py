@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,20 @@ class TestOneSolver:
         # planar solver went right, to 52/125)
         sol = solve_2d(farey(5, (0, 1), include_infinity=True), Fraction(3, 5), tol=0)
         assert sol.endpoint == (Fraction(48, 125),)
+
+
+class TestBeyondTheSquareRange:
+    @pytest.mark.parametrize("s,want", [
+        (0.2, Fraction(-1787929052066087, 1125899906842624)), (Fraction(1, 5), Fraction(-397, 250))])
+    def test_no_warning_and_the_same_endpoint(self, s, want):
+        # the squared gaps of a family dilated by 2^600 overflow, and the
+        # filter reads inf - inf as a member that may meet
+        fam = dilated(farey(6, (-2, 3)), 600)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_2d(fam, s)
+        assert Fraction(sol.endpoint[0]) == want * 2 ** 600
+        assert (len(sol.witness), sol.certificate.index) == (3, 32)
 
 
 class TestResidual:
