@@ -1,6 +1,6 @@
 """Shared numeric plumbing: the default tolerance, the sharp scale, the
-certificate kernel, the float filters in front of exact predicates and
-the integer passes behind them, the sweep over intervals, 1-D searches."""
+certificate kernel, the float filters in front of exact predicates, the
+sweep over intervals, 1-D searches."""
 
 from __future__ import annotations
 
@@ -93,27 +93,6 @@ def decide_le(lhs, rhs, err, exact_le):
         unsure = np.flatnonzero(~out & ~(lhs > rhs + err))
     if len(unsure):
         out[unsure] = exact_le(unsure)
-    return out
-
-
-#: int64 holds every integer below 2^63; the factor two left over covers
-#: the rounding of a float bound on an integer
-_INT64_BOUND = 2.0 ** 62
-
-
-def int_decide(bound, decide):
-    """Boolean mask of decide(positions, dtype) over the positions of
-    bound, a float array that bounds every integer decide forms at a
-    position: run in int64 on the positions where the bound lies below
-    2^62, so that no step overflows, and on Python ints in object arrays
-    on the rest (NaN included)."""
-    import numpy as np
-    with np.errstate(invalid="ignore"):
-        small = np.asarray(bound) < _INT64_BOUND
-    out = np.empty(len(small), dtype=bool)
-    for pos, dtype in ((np.flatnonzero(small), np.int64), (np.flatnonzero(~small), object)):
-        if len(pos):
-            out[pos] = decide(pos, dtype)
     return out
 
 

@@ -30,7 +30,6 @@ from .numeric import (
     DEFAULT_TOL,
     SHARP_SCALE,
     decide_le,
-    int_decide,
     may_be_le,
     sweep_pairs,
     to_float,
@@ -392,43 +391,55 @@ def _apart(fam: HoroballFamily, a, b):
 
         4 rn rn' P <= rd rd' sum_k num_k^2 P / den_k^2.
 
-    num and den are formed in int64 when 2 max|n| max d < 2^62, in
-    Python ints otherwise; each pair then runs the test in int64 where a
-    float bound on both sides shows that no step overflows, and in
-    Python ints elsewhere (int_decide)."""
+    A float bound on every integer the test forms comes first, from the
+    columns read as floats: |n| d' + |n'| d for the products in num,
+    |num| to within 2^-50 of that sum (the rounding of its float value),
+    P for the den and the products of den^2, and both sides.  Each pair
+    runs the test in int64 where its bound lies below 2^62, so that no
+    step overflows, and in Python ints elsewhere (_int_decide)."""
     import numpy as np
     used = np.zeros(len(fam.columns.tangent), dtype=bool)
     used[a] = used[b] = True
     ex, local = _ratios(fam, np.flatnonzero(used)), np.cumsum(used) - 1
     a, b = local[a], local[b]
-    n, d, rn, rd = (getattr(ex, k) for k in Ratios.__slots__)
-    if object in (n.dtype, d.dtype) or 2.0 * np.abs(n).max() * d.max() >= 2.0 ** 62:
-        n, d = n.astype(object), d.astype(object)
-    num, den = n[a] * d[b] - n[b] * d[a], d[a] * d[b]
-    rn_a, rn_b, rd_a, rd_b = rn[a], rn[b], rd[a], rd[b]
+    cols = n, d, rn, rd = [getattr(ex, k) for k in Ratios.__slots__]
+    nf, df, rnf, rdf = (_ratio_floats(c, np.ones_like(c)) for c in cols)
     with np.errstate(over="ignore", invalid="ignore"):
-        nf, df = _int_floats(num), _int_floats(den) ** 2
-        pf = np.prod(df, axis=1)
-        rr = _int_floats(rd_a) * _int_floats(rd_b)
-        bound = np.maximum.reduce([rr, rr * (nf * nf * pf[:, None] / df).sum(1),
-                                   4 * _int_floats(rn_a) * _int_floats(rn_b) * pf])
+        cross = np.abs(nf[a]) * df[b] + np.abs(nf[b]) * df[a]
+        num = np.abs(nf[a] * df[b] - nf[b] * df[a]) + cross * 2.0 ** -50
+        dd = (df[a] * df[b]) ** 2
+        p = np.prod(dd, axis=1)
+        lhs = rdf[a] * rdf[b] * np.maximum(1, (num * num * (p[:, None] / dd)).sum(1))
+        bound = np.maximum.reduce([cross.max(1), p, lhs, 4 * rnf[a] * rnf[b] * p])
 
     def decide(pos, dtype):
-        m, dd = num[pos].astype(dtype), den[pos].astype(dtype) ** 2
+        pa, pb = a[pos], b[pos]
+        na, nb, da, db = (c.astype(dtype) for c in (n[pa], n[pb], d[pa], d[pb]))
+        m, dd = na * db - nb * da, (da * db) ** 2
         p = np.prod(dd, axis=1)
-        lhs = rd_a[pos].astype(dtype) * rd_b[pos].astype(dtype) * \
-            (m * m * (p[:, None] // dd)).sum(1)
-        return 4 * rn_a[pos].astype(dtype) * rn_b[pos].astype(dtype) * p <= lhs
-    return int_decide(bound, decide)
+        lhs = rd[pa].astype(dtype) * rd[pb].astype(dtype) * (m * m * (p[:, None] // dd)).sum(1)
+        return 4 * rn[pa].astype(dtype) * rn[pb].astype(dtype) * p <= lhs
+    return _int_decide(bound, decide)
 
 
-def _int_floats(values):
-    """to_float of each value of an int64 or object array of ints."""
+#: int64 holds every integer below 2^63; the factor two left over covers
+#: the rounding of a float bound on an integer
+_INT64_BOUND = 2.0 ** 62
+
+
+def _int_decide(bound, decide):
+    """Boolean mask of decide(positions, dtype) over the positions of
+    bound, a float array that bounds every integer decide forms at a
+    position: run in int64 where the bound lies below 2^62, and on
+    Python ints in object arrays on the rest (NaN included)."""
     import numpy as np
-    if values.dtype != object:
-        return values.astype(float)
-    return np.array([to_float(v) for v in values.ravel().tolist()],
-                    dtype=float).reshape(values.shape)
+    with np.errstate(invalid="ignore"):
+        small = bound < _INT64_BOUND
+    out = np.empty(len(small), dtype=bool)
+    for pos, dtype in ((np.flatnonzero(small), np.int64), (np.flatnonzero(~small), object)):
+        if len(pos):
+            out[pos] = decide(pos, dtype)
+    return out
 
 
 def farey(q_max: int, p_range: tuple = (0, 1),

@@ -142,18 +142,21 @@ def old_penetration_interval(g, h):
 
 def end_at_base_interval(g, h):
     """old_penetration_interval, taking its end-at-base branch where an
-    end of the arc g is the base of h, or lies so near it that the float
-    discriminant A^2 - B^2 is within its rounding error (a few ulps of
-    A^2; 2^-44 A^2 here).  The old form decides that case by the sign of
-    the discriminant, which rounding can leave positive; it then returns
-    a finite span, or none, where the horoball holds a half line, or all
+    end of the arc g is the base of h, or where the float discriminant
+    A^2 - B^2 lies within its rounding error of 0, so that its sign says
+    nothing.  A and B carry the rounding of the float midpoint m, radius
+    rho and unit they are formed from, a few ulps of S = (|m| + |base| +
+    rho)^2 each, so the discriminant errs by less than 22 u A S (u =
+    2^-53), which 2^-47 A S covers.  There the old form can return a
+    finite span, or none, where the horoball holds a half line, or all
     of it but an end 1e-175 away (TestFirstHitAfter.test_end_at_a_base
     and test_end_next_to_a_base)."""
     if isinstance(g, ArcGeodesic) and isinstance(h, TangentHoroball):
-        base, rho = _flv(h.base), g.rho
-        v = vsub(_flv(g.midpoint), base)
+        base, mid, rho = _flv(h.base), _flv(g.midpoint), g.rho
+        v = vsub(mid, base)
         A, B = vnorm2(v) + rho * rho, 2 * rho * vdot(v, g.unit)
-        if base in (_flv(g.a), _flv(g.b)) or A * A - B * B <= 2.0 ** -44 * A * A:
+        S = (math.hypot(*mid) + math.hypot(*base) + rho) ** 2
+        if base in (_flv(g.a), _flv(g.b)) or A * A - B * B <= 2.0 ** -47 * A * S:
             c = 2 * float(h.radius) * rho
             if base == _flv(g.b) or (base != _flv(g.a) and B < 0):
                 return (math.log(A / c), INF)

@@ -25,7 +25,7 @@ from horoshadow.heisenberg import (
     heis_mul,
     heisenberg_space,
 )
-from horoshadow.numeric import DEFAULT_TOL, int_decide, may_be_le, sweep_pairs, to_float
+from horoshadow.numeric import DEFAULT_TOL, may_be_le, sweep_pairs, to_float
 from horoshadow.packings import (
     HoroballFamily,
     extremal,
@@ -381,10 +381,11 @@ class TestExactValidation:
         assert validate_disjoint(fam, exact=True).violations == [(0, 1)]
 
     def test_int64_and_object_paths_agree(self, monkeypatch):
-        # a tangency with q q2 = 2^30 - 2^15 has the integer bound
-        # 4 q^2 q2^2 below 2^62 and one with 2^30 + 2^15 above it; the
-        # int64 positions are run again on Python ints
+        # a tangency with q q2 = 2^30 - 2^20 - 2^15 has the integer bound
+        # 4 q^2 q2^2 below 2^62 and one with 2^30 + 2^20 + 2^15 above it;
+        # the int64 positions are run again on Python ints
         runs = []
+        int_decide = packings._int_decide
 
         def both(bound, decide):
             got = int_decide(bound, decide)
@@ -392,21 +393,34 @@ class TestExactValidation:
             runs.append((len(small), len(bound) - len(small)))
             assert decide(small, object).tolist() == got[small].tolist()
             return got
-        monkeypatch.setattr(packings, "int_decide", both)
+        monkeypatch.setattr(packings, "_int_decide", both)
         balls = []
-        for k, (q, q2) in enumerate([(2 ** 15, 2 ** 15 - 1), (2 ** 15 + 1, 2 ** 15)]):
+        for k, q in enumerate((2 ** 15 - 2 ** 5 - 1, 2 ** 15 + 2 ** 5 + 1)):
             for m, nudge in enumerate((0, -1, 1)):
-                balls += nudged_pair(q, q2, 10 * (3 * k + m), nudge, 0)
+                balls += nudged_pair(q, 2 ** 15, 10 * (3 * k + m), nudge, 0)
         fam = HoroballFamily(2, balls)
         got = validate_disjoint(fam, exact=True).violations
         assert got == old_validate_disjoint_exact(fam) == brute_validate_disjoint(fam, exact=True)
         assert len(got) == 2
         assert runs and all(small and wide for small, wide in runs)
 
+    @pytest.mark.parametrize("k", [20, 31, 32, 33, 52])
+    def test_small_scales_without_a_shift(self, k):
+        # at 2^-k the denominators grow past 2^31 while the numerators
+        # stay small, so the squared denominators alone leave int64
+        fams = [farey(8), farey(12, (-1, 2), include_infinity=True), ford_spheres(4)]
+        fams += [HoroballFamily(2, nudged_pair(3, 2, 0, nudge, 0)) for nudge in (-1, 0, 1)]
+        fams += [HoroballFamily(2, nudged_pair(987, 610, 0, nudge, 0)) for nudge in (-1, 0, 1)]
+        for fam in fams:
+            want = brute_validate_disjoint(fam, exact=True)
+            moved = transform(fam, Fraction(1, 2 ** k))
+            assert validate_disjoint(moved, exact=True).violations == want
+            assert old_validate_disjoint_exact(moved) == want
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 10 ** 5), st.integers(1, 10 ** 5), st.integers(-10 ** 4, 10 ** 4),
            st.integers(-1, 1), st.integers(-1, 1), st.sampled_from([1, 2]),
-           st.sampled_from([0, 600, -600, 1100, -1100]))
+           st.sampled_from([0, -20, -32, 600, -600, 1100, -1100]))
     def test_nudged_farey_neighbours(self, q, q2, shift, nudge, nudge2, width, k):
         if math.gcd(q, q2) != 1 or 2 * min(q, q2) ** 2 + min(nudge, nudge2) <= 0:
             return
