@@ -58,12 +58,16 @@ _EXACT_INT = 2 ** 53
 
 
 def int_column(values):
-    """Python ints as a numpy array: int64 where every value converts to
-    a float exactly, an object array otherwise."""
+    """Integers (a list of Python ints, or an integer array) as a numpy
+    array: int64 where every value converts to a float exactly, an
+    object array of Python ints otherwise."""
     import numpy as np
-    values = list(values)
-    small = not values or -_EXACT_INT < min(values) and max(values) < _EXACT_INT
-    return np.array(values, dtype=np.int64 if small else object)
+    try:
+        col = np.array(values, dtype=np.int64)
+    except OverflowError:
+        col = np.array(values, dtype=object)
+    small = not col.size or -_EXACT_INT < col.min() and col.max() < _EXACT_INT
+    return col.astype(np.int64 if small else object, copy=False)
 
 
 class Ratios:
@@ -80,9 +84,11 @@ class Ratios:
 
     @classmethod
     def lowest_terms(cls, base_num, base_den, radius_num, radius_den) -> "Ratios":
+        """The Ratios of num / den (den > 0), each column an int_column."""
         import numpy as np
         gb, gr = np.gcd(base_num, base_den), np.gcd(radius_num, radius_den)
-        return cls(base_num // gb, base_den // gb, radius_num // gr, radius_den // gr)
+        return cls(*map(int_column, (base_num // gb, base_den // gb,
+                                     radius_num // gr, radius_den // gr)))
 
     @classmethod
     def of(cls, bases: list, radii: list, width: int) -> "Ratios":
@@ -303,8 +309,10 @@ def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
     certificate rejects is pruned, at any scale; the certificate then
     runs on the candidates only, vectorised in floats with slack tol.
     With exact=True it runs with zero slack on the exact values (the
-    Ratios of an exact family, else the floats read exactly): a float
-    filter (decide_le, with the error bound of _gap_bounds) settles the
+    Ratios of an exact family, else the floats read exactly), which the
+    sweep and a float filter read scaled by a power of two where they
+    leave the float range (_scaled_floats): the filter (decide_le, with
+    the error bound of _gap_bounds) settles the
     pairs that are clearly apart or clearly overlap, and the rest (the
     tangencies) are decided in integers over common denominators
     (_apart), as is 2r <= h on the rows the filter leaves.  Cost is
@@ -316,12 +324,12 @@ def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
     slack = 0 if exact else tol
     infs, tangs = cols.infinity.tolist(), cols.tangent.tolist()
     bad = [(i, j) for k, i in enumerate(infs) for j in infs[k + 1:]]
-    xs, rs = cols.base, cols.radius
     for j in infs:
         cap = hs[j].height if exact else to_float(hs[j].height) * (1 + slack)
-        capf = to_float(cap)
+        capf, rs = to_float(cap), cols.radius
         rows = np.flatnonzero(may_be_le(capf, 2 * rs, abs(capf) + 2 * rs))
         bad.extend(tuple(sorted((tangs[k], j))) for k in rows[_exceeds(fam, rows, cap)].tolist())
+    xs, rs = _scaled_floats(fam) if exact else (cols.base, cols.radius)
     # a negative slack lets the float test reach sqrt(1 - slack) times
     # further than the shadows
     a, b = sweep_pairs(xs[:, 0], rs * math.sqrt(max(1.0, 1.0 - slack)))
@@ -336,6 +344,46 @@ def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
     bad.extend(zip(cols.tangent[a[hit]].tolist(), cols.tangent[b[hit]].tolist()))
     bad.sort()
     return ValidationReport(not bad, bad)
+
+
+#: values within 2^-_KEY_RANGE .. 2^_KEY_RANGE are normal floats whose
+#: sums in the sweep stay finite
+_KEY_RANGE = 1000
+
+
+def _scaled_floats(fam: HoroballFamily) -> tuple:
+    """(base, radius) float columns of the tangent rows for the sweep and
+    the float filter of the exact check, which ask the same of a family
+    and of its dilation by a power of two: the float columns, unless an
+    exact family has a nonzero value beyond 2^+-1000 and one power of two
+    2^s (s = -E, with 2^E the largest nonzero value to within a factor
+    two, from the bit lengths) brings every nonzero value within
+    2^-1000 .. 2; then the exact values times 2^s, rounded correctly.
+    The shift is exact in the Ratios, so the floats round the values of
+    the dilated family."""
+    import numpy as np
+    cols, ex = fam.columns, fam.exact
+    if ex is None:
+        return cols.base, cols.radius
+    num = np.concatenate([ex.base_num.ravel(), ex.radius_num])
+    den = np.concatenate([ex.base_den.ravel(), ex.radius_den])
+    mag = np.abs(np.concatenate([cols.base.ravel(), cols.radius]))
+    limit = 2.0 ** _KEY_RANGE
+    nonzero = num != 0
+    if ((1 / limit < mag) & (mag < limit) | ~nonzero).all():
+        return cols.base, cols.radius
+    exps = [abs(n).bit_length() - d.bit_length()
+            for n, d in zip(num[nonzero].tolist(), den[nonzero].tolist())]
+    top = max(exps)
+    if top - min(exps) >= _KEY_RANGE:
+        return cols.base, cols.radius
+    num, den = num.astype(object), den.astype(object)
+    if top > 0:
+        den = den * 2 ** top
+    else:
+        num = num * 2 ** -top
+    flo = _ratio_floats(num, den)
+    return flo[:cols.base.size].reshape(cols.base.shape), flo[cols.base.size:]
 
 
 def _gap_bounds(xa, xb, diff, ra, rb) -> tuple:

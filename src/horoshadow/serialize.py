@@ -1,12 +1,20 @@
 """JSON interchange for families, geodesics and tree configurations.
 
-Numbers travel as decimal strings (repr round-trips floats bit-exactly)
-with an optional exact rational "p/q" companion field.  Exact mode reads
-the companions, so exact families survive a round trip unhurt; float
-mode reads the decimal strings alone, so it computes in floats whether
-or not the companions are present.  A family document is written from
-the family's columns and read into columns in one pass over its
-entries; no member object is built for a tangent entry.
+A family document lists its members in `entries`, in member order: a
+tangent member is a flat row of numbers, a member at infinity a small
+object {"type": "at_infinity", "height": ...}.  The field `rows` names
+the row form.  An exact document ("exact") holds JSON integers only: the
+row [n_1..n_k, d_1..d_k, rn, rd] of a member's exact values (its Ratios
+row) and the height [num, den].  A float document ("float") holds the
+floats [b_1..b_k, r] and the height, which json writes with repr, so
+they round-trip bit for bit (+-inf and -0.0 included).  A family is
+written as an exact document exactly when every value of it is exact.
+Exact mode reads exact documents only; float mode reads an exact
+document's floats rounded correctly from its integers.  A document is
+written from the family's columns and read back into them by one pass
+over its rows, which are checked, not coerced; no member object is
+built for a row.  A per-entry document (one object per member, decimal
+strings with "p/q" companions: the format before rows) is refused.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import gc
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from typing import Optional
 
 from .halfspace import (
@@ -24,39 +33,9 @@ from .halfspace import (
     Geodesic,
     VerticalGeodesic,
 )
+from .numeric import to_float
 from .packings import HoroballFamily, Ratios, check_shape, int_column
 from .trees import MetricTree, TreeHoroball
-
-
-def _exact_out(x) -> Optional[str]:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return str(x)
-    return None
-
-
-def _num_in(decimal: str, exact: Optional[str], want_exact: bool):
-    if not want_exact:
-        return float(decimal)
-    if exact is None:
-        raise ValueError(f"no exact form for {decimal!r} in exact mode")
-    return Fraction(exact)
-
-
-def _ratio_in(decimal: str, exact: Optional[str]) -> tuple:
-    """(num, den), den > 0, of the value _num_in reads in exact mode:
-    "n/d" and "n", the forms this module writes, through int(), which
-    reads their digits as Fraction does; any other form through
-    Fraction."""
-    if exact is None:
-        raise ValueError(f"no exact form for {decimal!r} in exact mode")
-    num, slash, den = exact.partition("/") if isinstance(exact, str) else ("", "", "")
-    if (num[1:] if num[:1] == "-" else num).isdecimal() and \
-            (not slash or den.isdecimal() and int(den)):
-        return int(num), int(den or 1)
-    f = Fraction(exact)  # any other form Fraction reads, or its error
-    return f.numerator, f.denominator
 
 
 @contextmanager
@@ -65,7 +44,7 @@ def _reading(kind: str):
     a ValueError that names the kind of document."""
     try:
         yield
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed {kind} document: {type(exc).__name__}: {exc}") from exc
 
 
@@ -84,40 +63,55 @@ def bulk():
             gc.enable()
 
 
-def _rows(strings: list, width: int) -> list:
-    return [strings[k:k + width] for k in range(0, len(strings), width)]
+#: the row forms of a family document: the types a row may hold, and
+#: their name in messages
+_ROW_TYPES = {"exact": ({int}, "integers"), "float": ({int, float}, "numbers")}
+
+
+def _check_types(values, form: str) -> None:
+    allowed, name = _ROW_TYPES[form]
+    found = set(map(type, values)) - allowed
+    if found:
+        raise ValueError(f"{form} document holds {name} only, not "
+                         f"{', '.join(sorted(t.__name__ for t in found))}")
+
+
+def _merge(rows: list, at: list, objects: list) -> list:
+    """rows with objects[j] inserted so that it lands at index at[j]
+    (increasing)."""
+    out, taken = [], 0
+    for i, obj in zip(at, objects):
+        step = i - len(out)
+        out += rows[taken:taken + step]
+        out.append(obj)
+        taken += step
+    return out + rows[taken:] if out else rows
 
 
 def family_to_document(fam: HoroballFamily, metadata: Optional[dict] = None) -> dict:
-    """The document of a family, its tangent entries written from the
-    columns: the decimals from the float columns, the companions from
-    the exact columns (Ratios), which a float family has none of."""
+    """The row document of a family, written from its columns in one
+    pass: an exact document where every value of the family is exact
+    (the integers of its Ratios, the heights as [num, den]), else a
+    float document (the float columns)."""
+    import numpy as np
     with bulk():
         cols, ex = fam.columns, fam.exact
-        width = fam.dim - 1
-        entries = [None] * len(fam.horoballs)
-        tangent = cols.tangent.tolist()
-        bases = _rows(list(map(repr, cols.base.ravel().tolist())), width)
-        radii = map(repr, cols.radius.tolist())
-        if ex is not None:
-            base_ex = _rows([f"{n}/{d}" for n, d in zip(ex.base_num.ravel().tolist(),
-                                                        ex.base_den.ravel().tolist())], width)
-            radius_ex = [f"{n}/{d}" for n, d in zip(ex.radius_num.tolist(), ex.radius_den.tolist())]
-            for i, b, r, bx, rx in zip(tangent, bases, radii, base_ex, radius_ex):
-                entries[i] = {"type": "tangent", "base": b, "radius": r,
-                              "base_exact": bx, "radius_exact": rx}
+        heights = [fam.horoballs[i].height for i in cols.infinity.tolist()]
+        exact = (ex is not None or not len(cols.tangent)) and \
+            all(isinstance(h, (int, Fraction)) for h in heights)
+        if exact:
+            parts = () if ex is None else (ex.base_num, ex.base_den,
+                                           ex.radius_num[:, None], ex.radius_den[:, None])
+            heights = [list(Fraction(h).as_integer_ratio()) for h in heights]
         else:
-            for i, b, r in zip(tangent, bases, radii):
-                entries[i] = {"type": "tangent", "base": b, "radius": r}
-        for i, height in zip(cols.infinity.tolist(), cols.height.tolist()):
-            entries[i] = {"type": "at_infinity", "height": repr(height)}
-            hx = _exact_out(fam.horoballs[i].height)
-            if hx is not None:
-                entries[i]["height_exact"] = hx
+            parts, heights = (cols.base, cols.radius[:, None]), cols.height.tolist()
+        rows = np.hstack(parts).tolist() if parts else []
         doc = {
             "model": "upper_half_space",
             "dim": fam.dim,
-            "entries": entries,
+            "rows": "exact" if exact else "float",
+            "entries": _merge(rows, cols.infinity.tolist(),
+                              [{"type": "at_infinity", "height": h} for h in heights]),
             "metadata": dict(metadata or {}),
         }
         if fam.labels:
@@ -125,53 +119,68 @@ def family_to_document(fam: HoroballFamily, metadata: Optional[dict] = None) -> 
         return doc
 
 
+def _at_infinity(entry: dict, form: str, exact: bool) -> AtInfinityHoroball:
+    """The member of an entry that is not a row: a member at infinity,
+    its height a number in a float document and [num, den] in an exact
+    one."""
+    if entry["type"] != "at_infinity":
+        raise ValueError(f"unknown horoball entry type {entry['type']!r}")
+    h = entry["height"]
+    if form == "float":
+        _check_types([h], form)
+        return AtInfinityHoroball(float(h))
+    if type(h) is not list or len(h) != 2:
+        raise ValueError("a height in an exact document is [num, den]")
+    _check_types(h, form)
+    if h[1] <= 0:
+        raise ValueError("denominators must be positive")
+    h = Fraction(*h)
+    return AtInfinityHoroball(h if exact else to_float(h))
+
+
 def document_to_family(doc: dict, exact: bool = False) -> HoroballFamily:
-    """The family of a document, read in one pass over its entries into
-    columns, with the checks and messages of building its members in
-    entry order.  Float mode reads the decimals; exact mode reads the
-    companions into exact columns (Ratios), which the float columns then
-    round."""
+    """The family of a row document, its rows read into columns in one
+    pass, checked and not coerced.  Float mode reads a float document's
+    floats, or an exact document's integers rounded correctly
+    (Ratios.floats); exact mode reads an exact document into exact
+    columns (Ratios, in lowest terms).  A per-entry document, the format
+    before rows, is refused."""
     import numpy as np
     with bulk(), _reading("family"):
         if doc.get("model") != "upper_half_space":
             raise ValueError(f"not an upper_half_space document: {doc.get('model')!r}")
-        tangent, base, radius, members = [], [], [], {}
-        for i, e in enumerate(doc["entries"]):
-            kind = e["type"]
-            if kind == "at_infinity":
-                members[i] = AtInfinityHoroball(
-                    _num_in(e["height"], e.get("height_exact"), exact))
-            elif kind == "tangent":
-                if exact:
-                    exs = e.get("base_exact")
-                    row = [_ratio_in(d, exs[k] if exs else None) for k, d in enumerate(e["base"])]
-                    r = _ratio_in(e["radius"], e.get("radius_exact"))
-                    positive = r[0] > 0
-                else:
-                    row = list(map(float, e["base"]))
-                    r = float(e["radius"])
-                    positive = r > 0
-                if not positive:
-                    raise ValueError("radius must be positive")
-                tangent.append(i)
-                base.append(row)
-                radius.append(r)
-            else:
-                raise ValueError(f"unknown horoball entry type {kind!r}")
-        dim = doc["dim"]
-        labels = doc.get("metadata", {}).get("labels")
-        check_shape(dim, map(len, base))
-        tangent, shape = np.array(tangent, dtype=np.intp), (len(base), dim - 1)
-        if not exact:
-            return HoroballFamily.from_columns(
-                dim, tangent, np.array(base, dtype=float).reshape(shape),
-                np.array(radius, dtype=float), None, members, labels)
-        pairs = [c for row in base for c in row]
-        ratios = Ratios.lowest_terms(int_column([n for n, _ in pairs]).reshape(shape),
-                                     int_column([d for _, d in pairs]).reshape(shape),
-                                     int_column([n for n, _ in radius]),
-                                     int_column([d for _, d in radius]))
-        return HoroballFamily.from_columns(dim, tangent, *ratios.floats(), ratios, members, labels)
+        form = doc.get("rows")
+        if form not in _ROW_TYPES:
+            raise ValueError("per-entry family document (the format before row documents): "
+                             "re-run pack to write it again" if form is None
+                             else f"unknown row form {form!r}")
+        if exact and form == "float":
+            raise ValueError("no exact form in exact mode: the document's rows are floats")
+        dim, entries = doc["dim"], doc["entries"]
+        if type(entries) is not list:
+            raise TypeError(f"entries is a {type(entries).__name__}, not a list")
+        is_row = np.fromiter(map(isinstance, entries, repeat(list)), dtype=bool,
+                             count=len(entries))
+        at = np.flatnonzero(~is_row).tolist()
+        members = {i: _at_infinity(entries[i], form, exact) for i in at}
+        rows = list(compress(entries, is_row)) if at else entries
+        lengths = set(map(len, rows))
+        check_shape(dim, {n - 1 for n in lengths} if form == "float" else
+                    {n / 2 - 1 for n in lengths})
+        flat = list(chain.from_iterable(rows))
+        _check_types(flat, form)
+        tangent, labels, k = np.flatnonzero(is_row), doc.get("metadata", {}).get("labels"), dim - 1
+        if form == "float":
+            table = np.array(flat, dtype=float).reshape(len(rows), dim)
+            return HoroballFamily.from_columns(dim, tangent, table[:, :k].copy(), table[:, k].copy(),
+                                               None, members, labels)
+        table = int_column(flat).reshape(len(rows), 2 * dim)
+        cols = table[:, :k], table[:, k:2 * k], table[:, 2 * k], table[:, 2 * k + 1]
+        if not ((cols[1] > 0).all() and (cols[3] > 0).all()):
+            raise ValueError("denominators must be positive")
+        ratios = Ratios.lowest_terms(*cols) if exact else Ratios(*cols)
+        return HoroballFamily.from_columns(dim, tangent, *ratios.floats(),
+                                           ratios if exact else None, members, labels)
 
 
 def tree_to_document(tree: MetricTree, balls: list[TreeHoroball],

@@ -1,9 +1,11 @@
 """The columnar family against the member-by-member code it replaced,
 which is kept here as the oracle: the entry-by-entry loader and writer
-of family documents.  Also: documents written from columns equal the
-documents the oracle writes, exact columns come from the companions, the
-loader raises the oracle's errors, and the solvers build member objects
-only for the members a scalar test reads."""
+of the per-entry family documents that preceded row documents.  A row
+document read back gives the family that the oracle's document gives
+through the oracle's loader, bit for bit on every column, in float and
+exact mode; the loader checks rows without coercing them and raises the
+oracle's errors; and the solvers build member objects only for the
+members a scalar test reads."""
 
 import json
 import math
@@ -123,27 +125,80 @@ def bits(array):
 
 def assert_same_family(got, want):
     assert got == want
-    assert (got.dim, got.labels) == (want.dim, want.labels)
     assert list(got.horoballs) == list(want.horoballs)
     assert [type(c) for h in got.horoballs for c in vars(h).values() if not isinstance(c, tuple)] \
         == [type(c) for h in want.horoballs for c in vars(h).values() if not isinstance(c, tuple)]
+    assert_same_columns(got, want)
+
+
+def assert_same_columns(got, want):
+    assert (got.dim, got.labels) == (want.dim, want.labels)
     a, b = got.columns, want.columns
     assert np.array_equal(a.tangent, b.tangent) and np.array_equal(a.infinity, b.infinity)
     for name in ("base", "radius", "height"):
         assert bits(getattr(a, name)) == bits(getattr(b, name)), name
     assert (got.exact is None) == (want.exact is None)
+    if got.exact is not None:
+        for key in Ratios.__slots__:
+            x, y = getattr(got.exact, key), getattr(want.exact, key)
+            assert (x.dtype, x.tolist()) == (y.dtype, y.tolist()), key
 
 
-def assert_loads_like_oracle(doc):
-    """Both modes: the same family, bit for bit, or the same error."""
+#: the error of reading a float document in exact mode
+NO_EXACT = "no exact form in exact mode: the document's rows are floats"
+
+
+def same_error(new, old):
+    """The new reader's error against the oracle's: the same type, and
+    the same message but where the oracle names a missing companion,
+    which a row document has no place for."""
+    assert new[0] is old[0], (new, old)
+    assert new[1] == old[1] or old[1].startswith("no exact form for "), (new, old)
+
+
+def assert_docs_read_alike(new_doc, old_doc):
+    """The row document through the reader and the per-entry document
+    through the oracle's reader give the same family, bit for bit on
+    every column, or the same error, in float and in exact mode."""
+    assert new_doc["metadata"] == old_doc.get("metadata", {})
+    assert len(new_doc["entries"]) == len(old_doc["entries"])
     for exact in (False, True):
-        new = outcome(serialize.document_to_family, doc, exact)
-        old = outcome(old_document_to_family, doc, exact)
+        new = outcome(serialize.document_to_family, new_doc, exact)
+        old = outcome(old_document_to_family, old_doc, exact)
         assert new[0] == old[0], (exact, new, old)
         if new[0] == "raised":
-            assert new == old
+            same_error(new[1], old[1])
         else:
             assert_same_family(new[1], old[1])
+
+
+def assert_reads_like_oracle(fam, metadata=None):
+    """The document of a family reads as the oracle's document of it;
+    returns the document, after a JSON round trip."""
+    new_doc = json.loads(serialize.dumps(serialize.family_to_document(fam, metadata)))
+    assert_docs_read_alike(new_doc, old_family_to_document(fam, metadata))
+    return new_doc
+
+
+def float_document(fam):
+    """The float document of a family's float columns, which need not
+    make a family (radii that round to 0.0)."""
+    cols = fam.columns
+    entries = np.hstack([cols.base, cols.radius[:, None]]).tolist()
+    for i, h in zip(cols.infinity.tolist(), cols.height.tolist()):
+        entries.insert(i, {"type": "at_infinity", "height": h})
+    return json.loads(serialize.dumps({
+        "model": "upper_half_space", "dim": fam.dim, "rows": "float", "entries": entries,
+        "metadata": {"labels": list(fam.labels)} if fam.labels else {}}))
+
+
+def float_image(fam):
+    """The float family of a family's float columns."""
+    cols = fam.columns
+    return HoroballFamily.from_columns(
+        fam.dim, cols.tangent, cols.base, cols.radius, None,
+        {i: AtInfinityHoroball(h) for i, h in zip(cols.infinity.tolist(), cols.height.tolist())},
+        fam.labels)
 
 
 def without_companions(doc):
@@ -185,126 +240,288 @@ EXACT = {"farey": farey(6, (0, 1), include_infinity=True),
          "geometric": geometric(-3, 3),
          "extremal": extremal(3, Fraction(1, 3))}
 
+#: families whose values the row forms must carry exactly: Farey with
+#: and without a range and the member at infinity, the other generators,
+#: the float edge cases, and families mixing exact and float values
+NAMED = {"farey": farey(9),
+         "farey+inf": farey(9, include_infinity=True),
+         "farey-range": farey(7, (Fraction(-3, 2), 4)),
+         "farey-range+inf": farey(7, (Fraction(1, 3), Fraction(2, 5)), include_infinity=True),
+         "geometric": geometric(-4, 4),
+         "extremal-float": extremal(3),
+         "extremal-fraction": extremal(3, Fraction(2, 7)),
+         "float-edges": HoroballFamily(3, [
+             TangentHoroball((-0.0, math.inf), 5e-324), AtInfinityHoroball(math.inf),
+             TangentHoroball((-math.inf, 2.2250738585072014e-308), math.inf),
+             TangentHoroball((1e-310, -0.0), 0.1)]),
+         "exact-rows-float-height": HoroballFamily(2, [
+             TangentHoroball((Fraction(1, 3),), Fraction(1, 8)), AtInfinityHoroball(2.5)]),
+         "float-rows-exact-height": HoroballFamily(2, [
+             AtInfinityHoroball(Fraction(3, 2)), TangentHoroball((0.5,), 0.25)]),
+         "heights-only": HoroballFamily(2, [AtInfinityHoroball(1), AtInfinityHoroball(Fraction(1, 3))]),
+         "empty": HoroballFamily(3, [])}
+
 
 class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(float_families())
     def test_float_families(self, fam):
-        doc = serialize.family_to_document(fam, {"k": 1})
-        assert doc == old_family_to_document(fam, {"k": 1})
-        assert_loads_like_oracle(json.loads(serialize.dumps(doc)))
+        doc = assert_reads_like_oracle(fam, {"k": 1})
+        assert doc["rows"] == ("float" if len(fam.horoballs) else "exact")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 4), st.integers(1, 60), st.integers(0, 99))
     def test_random_families(self, dim, count, seed):
         fam = random_disjoint(count, dim, seed)
-        doc = serialize.family_to_document(fam)
-        assert doc == old_family_to_document(fam)
-        assert_loads_like_oracle(doc)
+        assert_reads_like_oracle(fam)
+        assert_same_family(serialize.document_to_family(
+            json.loads(serialize.dumps(serialize.family_to_document(fam)))), fam)
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_named_families(self, name):
+        assert_reads_like_oracle(NAMED[name], {"generator": name})
 
     @pytest.mark.parametrize("name", sorted(EXACT))
     @pytest.mark.parametrize("k", [Fraction(2) ** 1100, Fraction(1, 2 ** 1100), Fraction(1)],
                              ids=["2^1100", "2^-1100", "1"])
     @pytest.mark.parametrize("companions", [True, False])
     def test_exact_families(self, name, k, companions):
+        """The exact document, and without companions the float document
+        of the same columns: in float mode each reads as the float image
+        of the family, and where the oracle writes the family (not
+        beyond the float range) as the oracle's document, stripped of
+        its companions for the float document; the exact document reads
+        in exact mode as the family, bit for bit."""
         fam = EXACT[name] if k == 1 else dilated(EXACT[name], k)
-        doc = serialize.family_to_document(fam, {"generator": name})
-        if k == 1:
-            assert doc == old_family_to_document(fam, {"generator": name})
-        if not companions:
-            doc = without_companions(doc)
-        assert_loads_like_oracle(doc)
         if companions:
+            doc = json.loads(serialize.dumps(serialize.family_to_document(fam, {"g": name})))
+            assert doc["rows"] == "exact"
             back = serialize.document_to_family(doc, exact=True)
-            assert back == fam
-            for name in ("base", "radius", "height"):
-                assert bits(getattr(back.columns, name)) == bits(getattr(fam.columns, name))
+            assert back == fam  # an int height reads as a Fraction, as in the oracle
+            assert_same_columns(back, fam)
+        else:
+            doc = float_document(fam)
+            assert outcome(serialize.document_to_family, doc, True) == \
+                ("raised", (ValueError, NO_EXACT))
+        got, want = outcome(serialize.document_to_family, doc), outcome(float_image, fam)
+        assert got[0] == want[0] and (got[0] == "ok" or got == want), (got, want)
+        if got[0] == "ok":
+            assert_same_family(got[1], want[1])
+        if k == 1:
+            old = old_family_to_document(fam, doc["metadata"])
+            assert_docs_read_alike(doc, old if companions else without_companions(old))
 
     def test_columns_beyond_the_float_range(self):
         doc = serialize.family_to_document(dilated(EXACT["farey"], Fraction(2) ** 1100))
         cols = serialize.document_to_family(doc, exact=True).columns
         assert np.isinf(cols.radius).all() and (cols.radius > 0).all()
-        assert doc["entries"][0]["radius"] == "inf"
+        assert doc["entries"][0] == [0, 1, 2 ** 1099, 1]
+        assert serialize.document_to_family(doc).columns.radius[0] == math.inf
         tiny = serialize.document_to_family(
             serialize.family_to_document(dilated(EXACT["farey"], Fraction(1, 2 ** 1100))), True)
         assert (tiny.columns.radius == 0).all()  # 2^-1101 rounds to 0.0, and passes
         assert tiny.horoballs[0].radius == Fraction(1, 2 ** 1101)
+        assert {tiny.exact.radius_den.dtype, tiny.exact.radius_num.dtype} == {np.dtype(object),
+                                                                              np.dtype(np.int64)}
 
-    def test_companions_decide_under_exact(self):
-        # decimals that disagree with their companions
-        doc = {"model": "upper_half_space", "dim": 2, "entries": [
-            {"type": "tangent", "base": ["0.25"], "base_exact": ["1/3"],
-             "radius": "0.5", "radius_exact": "1/10"},
-            {"type": "at_infinity", "height": "2.0", "height_exact": "3"}]}
-        assert_loads_like_oracle(doc)
+    def test_float_mode_rounds_exact_rows(self):
+        # unreduced rows read in lowest terms; float mode rounds them
+        # correctly, as float(Fraction) does
+        doc = doc_of([2, 6, 2, 20], [10 ** 17 + 1, 3 * 10 ** 17, 1, 2 ** 60],
+                     {"type": "at_infinity", "height": [6, 2]})
         exact = serialize.document_to_family(doc, exact=True)
         assert exact.horoballs[0] == TangentHoroball((Fraction(1, 3),), Fraction(1, 10))
-        assert exact.columns.base[0, 0] == 1 / 3 and exact.columns.radius[0] == 0.1
-        assert exact.columns.height[0] == 3.0
+        assert (exact.exact.base_num.tolist(), exact.exact.radius_den.tolist()) == \
+            ([[1], [10 ** 17 + 1]], [10, 2 ** 60])
         floats_ = serialize.document_to_family(doc)
-        assert floats_.horoballs[0] == TangentHoroball((0.25,), 0.5)
-        assert floats_.columns.base[0, 0] == 0.25 and floats_.columns.height[0] == 2.0
+        assert floats_.exact is None
+        assert floats_.columns.base[:, 0].tolist() == [1 / 3, float(Fraction(10 ** 17 + 1,
+                                                                             3 * 10 ** 17))]
+        assert floats_.columns.radius.tolist() == [0.1, 2.0 ** -60]
+        assert floats_.horoballs[2] == AtInfinityHoroball(3.0)
+        for name in ("base", "radius"):
+            assert bits(getattr(floats_.columns, name)) == bits(getattr(exact.columns, name))
 
-    def test_companion_forms_fraction_reads(self):
-        # forms beyond "n/d": decimals, signs, spaces, unreduced and zero
-        for text in ["2/4", "+3/4", " 3/4 ", "0.5", "1e-3", "-6/8", "3/-4", "3 /4", "1_000/3",
-                     "3/0", "abc"]:
-            doc = {"model": "upper_half_space", "dim": 2, "entries": [
-                {"type": "tangent", "base": ["0.0"], "base_exact": [text],
-                 "radius": "0.5", "radius_exact": "1/2"}]}
-            assert_loads_like_oracle(doc)
+    def test_values_beyond_int64_are_objects(self):
+        for big in (2 ** 53, 2 ** 63, 2 ** 200):
+            fam = serialize.document_to_family(doc_of([big, 1, 1, 2], [1, 2, 1, 8]), exact=True)
+            assert fam.exact.base_num.dtype == object and fam.exact.base_den.dtype == np.int64
+            assert fam.horoballs[0].base == (Fraction(big),)
+        fam = serialize.document_to_family(doc_of([2 ** 53 - 1, 1, 1, 2]), exact=True)
+        assert fam.exact.base_num.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
 # the loader's errors
 
 
-def doc_of(*entries, dim=2):
+def doc_of(*entries, dim=2, rows="exact"):
+    return {"model": "upper_half_space", "dim": dim, "rows": rows, "entries": list(entries)}
+
+
+def old_doc_of(*entries, dim=2):
     return {"model": "upper_half_space", "dim": dim, "entries": list(entries)}
 
 
+#: a member at 1/2 of radius 1/4 as an exact row, a float row and an
+#: entry of the per-entry oracle
+ROW, FLOAT_ROW = [1, 2, 1, 4], [0.5, 0.25]
 TANGENT = {"type": "tangent", "base": ["0.5"], "base_exact": ["1/2"],
            "radius": "0.25", "radius_exact": "1/4"}
+CUSP = {"type": "cusp"}
+
+
+def tangent(radius=None, base=None):
+    """(exact row, float row, oracle entry) of a member at 1/2 of radius
+    1/4, or of the radius n/d and base coordinates n/d given."""
+    (rn, rd), base = radius or (1, 4), base or [(1, 2)]
+    row = [n for n, _ in base] + [d for _, d in base] + [rn, rd]
+    flt = [n / d for n, d in base] + [rn / rd]
+    return row, flt, {"type": "tangent", "base": [repr(x) for x in flt[:-1]],
+                      "base_exact": [f"{n}/{d}" for n, d in base],
+                      "radius": repr(flt[-1]), "radius_exact": f"{rn}/{rd}"}
+
+
+def height(num, den=1):
+    """(exact entry, float entry, oracle entry) of a member at infinity."""
+    return ({"type": "at_infinity", "height": [num, den]},
+            {"type": "at_infinity", "height": num / den},
+            {"type": "at_infinity", "height": repr(num / den), "height_exact": f"{num}/{den}"})
+
+
+def ported(*members, dim=2):
+    """The exact document, the float document and the oracle's document
+    of the members given as the triples of tangent() and height()."""
+    return tuple(make(*(m[k] for m in members), dim=dim) for k, make in
+                 ((0, doc_of), (1, lambda *e, dim: doc_of(*e, dim=dim, rows="float")),
+                  (2, old_doc_of)))
+
+
+ZERO, NEG = tangent((0, 1)), tangent((-1, 2))
+TWO = tangent(base=[(1, 2), (1, 1)])
+PORTED = {
+    "unknown-type": ported(tangent(), (CUSP,) * 3),
+    "radius-zero": ported(ZERO),
+    "radius-negative": ported(NEG),
+    "height-zero": ported(height(0)),
+    "height-negative": ported(height(-1)),
+    "base-length": ported(tangent(), TWO),
+    "dim-mismatch": ported(tangent(), dim=3),
+    "dim-one": ported(tangent(), dim=1),
+    "type-before-radius": ported(tangent(), (CUSP,) * 3, ZERO),
+    "base-length-after-type": ported(TWO, (CUSP,) * 3),
+    "empty": ported(),
+    "radius-nan": (None, doc_of([0.5, math.nan], rows="float"),
+                   old_doc_of({**TANGENT, "radius": "nan"})),
+    "radius-minus-zero": (None, doc_of([0.5, -0.0], rows="float"),
+                          old_doc_of({**TANGENT, "radius": "-0.0", "radius_exact": "-0"})),
+    "float-rows-in-exact-mode": (None, doc_of(FLOAT_ROW, rows="float"),
+                                 old_doc_of({**TANGENT, "radius_exact": None})),
+    "not-upper-half-space": ({"model": "tree", "dim": 0, "rows": "exact", "entries": []}, None,
+                             {"model": "tree", "dim": 0, "entries": []}),
+}
+
+#: where the row reader names another error than the oracle: it reads
+#: the rows after the other entries, so an unknown type is named
+#: wherever it stands, and an exact row refuses a float in either mode
+DIFFERS = {
+    "radius-before-type": (ported(ZERO, (CUSP,) * 3)[:2], "unknown horoball entry type 'cusp'"),
+    "float-in-exact-row": ((doc_of([0.5, 1, 1, 4]),),
+                           "exact document holds integers only, not float"),
+}
 
 
 class TestErrors:
-    @pytest.mark.parametrize("doc", [
-        doc_of(TANGENT, {"type": "cusp"}),
-        doc_of({**TANGENT, "radius_exact": None}),
-        doc_of({k: v for k, v in TANGENT.items() if k != "base_exact"}),
-        doc_of({**TANGENT, "radius": "0.0", "radius_exact": "0/1"}),
-        doc_of({**TANGENT, "radius": "-0.5", "radius_exact": "-1/2"}),
-        doc_of({**TANGENT, "radius": "nan"}),
-        doc_of({**TANGENT, "radius": "-0.0", "radius_exact": "-0"}),
-        doc_of({"type": "at_infinity", "height": "0.0", "height_exact": "0"}),
-        doc_of({"type": "at_infinity", "height": "-1.0"}),
-        doc_of(TANGENT, {**TANGENT, "base": ["1", "2"], "base_exact": ["1", "2"]}),
-        doc_of(TANGENT, dim=3),
-        doc_of(TANGENT, dim=1),
-        doc_of(TANGENT, {"type": "cusp"}, {**TANGENT, "radius": "0.0", "radius_exact": "0"}),
-        doc_of({**TANGENT, "radius": "0.0", "radius_exact": "0"}, {"type": "cusp"}),
-        doc_of({**TANGENT, "base": ["0.5", "1.0"], "base_exact": ["1/2", "1"]}, {"type": "cusp"}),
-        doc_of(),
-        {"model": "tree", "dim": 0, "entries": []},
-    ], ids=["unknown-type", "missing-radius-companion", "missing-base-companions",
-            "radius-zero", "radius-negative", "radius-nan",
-            "radius-minus-zero", "height-zero", "height-negative", "base-length",
-            "dim-mismatch", "dim-one", "type-before-radius", "radius-before-type",
-            "base-length-after-type", "empty", "not-upper-half-space"])
-    def test_same_error_as_oracle(self, doc):
-        assert_loads_like_oracle(doc)
+    @pytest.mark.parametrize("case", list(PORTED) + list(DIFFERS))
+    def test_same_error_as_oracle(self, case):
+        """Each case as an exact and a float row document against the
+        oracle's per-entry document, in both modes.  Exact mode reads no
+        float document, as the oracle read no entry without companions."""
+        if case in DIFFERS:
+            docs, message = DIFFERS[case]
+            for doc in docs:
+                for exact in (False, True) if doc["rows"] == "exact" else (False,):
+                    with pytest.raises(ValueError, match=message):
+                        serialize.document_to_family(doc, exact)
+            return
+        exact_doc, float_doc, old = PORTED[case]
+        for doc in (exact_doc, float_doc):
+            for exact in (False, True) if doc is not None else ():
+                new = outcome(serialize.document_to_family, doc, exact)
+                if exact and doc is float_doc:
+                    assert new == ("raised", (ValueError, NO_EXACT))
+                    continue
+                want = outcome(old_document_to_family, old, exact)
+                assert new[0] == want[0], (case, exact, new, want)
+                if new[0] == "raised":
+                    same_error(new[1], want[1])
+                else:
+                    assert_same_family(new[1], want[1])
 
     def test_messages(self):
-        cases = {"unknown horoball entry type 'cusp'": doc_of({"type": "cusp"}),
-                 "radius must be positive": doc_of({**TANGENT, "radius": "0.0",
-                                                    "radius_exact": "0"}),
-                 "horoball base dimension does not match family": doc_of(TANGENT, dim=3)}
+        cases = {"unknown horoball entry type 'cusp'": doc_of(CUSP),
+                 "radius must be positive": doc_of([1, 2, 0, 1]),
+                 "height must be positive": doc_of({"type": "at_infinity", "height": [0, 1]}),
+                 "horoball base dimension does not match family": doc_of(ROW, dim=3),
+                 "ambient dimension must be at least 2": doc_of(ROW, dim=1)}
         for message, doc in cases.items():
             for exact in (False, True):
                 with pytest.raises(ValueError, match=message):
                     serialize.document_to_family(doc, exact)
-        with pytest.raises(ValueError, match="no exact form for '0.25' in exact mode"):
-            serialize.document_to_family(doc_of({**TANGENT, "radius_exact": None}), True)
+        with pytest.raises(ValueError, match=NO_EXACT):
+            serialize.document_to_family(doc_of(FLOAT_ROW, rows="float"), True)
+        with pytest.raises(ValueError, match="not an upper_half_space document: 'tree'"):
+            serialize.document_to_family({"model": "tree", "entries": []})
+
+    def test_per_entry_documents_are_refused(self, tmp_path, capsys):
+        old = old_family_to_document(farey(4, include_infinity=True))
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="per-entry family document .* re-run pack"):
+                serialize.document_to_family(old, exact)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old))
+        assert main(["verify", "packing", "--family", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: per-entry family document")
+        with pytest.raises(ValueError, match="unknown row form 'columns'"):
+            serialize.document_to_family(doc_of(ROW, rows="columns"))
+
+    @pytest.mark.parametrize("doc,message", [
+        (doc_of([0.5, 1, 1, 4]), "exact document holds integers only, not float"),
+        (doc_of([1, 2, 1.0, 4]), "exact document holds integers only, not float"),
+        (doc_of(["1/2", 1, 1, 4]), "exact document holds integers only, not str"),
+        (doc_of([True, 2, 1, 4]), "exact document holds integers only, not bool"),
+        (doc_of([None, 2, 1, 4]), "exact document holds integers only, not NoneType"),
+        (doc_of([1, 0, 1, 4]), "denominators must be positive"),
+        (doc_of([1, -2, 1, 4]), "denominators must be positive"),
+        (doc_of([1, 2, 1, 0]), "denominators must be positive"),
+        (doc_of([1, 2, -1, -4]), "denominators must be positive"),
+        (doc_of({"type": "at_infinity", "height": [1, 0]}), "denominators must be positive"),
+        (doc_of({"type": "at_infinity", "height": [1.5, 1]}), "integers only, not float"),
+        (doc_of({"type": "at_infinity", "height": [1]}), r"height in an exact document is \[num, den\]"),
+        (doc_of({"type": "at_infinity", "height": 2}), r"height in an exact document is \[num, den\]"),
+        (doc_of(["0.5", 0.25], rows="float"), "float document holds numbers only, not str"),
+        (doc_of([0.5, True], rows="float"), "float document holds numbers only, not bool"),
+        (doc_of([None, 0.25], rows="float"), "float document holds numbers only, not NoneType"),
+        (doc_of({"type": "at_infinity", "height": "2.0"}, rows="float"), "numbers only, not str"),
+        (doc_of([1, 2, 1, 4, 1]), "horoball base dimension does not match family"),
+        (doc_of([1, 2, 1, 4], [0.5, 0.25], rows="float"), "base dimension does not match"),
+        (doc_of({"height": [1, 1]}), "malformed family document: KeyError"),
+        (doc_of(None), "malformed family document: TypeError"),
+        ({**doc_of(), "entries": {"a": 1}}, "malformed family document: TypeError"),
+        (doc_of([10 ** 400, 0.25], rows="float"), "malformed family document: OverflowError"),
+    ], ids=["float-base", "float-radius", "string", "bool", "null", "zero-den", "negative-den",
+            "zero-radius-den", "negative-radius", "zero-height-den", "float-height",
+            "short-height", "number-height", "float-string", "float-bool", "float-null",
+            "float-string-height", "odd-row", "float-long-row", "no-type", "null-entry",
+            "entries-object", "huge-int"])
+    def test_rows_are_checked_not_coerced(self, doc, message):
+        # np.array(..., dtype=np.int64) would read 0.5 as 0 and True as
+        # 1, and np.array(..., dtype=float) would parse "0.5"
+        for exact in (False, True):
+            if exact and doc["rows"] == "float":
+                continue  # NO_EXACT, before the rows are read
+            with pytest.raises(ValueError, match=message):
+                serialize.document_to_family(doc, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +611,9 @@ class TestOneConstructor:
         assert ints.exact is not None and ints.horoballs[0] == TangentHoroball((0,), 1)
         assert [type(c) for c in ints.horoballs[0].base + (ints.horoballs[0].radius,)] == \
             [Fraction, Fraction]
-        entry = serialize.family_to_document(ints)["entries"][0]
-        assert (entry["base_exact"], entry["radius_exact"]) == (["0/1"], "1/1")
+        doc = serialize.family_to_document(ints)
+        assert (doc["rows"], doc["entries"]) == \
+            ("exact", [[0, 1, 1, 1], {"type": "at_infinity", "height": [3, 1]}])
         # no tangent rows: no exact columns
         assert HoroballFamily(2, [AtInfinityHoroball(1)]).exact is None
         assert HoroballFamily(3, []).exact is None
@@ -428,9 +646,11 @@ class TestPackDocuments:
         lo, _, hi = rng.partition("..")
         want = old_family_to_document(old_farey(qmax, (Fraction(lo), Fraction(hi)), inf),
                                       {"generator": "farey", "qmax": qmax, "range": rng})
-        assert json.loads(text) == want
+        doc = json.loads(text)
+        assert doc["rows"] == "exact"
+        assert_docs_read_alike(doc, want)
         # compact: one line with sorted keys
-        assert text.count("\n") == 1 and text == json.dumps(want, sort_keys=True) + "\n"
+        assert text.count("\n") == 1 and text == json.dumps(doc, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("argv,fam,meta", [
         (["geometric", "--nmin", "-3", "--nmax", "4"], geometric(-3, 4),
@@ -441,7 +661,7 @@ class TestPackDocuments:
          {"generator": "random", "count": 25, "dim": 3, "seed": 0}),
     ], ids=["geometric", "extremal", "random"])
     def test_other_packs(self, tmp_path, argv, fam, meta):
-        assert json.loads(pack(tmp_path, *argv)) == old_family_to_document(fam, meta)
+        assert_docs_read_alike(json.loads(pack(tmp_path, *argv)), old_family_to_document(fam, meta))
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,42 @@ class TestIsometryInvariance:
             assert old_validate_disjoint_exact(moved) == want
 
 
+    @pytest.mark.parametrize("scale", [Fraction(2) ** 1100, Fraction(1, 2 ** 1100)],
+                             ids=["2^1100", "2^-1100"])
+    def test_sweep_beyond_the_float_range(self, monkeypatch, scale):
+        """The sweep of the exact check reads the exact values scaled back
+        by one power of two, so a dilation beyond the float range keeps
+        the candidate pairs of scale 1 (it took all 120,295 pairs of
+        farey(40), whose floats are all 0 or inf there); the verdicts on
+        such dilations are checked against both oracles above."""
+        counts = []
+        sweep = packings.sweep_pairs
+
+        def counted(key, half):
+            a, b = sweep(key, half)
+            counts.append(len(a))
+            return a, b
+        monkeypatch.setattr(packings, "sweep_pairs", counted)
+        for fam, shift in ((farey(40), 0), (farey(12, (-1, 2), include_infinity=True), -7)):
+            want = validate_disjoint(transform(fam, 1, shift), exact=True).violations
+            assert validate_disjoint(transform(fam, scale, shift), exact=True).violations == want
+            assert counts[-1] == counts[-2]
+        assert counts[0] == 1627
+
+    def test_no_single_shift(self):
+        # values at 2^1100 and 2^-1100 at once: the sweep falls back to
+        # the float columns
+        fam = HoroballFamily(2, [
+            TangentHoroball((Fraction(0),), Fraction(1, 2 ** 1100)),
+            TangentHoroball((Fraction(2 ** 1101),), Fraction(2 ** 1100)),
+            TangentHoroball((Fraction(2 ** 1101 + 1),), Fraction(2 ** 1100)),
+            TangentHoroball((Fraction(3, 2 ** 1100),), Fraction(1, 2 ** 1100))])
+        want = brute_validate_disjoint(fam, exact=True)
+        assert want == [(1, 2)]
+        assert validate_disjoint(fam, exact=True).violations == want == \
+            old_validate_disjoint_exact(fam)
+
+
 def neighbours(q, q2, shift=0):
     """Farey neighbours p/q and p2/q2 (|p q2 - p2 q| = 1), moved by shift:
     the horoballs of radii 1/(2 q^2) and 1/(2 q2^2) there are tangent."""

@@ -379,7 +379,7 @@ class TestMalformedDocuments:
         (tree_document(lambda e: e["edges"][0].__setitem__(2, "x")), "tree"),
         (tree_document(lambda e: e.__setitem__("root", [0])), "tree"),
         (family_document(lambda d: d.pop("dim")), "family"),
-        (family_document(lambda d: d["entries"][0].pop("base")), "family"),
+        (family_document(lambda d: d["entries"].__setitem__(0, None)), "family"),
         (family_document(lambda d: d.__setitem__("entries", {"a": 1})), "family"),
         ([1], "family"),
     ], ids=["edge-length", "root", "no-dim", "no-base", "entries-object", "list"])
@@ -414,10 +414,12 @@ def test_cli_import_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
-def strip_exact(doc):
-    """The document without its "*_exact" companion fields."""
-    return dict(doc, entries=[{k: v for k, v in e.items() if not k.endswith("_exact")}
-                              for e in doc["entries"]])
+def float_twin(doc):
+    """The float document of the float columns of an exact document's
+    family."""
+    fam = serialize.document_to_family(doc)
+    assert fam.exact is None
+    return serialize.family_to_document(fam, doc["metadata"])
 
 
 def run_cli(argv):
@@ -429,8 +431,9 @@ def run_cli(argv):
 
 
 class TestFloatModeReadsFloats:
-    """Without --exact the CLI computes on the decimal strings alone, so
-    the exact companions of a document change no output byte."""
+    """Without --exact the CLI computes on floats alone: an exact
+    document reads as its correctly rounded floats, so it and the float
+    document of those floats give the same output bytes."""
 
     @settings(max_examples=25, deadline=None)
     @given(kind=st.sampled_from(["farey", "farey+inf", "farey-wide+inf", "extremal-exact",
@@ -445,11 +448,11 @@ class TestFloatModeReadsFloats:
                "extremal-exact": lambda: extremal(min(q, 6), Fraction(1, 2)),
                "geometric": lambda: geometric(-q, q)}[kind]()
         doc = serialize.family_to_document(fam)
-        assert any(k.endswith("_exact") for e in doc["entries"] for k in e)
+        assert doc["rows"] == "exact"
         geodesic = json.dumps({"type": "vertical", "foot": [point[0]]})
         with tempfile.TemporaryDirectory() as tmp:
             outputs = []
-            for variant in (doc, strip_exact(doc)):
+            for variant in (doc, float_twin(doc)):
                 path = Path(tmp) / "fam.json"
                 path.write_text(serialize.dumps(variant))
                 f = str(path)
