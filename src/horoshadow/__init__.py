@@ -8,14 +8,9 @@ from .halfspace import (
     Point,
     TangentHoroball,
     VerticalGeodesic,
-    busemann_height,
-    dist_alg_horoballs,
     geodesic_through,
-    hyperbolic_dist,
     penetration_depth,
     point_to_horoball_dist,
-    scale_horoball,
-    shrink,
 )
 from .heisenberg import (
     HeisPoint,
@@ -27,7 +22,7 @@ from .heisenberg import (
     heis_mul,
     heisenberg_space,
 )
-from .numeric import CertificateError
+from .numeric import SHARP_SCALE, CertificateError
 from .packings import (
     HoroballFamily,
     extremal,
@@ -43,20 +38,8 @@ from .rays import (
     ray_from_point,
     verify_avoidance,
 )
-from .shadows import (
-    CurvatureBand,
-    Shadow,
-    hamenstadt_dist_points,
-    shadow_of,
-)
-from .sharp2d import (
-    SHARP_SCALE,
-    Side,
-    dioph_solutions,
-    sharp_shrink_time,
-    solve_2d,
-    step_2d,
-)
+from .shadows import CurvatureBand, Shadow, shadow_of
+from .sharp2d import Side, dioph_solutions, sharp_shrink_time, solve_2d, step_2d
 from .sharpnd import maximal_annulus_ball, solve_hnr, step_hnr
 from .trees import (
     MetricTree,
@@ -64,7 +47,6 @@ from .trees import (
     covering_family,
     greedy_ray,
     three_regular_tree,
-    tree_busemann,
 )
 from .uncover import (
     BallFamily,

@@ -15,10 +15,10 @@ from fractions import Fraction
 from . import packings, serialize
 from .halfspace import Point
 from .heisenberg import complex_hyperbolic_shrink_time
-from .numeric import DEFAULT_TOL, Certificate, CertificateError
+from .numeric import DEFAULT_TOL, SHARP_SCALE, Certificate, CertificateError
 from .packings import HoroballFamily, validate_disjoint
 from .rays import biinfinite_line, ray_from_point, verify_avoidance
-from .sharp2d import SHARP_SCALE, Side, dioph_solutions, sharp_shrink_time, solve_2d
+from .sharp2d import Side, dioph_solutions, sharp_shrink_time, solve_2d
 from .sharpnd import solve_hnr
 from .shadows import CurvatureBand, shadow_of
 from .trees import covering_family, random_tree, random_tree_horoballs, three_regular_tree
@@ -34,10 +34,17 @@ def _read_text(path) -> str:
         return fh.read()
 
 
-def _read_family(path, exact: bool) -> HoroballFamily:
+def _read_document(path):
+    """The JSON document at path (as _read_text), parsed with the cyclic
+    collector paused (serialize.bulk)."""
     text = _read_text(path)
     with serialize.bulk():
-        return serialize.document_to_family(json.loads(text), exact)
+        return json.loads(text)
+
+
+def _read_family(path, exact: bool) -> HoroballFamily:
+    with serialize.bulk():
+        return serialize.document_to_family(_read_document(path), exact)
 
 
 def _read_geodesic(text: str):
@@ -243,7 +250,7 @@ def cmd_verify(args) -> int:
     if args.what == "constants":
         return _verify_constants(args)
     if args.what == "packing":
-        doc = json.loads(_read_text(args.family))
+        doc = _read_document(args.family)
         if isinstance(doc, dict) and doc.get("model") == "tree":
             from .trees import validate_tree_horoballs
             tree, balls = serialize.document_to_tree(doc)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .numeric import widen
@@ -216,78 +215,6 @@ def _flv(v: Vector) -> tuple:
     return tuple(map(float, v))
 
 
-def hyperbolic_dist(p: Point, q: Point) -> float:
-    """Hyperbolic distance arccosh(1 + (|db|^2 + dh^2) / (2 h_p h_q)),
-    evaluated as 2 arsinh(sqrt(|db|^2 + dh^2) / (2 sqrt(h_p h_q))), which
-    does not cancel between nearby points.  Where the square or the
-    product leaves the normal range, the hypot of (db, dh) over
-    2 sqrt(h_p) sqrt(h_q), and arsinh x = log 2x where that overflows."""
-    d = vsub(_flv(p.base), _flv(q.base))
-    hp, hq = float(p.height), float(q.height)
-    dh = hp - hq
-    s2, pq = vnorm2(d) + dh * dh, hp * hq
-    if _TINY <= pq < INF and (_TINY <= s2 < INF or s2 == 0):
-        return 2 * math.asinh(math.sqrt(s2) / (2 * math.sqrt(pq)))
-    norm = math.hypot(*d, dh)
-    if (x := norm / (2 * math.sqrt(hp) * math.sqrt(hq))) < INF:
-        return 2 * math.asinh(x)
-    return 2 * math.log(norm) - math.log(hp) - math.log(hq)
-
-
-def dist_alg_horoballs(h1: Horoball, h2: Horoball) -> float:
-    """Signed distance between two horoballs along the geodesic joining
-    their boundary points: positive iff disjoint, zero iff tangent,
-    negative iff the open horoballs overlap."""
-    if isinstance(h1, AtInfinityHoroball) and isinstance(h2, AtInfinityHoroball):
-        raise ValueError("horoballs share the center at infinity")
-    if isinstance(h1, AtInfinityHoroball):
-        h1, h2 = h2, h1
-    if isinstance(h2, AtInfinityHoroball):
-        H, r = float(h2.height), float(h1.radius)
-        if _TINY <= (q := H / (2 * r)) < INF:
-            return math.log(q)
-        return math.log(H) - _LN2 - math.log(r)
-    d, r1, r2 = vsub(_flv(h1.base), _flv(h2.base)), float(h1.radius), float(h2.radius)
-    if not any(d):
-        raise ValueError("horoballs share their base point")
-    # log(|d|^2 / 4 r1 r2), dilated near 1 (_unit_scale) where a square or
-    # product leaves the normal range; from logs where the ratio still does
-    u2, m = vnorm2(d), 4 * r1 * r2
-    if not (_TINY <= min(u2, m) and max(u2, m) < INF):
-        _, (sd, (s1, s2)) = _unit_scale(d, (r1, r2))
-        u2, m = vnorm2(sd), 4 * s1 * s2
-    if _TINY <= min(u2, m) and _TINY <= u2 / m < INF:
-        return math.log(u2 / m)
-    return 2 * math.log(math.hypot(*d)) - 2 * _LN2 - math.log(r1) - math.log(r2)
-
-
-def scale_horoball(h: Horoball, s) -> Horoball:
-    """Scale by factor s = e^(-t): radius -> s*radius, cut height -> height/s.
-
-    Exact when the inputs and s are rational; s in (0, 1] shrinks.
-    """
-    if not 0 < s:
-        raise ValueError("scale factor must be positive")
-    if isinstance(h, TangentHoroball):
-        return TangentHoroball(h.base, h.radius * s)
-    return AtInfinityHoroball(h.height / s)
-
-
-def shrink(h: Horoball, t: float) -> Horoball:
-    """Horoball at hyperbolic distance t inside h (t >= 0)."""
-    if t < 0:
-        raise ValueError("shrink time must be nonnegative")
-    if t == 0:
-        return h
-    return scale_horoball(h, math.exp(-t))
-
-
-def busemann_height(p: Point) -> float:
-    """Busemann height with respect to the reference horosphere at
-    Euclidean height 1: log of the Euclidean height."""
-    return math.log(p.height)
-
-
 def point_to_horoball_dist(p: Point, h: Horoball) -> float:
     """Signed hyperbolic distance to the horosphere; negative inside:
     log(H / h) from a point at height h to the horoball at infinity of
@@ -460,7 +387,7 @@ def penetration_interval(g: Geodesic, h: Horoball) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# geodesics through a point, parameters, inversion
+# geodesics through a point, parameters
 
 
 def geodesic_through(p: Point, xi: Optional[Vector]) -> Geodesic:
@@ -522,43 +449,3 @@ def param_of(g: Geodesic, p: Point) -> float:
     if math.hypot(*gap) > _ON_GEODESIC * h / n:
         raise ValueError("point not on the arc")
     return t
-
-
-# Inversion at a finite boundary point p: z -> (z - p) / |z - p|^2.  It is
-# an isometry of the model exchanging p and infinity, and maps horoballs
-# to horoballs.
-
-
-def _inverse(d: Vector, h, x) -> tuple:
-    """(d / n2, x / n2) for n2 = |d|^2 + h^2, as (1 / n2) d and x / n2.
-    Where a float n2 leaves the normal range, through the dilation of
-    (d, h) that brings n2 into [1/4, len(d) + 1] (_unit_scale)."""
-    n2 = vnorm2(d) + h * h
-    if not isinstance(n2, float) or _TINY <= n2 < INF:
-        return vscale(d, 1 / n2), x / n2
-    k, (d, (h,)) = _unit_scale(_flv(d), (float(h),))
-    n = vnorm2(d) + h * h
-    return tuple(math.ldexp(c / n, k) for c in d), math.ldexp(float(x) / n, 2 * k)
-
-
-def invert_boundary(x: Vector, p: Vector) -> Vector:
-    d = vsub(as_vector(x), as_vector(p))
-    if not any(d):
-        raise ValueError("cannot invert the center itself")
-    return _inverse(d, 0, 0)[0]
-
-
-def invert_point(pt: Point, p: Vector) -> Point:
-    return Point(*_inverse(vsub(pt.base, as_vector(p)), pt.height, pt.height))
-
-
-def invert_horoball(h: Horoball, p: Vector) -> Horoball:
-    """The image of h under the inversion at p; the member at infinity
-    goes to the horoball at 0 of radius 1 / 2h, exact for an exact h."""
-    p = as_vector(p)
-    if isinstance(h, AtInfinityHoroball):
-        return TangentHoroball((0,) * len(p), Fraction(1, 2) / h.height)
-    d = vsub(h.base, p)
-    if not any(d):
-        return AtInfinityHoroball(1 / (2 * h.radius))
-    return TangentHoroball(*_inverse(d, 0, h.radius))

@@ -431,11 +431,21 @@ def _exceeds(fam: HoroballFamily, rows, cap):
                      zip(ex.radius_num.tolist(), ex.radius_den.tolist())], dtype=bool)
 
 
+def square_gap(num, den) -> tuple:
+    """(N, M) with N / M the squared norm of each row of num / den
+    (integer arrays, coordinate by coordinate, den > 0): M is the product
+    of the den^2 and N = sum_k num_k^2 M / den_k^2, both integers."""
+    import numpy as np
+    dd = den * den
+    M = np.prod(dd, axis=1)
+    return (num * num * (M[:, None] // dd)).sum(axis=1), M
+
+
 def _apart(fam: HoroballFamily, a, b):
     """Mask of 4 r r' <= |x - x'|^2 over pairs of tangent rows a, b, in
     integers over their exact values.  Per coordinate x - x' = num / den
     with num = n d' - n' d and den = d d'; with P the product of the
-    den^2, the test times rd rd' P reads
+    den^2 (square_gap), the test times rd rd' P reads
 
         4 rn rn' P <= rd rd' sum_k num_k^2 P / den_k^2.
 
@@ -463,9 +473,8 @@ def _apart(fam: HoroballFamily, a, b):
     def decide(pos, dtype):
         pa, pb = a[pos], b[pos]
         na, nb, da, db = (c.astype(dtype) for c in (n[pa], n[pb], d[pa], d[pb]))
-        m, dd = na * db - nb * da, (da * db) ** 2
-        p = np.prod(dd, axis=1)
-        lhs = rd[pa].astype(dtype) * rd[pb].astype(dtype) * (m * m * (p[:, None] // dd)).sum(1)
+        gap, p = square_gap(na * db - nb * da, da * db)
+        lhs = rd[pa].astype(dtype) * rd[pb].astype(dtype) * gap
         return 4 * rn[pa].astype(dtype) * rn[pb].astype(dtype) * p <= lhs
     return _int_decide(bound, decide)
 

@@ -27,9 +27,9 @@ from .halfspace import (
     AtInfinityHoroball,
     Geodesic,
     Point,
+    TangentHoroball,
     VerticalGeodesic,
     geodesic_through,
-    invert_horoball,
     param_of,
     penetration_depth,
     penetrations,
@@ -41,7 +41,7 @@ from .halfspace import (
     vsub,
 )
 from .numeric import DEFAULT_TOL, CertificateError, min_candidates
-from .packings import HoroballFamily, Ratios, int_column
+from .packings import HoroballFamily, Ratios, square_gap
 from .sharp2d import Side, solve_2d
 from .sharpnd import solve_hnr
 
@@ -126,24 +126,41 @@ def _nearest(fam: HoroballFamily, x: Point, tol: float) -> int:
 
 
 def _inverted(fam: HoroballFamily, p: tuple) -> HoroballFamily:
-    """fam under the inversion at the boundary point p, member for member
-    equal to invert_horoball, built as columns without member objects for
-    its tangent rows: for a float family, one numpy pass at p in floats,
-    in the float operations of invert_horoball, over the rows whose
-    |b - p|^2 is a normal float; for an exact family, one pass at p in
-    Fractions, in Python integers over its Ratios (b - p = en / ed per
-    coordinate, so |b - p|^2 = N / M with M the product of the ed^2, the
-    base en (M / ed) / N and the radius rn M / (rd N)); invert_horoball
-    on the members at infinity, at p and left over."""
+    """fam under the inversion at the boundary point p, z -> (z - p) /
+    |z - p|^2, built as columns without member objects for its tangent
+    rows: the member at b of radius r goes to the one at (b - p) / n2 of
+    radius r / n2 (n2 = |b - p|^2), the one at p to the member at
+    infinity of height 1 / 2r, and the one at infinity of height H to the
+    member at 0 of radius 1 / 2H.  A float family is one numpy pass; on
+    the rows where n2 leaves the normal range, b - p is first dilated by
+    the power of two 2^k that brings its largest coordinate into [1/2, 1)
+    and the results are scaled back by 2^k and 2^2k, as math.ldexp, which
+    raises where a finite value overflows.  An exact family is one pass
+    in Python integers over its Ratios: b - p = en / ed per coordinate,
+    n2 = N / M (square_gap), the base en (M / ed) / N and the radius
+    rn M / (rd N)."""
     import numpy as np
     cols, hs = fam.columns, fam.horoballs
     if fam.exact is None:
-        p = tuple(map(float, p))
+        p, exact = tuple(map(float, p)), None
         with np.errstate(all="ignore"):
             d = cols.base - p
+            rows = np.flatnonzero(d.any(axis=1))
+            d, r = d[rows], cols.radius[rows]
             n2 = sum(d[:, k] * d[:, k] for k in range(d.shape[1]))  # as vnorm2
-            rows = np.flatnonzero((n2 >= _TINY) & (n2 < INF))
-            base, radius, exact = ((1 / n2)[:, None] * d)[rows], (cols.radius / n2)[rows], None
+            base, radius = (1 / n2)[:, None] * d, r / n2
+            off = np.flatnonzero(~((n2 >= _TINY) & (n2 < INF)))
+            k = -np.frexp(abs(d[off]).max(axis=1, initial=0))[1]
+            u = np.ldexp(d[off], k[:, None])
+            n = sum(u[:, j] * u[:, j] for j in range(u.shape[1]))
+            ub, ur = u / n[:, None], r[off] / n
+            base[off], radius[off] = np.ldexp(ub, k[:, None]), np.ldexp(ur, 2 * k)
+        over = np.zeros(len(rows), dtype=bool)
+        over[off] = (np.isinf(base[off]) & np.isfinite(ub)).any(axis=1) | \
+            (np.isinf(radius[off]) & np.isfinite(ur))
+        bad = np.flatnonzero(over | ~(radius > 0))
+        if bad.size and over[bad[0]]:
+            raise OverflowError("math range error")
     else:
         # in object arrays of Python ints, as int64 products overflow silently
         p, ex = tuple(map(Fraction, p)), fam.exact
@@ -151,18 +168,16 @@ def _inverted(fam: HoroballFamily, p: tuple) -> HoroballFamily:
                   for k in ("numerator", "denominator"))
         bd = ex.base_den.astype(object)
         en, ed = ex.base_num.astype(object) * pd - pn * bd, bd * pd
-        M = np.prod(ed * ed, axis=1)
-        N = (en * en * (M[:, None] // (ed * ed))).sum(axis=1)
+        N, M = square_gap(en, ed)
         rows = np.flatnonzero(N != 0)
         en, ed, M, N = en[rows], ed[rows], M[rows], N[rows]
-        low = Ratios.lowest_terms(en * (M[:, None] // ed), np.broadcast_to(N[:, None], en.shape),
-                                  ex.radius_num[rows] * M, ex.radius_den[rows] * N)
-        exact = Ratios(*(int_column(a.ravel().tolist()).reshape(a.shape)
-                         for a in (getattr(low, k) for k in Ratios.__slots__)))
+        exact = Ratios.lowest_terms(en * (M[:, None] // ed), np.broadcast_to(N[:, None], en.shape),
+                                    ex.radius_num[rows] * M, ex.radius_den[rows] * N)
         base, radius = exact.floats()
     t = cols.tangent
-    done = set(t[rows].tolist())
-    members = {i: invert_horoball(hs[i], p) for i in range(len(hs)) if i not in done}
+    members = {i: AtInfinityHoroball(1 / (2 * hs[i].radius)) for i in np.delete(t, rows).tolist()}
+    members.update((i, TangentHoroball((0,) * len(p), Fraction(1, 2) / hs[i].height))
+                   for i in cols.infinity.tolist())
     return HoroballFamily.from_columns(fam.dim, t[rows], base, radius, exact, members)
 
 

@@ -8,7 +8,9 @@ row [n_1..n_k, d_1..d_k, rn, rd] of a member's exact values (its Ratios
 row) and the height [num, den].  A float document ("float") holds the
 floats [b_1..b_k, r] and the height, which json writes with repr, so
 they round-trip bit for bit (+-inf and -0.0 included).  A family is
-written as an exact document exactly when every value of it is exact.
+written as an exact document where its tangent values are exact and
+every height is exact or, beside exact tangent rows, a finite float (its
+binary value as [num, den]); else as a float document.
 Exact mode reads exact documents only; float mode reads an exact
 document's floats rounded correctly from its integers.  A document is
 written from the family's columns and read back into them by one pass
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, compress, repeat
@@ -90,15 +93,16 @@ def _merge(rows: list, at: list, objects: list) -> list:
 
 def family_to_document(fam: HoroballFamily, metadata: Optional[dict] = None) -> dict:
     """The row document of a family, written from its columns in one
-    pass: an exact document where every value of the family is exact
-    (the integers of its Ratios, the heights as [num, den]), else a
-    float document (the float columns)."""
+    pass: an exact document where the tangent values are exact and every
+    height is exact or, beside exact tangent rows, a finite float (the
+    integers of its Ratios, the heights as [num, den]), else a float
+    document (the float columns)."""
     import numpy as np
     with bulk():
         cols, ex = fam.columns, fam.exact
         heights = [fam.horoballs[i].height for i in cols.infinity.tolist()]
-        exact = (ex is not None or not len(cols.tangent)) and \
-            all(isinstance(h, (int, Fraction)) for h in heights)
+        exact = (ex is not None or not len(cols.tangent)) and all(
+            isinstance(h, (int, Fraction)) or ex is not None and math.isfinite(h) for h in heights)
         if exact:
             parts = () if ex is None else (ex.base_num, ex.base_den,
                                            ex.radius_num[:, None], ex.radius_den[:, None])
@@ -114,7 +118,7 @@ def family_to_document(fam: HoroballFamily, metadata: Optional[dict] = None) -> 
                               [{"type": "at_infinity", "height": h} for h in heights]),
             "metadata": dict(metadata or {}),
         }
-        if fam.labels:
+        if fam.labels is not None:
             doc["metadata"]["labels"] = list(fam.labels)
         return doc
 

@@ -12,16 +12,9 @@ coincide and the shadow is exactly the Euclidean ball of the model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .halfspace import (
-    AtInfinityHoroball,
-    Horoball,
-    Point,
-    hyperbolic_dist,
-    point_to_horoball_dist,
-)
+from .halfspace import AtInfinityHoroball, Horoball
 
 REFERENCE_HEIGHT = 1
 
@@ -65,11 +58,3 @@ def shadow_of(h: Horoball, band: CurvatureBand = CurvatureBand()) -> Shadow:
     outer = 2 ** (1 - 1 / band.a) * float(h.radius)
     return Shadow(h.base, h.radius, outer)
 
-
-def hamenstadt_dist_points(x: Point, y: Point) -> float:
-    """Boundary-distance surrogate for interior points,
-    exp(-(d(x,Href) + d(y,Href) - d(x,y)) / 2); as both points descend
-    vertically to boundary points it converges to their Euclidean gap."""
-    dx = point_to_horoball_dist(x, AtInfinityHoroball(REFERENCE_HEIGHT))
-    dy = point_to_horoball_dist(y, AtInfinityHoroball(REFERENCE_HEIGHT))
-    return math.exp(-0.5 * (dx + dy - hyperbolic_dist(x, y)))

@@ -1,6 +1,6 @@
 """Sharp interval dichotomy on the boundary line of the hyperbolic
-plane, and the pipeline of the sharp solver (sharpnd.solve_hnr), which
-planar families run along the line.
+plane, which the sharp solver (sharpnd.solve_hnr) runs on planar
+families along the line.
 
 For horoballs tangent to the real line the complement of a scaled shadow
 inside the full shadow consists of two closed intervals.  As long as the
@@ -16,28 +16,14 @@ rotates each step onto, and a planar step is one on the line itself.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
-from .halfspace import sq_norms, vnorm, vsub
-from .numeric import (
-    DEFAULT_TOL,
-    SHARP_SCALE,
-    Certificate,
-    CertificateError,
-    certify,
-    decide_le,
-    may_be_le,
-    min_candidates,
-    to_float,
-    widen,
-)
+from .numeric import DEFAULT_TOL, Certificate, CertificateError
 from .packings import HoroballFamily
-from .uncover import scan_chain, scan_order
 
 
 class Side(Enum):
@@ -107,93 +93,6 @@ def solve_2d(fam: HoroballFamily, s, start: Optional[int] = None,
         raise ValueError("the interval solver needs a planar family")
     from .sharpnd import solve_hnr
     return solve_hnr(fam, s, start, (1,) if side is Side.RIGHT else (-1,), tol)
-
-
-def solve_sharp(fam: HoroballFamily, s, start: Optional[int], seed: Callable,
-                step: Callable, tol) -> Solution:
-    """Nested chain of balls (each with a center tuple and a radius)
-    from seed(a0) by step(K, j), and its endpoint, the center of the
-    last ball, with its certificate.
-
-    The scan (uncover.scan_order, on the radius column) visits the
-    tangent members within 3 sup of a0 (start, or the largest member)
-    by non-increasing radius, ties by index; members at infinity are
-    left out, as no geodesic from infinity avoids them.
-    Each time K shrinks, one float pass (may_meet) over the rest of the
-    order leaves the members whose scaled shadow may meet it, and the
-    step decides on those.  The certificate |endpoint - b_i| >= s r_i - tol
-    holds for every tangent member, checked on those a float pass
-    (margin_bounds) leaves, and the endpoint lies in the start shadow.
-    Member objects are built only for the members a scalar test reads.
-    """
-    if not 0 < s <= SHARP_SCALE * (1 + 1e-12):
-        raise ValueError(f"scale factor must lie in (0, {SHARP_SCALE}]")
-    hs, cols = fam.horoballs, fam.columns
-    if not len(cols.tangent):
-        raise ValueError("no tangent horoballs to solve against")
-    row0 = None
-    if start is not None:
-        row0 = int(cols.tangent.searchsorted(start))
-        if row0 == len(cols.tangent) or cols.tangent[row0] != start:
-            raise ValueError("start index is not a tangent horoball")
-    dist, near = _distances(fam)
-    a0, rows = scan_order(cols.radius, row0, tol, near, None if fam.exact is None else fam)
-    a0 = int(cols.tangent[a0])
-    srs = to_float(s) * cols.radius
-    xo, sro = cols.base[rows], srs[rows]
-    chain = scan_chain(seed(a0), cols.tangent[rows].tolist(), step,
-                       lambda K, begin: may_meet(K, xo[begin:], sro[begin:], tol))
-    endpoint = chain[-1][1].center
-    near_rows = min_candidates(*margin_bounds(endpoint, cols.base, srs))
-    cert = certify({i: dist(endpoint, i) - s * hs[i].radius
-                    for i in cols.tangent[near_rows].tolist()}, tol, len(cols.tangent))
-    if dist(endpoint, a0) > hs[a0].radius + tol:
-        raise CertificateError("endpoint escaped the start shadow")
-    return Solution(endpoint, [K for _, K in chain], a0, cert)
-
-
-def _distances(fam: HoroballFamily) -> tuple:
-    """dist(p, i) = |p - b_i| for a point p (a tuple), exact on the line
-    and a float beyond (halfspace.vnorm), and near(a, bound, rows), the
-    mask of dist(b_a, row) <= bound over tangent rows: one float pass,
-    decided by dist on the rows where the floats do not settle it."""
-    import numpy as np
-    hs, cols = fam.horoballs, fam.columns
-
-    def dist(p, i):
-        return vnorm(vsub(p, hs[i].base))
-
-    def near(a, bound, rows):
-        gap = functools.reduce(np.hypot, np.abs(cols.base[rows] - cols.base[a]).T)
-        err = 0 if fam.exact is None else widen(
-            np.abs(cols.base[rows]).sum(1) + np.abs(cols.base[a]).sum() + abs(to_float(bound)))
-        t = cols.tangent
-        return decide_le(gap, to_float(bound), err, lambda pos: [
-            dist(hs[t[a]].base, i) <= bound for i in t[rows[pos]].tolist()])
-    return dist, near
-
-
-def margin_bounds(e, bases, sr) -> tuple:
-    """Float margins |e - b| - sr of a point e (a tuple) against shadows
-    centered at the rows of bases with scaled radii sr (float arrays),
-    and a bound on their error that covers the conversion of exact
-    values too, as |e| + |b| <= 2|e| + |e - b|."""
-    import numpy as np
-    ef = np.array([to_float(c) for c in e])
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = np.sqrt(sq_norms(bases - ef))
-        return gap - sr, widen(gap + sr + 2 * np.abs(ef).sum())
-
-
-def may_meet(K, bases, sr, tol):
-    """Float filter in front of the step: a mask over the shadows of
-    margin_bounds, false only where a shadow misses the ball K (by its
-    center and radius) by more than tol, so that the step is None."""
-    import numpy as np
-    approx, err = margin_bounds(K.center, bases, sr)
-    reach = to_float(K.radius) + to_float(tol)
-    with np.errstate(invalid="ignore"):  # inf - inf past the square range keeps the member
-        return may_be_le(approx - err, reach, reach)
 
 
 def scaled_shadow_residual(fam: HoroballFamily, s,

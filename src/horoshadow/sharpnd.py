@@ -8,18 +8,32 @@ through the annulus center and K's center, the planar interval step
 back into K.  All of this is plain Euclidean geometry in the boundary
 R^(n-1), on coordinate tuples in the arithmetic of the inputs: on the
 line (planar families) no rotation happens and Fractions stay exact.
+solve_hnr is the one sharp solver; sharp2d.solve_2d runs it on planar
+families.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from . import sharp2d
-from .halfspace import TangentHoroball, vadd, vdot, vnorm, vscale, vsub
-from .numeric import DEFAULT_TOL, CertificateError
+from .halfspace import TangentHoroball, sq_norms, vadd, vdot, vnorm, vscale, vsub
+from .numeric import (
+    DEFAULT_TOL,
+    SHARP_SCALE,
+    CertificateError,
+    certify,
+    decide_le,
+    may_be_le,
+    min_candidates,
+    to_float,
+    widen,
+)
 from .packings import HoroballFamily
-from .sharp2d import Solution, solve_sharp
+from .sharp2d import Solution
+from .uncover import scan_chain, scan_order
 
 #: below this sine of the rotation angle the configuration counts as
 #: collinear and the rotation (ill-conditioned there) is skipped
@@ -102,13 +116,92 @@ def _over(v: tuple, n) -> tuple:
 def solve_hnr(fam: HoroballFamily, s: float, start: Optional[int] = None,
               direction=None, tol: float = DEFAULT_TOL) -> Solution:
     """Boundary point in R^(n-1) whose vertical geodesic avoids every open
-    scaled horoball: sharp2d.solve_sharp from the maximal annulus ball of
-    the start horoball in the direction (the first axis by default) by
-    step_hnr.  Antipodal directions give endpoints s r0 or more apart."""
-    hs = fam.horoballs
+    scaled horoball: the nested chain of maximal annulus balls from the
+    one of the start horoball (the largest by default) in the direction
+    (the first axis by default), each by step_hnr, and its endpoint, the
+    center of the last ball, with its certificate.  Antipodal directions
+    give endpoints s r0 or more apart.
+
+    The scan (uncover.scan_order, on the radius column) visits the
+    tangent members within 3 sup of a0 (start, or the largest member)
+    by non-increasing radius, ties by index; members at infinity are
+    left out, as no geodesic from infinity avoids them.
+    Each time K shrinks, one float pass (may_meet) over the rest of the
+    order leaves the members whose scaled shadow may meet it, and the
+    step decides on those.  The certificate |endpoint - b_i| >= s r_i - tol
+    holds for every tangent member, checked on those a float pass
+    (margin_bounds) leaves, and the endpoint lies in the start shadow.
+    Member objects are built only for the members a scalar test reads.
+    """
+    if not 0 < s <= SHARP_SCALE * (1 + 1e-12):
+        raise ValueError(f"scale factor must lie in (0, {SHARP_SCALE}]")
+    hs, cols = fam.horoballs, fam.columns
+    if not len(cols.tangent):
+        raise ValueError("no tangent horoballs to solve against")
+    row0 = None
+    if start is not None:
+        row0 = int(cols.tangent.searchsorted(start))
+        if row0 == len(cols.tangent) or cols.tangent[row0] != start:
+            raise ValueError("start index is not a tangent horoball")
+    dist, near = _distances(fam)
+    a0, rows = scan_order(cols.radius, row0, tol, near, None if fam.exact is None else fam)
+    a0 = int(cols.tangent[a0])
     if direction is None:
         direction = (1,) + (0,) * (fam.dim - 2)
-    return solve_sharp(fam, s, start,
-                       lambda a0: maximal_annulus_ball(hs[a0], s, direction, a0),
-                       lambda ball, j: step_hnr(hs[ball.horoball_index], ball, hs[j],
-                                                s, index=j, tol=tol), tol)
+    srs = to_float(s) * cols.radius
+    xo, sro = cols.base[rows], srs[rows]
+    chain = scan_chain(maximal_annulus_ball(hs[a0], s, direction, a0),
+                       cols.tangent[rows].tolist(),
+                       lambda K, j: step_hnr(hs[K.horoball_index], K, hs[j], s, index=j, tol=tol),
+                       lambda K, begin: may_meet(K, xo[begin:], sro[begin:], tol))
+    endpoint = chain[-1][1].center
+    near_rows = min_candidates(*margin_bounds(endpoint, cols.base, srs))
+    cert = certify({i: dist(endpoint, i) - s * hs[i].radius
+                    for i in cols.tangent[near_rows].tolist()}, tol, len(cols.tangent))
+    if dist(endpoint, a0) > hs[a0].radius + tol:
+        raise CertificateError("endpoint escaped the start shadow")
+    return Solution(endpoint, [K for _, K in chain], a0, cert)
+
+
+def _distances(fam: HoroballFamily) -> tuple:
+    """dist(p, i) = |p - b_i| for a point p (a tuple), exact on the line
+    and a float beyond (halfspace.vnorm), and near(a, bound, rows), the
+    mask of dist(b_a, row) <= bound over tangent rows: one float pass,
+    decided by dist on the rows where the floats do not settle it."""
+    import numpy as np
+    hs, cols = fam.horoballs, fam.columns
+
+    def dist(p, i):
+        return vnorm(vsub(p, hs[i].base))
+
+    def near(a, bound, rows):
+        gap = functools.reduce(np.hypot, np.abs(cols.base[rows] - cols.base[a]).T)
+        err = 0 if fam.exact is None else widen(
+            np.abs(cols.base[rows]).sum(1) + np.abs(cols.base[a]).sum() + abs(to_float(bound)))
+        t = cols.tangent
+        return decide_le(gap, to_float(bound), err, lambda pos: [
+            dist(hs[t[a]].base, i) <= bound for i in t[rows[pos]].tolist()])
+    return dist, near
+
+
+def margin_bounds(e, bases, sr) -> tuple:
+    """Float margins |e - b| - sr of a point e (a tuple) against shadows
+    centered at the rows of bases with scaled radii sr (float arrays),
+    and a bound on their error that covers the conversion of exact
+    values too, as |e| + |b| <= 2|e| + |e - b|."""
+    import numpy as np
+    ef = np.array([to_float(c) for c in e])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.sqrt(sq_norms(bases - ef))
+        return gap - sr, widen(gap + sr + 2 * np.abs(ef).sum())
+
+
+def may_meet(K, bases, sr, tol):
+    """Float filter in front of the step: a mask over the shadows of
+    margin_bounds, false only where a shadow misses the ball K (by its
+    center and radius) by more than tol, so that the step is None."""
+    import numpy as np
+    approx, err = margin_bounds(K.center, bases, sr)
+    reach = to_float(K.radius) + to_float(tol)
+    with np.errstate(invalid="ignore"):  # inf - inf past the square range keeps the member
+        return may_be_le(approx - err, reach, reach)

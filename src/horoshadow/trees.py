@@ -187,18 +187,6 @@ class MetricTree:
         raise ValueError(f"{u} is the stub itself")
 
 
-def tree_busemann(tree: MetricTree, end: int,
-                  x: Union[TreePoint, int]) -> float:
-    """Busemann function of the end behind `end`, normalized to vanish at
-    the root: 2 depth(meet) - depth(x) at a vertex, and linear with slope
-    +-1 along every edge, so mid-edge values interpolate the endpoint
-    values exactly.  One row of _busemann_at."""
-    import numpy as np
-    if isinstance(x, int):
-        x = TreePoint.at_vertex(x)
-    return _busemann_at(tree, np.array([tree._stub_tin(end)]), x).item(0)
-
-
 def _ball_columns(tree: MetricTree, balls: list[TreeHoroball]):
     """(tin of each end, level) as numpy arrays, one entry per ball."""
     import numpy as np
@@ -222,7 +210,10 @@ def _meet_depths(tree: MetricTree, vertex: int, ends):
 
 
 def _busemann_at(tree: MetricTree, ends, x: TreePoint):
-    """tree_busemann toward every end (array of stub tins) at x."""
+    """Busemann functions toward every end (array of stub tins) at x,
+    normalized to vanish at the root: 2 depth(meet) - depth(x) at a
+    vertex, and linear with slope +-1 along every edge, so mid-edge
+    values interpolate the endpoint values exactly."""
     def at(v):
         return 2 * _meet_depths(tree, v, ends) - tree.depth(v)
 
@@ -329,7 +320,9 @@ def _walk(tree: MetricTree, balls: list[TreeHoroball], cols, x0: TreePoint,
 
 
 def _deepest(tree: MetricTree, cols, vertex: int) -> tuple[float, Optional[int]]:
-    """max_ball_depth over balls with columns cols."""
+    """Largest Busemann excess at a vertex over the balls with columns
+    cols (_ball_columns), and the (first) index of a ball strictly
+    containing it (None when outside all)."""
     import numpy as np
     ends, levels = cols
     if not len(levels):
@@ -338,14 +331,6 @@ def _deepest(tree: MetricTree, cols, vertex: int) -> tuple[float, Optional[int]]
     who = int(np.argmax(excess))
     best = float(excess[who])
     return best, (who if best > 0 else None)
-
-
-def max_ball_depth(tree: MetricTree, balls: list[TreeHoroball],
-                   vertex: int) -> tuple[float, Optional[int]]:
-    """Largest Busemann excess over all horoballs at a vertex, and the
-    (first) index of a horoball strictly containing it (None when
-    outside all)."""
-    return _deepest(tree, _ball_columns(tree, balls), vertex)
 
 
 def greedy_ray(tree: MetricTree, balls: list[TreeHoroball],

@@ -33,6 +33,7 @@ from horoshadow.heisenberg import (
     heis_modulus,
     heis_mul,
 )
+from horoshadow.numeric import SHARP_SCALE
 from horoshadow.packings import (
     HoroballFamily,
     extremal,
@@ -47,7 +48,6 @@ from horoshadow.rays import (
     ray_from_point,
 )
 from horoshadow.sharp2d import (
-    SHARP_SCALE,
     Side,
     dioph_solutions,
     scaled_shadow_residual,

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from horoshadow import rays, sharp2d
+from horoshadow import rays, sharp2d, sharpnd
 from horoshadow.halfspace import (
     INF,
     ArcGeodesic,
@@ -28,7 +28,6 @@ from horoshadow.halfspace import (
     TangentHoroball,
     VerticalGeodesic,
     geodesic_through,
-    invert_horoball,
     param_of,
     penetration_depth,
     penetration_interval,
@@ -44,14 +43,15 @@ from horoshadow.packings import (
     random_disjoint,
     validate_disjoint,
 )
-from horoshadow.sharp2d import Side, margin_bounds, may_meet, solve_2d, step_2d
-from horoshadow.sharpnd import AnnulusBall, solve_hnr, step_hnr
+from horoshadow.sharp2d import Side, solve_2d, step_2d
+from horoshadow.sharpnd import AnnulusBall, margin_bounds, may_meet, solve_hnr, step_hnr
 from test_depth_oracles import (
     near,
     scalar_penetration_depth,
     scalar_penetration_interval,
     scalar_reads_subnormal,
 )
+from test_halfspace import invert_horoball
 
 # ---------------------------------------------------------------------------
 # oracles: the per-member loops before the filters, verbatim up to names
@@ -185,7 +185,7 @@ class TestLineScan:
             s = Fraction(s).limit_denominator(1000)
         new = outcome(solve_2d, fam, s, None, side)
         with pytest.MonkeyPatch.context() as mp:
-            oracle_scan(mp, sharp2d)
+            oracle_scan(mp, sharpnd)
             old = outcome(solve_2d, fam, s, None, side)
         assert new[0] == old[0]
         if new[0] == "raised":
@@ -205,7 +205,7 @@ class TestLineScan:
                 for side in Side:
                     new = outcome(solve_2d, fam, s, start, side, tol)
                     with pytest.MonkeyPatch.context() as mp:
-                        oracle_scan(mp, sharp2d)
+                        oracle_scan(mp, sharpnd)
                         old = outcome(solve_2d, fam, s, start, side, tol)
                     assert new[0] == old[0]
                     if new[0] == "ok":
@@ -304,7 +304,7 @@ class TestSpaceScan:
         direction = (sign,) + (0.0,) * (fam.dim - 2)
         new = outcome(solve_hnr, fam, s, None, direction)
         with pytest.MonkeyPatch.context() as mp:
-            oracle_scan(mp, sharp2d)
+            oracle_scan(mp, sharpnd)
             old = outcome(solve_hnr, fam, s, None, direction)
         assert new[0] == old[0]
         if new[0] == "raised":
@@ -513,6 +513,43 @@ class TestDepthPasses:
 # ray_from_point: the nearest member and the inversion
 
 
+@st.composite
+def inversion_cases(draw, exact):
+    """(family, p): members in dims 2-4 whose bases lie 2^e (e in
+    -600, 0, 600) from p, or are p itself, with radii and heights at
+    those scales and members at infinity among them; p lies at such a
+    scale too.  Exact families hold Fractions of small denominators, at
+    scale 1 (their inversion leaves no range)."""
+    dim = draw(st.integers(2, 4))
+    if exact:
+        num = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+        p = tuple(draw(num) for _ in range(dim - 1))
+        offsets, radii = st.tuples(*[num] * (dim - 1)), num.filter(lambda r: r > 0)
+    else:
+        scale = st.sampled_from([-600, 0, 600])
+        unit = st.floats(-1, 1, allow_nan=False)
+        p = tuple(math.ldexp(draw(unit), draw(scale)) for _ in range(dim - 1))
+        offsets = st.builds(lambda e, *c: tuple(math.ldexp(x, e) for x in c),
+                            scale, *[unit] * (dim - 1))
+        radii = st.builds(math.ldexp, st.floats(2.0 ** -10, 1), scale)
+    balls = [TangentHoroball(tuple(a + b for a, b in zip(p, draw(offsets))), draw(radii))
+             for _ in range(draw(st.integers(0, 8)))]
+    balls.insert(draw(st.integers(0, len(balls))), TangentHoroball(p, draw(radii)))
+    for _ in range(draw(st.integers(0, 2))):
+        balls.insert(draw(st.integers(0, len(balls))), AtInfinityHoroball(draw(radii)))
+    return HoroballFamily(dim, balls), p
+
+
+def inversion_outcome(fam, p, oracle=False):
+    """The inverted members as their repr, which tells -0.0 from 0.0 and
+    a Fraction from a float, or the type and message of the error."""
+    try:
+        inverted = old_inverted(fam, p) if oracle else rays._inverted(fam, p)
+        return "ok", repr(list(inverted.horoballs))
+    except (ValueError, OverflowError) as exc:
+        return "raised", type(exc), str(exc)
+
+
 class TestRayFromPoint:
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(RAY_FAMILIES)), st.data(),
@@ -570,8 +607,8 @@ class TestRayFromPoint:
 
     @pytest.mark.parametrize("k", [-600, 600])
     def test_float_inversion_outside_the_square_range(self, k):
-        # the rows whose |b - p|^2 leaves the normal range go through
-        # invert_horoball, which inverts them at unit scale
+        # the rows whose |b - p|^2 leaves the normal range are inverted
+        # at unit scale, by the power-of-two dilation of invert_horoball
         unit = RAY_FAMILIES["farey12+inf-float"]
         fam = scaled(unit, 2.0 ** k)
         p = fam.horoballs[3].base
@@ -593,6 +630,22 @@ class TestRayFromPoint:
         else:
             p = tuple(data.draw(st.floats(-2, 8)) for _ in range(dim - 1))
         assert rays._inverted(fam, p).horoballs == old_inverted(fam, p).horoballs
+
+    @settings(max_examples=200, deadline=None)
+    @given(inversion_cases(exact=False))
+    def test_float_inversion_at_mixed_scales(self, case):
+        # rows inside and outside the square range, one based exactly at
+        # p, members at infinity: the members bit for bit, or the error
+        fam, p = case
+        assert inversion_outcome(fam, p) == inversion_outcome(fam, p, oracle=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inversion_cases(exact=True))
+    def test_exact_inversion_with_a_member_at_p(self, case):
+        fam, p = case
+        got = inversion_outcome(fam, p)
+        assert got == inversion_outcome(fam, p, oracle=True)
+        assert got[0] == "ok"
 
 
 # ---------------------------------------------------------------------------

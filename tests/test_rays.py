@@ -13,11 +13,9 @@ from horoshadow.halfspace import (
     Point,
     TangentHoroball,
     VerticalGeodesic,
-    hyperbolic_dist,
     param_of,
     penetration_depth,
     point_to_horoball_dist,
-    shrink,
 )
 from horoshadow.packings import HoroballFamily, extremal, farey
 from horoshadow.rays import (
@@ -29,6 +27,7 @@ from horoshadow.rays import (
     verify_avoidance,
 )
 from horoshadow.sharp2d import sharp_shrink_time
+from test_halfspace import hyperbolic_dist, shrink
 
 T1 = sharp_shrink_time(1)
 GOLDEN = (1 + math.sqrt(5)) / 2

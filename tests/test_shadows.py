@@ -8,19 +8,31 @@ from horoshadow.halfspace import (
     AtInfinityHoroball,
     Point,
     TangentHoroball,
-    dist_alg_horoballs,
-    hyperbolic_dist,
     point_to_horoball_dist,
 )
 from horoshadow.packings import HoroballFamily, validate_disjoint
 from horoshadow.shadows import (
+    REFERENCE_HEIGHT,
     CurvatureBand,
-    hamenstadt_dist_points,
     shadow_of,
 )
 from horoshadow.sharp2d import Side
 from horoshadow.sharpnd import maximal_annulus_ball
+from test_halfspace import dist_alg_horoballs, hyperbolic_dist
 from test_scan_oracles import component_of
+
+
+# the oracle of the boundary distance of shadows, which no program code
+# reads, kept here verbatim with the tests that pin it
+
+
+def hamenstadt_dist_points(x: Point, y: Point) -> float:
+    """Boundary-distance surrogate for interior points,
+    exp(-(d(x,Href) + d(y,Href) - d(x,y)) / 2); as both points descend
+    vertically to boundary points it converges to their Euclidean gap."""
+    dx = point_to_horoball_dist(x, AtInfinityHoroball(REFERENCE_HEIGHT))
+    dy = point_to_horoball_dist(y, AtInfinityHoroball(REFERENCE_HEIGHT))
+    return math.exp(-0.5 * (dx + dy - hyperbolic_dist(x, y)))
 
 
 class TestShadowOf:

@@ -11,12 +11,10 @@ from horoshadow.halfspace import (
     TangentHoroball,
     VerticalGeodesic,
     penetration_depth,
-    shrink,
 )
-from horoshadow.numeric import CertificateError
+from horoshadow.numeric import SHARP_SCALE, CertificateError
 from horoshadow.packings import HoroballFamily, extremal, farey, random_disjoint
 from horoshadow.sharp2d import (
-    SHARP_SCALE,
     Side,
     dioph_solutions,
     scaled_shadow_residual,
@@ -25,6 +23,7 @@ from horoshadow.sharp2d import (
     step_2d,
 )
 from horoshadow.sharpnd import solve_hnr
+from test_halfspace import shrink
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 

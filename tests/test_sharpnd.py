@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horoshadow.halfspace import TangentHoroball
+from horoshadow.numeric import SHARP_SCALE
 from horoshadow.packings import HoroballFamily, random_disjoint
-from horoshadow.sharp2d import SHARP_SCALE, Side, step_2d, solve_2d
+from horoshadow.sharp2d import Side, step_2d, solve_2d
 from horoshadow.sharpnd import (
     maximal_annulus_ball,
     solve_hnr,

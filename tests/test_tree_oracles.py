@@ -25,14 +25,13 @@ from horoshadow.trees import (
     TreeWalk,
     covering_family,
     greedy_ray,
-    max_ball_depth,
     random_tree,
     random_tree_horoballs,
     three_regular_tree,
-    tree_busemann,
     validate_tree_horoballs,
 )
 from horoshadow.trees import _meet_depths
+from test_trees import max_ball_depth, tree_busemann
 
 # ---------------------------------------------------------------------------
 # the old parent-chain helpers (MetricTree methods before the index)

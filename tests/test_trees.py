@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from typing import Optional, Union
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +12,40 @@ from horoshadow.trees import (
     TreeHoroball,
     TreePoint,
     covering_family,
+    _ball_columns,
+    _busemann_at,
+    _deepest,
     greedy_ray,
-    max_ball_depth,
     random_tree,
     random_tree_horoballs,
     three_regular_tree,
-    tree_busemann,
     validate_tree_horoballs,
 )
+
+# ---------------------------------------------------------------------------
+# oracles: one-row forms of the tree kernel that no program code reads,
+# kept here verbatim with the tests that pin them; test_tree_oracles
+# compares the kernel with the old parent-chain walks through them
+
+
+def tree_busemann(tree: MetricTree, end: int,
+                  x: Union[TreePoint, int]) -> float:
+    """Busemann function of the end behind `end`, normalized to vanish at
+    the root: 2 depth(meet) - depth(x) at a vertex, and linear with slope
+    +-1 along every edge, so mid-edge values interpolate the endpoint
+    values exactly.  One row of _busemann_at."""
+    import numpy as np
+    if isinstance(x, int):
+        x = TreePoint.at_vertex(x)
+    return _busemann_at(tree, np.array([tree._stub_tin(end)]), x).item(0)
+
+
+def max_ball_depth(tree: MetricTree, balls: list[TreeHoroball],
+                   vertex: int) -> tuple[float, Optional[int]]:
+    """Largest Busemann excess over all horoballs at a vertex, and the
+    (first) index of a horoball strictly containing it (None when
+    outside all)."""
+    return _deepest(tree, _ball_columns(tree, balls), vertex)
 
 
 def small_tree():
