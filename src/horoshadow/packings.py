@@ -14,18 +14,13 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
-from .halfspace import (
-    AtInfinityHoroball,
-    TangentHoroball,
-    vnorm2,
-    vsub,
-)
+from .halfspace import AtInfinityHoroball, TangentHoroball
 from .numeric import (
     DEFAULT_TOL,
     SHARP_SCALE,
@@ -586,14 +581,19 @@ def extremal(generations: int, s: float = SHARP_SCALE) -> HoroballFamily:
 def random_disjoint(count: int, dim: int = 2, seed: int = 0) -> HoroballFamily:
     """Seed-deterministic family of disjoint tangent horoballs obtained by
     greedy rejection sampling in the base box [0, side]^(dim-1), radii in
-    [0.05, 1/2].
+    [0.05, 1/2]: each attempt draws dim - 1 base coordinates, then a
+    radius (random.uniform), and keeps the candidate unless its float
+    test |b - b'|^2 < 4 r r' holds against a kept ball.
 
     The side is max(4, 2 count^(1/(dim-1))), so the box offers the same
-    base volume 2^(dim-1) per ball in every dimension.  A candidate ball
-    of radius r can only overlap a placed ball whose first base
-    coordinate lies within r + 1/2 of its own, so it is tested against
-    those alone, found by bisection in the placed balls kept sorted by
-    that coordinate.
+    base volume 2^(dim-1) per ball in every dimension.  The candidates do
+    not depend on which are kept, so they are drawn in blocks.  For each
+    block, the pairs that may meet come from the sweep on the first base
+    coordinate of the kept balls and the block (numeric.sweep_pairs): two
+    balls that meet have |x1 - x1'| < r + r', as 4 r r' <= (r + r')^2.
+    The float test runs on those pairs, and one greedy pass in draw order
+    keeps each candidate that meets no kept one, up to count.  The family
+    is the one a candidate-by-candidate loop draws, bit for bit.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -603,26 +603,41 @@ def random_disjoint(count: int, dim: int = 2, seed: int = 0) -> HoroballFamily:
     rng = random.Random(seed)
     # through sqrt, so that dim 3 keeps its correctly rounded side
     side = max(4.0, 2.0 * math.sqrt(count) ** (2 / (dim - 1)))
-    # covers the rounding of the float test and of the window ends
-    pad = 1e-9 * side
-    placed: list[tuple] = []      # (base, radius)
-    by_x: list[tuple] = []        # the same pairs sorted by base[0]
-    first = lambda ball: ball[0][0]  # noqa: E731
-    attempts = 0
     max_attempts = 400 * count
-    while len(placed) < count:
-        attempts += 1
-        if attempts > max_attempts:
+    base, radius = np.empty((0, dim - 1)), np.empty(0)
+    drawn = 0
+    while len(radius) < count:
+        if drawn == max_attempts:
             raise RuntimeError(
                 f"could not place {count} disjoint horoballs "
-                f"(placed {len(placed)} after {attempts} attempts)")
-        base = tuple(rng.uniform(0.0, side) for _ in range(dim - 1))
-        radius = rng.uniform(0.05, 0.5)
-        reach = radius + 0.5 + pad
-        near = by_x[bisect_left(by_x, base[0] - reach, key=first):
-                    bisect_right(by_x, base[0] + reach, key=first)]
-        if not any(vnorm2(vsub(base, b)) < 4 * radius * r for b, r in near):
-            placed.append((base, radius))
-            insort(by_x, (base, radius), key=first)
-    return HoroballFamily.from_columns(dim, np.arange(count), np.array([b for b, _ in placed]),
-                                       np.array([r for _, r in placed]))
+                f"(placed {len(radius)} after {drawn + 1} attempts)")
+        placed = len(radius)
+        # 5/4 of the draws the missing balls take at the acceptance rate
+        # so far, and at least drawn/8, so that the blocks grow
+        # geometrically where that rate falls
+        size = max(-(-5 * (count - placed) * max(drawn, 1) // (4 * max(placed, 1))),
+                   drawn // 8)
+        size = min(size, max_attempts - drawn)
+        drawn += size
+        u = np.fromiter(islice(iter(rng.random, None), size * dim), float,
+                        size * dim).reshape(size, dim)
+        # random.uniform(a, b) is a + (b - a) * random()
+        base = np.concatenate([base, 0.0 + (side - 0.0) * u[:, :-1]])
+        radius = np.concatenate([radius, 0.05 + (0.5 - 0.05) * u[:, -1]])
+        a, b = sweep_pairs(base[:, 0], radius)
+        fresh = b >= placed
+        a, b = a[fresh], b[fresh]
+        gap = 0.0
+        for k in range(dim - 1):  # left to right, as a scalar sum adds
+            d = base[b, k] - base[a, k]
+            gap = gap + d * d
+        hit = gap < 4 * radius[b] * radius[a]
+        a, b = a[hit], b[hit]
+        order = np.argsort(b)
+        keep = [True] * len(radius)
+        for j, k in zip(a[order].tolist(), b[order].tolist()):
+            if keep[j]:  # j < k, so keep[j] is settled
+                keep[k] = False
+        rows = np.flatnonzero(keep)[:count]
+        base, radius = base[rows], radius[rows]
+    return HoroballFamily.from_columns(dim, np.arange(count), base, radius)

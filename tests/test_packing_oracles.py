@@ -483,7 +483,9 @@ class TestExactValidation:
 
 
 class TestRandomDisjointOracle:
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    # dim 5 sums four squared base differences, where a reordered sum
+    # could flip a borderline rejection
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     @pytest.mark.parametrize("count,seeds", [(1, (0, 1)), (37, (0, 3, 9)), (600, (0, 5))])
     def test_identical_families(self, dim, count, seeds):
         side = max(4.0, 2.0 * math.sqrt(count) ** (2 / (dim - 1)))
@@ -496,6 +498,15 @@ class TestRandomDisjointOracle:
             side = max(4.0, 2.0 * math.sqrt(count))
             assert random_disjoint(count, 3, 2).horoballs == \
                 brute_random_disjoint(count, 3, 2, side)
+
+    def test_several_blocks(self, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr(packings, "sweep_pairs",
+                            lambda *args: sweeps.append(1) or sweep_pairs(*args))
+        side = 2.0 * math.sqrt(2000) ** 2
+        assert random_disjoint(2000, 2, 1).horoballs == \
+            brute_random_disjoint(2000, 2, 1, side)
+        assert len(sweeps) > 1
 
 
 def brute_validate_packing(fam, tol=DEFAULT_TOL):

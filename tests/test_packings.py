@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from horoshadow import packings
 from horoshadow.halfspace import AtInfinityHoroball, TangentHoroball, vnorm2, vsub
 from horoshadow.numeric import SHARP_SCALE
 from horoshadow.packings import (
@@ -160,6 +162,16 @@ class TestRandomDisjoint:
         a = random_disjoint(20, 2, 7)
         b = random_disjoint(20, 2, 7)
         assert a.horoballs == b.horoballs
+
+    def test_attempt_cap(self, monkeypatch):
+        class Constant(random.Random):
+            def random(self):
+                return 0.5
+
+        # every candidate sits on the first one, so only the first is kept
+        monkeypatch.setattr(packings.random, "Random", Constant)
+        with pytest.raises(RuntimeError, match="placed 1 after 801 attempts"):
+            random_disjoint(2, 3)
 
     def test_validates_2d_and_3d(self):
         for count, dim in ((50, 2), (50, 3), (1000, 2), (300, 4)):
