@@ -43,6 +43,7 @@ from .sharp2d import Side, dioph_solutions, sharp_shrink_time, solve_2d, step_2d
 from .sharpnd import maximal_annulus_ball, solve_hnr, step_hnr
 from .trees import (
     MetricTree,
+    TreeFamily,
     TreeHoroball,
     covering_family,
     greedy_ray,

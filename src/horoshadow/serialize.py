@@ -38,7 +38,7 @@ from .halfspace import (
 )
 from .numeric import to_float
 from .packings import HoroballFamily, Ratios, check_shape, int_column
-from .trees import MetricTree, TreeHoroball
+from .trees import MetricTree, TreeFamily
 
 
 @contextmanager
@@ -71,11 +71,13 @@ def bulk():
 _ROW_TYPES = {"exact": ({int}, "integers"), "float": ({int, float}, "numbers")}
 
 
-def _check_types(values, form: str) -> None:
+def _check_types(values, form: str, what: Optional[str] = None) -> None:
+    """Refuse values of a type that the row form does not hold; what
+    begins the message (by default "<form> document holds")."""
     allowed, name = _ROW_TYPES[form]
     found = set(map(type, values)) - allowed
     if found:
-        raise ValueError(f"{form} document holds {name} only, not "
+        raise ValueError(f"{what or form + ' document holds'} {name} only, not "
                          f"{', '.join(sorted(t.__name__ for t in found))}")
 
 
@@ -187,8 +189,10 @@ def document_to_family(doc: dict, exact: bool = False) -> HoroballFamily:
                                            ratios if exact else None, members, labels)
 
 
-def tree_to_document(tree: MetricTree, balls: list[TreeHoroball],
+def tree_to_document(tree: MetricTree, balls: TreeFamily,
                      metadata: Optional[dict] = None) -> dict:
+    """The document of a tree and its horoballs, written as
+    [end, level] rows from the family's columns in one tolist() pass."""
     edges = []
     for u, nbrs in sorted(tree.adj.items()):
         for v, length in sorted(nbrs.items()):
@@ -201,19 +205,29 @@ def tree_to_document(tree: MetricTree, balls: list[TreeHoroball],
             "edges": edges,
             "stubs": sorted(tree.stubs),
             "root": tree.root,
-            "horoballs": [[b.end, b.level] for b in balls],
+            "horoballs": list(map(list, zip(balls.end.tolist(), balls.level.tolist()))),
         },
         "metadata": dict(metadata or {}),
     }
 
 
-def document_to_tree(doc: dict) -> tuple[MetricTree, list[TreeHoroball]]:
+def document_to_tree(doc: dict) -> tuple[MetricTree, TreeFamily]:
+    """The tree of a document and its horoballs as a TreeFamily, whose
+    [end, level] rows are checked, not coerced: an end is a JSON integer
+    and a level a number (not a bool, string or null).  A row of another
+    shape or type is a ValueError that names the tree document."""
     if doc.get("model") != "tree":
         raise ValueError("not a tree document")
     with _reading("tree"):
         e = doc["entries"]
         tree = MetricTree([tuple(x) for x in e["edges"]], e["stubs"], e.get("root"))
-        balls = [TreeHoroball(end, level) for end, level in e["horoballs"]]
+        rows = e["horoballs"]
+        if type(rows) is not list or set(map(len, rows)) - {2}:
+            raise TypeError("horoballs are [end, level] rows")
+        ends, levels = [r[0] for r in rows], [r[1] for r in rows]
+        for values, form, what in ((ends, "exact", "ends"), (levels, "float", "levels")):
+            _check_types(values, form, f"malformed tree document: horoball {what} are")
+        balls = TreeFamily(ends, levels)
     return tree, balls
 
 

@@ -16,6 +16,7 @@ import itertools
 import random
 from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
@@ -43,6 +44,40 @@ class TreePoint:
 class TreeHoroball:
     end: int      # stub identifier
     level: float  # Busemann cut value
+
+
+class TreeFamily(Sequence):
+    """Horoballs of a tree as two columns: `end`, the stub ids (int64),
+    and `level`, the Busemann cut values (float64).  A member is a
+    TreeHoroball built when read; the family compares equal to any list
+    or tuple of the same horoballs, and its repr is theirs."""
+
+    __slots__ = ("end", "level")
+    __hash__ = None
+
+    def __init__(self, end, level):
+        import numpy as np
+        self.end = np.asarray(end, dtype=np.int64)
+        self.level = np.asarray(level, dtype=float)
+
+    def __len__(self) -> int:
+        return len(self.end)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TreeFamily(self.end[i], self.level[i])
+        return TreeHoroball(self.end.item(i), self.level.item(i))
+
+    def __iter__(self):
+        return map(TreeHoroball, self.end.tolist(), self.level.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, (TreeFamily, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class TreeColumns(NamedTuple):
@@ -152,10 +187,14 @@ class MetricTree:
         for p in reversed(range(n)):
             if order[p] not in self.stubs:
                 leftmost[p] = leftmost[min(range(kid0[p], kid1[p]), key=order.__getitem__)]
-        self._cols = TreeColumns(
+        c = self._cols = TreeColumns(
             np.array(order), np.array(parent), np.array(length), np.array(depth),
             np.array(tin), np.array(tin) + np.array(size), np.array(kid0),
             np.array(kid1), np.array(leftmost))
+        # the stubs (the vertices of degree 1) by id, and their tins
+        stub = np.flatnonzero(c.kid1 - c.kid0 + (c.parent >= 0) == 1)
+        by_id = stub[np.argsort(c.vertex[stub], kind="stable")]
+        self._stub_ids, self._stub_tins = c.vertex[by_id], c.tin[by_id]
 
     def depth(self, vertex: int) -> float:
         """Distance from the root to vertex."""
@@ -187,26 +226,35 @@ class MetricTree:
         raise ValueError(f"{u} is the stub itself")
 
 
-def _ball_columns(tree: MetricTree, balls: list[TreeHoroball]):
-    """(tin of each end, level) as numpy arrays, one entry per ball."""
+def _ball_columns(tree: MetricTree, balls: Sequence[TreeHoroball]):
+    """(end, tin of each end, level) as numpy arrays, one entry per ball:
+    the columns of a TreeFamily, or of a list of horoballs read once, and
+    the tins by one lookup in the tree's stubs sorted by id."""
     import numpy as np
-    unknown = [b.end for b in balls if b.end not in tree.stubs]
-    if unknown:
-        raise ValueError(f"unknown stub {unknown[0]}")
-    pos = np.array([tree._pos[b.end] for b in balls], dtype=np.int64)
-    return tree._cols.tin[pos], np.array([b.level for b in balls], dtype=float)
+    if not isinstance(balls, TreeFamily):
+        balls = TreeFamily([b.end for b in balls], [b.level for b in balls])
+    ids, end = tree._stub_ids, balls.end
+    k = np.minimum(np.searchsorted(ids, end), len(ids) - 1)
+    unknown = ids[k] != end
+    if unknown.any():
+        raise ValueError(f"unknown stub {end.item(np.argmax(unknown))}")
+    return end, tree._stub_tins[k], balls.level
 
 
 def _meet_depths(tree: MetricTree, vertex: int, ends):
     """Depth of the point where vertex joins the ray to each end (an
     array of stub tins): the deepest vertex on the root-vertex path whose
-    subtree holds the end.  Those subtrees are nested, so the ones that
-    hold it are a prefix of the path, counted in one pass."""
+    subtree holds the end.  Those subtrees are nested, tin rising and
+    tout falling along the path, so the ones that hold an end e are a
+    prefix of it, of length min(#tin <= e, #tout > e): two binary
+    searches."""
     import numpy as np
     c = tree._cols
     path = np.array(tree._path(vertex))
-    holds = (c.tin[path, None] <= ends) & (ends < c.tout[path, None])
-    return c.depth[path[holds.sum(axis=0) - 1]]
+    tout = c.tout[path[::-1]]
+    held = np.minimum(np.searchsorted(c.tin[path], ends, side="right"),
+                      len(path) - np.searchsorted(tout, ends, side="right"))
+    return c.depth[path[held - 1]]
 
 
 def _busemann_at(tree: MetricTree, ends, x: TreePoint):
@@ -226,22 +274,24 @@ def _busemann_at(tree: MetricTree, ends, x: TreePoint):
 
 
 def validate_tree_horoballs(tree: MetricTree,
-                            balls: list[TreeHoroball],
+                            balls: Sequence[TreeHoroball],
                             tol: float = DEFAULT_TOL) -> list[tuple[int, int]]:
-    """Pairs of horoballs whose open horoballs overlap beyond tol times
-    the longest edge (relative, so the verdict scales with the tree).
+    """Pairs of horoballs (a TreeFamily, or a list of TreeHoroball) whose
+    open horoballs overlap beyond tol times the longest edge (relative,
+    so the verdict scales with the tree).
 
     Two horoballs at ends w, w' with levels l, l' have disjoint open
     horoballs iff l + l' >= 2 * depth(meet of the two rays), the maximum
     of the two Busemann sums along the connecting geodesic.  One pass
-    per ball reads the meets with all later ends off the preorder index.
+    per ball over the columns of the later balls reads their meets off
+    the preorder index, by binary search along the ball's root path.
     """
     import numpy as np
-    ends, levels = _ball_columns(tree, balls)
+    ids, ends, levels = _ball_columns(tree, balls)
     bad = []
-    for i, b in enumerate(balls[:-1]):
+    for i, end in enumerate(ids[:-1].tolist()):
         later = ends[i + 1:]
-        meet = _meet_depths(tree, b.end, later)
+        meet = _meet_depths(tree, end, later)
         hit = (later == ends[i]) | (levels[i] + levels[i + 1:] < 2 * meet - tol * tree.ell_max)
         bad += [(i, i + 1 + j) for j in np.flatnonzero(hit).tolist()]
     return bad
@@ -262,16 +312,17 @@ class GreedyRayResult:
     max_depth: float
 
 
-def _walk(tree: MetricTree, balls: list[TreeHoroball], cols, x0: TreePoint,
-          start_depth: float, overrides: dict[int, int], slack: float
+def _walk(tree: MetricTree, cols, x0: TreePoint, start_depth: float,
+          overrides: dict[int, int], slack: float
           ) -> tuple[TreeWalk, list[tuple[int, list[int]]]]:
-    """One greedy walk over balls with columns cols (_ball_columns) from
-    x0, where their largest Busemann excess is start_depth; it turns off
+    """One greedy walk over the balls with columns cols (_ball_columns)
+    from x0, where their largest Busemann excess is start_depth; it turns off
     at a vertex deeper than slack inside a ball.  overrides maps decision
     index -> forced choice.
 
     Returns the walk and the list of decisions (index, alternatives).
     """
+    ids = cols[0]
     max_depth = start_depth
     decisions: list[tuple[int, list[int]]] = []
     detours: list[int] = []
@@ -299,14 +350,14 @@ def _walk(tree: MetricTree, balls: list[TreeHoroball], cols, x0: TreePoint,
         depth_here, inside = _deepest(tree, cols, cur)
         max_depth = max(max_depth, depth_here)
         if cur in tree.stubs:
-            if (cols[0] == tree._stub_tin(cur)).any():
+            if (ids == cur).any():
                 raise RuntimeError(
                     f"walk exits through the end of a horoball at stub {cur}; "
                     f"progress: {path}")
             break
         candidates = [v for v in sorted(tree.adj[cur]) if v != prev]
         if inside is not None and depth_here > slack:
-            away = tree.next_toward(cur, balls[inside].end)
+            away = tree.next_toward(cur, ids.item(inside))
             candidates = [v for v in candidates if v != away]
             detours.append(cur)
         if not candidates:
@@ -324,7 +375,7 @@ def _deepest(tree: MetricTree, cols, vertex: int) -> tuple[float, Optional[int]]
     cols (_ball_columns), and the (first) index of a ball strictly
     containing it (None when outside all)."""
     import numpy as np
-    ends, levels = cols
+    _, ends, levels = cols
     if not len(levels):
         return float("-inf"), None
     excess = _busemann_at(tree, ends, TreePoint.at_vertex(vertex)) - levels
@@ -333,11 +384,12 @@ def _deepest(tree: MetricTree, cols, vertex: int) -> tuple[float, Optional[int]]
     return best, (who if best > 0 else None)
 
 
-def greedy_ray(tree: MetricTree, balls: list[TreeHoroball],
+def greedy_ray(tree: MetricTree, balls: Sequence[TreeHoroball],
                x0: Union[TreePoint, int], tol: float = DEFAULT_TOL,
                validate: bool = True) -> GreedyRayResult:
     """Two distinct geodesic rays from x0 whose depth in every horoball
-    stays at most one edge length.
+    (a TreeFamily, or a list of TreeHoroball) stays at most one edge
+    length.
 
     The walk follows edges without backtracking; at the first vertex
     strictly inside a horoball it turns onto an edge pointing neither at
@@ -347,7 +399,8 @@ def greedy_ray(tree: MetricTree, balls: list[TreeHoroball],
     and picks the next admissible edge there.  Ties are broken toward
     smaller vertex identifiers throughout.  "Inside" means deeper than
     tol times the longest edge, for the start point and the walk alike,
-    so the walks scale with the tree.
+    so the walks scale with the tree.  The walks read the balls' columns
+    (_ball_columns); no TreeHoroball is built.
     """
     import numpy as np
     if isinstance(x0, int):
@@ -356,18 +409,18 @@ def greedy_ray(tree: MetricTree, balls: list[TreeHoroball],
         bad = validate_tree_horoballs(tree, balls, tol)
         if bad:
             raise ValueError(f"open horoballs overlap at pairs {bad}")
-    cols = _ball_columns(tree, balls)
-    beta0 = _busemann_at(tree, cols[0], x0)
+    cols = _, ends, levels = _ball_columns(tree, balls)
+    beta0 = _busemann_at(tree, ends, x0)
     slack = tol * tree.ell_max
-    if (beta0 > cols[1] + slack).any():
+    if (beta0 > levels + slack).any():
         raise ValueError("start point lies inside an open horoball")
-    start_depth = float(np.max(beta0 - cols[1], initial=float("-inf")))
-    first, decisions = _walk(tree, balls, cols, x0, start_depth, {}, slack)
+    start_depth = float(np.max(beta0 - levels, initial=float("-inf")))
+    first, decisions = _walk(tree, cols, x0, start_depth, {}, slack)
     second = None
     for idx, alternatives in decisions:
         for alt in alternatives:
             try:
-                cand, _ = _walk(tree, balls, cols, x0, start_depth, {idx: alt}, slack)
+                cand, _ = _walk(tree, cols, x0, start_depth, {idx: alt}, slack)
             except RuntimeError:
                 continue
             if cand.vertices != first.vertices:
@@ -404,9 +457,9 @@ def three_regular_tree(depth: int) -> MetricTree:
     return MetricTree(edges, stubs, root=0)
 
 
-def covering_family(tree: MetricTree) -> list[TreeHoroball]:
+def covering_family(tree: MetricTree) -> TreeFamily:
     """Horoballs with pairwise disjoint opens whose closures cover the
-    whole truncation.
+    whole truncation, as a TreeFamily built from the sweep's columns.
 
     One horoball is planted through the root; whenever the sweep down the
     tree finds an edge not fully covered, a new horoball through the
@@ -472,8 +525,7 @@ def covering_family(tree: MetricTree) -> list[TreeHoroball]:
         at = np.concatenate([v[keep], planted])
         ball = np.concatenate([i[keep], new])
         meet = np.concatenate([meet_v[keep], c.depth[planted]])
-    return [TreeHoroball(e, lv) for e, lv in
-            zip(c.vertex[end[:count]].tolist(), level[:count].tolist())]
+    return TreeFamily(c.vertex[end[:count]], level[:count].copy())
 
 
 def random_tree(seed: int, target_vertices: int = 40) -> MetricTree:
@@ -492,9 +544,9 @@ def random_tree(seed: int, target_vertices: int = 40) -> MetricTree:
 
 
 def random_tree_horoballs(tree: MetricTree, count: int,
-                          seed: int) -> list[TreeHoroball]:
+                          seed: int) -> TreeFamily:
     """Seed-deterministic disjoint horoballs at distinct stubs with
-    positive levels (so the root stays outside).
+    positive levels (so the root stays outside), as a TreeFamily.
 
     Levels are capped three edge lengths above each stub so the
     horospheres sit well inside the truncation and a greedy walk always
@@ -503,11 +555,12 @@ def random_tree_horoballs(tree: MetricTree, count: int,
     rng = random.Random(seed)
     margin = 3 * tree.ell_max
     stubs = [s for s in sorted(tree.stubs) if tree.depth(s) > margin + 0.2]
-    balls = []
+    ends, levels = [], []
     for s in rng.sample(stubs, min(count, len(stubs))):
         for _ in range(50):
-            ball = TreeHoroball(s, rng.uniform(0.1, tree.depth(s) - margin))
-            if not validate_tree_horoballs(tree, balls + [ball]):
-                balls.append(ball)
+            level = rng.uniform(0.1, tree.depth(s) - margin)
+            if not validate_tree_horoballs(tree, TreeFamily(ends + [s], levels + [level])):
+                ends.append(s)
+                levels.append(level)
                 break
-    return balls
+    return TreeFamily(ends, levels)

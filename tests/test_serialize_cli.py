@@ -22,7 +22,33 @@ from horoshadow.halfspace import (
     VerticalGeodesic,
 )
 from horoshadow.packings import HoroballFamily, extremal, farey, geometric, random_disjoint
-from horoshadow.trees import covering_family, three_regular_tree
+from horoshadow.trees import (
+    covering_family,
+    random_tree,
+    random_tree_horoballs,
+    three_regular_tree,
+)
+
+
+def old_tree_to_document(tree, balls, metadata=None):
+    """tree_to_document as it was before tree families were columns: one
+    [end, level] row per TreeHoroball, read attribute by attribute."""
+    edges = []
+    for u, nbrs in sorted(tree.adj.items()):
+        for v, length in sorted(nbrs.items()):
+            if u < v:
+                edges.append([u, v, length])
+    return {
+        "model": "tree",
+        "dim": 0,
+        "entries": {
+            "edges": edges,
+            "stubs": sorted(tree.stubs),
+            "root": tree.root,
+            "horoballs": [[b.end, b.level] for b in balls],
+        },
+        "metadata": dict(metadata or {}),
+    }
 
 
 class TestRoundTrip:
@@ -55,6 +81,23 @@ class TestRoundTrip:
         assert t2.adj == tree.adj
         assert t2.stubs == tree.stubs
         assert b2 == balls
+
+    @pytest.mark.parametrize("args", [["--depth", "10"], ["--depth", "13"],
+                                      ["--random", "--seed", "3", "--vertices", "60",
+                                       "--balls", "6"]],
+                             ids=["depth-10", "depth-13", "random"])
+    def test_pack_tree_writes_the_per_ball_bytes(self, tmp_path, args):
+        out = tmp_path / "tree.json"
+        assert main(["pack", "tree", *args, "--out", str(out)]) == 0
+        if "--random" in args:
+            tree = random_tree(3, 60)
+            balls, meta = random_tree_horoballs(tree, 6, 4), {"generator": "tree-random", "seed": 3}
+        else:
+            depth = int(args[1])
+            tree = three_regular_tree(depth)
+            balls, meta = covering_family(tree), {"generator": "tree-covering", "depth": depth}
+        want = serialize.dumps(old_tree_to_document(tree, list(balls), meta)) + "\n"
+        assert out.read_text() == want
 
     def test_geodesic_round_trip(self):
         for g in (VerticalGeodesic((0.5,), (-1.0, math.inf)),
@@ -358,10 +401,17 @@ class TestCli:
                     "error: start index is not a tangent horoball\n"
 
 
-def tree_document(edit):
-    doc = serialize.tree_to_document(three_regular_tree(2), covering_family(three_regular_tree(2)))
+def tree_document(edit, depth=2):
+    tree = three_regular_tree(depth)
+    doc = serialize.tree_to_document(tree, covering_family(tree))
     edit(doc["entries"])
     return doc
+
+
+def tree_horoball(row):
+    """The depth-3 covering document with its first horoball, [6, 0.0],
+    replaced by row."""
+    return tree_document(lambda e: e["horoballs"].__setitem__(0, row), 3)
 
 
 def family_document(edit):
@@ -378,11 +428,15 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize("doc,kind", [
         (tree_document(lambda e: e["edges"][0].__setitem__(2, "x")), "tree"),
         (tree_document(lambda e: e.__setitem__("root", [0])), "tree"),
+        (tree_horoball([6, "0.0"]), "tree"),
+        (tree_horoball([6, True]), "tree"),
+        (tree_horoball([6.0, 0.0]), "tree"),
         (family_document(lambda d: d.pop("dim")), "family"),
         (family_document(lambda d: d["entries"].__setitem__(0, None)), "family"),
         (family_document(lambda d: d.__setitem__("entries", {"a": 1})), "family"),
         ([1], "family"),
-    ], ids=["edge-length", "root", "no-dim", "no-base", "entries-object", "list"])
+    ], ids=["edge-length", "root", "string-level", "bool-level", "float-end", "no-dim",
+            "no-base", "entries-object", "list"])
     def test_verify_packing(self, tmp_path, doc, kind):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

@@ -20,6 +20,7 @@ from horoshadow.numeric import DEFAULT_TOL
 from horoshadow.trees import (
     GreedyRayResult,
     MetricTree,
+    TreeFamily,
     TreeHoroball,
     TreePoint,
     TreeWalk,
@@ -311,6 +312,19 @@ def starts(tree, rng, count):
     return out
 
 
+def caterpillar(spine, seed=0):
+    """A chain of `spine` interior vertices, rooted at one end, with a
+    stub hanging off each and a second stub at each end of the chain;
+    edge lengths in (0.3, 1].  Its hop depth is about its vertex count
+    over two, so a root path is as long as the tree allows."""
+    rng = random.Random(seed)
+    n = spine
+    edges = [(k, k + 1, rng.uniform(0.3, 1.0)) for k in range(n - 1)]
+    edges += [(k, n + k, rng.uniform(0.3, 1.0)) for k in range(n)]
+    edges += [(0, 2 * n, rng.uniform(0.3, 1.0)), (n - 1, 2 * n + 1, rng.uniform(0.3, 1.0))]
+    return MetricTree(edges, range(n, 2 * n + 2), root=0)
+
+
 def reversed_adjacency(tree):
     """The same tree with every adjacency in the opposite order, so that a
     vertex meets its child of smallest id last: the end a leftmost descent
@@ -324,20 +338,49 @@ def reversed_adjacency(tree):
 
 
 @pytest.mark.parametrize("tree", [three_regular_tree(5), random_tree(3, 60),
-                                  reversed_adjacency(three_regular_tree(5))],
-                         ids=["three-regular-5", "random-3-60", "reversed-three-regular-5"])
+                                  reversed_adjacency(three_regular_tree(5)), caterpillar(80)],
+                         ids=["three-regular-5", "random-3-60", "reversed-three-regular-5",
+                              "caterpillar-80"])
 def test_index_reads_the_parent_chains(tree):
     stubs = sorted(tree.stubs)
     tins = np.array([tree._stub_tin(stub) for stub in stubs])
     depth = old_rooted(tree)[1]
+    # every vertex, the stubs too: at a stub the root path ends at the
+    # end itself, so its own meet is the whole path
+    assert tree.stubs < set(tree.adj)
     for v in sorted(tree.adj):
         assert tree.depth(v) == depth[v]
         assert _meet_depths(tree, v, tins).tolist() == [old_meet_depth(tree, v, s) for s in stubs]
+        if v in tree.stubs:
+            assert _meet_depths(tree, v, tins[stubs.index(v):][:1]).tolist() == [depth[v]]
         for stub in stubs:
             assert tree_busemann(tree, stub, v) == old_tree_busemann(tree, stub, v)
             assert outcome(tree.next_toward, v, stub) == outcome(old_next_toward, tree, v, stub)
     with pytest.raises(ValueError, match="unknown stub"):
         tree_busemann(tree, tree.root, tree.root)
+
+
+@pytest.mark.parametrize("tree", [three_regular_tree(6), random_tree(5, 60), caterpillar(40)],
+                         ids=["three-regular-6", "random-5-60", "caterpillar-40"])
+def test_list_and_family_inputs_agree(tree):
+    # a list of TreeHoroball is read into columns once; every verdict,
+    # walk and error is the TreeFamily's, bit for bit
+    cover = covering_family(tree)
+    unknown = TreeFamily([min(tree.stubs), tree.root], [1.0, 1.0])
+    families = [cover, random_tree_horoballs(tree, 4, 7),
+                TreeFamily(cover.end, cover.level - 0.5), unknown]
+    rng = random.Random(len(tree.adj))
+    for fam in families:
+        assert isinstance(fam, TreeFamily)
+        as_list = list(fam)
+        assert bitwise(outcome(validate_tree_horoballs, tree, as_list),
+                       outcome(validate_tree_horoballs, tree, fam))
+        for x0 in [tree.root] + starts(tree, rng, 2):
+            for validate in (True, False):
+                assert bitwise(outcome(greedy_ray, tree, as_list, x0, validate=validate),
+                               outcome(greedy_ray, tree, fam, x0, validate=validate))
+    assert outcome(greedy_ray, tree, list(unknown), tree.root) == \
+        ("raised", "ValueError", f"unknown stub {tree.root}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from horoshadow.trees import (
     MetricTree,
+    TreeFamily,
     TreeHoroball,
     TreePoint,
     covering_family,
@@ -81,6 +82,38 @@ class TestStructure:
         t = three_regular_tree(4)
         assert len(t.stubs) == 3 * 2 ** 3
         assert len(t.adj) == 1 + 3 * (2 ** 4 - 1)
+
+
+class TestTreeFamily:
+    BALLS = [TreeHoroball(4, 0.5), TreeHoroball(7, -1.25), TreeHoroball(9, 3.0)]
+
+    def family(self):
+        return TreeFamily([4, 7, 9], [0.5, -1.25, 3.0])
+
+    def test_reads_as_the_list_of_its_members(self):
+        fam, balls = self.family(), self.BALLS
+        assert fam.end.dtype.name == "int64" and fam.level.dtype.name == "float64"
+        assert len(fam) == len(balls)
+        for i in range(-len(balls), len(balls)):
+            assert fam[i] == balls[i]
+            assert (type(fam[i].end), type(fam[i].level)) == (int, float)
+        for i in (len(balls), -len(balls) - 1):
+            with pytest.raises(IndexError):
+                fam[i]
+        for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1),
+                    slice(0, 3, 2), slice(5, 9)):
+            assert fam[cut] == balls[cut]
+            assert repr(fam[cut]) == repr(balls[cut])
+        assert list(fam) == balls
+        assert fam == balls and balls == fam and fam == tuple(balls)
+        assert fam != balls[:2] and fam != balls[::-1] and fam != 3
+        assert repr(fam) == repr(balls)
+        assert TreeFamily([], []) == [] and repr(TreeFamily([], [])) == "[]"
+
+    def test_producers_return_families(self):
+        tree = random_tree(3, 60)
+        for fam in (covering_family(tree), random_tree_horoballs(tree, 4, 5)):
+            assert isinstance(fam, TreeFamily)
 
 
 class TestBusemann:
