@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .numeric import widen
+from .numeric import unit_exponent, widen
 
 Vector = tuple
 INF = float("inf")
@@ -69,13 +69,6 @@ def vnorm(a: Vector):
 def vnorm2(a: Vector):
     """Squared Euclidean norm; exact on Fraction input."""
     return sum(x * x for x in a)
-
-
-def _unit_scale(*vectors) -> tuple:
-    """(k, the float vectors times 2^k): the dilation, exact but where it
-    underflows, that brings the largest |coordinate| into [1/2, 1)."""
-    k = -math.frexp(max(abs(x) for v in vectors for x in v))[1]
-    return k, [[math.ldexp(x, k) for x in v] for v in vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +402,7 @@ def geodesic_through(p: Point, xi: Optional[Vector]) -> Geodesic:
     if isinstance(u2, float) and not (_TINY <= u2 and u2 + h2 < INF):
         q = float(p.height) / math.hypot(*_flv(d))
         return ArcGeodesic(xi, vadd(xi, vadd(d, vscale(vscale(d, q), q))))
-    lam = (u2 + h2) / u2
-    other = vadd(xi, vscale(d, lam))
-    return ArcGeodesic(xi, other)
+    return ArcGeodesic(xi, vadd(xi, vscale(d, (u2 + h2) / u2)))
 
 
 #: largest sinh of the hyperbolic distance from a point to a geodesic at
@@ -428,8 +419,8 @@ def param_of(g: Geodesic, p: Point) -> float:
     is the base gap over the height, without cancellation near either
     end.  Where one of the squares leaves the normal range, every
     difference and the height are first dilated by the power of two
-    that brings the largest of them near 1, which is exact and leaves t
-    as it is."""
+    that brings the largest of them near 1 (unit_exponent), which is
+    exact and leaves t as it is."""
     base, h = _flv(p.base), float(p.height)
     if isinstance(g, VerticalGeodesic):
         if math.hypot(*vsub(base, _flv(g.foot))) > _ON_GEODESIC * h:
@@ -439,7 +430,8 @@ def param_of(g: Geodesic, p: Point) -> float:
     da, db, ab = vsub(base, a), vsub(base, b), vsub(b, a)
     na, nb, nab = vnorm2(da) + h * h, vnorm2(db) + h * h, vnorm2(ab)
     if not (_TINY <= min(na, nb, nab) and max(na, nb, nab) < INF):
-        _, (da, db, ab, (h,)) = _unit_scale(da, db, ab, (h,))
+        k = unit_exponent([*da, *db, *ab, h])
+        da, db, ab, (h,) = ([math.ldexp(x, k) for x in v] for v in (da, db, ab, (h,)))
         na, nb, nab = vnorm2(da) + h * h, vnorm2(db) + h * h, vnorm2(ab)
     t = (math.log(na) - math.log(nb)) / 2
     # invert at the nearer end: at the far one the gap is a difference of

@@ -69,6 +69,14 @@ def widen(mag):
     return _REL_PAD * mag + _ABS_PAD
 
 
+def unit_exponent(values, axis=None):
+    """The k (an int, or one per row along axis) for which 2^k times the
+    largest |value| lies in [1/2, 1); 0 where every value is 0."""
+    import numpy as np
+    k = -np.frexp(np.abs(np.asarray(values, dtype=float)).max(axis=axis, initial=0))[1]
+    return int(k) if axis is None else k
+
+
 def may_be_le(lhs, rhs, mag):
     """Filter for the exact test lhs <= rhs, given float evaluations of
     both sides whose terms add up to mag in absolute value (numpy arrays

@@ -85,6 +85,30 @@ class Ratios:
         return cls(*map(int_column, (base_num // gb, base_den // gb,
                                      radius_num // gr, radius_den // gr)))
 
+    def __iter__(self):
+        return (getattr(self, k) for k in self.__slots__)
+
+    def similar(self, shift=None, k: int = 0) -> "Ratios":
+        """The values translated by shift (a rational per base coordinate,
+        or None), then dilated by 2^k: the base (b + shift) 2^k and the
+        radius r 2^k, in lowest terms, each row in int64 where a float
+        bound on every integer it forms lies below 2^62 (_int_decide)."""
+        import numpy as np
+        sn, sd = zip(*(Fraction(c).as_integer_ratio()
+                       for c in shift or (0,) * self.base_num.shape[1]))
+        up, down = 2 ** max(k, 0), 2 ** max(-k, 0)
+        n, d, rn, rd = map(_ratio_floats, self)
+        snf, sdf = np.array([list(map(to_float, sn)), list(map(to_float, sd))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.column_stack([abs(n) * sdf + abs(snf) * d, d * sdf, rn, rd]).max(1) \
+                * to_float(max(up, down))
+
+        def form(pos, dtype):
+            bn, bd, r, rr = (c[pos].astype(dtype) for c in self)
+            s_n, s_d, u, v = (np.array(c, dtype=dtype) for c in (sn, sd, up, down))
+            return Ratios.lowest_terms((bn * s_d + s_n * bd) * u, bd * s_d * v, r * u, rr * v)
+        return Ratios(*map(int_column, _int_decide(bound, form)))
+
     @classmethod
     def of(cls, bases: list, radii: list, width: int) -> "Ratios":
         """The Ratios of exact values (base tuples of the given width, radii)."""
@@ -94,14 +118,6 @@ class Ratios:
                    int_column([f.denominator for f in fb]).reshape(len(bases), width),
                    int_column([f.numerator for f in fr]), int_column([f.denominator for f in fr]))
 
-    def bases(self, rows) -> list[tuple]:
-        return [tuple(map(Fraction, n, d)) for n, d in
-                zip(self.base_num[rows].tolist(), self.base_den[rows].tolist())]
-
-    def radii(self, rows) -> list:
-        return list(map(Fraction, self.radius_num[rows].tolist(),
-                        self.radius_den[rows].tolist()))
-
     def floats(self) -> tuple:
         """(base, radius) float arrays: each value correctly rounded, as
         float(Fraction), or -inf or +inf beyond the float range."""
@@ -109,14 +125,14 @@ class Ratios:
             _ratio_floats(self.radius_num, self.radius_den)
 
 
-def _ratio_floats(num, den):
-    """to_float(num / den) elementwise over int_column arrays."""
+def _ratio_floats(num, den=None):
+    """to_float(num / den) elementwise over int_column arrays (den 1 by default)."""
     import numpy as np
-    if num.dtype != object and den.dtype != object:
-        return num / den
-    return np.array([to_float(Fraction(n, d)) for n, d in
-                     zip(num.ravel().tolist(), den.ravel().tolist())],
-                    dtype=float).reshape(num.shape)
+    if num.dtype != object and (den is None or den.dtype != object):
+        return num / (1 if den is None else den)
+    values = map(to_float, num.ravel().tolist()) if den is None else \
+        (to_float(Fraction(n, d)) for n, d in zip(num.ravel().tolist(), den.ravel().tolist()))
+    return np.array(list(values), dtype=float).reshape(num.shape)
 
 
 def check_shape(dim, widths) -> None:
@@ -219,8 +235,7 @@ class HoroballFamily:
             perm = np.argsort(tangent, kind="stable")
             if exact is not None:
                 more = Ratios.of([h.base for h in hs], [h.radius for h in hs], dim - 1)
-                exact = Ratios(*(np.concatenate([getattr(exact, k), getattr(more, k)])[perm]
-                                 for k in Ratios.__slots__))
+                exact = Ratios(*(np.concatenate(pair)[perm] for pair in zip(exact, more)))
                 xb, xr = more.floats()
             else:
                 xb = np.array([[to_float(c) for c in h.base] for h in hs], dtype=float)
@@ -264,14 +279,17 @@ class HoroballFamily:
     def bases(self, rows) -> list[tuple]:
         """Exact bases of the tangent rows `rows`, without building members:
         the exact columns, or the float ones where they are the values."""
-        if self.exact is not None:
-            return self.exact.bases(rows)
+        ex = self.exact
+        if ex is not None:
+            return [tuple(map(Fraction, n, d)) for n, d in
+                    zip(ex.base_num[rows].tolist(), ex.base_den[rows].tolist())]
         return list(map(tuple, self.columns.base[rows].tolist()))
 
     def radii(self, rows) -> list:
         """Exact radii of the tangent rows `rows`, as bases."""
-        if self.exact is not None:
-            return self.exact.radii(rows)
+        ex = self.exact
+        if ex is not None:
+            return list(map(Fraction, ex.radius_num[rows].tolist(), ex.radius_den[rows].tolist()))
         return self.columns.radius[rows].tolist()
 
     def same_radii(self, a, b):
@@ -290,29 +308,22 @@ class ValidationReport:
 
 def validate_disjoint(fam: HoroballFamily, tol: float = DEFAULT_TOL,
                       exact: bool = False) -> ValidationReport:
-    """Check pairwise disjointness of the open horoballs.
-
-    For two tangent horoballs the test is the quadratic certificate
-    |x - x'|^2 >= 4 r r'; a tangent horoball against a horoball at
+    """Check pairwise disjointness of the open horoballs; the violating
+    index pairs are reported.  A tangent horoball against the one at
     infinity of height h requires 2r <= h, tested on the members that a
-    float filter (may_be_le) leaves.  Violating index pairs are reported.
-
-    Two tangent horoballs can overlap only if their shadow intervals
-    [x_1 - r, x_1 + r] on the first base coordinate meet, because
-    4 r r' <= (r + r')^2.  Candidate pairs therefore come from a sort
-    and sweep of these intervals in floats, widened so that no pair the
-    certificate rejects is pruned, at any scale; the certificate then
-    runs on the candidates only, vectorised in floats with slack tol.
-    With exact=True it runs with zero slack on the exact values (the
-    Ratios of an exact family, else the floats read exactly), which the
-    sweep and a float filter read scaled by a power of two where they
-    leave the float range (_scaled_floats): the filter (decide_le, with
-    the error bound of _gap_bounds) settles the
-    pairs that are clearly apart or clearly overlap, and the rest (the
-    tangencies) are decided in integers over common denominators
-    (_apart), as is 2r <= h on the rows the filter leaves.  Cost is
-    O(N log N + candidates), with integer work only where the floats
-    cannot decide.
+    float filter (may_be_le) leaves.  Two tangent horoballs need the
+    quadratic certificate |x - x'|^2 >= 4 r r', and can overlap only if
+    their shadows [x_1 - r, x_1 + r] on the first base coordinate meet
+    (4 r r' <= (r + r')^2), so the candidate pairs come from a sweep of
+    these intervals in floats, widened so that no pair the certificate
+    rejects is pruned, at any scale.  The certificate runs on the
+    candidates only: in floats with slack tol, or with exact=True with
+    zero slack on the exact values (the Ratios of an exact family, else
+    the floats read exactly), where a float filter (decide_le over
+    _scaled_floats, with the error bound of _gap_bounds) settles the
+    pairs clearly apart or clearly overlapping and the rest (the
+    tangencies) are decided in integers (_apart), as is 2r <= h on the
+    rows the filter leaves.  Cost is O(N log N + candidates).
     """
     import numpy as np
     hs, cols = fam.horoballs, fam.columns
@@ -349,36 +360,24 @@ _KEY_RANGE = 1000
 def _scaled_floats(fam: HoroballFamily) -> tuple:
     """(base, radius) float columns of the tangent rows for the sweep and
     the float filter of the exact check, which ask the same of a family
-    and of its dilation by a power of two: the float columns, unless an
-    exact family has a nonzero value beyond 2^+-1000 and one power of two
-    2^s (s = -E, with 2^E the largest nonzero value to within a factor
-    two, from the bit lengths) brings every nonzero value within
-    2^-1000 .. 2; then the exact values times 2^s, rounded correctly.
-    The shift is exact in the Ratios, so the floats round the values of
-    the dilated family."""
+    and of its dilations: the float columns, unless an exact family has a
+    nonzero value beyond 2^+-1000 and one power of two 2^-E (2^E the
+    largest nonzero value to within a factor two, from the bit lengths)
+    brings every nonzero value within 2^-1000 .. 2; then the floats of
+    the dilation by 2^-E (Ratios.similar)."""
     import numpy as np
     cols, ex = fam.columns, fam.exact
-    if ex is None:
-        return cols.base, cols.radius
-    num = np.concatenate([ex.base_num.ravel(), ex.radius_num])
-    den = np.concatenate([ex.base_den.ravel(), ex.radius_den])
-    mag = np.abs(np.concatenate([cols.base.ravel(), cols.radius]))
-    limit = 2.0 ** _KEY_RANGE
-    nonzero = num != 0
-    if ((1 / limit < mag) & (mag < limit) | ~nonzero).all():
-        return cols.base, cols.radius
-    exps = [abs(n).bit_length() - d.bit_length()
-            for n, d in zip(num[nonzero].tolist(), den[nonzero].tolist())]
-    top = max(exps)
-    if top - min(exps) >= _KEY_RANGE:
-        return cols.base, cols.radius
-    num, den = num.astype(object), den.astype(object)
-    if top > 0:
-        den = den * 2 ** top
-    else:
-        num = num * 2 ** -top
-    flo = _ratio_floats(num, den)
-    return flo[:cols.base.size].reshape(cols.base.shape), flo[cols.base.size:]
+    if ex is not None:
+        num = np.concatenate([ex.base_num.ravel(), ex.radius_num])
+        den = np.concatenate([ex.base_den.ravel(), ex.radius_den])
+        mag, limit = np.abs(np.concatenate([cols.base.ravel(), cols.radius])), 2.0 ** _KEY_RANGE
+        nonzero = num != 0
+        if not ((1 / limit < mag) & (mag < limit) | ~nonzero).all():
+            exps = [abs(n).bit_length() - d.bit_length()
+                    for n, d in zip(num[nonzero].tolist(), den[nonzero].tolist())]
+            if max(exps) - min(exps) < _KEY_RANGE:
+                return ex.similar(k=-max(exps)).floats()
+    return cols.base, cols.radius
 
 
 def _gap_bounds(xa, xb, diff, ra, rb) -> tuple:
@@ -405,7 +404,7 @@ def _ratios(fam: HoroballFamily, rows) -> Ratios:
     its float columns read exactly, as Fraction(float)."""
     import numpy as np
     if fam.exact is not None:
-        return Ratios(*(getattr(fam.exact, k)[rows] for k in Ratios.__slots__))
+        return Ratios(*(c[rows] for c in fam.exact))
     base, radius = fam.columns.base[rows], fam.columns.radius[rows]
     if not (np.isfinite(base).all() and np.isfinite(radius).all()):
         raise ValueError("an exact check needs finite values")
@@ -417,13 +416,11 @@ def _exceeds(fam: HoroballFamily, rows, cap):
     they compare the values (a float cap against the float columns of a
     float family, or a cap of +-inf or NaN), else 2 rn cd > cn rd in
     Python ints over the radii rn / rd and the cap cn / cd."""
-    import numpy as np
     if isinstance(cap, float) and (fam.exact is None or not math.isfinite(cap)):
         return 2 * fam.columns.radius[rows] > cap
     cn, cd = Fraction(cap).as_integer_ratio()
-    ex = _ratios(fam, rows)
-    return np.array([2 * n * cd > cn * d for n, d in
-                     zip(ex.radius_num.tolist(), ex.radius_den.tolist())], dtype=bool)
+    _, _, rn, rd = _ratios(fam, rows)
+    return (2 * rn.astype(object) * cd > cn * rd.astype(object)).astype(bool)
 
 
 def square_gap(num, den) -> tuple:
@@ -455,8 +452,8 @@ def _apart(fam: HoroballFamily, a, b):
     used[a] = used[b] = True
     ex, local = _ratios(fam, np.flatnonzero(used)), np.cumsum(used) - 1
     a, b = local[a], local[b]
-    cols = n, d, rn, rd = [getattr(ex, k) for k in Ratios.__slots__]
-    nf, df, rnf, rdf = (_ratio_floats(c, np.ones_like(c)) for c in cols)
+    n, d, rn, rd = ex
+    nf, df, rnf, rdf = map(_ratio_floats, ex)
     with np.errstate(over="ignore", invalid="ignore"):
         cross = np.abs(nf[a]) * df[b] + np.abs(nf[b]) * df[a]
         num = np.abs(nf[a] * df[b] - nf[b] * df[a]) + cross * 2.0 ** -50
@@ -480,18 +477,21 @@ _INT64_BOUND = 2.0 ** 62
 
 
 def _int_decide(bound, decide):
-    """Boolean mask of decide(positions, dtype) over the positions of
-    bound, a float array that bounds every integer decide forms at a
-    position: run in int64 where the bound lies below 2^62, and on
-    Python ints in object arrays on the rest (NaN included)."""
+    """decide(positions, dtype) over all the positions of bound, a float
+    array that bounds every integer decide forms at a position: run in
+    int64 where the bound lies below 2^62, and on Python ints in object
+    arrays on the rest (NaN included).  Its array (a boolean mask), or
+    iterable of arrays, comes back in position order."""
     import numpy as np
     with np.errstate(invalid="ignore"):
         small = bound < _INT64_BOUND
-    out = np.empty(len(small), dtype=bool)
-    for pos, dtype in ((np.flatnonzero(small), np.int64), (np.flatnonzero(~small), object)):
-        if len(pos):
-            out[pos] = decide(pos, dtype)
-    return out
+    pos = np.flatnonzero(small), np.flatnonzero(~small)
+    if not (len(pos[0]) and len(pos[1])):
+        return decide(np.arange(len(small)), np.int64 if len(pos[0]) else object)
+    a, b, order = decide(pos[0], np.int64), decide(pos[1], object), np.argsort(np.concatenate(pos))
+    if isinstance(a, np.ndarray):
+        return np.concatenate([a, b])[order]
+    return [np.concatenate(pair)[order] for pair in zip(a, b)]
 
 
 def farey(q_max: int, p_range: tuple = (0, 1),

@@ -40,8 +40,8 @@ from .halfspace import (
     vscale,
     vsub,
 )
-from .numeric import DEFAULT_TOL, CertificateError, min_candidates
-from .packings import HoroballFamily, Ratios, square_gap
+from .numeric import DEFAULT_TOL, CertificateError, min_candidates, unit_exponent
+from .packings import HoroballFamily, Ratios, _int_decide, _ratio_floats, int_column, square_gap
 from .sharp2d import Side, solve_2d
 from .sharpnd import solve_hnr
 
@@ -133,12 +133,12 @@ def _inverted(fam: HoroballFamily, p: tuple) -> HoroballFamily:
     infinity of height 1 / 2r, and the one at infinity of height H to the
     member at 0 of radius 1 / 2H.  A float family is one numpy pass; on
     the rows where n2 leaves the normal range, b - p is first dilated by
-    the power of two 2^k that brings its largest coordinate into [1/2, 1)
-    and the results are scaled back by 2^k and 2^2k, as math.ldexp, which
-    raises where a finite value overflows.  An exact family is one pass
-    in Python integers over its Ratios: b - p = en / ed per coordinate,
-    n2 = N / M (square_gap), the base en (M / ed) / N and the radius
-    rn M / (rd N)."""
+    2^k (unit_exponent), and the results are scaled back by 2^k and 2^2k
+    as math.ldexp, which raises where a finite value overflows.  An exact
+    family is b - p = en / ed (Ratios.similar), then n2 = N / M
+    (square_gap), the base en (M / ed) / N and the radius rn M / (rd N),
+    per row in int64 where a float bound on every integer formed allows
+    it and in Python ints elsewhere (packings._int_decide)."""
     import numpy as np
     cols, hs = fam.columns, fam.horoballs
     if fam.exact is None:
@@ -150,7 +150,7 @@ def _inverted(fam: HoroballFamily, p: tuple) -> HoroballFamily:
             n2 = sum(d[:, k] * d[:, k] for k in range(d.shape[1]))  # as vnorm2
             base, radius = (1 / n2)[:, None] * d, r / n2
             off = np.flatnonzero(~((n2 >= _TINY) & (n2 < INF)))
-            k = -np.frexp(abs(d[off]).max(axis=1, initial=0))[1]
+            k = unit_exponent(d[off], axis=1)
             u = np.ldexp(d[off], k[:, None])
             n = sum(u[:, j] * u[:, j] for j in range(u.shape[1]))
             ub, ur = u / n[:, None], r[off] / n
@@ -162,17 +162,20 @@ def _inverted(fam: HoroballFamily, p: tuple) -> HoroballFamily:
         if bad.size and over[bad[0]]:
             raise OverflowError("math range error")
     else:
-        # in object arrays of Python ints, as int64 products overflow silently
-        p, ex = tuple(map(Fraction, p)), fam.exact
-        pn, pd = (np.array([getattr(c, k) for c in p], dtype=object)
-                  for k in ("numerator", "denominator"))
-        bd = ex.base_den.astype(object)
-        en, ed = ex.base_num.astype(object) * pd - pn * bd, bd * pd
-        N, M = square_gap(en, ed)
-        rows = np.flatnonzero(N != 0)
-        en, ed, M, N = en[rows], ed[rows], M[rows], N[rows]
-        exact = Ratios.lowest_terms(en * (M[:, None] // ed), np.broadcast_to(N[:, None], en.shape),
-                                    ex.radius_num[rows] * M, ex.radius_den[rows] * N)
+        moved = fam.exact.similar([-Fraction(c) for c in p])
+        rows = np.flatnonzero((moved.base_num != 0).any(axis=1))
+        en, ed, rn, rd = (c[rows] for c in moved)
+        nf, df, rnf, rdf = map(_ratio_floats, (en, ed, rn, rd))
+        with np.errstate(over="ignore", invalid="ignore"):  # M, |en| M, rn M and rd N
+            bound = np.prod(df * df, axis=1) * np.maximum.reduce(
+                [abs(nf).max(1), rnf, rdf * (nf * nf / (df * df)).sum(1)])
+
+        def invert(pos, dtype):
+            n, d = en[pos].astype(dtype), ed[pos].astype(dtype)
+            N, M = square_gap(n, d)
+            return Ratios.lowest_terms(n * (M[:, None] // d), np.broadcast_to(N[:, None], n.shape),
+                                       rn[pos].astype(dtype) * M, rd[pos].astype(dtype) * N)
+        exact = Ratios(*map(int_column, _int_decide(bound, invert)))
         base, radius = exact.floats()
     t = cols.tangent
     members = {i: AtInfinityHoroball(1 / (2 * hs[i].radius)) for i in np.delete(t, rows).tolist()}
@@ -222,18 +225,13 @@ def ray_from_point(fam: HoroballFamily, x: Point, t: float,
             endpoint = g.foot
     else:
         s = math.exp(-(t - CONE_CONSTANT))
+        eta = _solver_endpoint(fam if at_inf else _inverted(fam, xi0), s, n1, Side.RIGHT, tol)
         if at_inf:
-            mapped = fam
-            eta = _solver_endpoint(mapped, s, n1, Side.RIGHT, tol)
             target = eta
+        elif (n2 := vnorm2(eta)) <= tol * tol:
+            target = None  # endpoint maps back to infinity
         else:
-            mapped = _inverted(fam, xi0)
-            eta = _solver_endpoint(mapped, s, n1, Side.RIGHT, tol)
-            n2 = vnorm2(eta)
-            if n2 <= tol * tol:
-                target = None  # endpoint maps back to infinity
-            else:
-                target = vadd(xi0, vscale(eta, 1 / n2))
+            target = vadd(xi0, vscale(eta, 1 / n2))
         if target is None:
             ray = VerticalGeodesic(x.base, (math.log(x.height), INF))
             endpoint = None

@@ -193,11 +193,8 @@ def tree_to_document(tree: MetricTree, balls: TreeFamily,
                      metadata: Optional[dict] = None) -> dict:
     """The document of a tree and its horoballs, written as
     [end, level] rows from the family's columns in one tolist() pass."""
-    edges = []
-    for u, nbrs in sorted(tree.adj.items()):
-        for v, length in sorted(nbrs.items()):
-            if u < v:
-                edges.append([u, v, length])
+    edges = [[u, v, length] for u, nbrs in sorted(tree.adj.items())
+             for v, length in sorted(nbrs.items()) if u < v]
     return {
         "model": "tree",
         "dim": 0,
@@ -214,8 +211,8 @@ def tree_to_document(tree: MetricTree, balls: TreeFamily,
 def document_to_tree(doc: dict) -> tuple[MetricTree, TreeFamily]:
     """The tree of a document and its horoballs as a TreeFamily, whose
     [end, level] rows are checked, not coerced: an end is a JSON integer
-    and a level a number (not a bool, string or null).  A row of another
-    shape or type is a ValueError that names the tree document."""
+    and a level a finite number (not a bool, string, null, NaN or inf).
+    A row of another shape, type or value is a ValueError that names it."""
     if doc.get("model") != "tree":
         raise ValueError("not a tree document")
     with _reading("tree"):
@@ -227,6 +224,8 @@ def document_to_tree(doc: dict) -> tuple[MetricTree, TreeFamily]:
         ends, levels = [r[0] for r in rows], [r[1] for r in rows]
         for values, form, what in ((ends, "exact", "ends"), (levels, "float", "levels")):
             _check_types(values, form, f"malformed tree document: horoball {what} are")
+        if not all(map(math.isfinite, levels)):
+            raise ValueError("malformed tree document: horoball levels must be finite")
         balls = TreeFamily(ends, levels)
     return tree, balls
 

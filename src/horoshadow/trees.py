@@ -115,8 +115,8 @@ class MetricTree:
         (v is w or an ancestor of it) iff tin[v] <= tin[w] < tout[v]."""
         self.adj: dict[int, dict[int, float]] = {}
         for u, v, length in edges:
-            if length <= 0:
-                raise ValueError("edge lengths must be positive")
+            if not 0 < length < float("inf"):
+                raise ValueError("edge lengths must be positive and finite")
             if u == v:
                 raise ValueError("loops not allowed")
             self.adj.setdefault(u, {})[v] = length

@@ -32,7 +32,7 @@ from horoshadow.rays import biinfinite_line, ray_from_point
 from horoshadow.sharp2d import solve_2d
 from horoshadow.sharpnd import solve_hnr
 from test_halfspace import invert_horoball
-from test_packing_oracles import old_farey
+from test_packing_oracles import old_farey, transform
 
 # ---------------------------------------------------------------------------
 # oracles: the writer and the loader before the columns, verbatim up to names
@@ -215,13 +215,6 @@ def without_companions(doc):
     return doc
 
 
-def dilated(fam, k):
-    return HoroballFamily(fam.dim, [
-        TangentHoroball(tuple(k * c for c in h.base), k * h.radius)
-        if isinstance(h, TangentHoroball) else AtInfinityHoroball(k * h.height)
-        for h in fam.horoballs], fam.labels)
-
-
 # ---------------------------------------------------------------------------
 # round trips
 
@@ -319,7 +312,7 @@ class TestRoundTrip:
         beyond the float range) as the oracle's document, stripped of
         its companions for the float document; the exact document reads
         in exact mode as the family, bit for bit."""
-        fam = EXACT[name] if k == 1 else dilated(EXACT[name], k)
+        fam = EXACT[name] if k == 1 else transform(EXACT[name], k)
         if companions:
             doc = json.loads(serialize.dumps(serialize.family_to_document(fam, {"g": name})))
             assert doc["rows"] == "exact"
@@ -339,13 +332,13 @@ class TestRoundTrip:
             assert_docs_read_alike(doc, old if companions else without_companions(old))
 
     def test_columns_beyond_the_float_range(self):
-        doc = serialize.family_to_document(dilated(EXACT["farey"], Fraction(2) ** 1100))
+        doc = serialize.family_to_document(transform(EXACT["farey"], Fraction(2) ** 1100))
         cols = serialize.document_to_family(doc, exact=True).columns
         assert np.isinf(cols.radius).all() and (cols.radius > 0).all()
         assert doc["entries"][0] == [0, 1, 2 ** 1099, 1]
         assert serialize.document_to_family(doc).columns.radius[0] == math.inf
         tiny = serialize.document_to_family(
-            serialize.family_to_document(dilated(EXACT["farey"], Fraction(1, 2 ** 1100))), True)
+            serialize.family_to_document(transform(EXACT["farey"], Fraction(1, 2 ** 1100))), True)
         assert (tiny.columns.radius == 0).all()  # 2^-1101 rounds to 0.0, and passes
         assert tiny.horoballs[0].radius == Fraction(1, 2 ** 1101)
         assert {tiny.exact.radius_den.dtype, tiny.exact.radius_num.dtype} == {np.dtype(object),

@@ -52,6 +52,7 @@ from test_depth_oracles import (
     scalar_reads_subnormal,
 )
 from test_halfspace import invert_horoball
+from test_packing_oracles import transform
 
 # ---------------------------------------------------------------------------
 # oracles: the per-member loops before the filters, verbatim up to names
@@ -123,14 +124,6 @@ def old_inverted(fam, xi0):
 # families
 
 
-def scaled(fam, k):
-    """fam dilated by k about 0 (exactly, for Fraction or power-of-two k)."""
-    return HoroballFamily(fam.dim, [
-        TangentHoroball(tuple(k * c for c in h.base), k * h.radius)
-        if isinstance(h, TangentHoroball) else AtInfinityHoroball(k * h.height)
-        for h in fam.horoballs])
-
-
 def as_floats(fam):
     return HoroballFamily(fam.dim, [
         TangentHoroball(tuple(map(float, h.base)), float(h.radius))
@@ -154,8 +147,8 @@ SPACE = {"random-3d": random_disjoint(50, 3, 4), "random-4d": random_disjoint(40
 def planar_families(draw):
     fam = PLANAR[draw(st.sampled_from(sorted(PLANAR)))]
     if draw(st.booleans()) and fam is not PLANAR["random-2d"]:
-        return scaled(fam, draw(st.sampled_from(FRACTIONS)))
-    return scaled(as_floats(fam), draw(st.sampled_from(POWERS)))
+        return transform(fam, draw(st.sampled_from(FRACTIONS)))
+    return transform(as_floats(fam), draw(st.sampled_from(POWERS)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +293,7 @@ class TestSpaceScan:
     @given(st.sampled_from(sorted(SPACE)), st.floats(0.05, 0.62),
            st.sampled_from(POWERS), st.sampled_from([1.0, -1.0]))
     def test_matches_the_per_member_scan(self, name, s, k, sign):
-        fam = scaled(as_floats(SPACE[name]), k)
+        fam = transform(as_floats(SPACE[name]), k)
         direction = (sign,) + (0.0,) * (fam.dim - 2)
         new = outcome(solve_hnr, fam, s, None, direction)
         with pytest.MonkeyPatch.context() as mp:
@@ -433,7 +426,7 @@ class TestDepthPasses:
         # subnormal value; the distance pass within its bound
         fam = RAY_FAMILIES[name]
         if k != 1.0:
-            fam = scaled(as_floats(fam), k)
+            fam = transform(as_floats(fam), k)
         g = data.draw(geodesics(fam.dim - 1, k))
         depths, lo, hi = penetrations(g, fam.columns)
         for i, h in enumerate(fam.horoballs):
@@ -458,7 +451,7 @@ class TestDepthPasses:
     def test_verify_avoidance_matches_oracle(self, name, data, t, k):
         fam = RAY_FAMILIES[name]
         if k != 1.0:
-            fam = scaled(as_floats(fam), k)
+            fam = transform(as_floats(fam), k)
         g = data.draw(geodesics(fam.dim - 1, k))
         new = outcome(rays.verify_avoidance, g, fam, t)
         old = outcome(old_verify_avoidance, g, fam, t)
@@ -487,7 +480,7 @@ class TestDepthPasses:
     def test_first_hit_matches_oracle(self, name, data, k):
         fam = RAY_FAMILIES[name]
         if k != 1.0:
-            fam = scaled(as_floats(fam), k)
+            fam = transform(as_floats(fam), k)
         n = fam.dim - 1
         x = Point(tuple(k * data.draw(st.floats(0, 1)) for _ in range(n)),
                   k * data.draw(st.floats(0.02, 1.5)))
@@ -557,7 +550,7 @@ class TestRayFromPoint:
     def test_nearest_matches_oracle(self, name, data, k):
         fam = RAY_FAMILIES[name]
         if k != 1.0:
-            fam = scaled(as_floats(fam), k)
+            fam = transform(as_floats(fam), k)
         n = fam.dim - 1
         x = Point(tuple(k * data.draw(st.floats(0, 1)) for _ in range(n)),
                   k * data.draw(st.floats(0.01, 1.2)))
@@ -594,7 +587,7 @@ class TestRayFromPoint:
         # the integer pass over the Ratios against invert_horoball in
         # Fractions: the same members and the same Ratios, int64 columns
         # included; at 2^(+-1100) the values pass int64
-        fam = scaled(fam, k)
+        fam = transform(fam, k)
         for p in (fam.horoballs[3].base, (Fraction(1, 3),) * (fam.dim - 1),
                   (0.375,) * (fam.dim - 1)):
             got, want = rays._inverted(fam, p), old_inverted(fam, tuple(map(Fraction, p)))
@@ -610,7 +603,7 @@ class TestRayFromPoint:
         # the rows whose |b - p|^2 leaves the normal range are inverted
         # at unit scale, by the power-of-two dilation of invert_horoball
         unit = RAY_FAMILIES["farey12+inf-float"]
-        fam = scaled(unit, 2.0 ** k)
+        fam = transform(unit, 2.0 ** k)
         p = fam.horoballs[3].base
         got = rays._inverted(fam, p)
         assert got.horoballs == old_inverted(fam, p).horoballs

@@ -18,7 +18,6 @@ from horoshadow.halfspace import (
     Vector,
     VerticalGeodesic,
     _flv,
-    _unit_scale,
     as_vector,
     geodesic_through,
     param_of,
@@ -30,6 +29,7 @@ from horoshadow.halfspace import (
     vscale,
     vsub,
 )
+from horoshadow.numeric import unit_exponent
 from horoshadow.packings import HoroballFamily
 from horoshadow.rays import _nearest
 
@@ -77,11 +77,12 @@ def dist_alg_horoballs(h1: Horoball, h2: Horoball) -> float:
     d, r1, r2 = vsub(_flv(h1.base), _flv(h2.base)), float(h1.radius), float(h2.radius)
     if not any(d):
         raise ValueError("horoballs share their base point")
-    # log(|d|^2 / 4 r1 r2), dilated near 1 (_unit_scale) where a square or
-    # product leaves the normal range; from logs where the ratio still does
+    # log(|d|^2 / 4 r1 r2), dilated near 1 (unit_exponent) where a square
+    # or product leaves the normal range; from logs where the ratio still does
     u2, m = vnorm2(d), 4 * r1 * r2
     if not (_TINY <= min(u2, m) and max(u2, m) < INF):
-        _, (sd, (s1, s2)) = _unit_scale(d, (r1, r2))
+        k = unit_exponent([*d, r1, r2])
+        sd, s1, s2 = [math.ldexp(c, k) for c in d], math.ldexp(r1, k), math.ldexp(r2, k)
         u2, m = vnorm2(sd), 4 * s1 * s2
     if _TINY <= min(u2, m) and _TINY <= u2 / m < INF:
         return math.log(u2 / m)
@@ -123,11 +124,12 @@ def busemann_height(p: Point) -> float:
 def _inverse(d: Vector, h, x) -> tuple:
     """(d / n2, x / n2) for n2 = |d|^2 + h^2, as (1 / n2) d and x / n2.
     Where a float n2 leaves the normal range, through the dilation of
-    (d, h) that brings n2 into [1/4, len(d) + 1] (_unit_scale)."""
+    (d, h) that brings n2 into [1/4, len(d) + 1] (unit_exponent)."""
     n2 = vnorm2(d) + h * h
     if not isinstance(n2, float) or _TINY <= n2 < INF:
         return vscale(d, 1 / n2), x / n2
-    k, (d, (h,)) = _unit_scale(_flv(d), (float(h),))
+    k = unit_exponent([*_flv(d), float(h)])
+    d, h = [math.ldexp(c, k) for c in _flv(d)], math.ldexp(float(h), k)
     n = vnorm2(d) + h * h
     return tuple(math.ldexp(c / n, k) for c in d), math.ldexp(float(x) / n, 2 * k)
 

@@ -169,10 +169,15 @@ def assert_matches_oracle(fam):
 
 
 def transform(fam, scale=1, shift=0):
+    """fam translated by shift (a number, or a tuple with one per base
+    coordinate) and then dilated by scale about 0, member by member, with
+    its labels: exact for Fraction values, and for float ones where the
+    sums and the products are (a power-of-two scale, a dyadic shift)."""
+    shift = shift if isinstance(shift, tuple) else (shift,) * (fam.dim - 1)
     return HoroballFamily(fam.dim, [
-        TangentHoroball(tuple(scale * (c + shift) for c in h.base), scale * h.radius)
+        TangentHoroball(tuple(scale * (c + d) for c, d in zip(h.base, shift)), scale * h.radius)
         if isinstance(h, TangentHoroball) else AtInfinityHoroball(scale * h.height)
-        for h in fam.horoballs])
+        for h in fam.horoballs], fam.labels)
 
 
 rationals = st.fractions(min_value=0, max_value=6, max_denominator=40)

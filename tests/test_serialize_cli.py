@@ -349,6 +349,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("field,column,value,message", [
+        ("horoballs", 1, math.nan, "horoball levels must be finite"),
+        ("horoballs", 1, math.inf, "horoball levels must be finite"),
+        ("edges", 2, math.nan, "edge lengths must be positive and finite")])
+    def test_tree_document_refuses_nan_and_infinity(self, tmp_path, capsys, field, column,
+                                                     value, message):
+        # each of these passed verify packing with exit 0: a NaN edge
+        # fails the test length <= 0, and a NaN or infinite level was read
+        # as it stood
+        out = tmp_path / "tree.json"
+        main(["pack", "tree", "--depth", "3", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        doc["entries"][field][0][column] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "packing", "--family", str(out)]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
     def test_tolerance_must_be_finite_and_nonnegative(self, tolerance, capsys):
         # a negative slack reports tangent Farey neighbours as overlapping;

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horoshadow.halfspace import (
-    AtInfinityHoroball,
     TangentHoroball,
     VerticalGeodesic,
     penetration_depth,
@@ -24,6 +23,7 @@ from horoshadow.sharp2d import (
 )
 from horoshadow.sharpnd import solve_hnr
 from test_halfspace import shrink
+from test_packing_oracles import transform
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -155,14 +155,6 @@ PLANAR = {"farey+inf": farey(12, (0, 1), include_infinity=True),
           "random-2d": random_disjoint(80, 2, 3)}
 
 
-def dilated(fam, k):
-    """fam dilated by 2^k about 0, exactly (Fractions stay Fractions)."""
-    f = Fraction(2) ** k if fam.exact is not None else 2.0 ** k
-    return HoroballFamily(2, [
-        TangentHoroball((f * h.base[0],), f * h.radius) if isinstance(h, TangentHoroball)
-        else AtInfinityHoroball(f * h.height) for h in fam.horoballs])
-
-
 class TestOneSolver:
     @settings(max_examples=120, deadline=None)
     @given(name=st.sampled_from(sorted(PLANAR)), k=st.integers(-60, 60),
@@ -171,7 +163,8 @@ class TestOneSolver:
            side=st.sampled_from([Side.LEFT, Side.RIGHT]))
     def test_solve_2d_is_solve_hnr_along_the_side(self, name, k, s, exact_s, start, side):
         # field for field, in the arithmetic of the family and of s
-        fam = dilated(PLANAR[name], k)
+        unit = PLANAR[name]
+        fam = transform(unit, (Fraction(2) if unit.exact is not None else 2.0) ** k)
         s = s if exact_s else float(s)
         if start is not None:
             start %= len(fam.horoballs)
@@ -209,7 +202,7 @@ class TestBeyondTheSquareRange:
     def test_no_warning_and_the_same_endpoint(self, s, want):
         # the squared gaps of a family dilated by 2^600 overflow, and the
         # filter reads inf - inf as a member that may meet
-        fam = dilated(farey(6, (-2, 3)), 600)
+        fam = transform(farey(6, (-2, 3)), Fraction(2) ** 600)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_2d(fam, s)

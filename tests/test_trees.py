@@ -78,6 +78,11 @@ class TestStructure:
         with pytest.raises(ValueError, match="stub 777 is not a vertex"):
             MetricTree(edges, stubs=[1, 2, 3, 777], root=0)
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_edge_lengths_that_are_not_positive_and_finite(self, length):
+        with pytest.raises(ValueError, match="edge lengths must be positive and finite"):
+            MetricTree([(0, 1, length), (0, 2, 1.0), (0, 3, 1.0)], stubs=[1, 2, 3])
+
     def test_three_regular_counts(self):
         t = three_regular_tree(4)
         assert len(t.stubs) == 3 * 2 ** 3
