@@ -39,7 +39,7 @@ from .rays import (
     verify_avoidance,
 )
 from .shadows import CurvatureBand, Shadow, shadow_of
-from .sharp2d import Side, dioph_solutions, sharp_shrink_time, solve_2d, step_2d
+from .sharp2d import dioph_solutions, sharp_shrink_time, solve_2d, step_2d
 from .sharpnd import maximal_annulus_ball, solve_hnr, step_hnr
 from .trees import (
     MetricTree,
@@ -50,8 +50,8 @@ from .trees import (
     three_regular_tree,
 )
 from .uncover import (
+    AnnulusBall,
     BallFamily,
-    CanonicalBall,
     NestedWitness,
     UncoverSpace,
     canonical_ball,

@@ -18,7 +18,7 @@ from .heisenberg import complex_hyperbolic_shrink_time
 from .numeric import DEFAULT_TOL, SHARP_SCALE, Certificate, CertificateError
 from .packings import HoroballFamily, validate_disjoint
 from .rays import biinfinite_line, ray_from_point, verify_avoidance
-from .sharp2d import Side, dioph_solutions, sharp_shrink_time, solve_2d
+from .sharp2d import dioph_solutions, sharp_shrink_time, solve_2d
 from .sharpnd import solve_hnr
 from .shadows import CurvatureBand, shadow_of
 from .trees import covering_family, random_tree, random_tree_horoballs, three_regular_tree
@@ -185,6 +185,9 @@ def _witness_json(coords, chain: list, cert: Certificate, members=None) -> dict:
 
 def cmd_uncloud(args) -> int:
     fam = _read_family(args.family, args.exact)
+    if args.exact and (args.mode == "generic" or fam.dim != 2):
+        raise ValueError("--exact needs a sharp mode on a planar family: the generic "
+                         "solver and the rotations beyond the line run in floats")
     s = _shrink_factor(args)
     tol = 0 if args.exact else args.tolerance
     if args.mode == "generic":
@@ -199,18 +202,15 @@ def cmd_uncloud(args) -> int:
             start = members.index(start)
         wits = uncover_two(bf, s, start, tol) if args.two else (uncover(bf, s, start, tol),)
         results = [_witness_json(w.output, w.chain, w.certificate, members) for w in wits]
-    elif args.mode == "dim2":
-        sides = (Side.LEFT, Side.RIGHT) if args.two else (Side(args.side),)
-        results = []
-        for side in sides:
-            sol = solve_2d(fam, s, args.start, side, tol)
-            results.append({**_witness_json(sol.endpoint, sol.witness, sol.certificate),
-                            "side": side.value})
     else:
-        signs = (1, -1) if args.two else ((-1,) if args.side == "L" else (1,))
-        sols = [solve_hnr(fam, s, args.start, (e,) + (0,) * (fam.dim - 2), tol)
-                for e in signs]
-        results = [_witness_json(sol.endpoint, sol.witness, sol.certificate) for sol in sols]
+        # dim2 is hnr plus its planar check (sharp2d.solve_2d)
+        solve = solve_2d if args.mode == "dim2" else solve_hnr
+        results = []
+        for side in ("L", "R") if args.two else (args.side,):
+            direction = (-1 if side == "L" else 1,) + (0,) * (fam.dim - 2)
+            sol = solve(fam, s, args.start, direction, tol)
+            results.append({**_witness_json(sol.endpoint, sol.witness, sol.certificate),
+                            "side": side})
     # every solver raises CertificateError rather than return an
     # uncertified witness, so an emitted document is always certified
     doc = {"mode": args.mode, "shrink_s": float(s), "shrink_t": -math.log(s),

@@ -169,18 +169,9 @@ class ArcGeodesic:
             raise ValueError("empty parameter range")
 
     @property
-    def midpoint(self) -> tuple:
-        return tuple((float(x) + float(y)) / 2 for x, y in zip(self.a, self.b))
-
-    @property
     def rho(self) -> float:
         # hypot: the squares leave the float range within 1e-162 and beyond 1e154
         return math.hypot(*vsub(_flv(self.b), _flv(self.a))) / 2
-
-    @property
-    def unit(self) -> tuple:
-        d = vsub(_flv(self.b), _flv(self.a))
-        return vscale(d, 1.0 / math.hypot(*d))
 
     def point_at(self, t: float) -> Point:
         # the base m + rho tanh(t) u is a + (b - a) e^2t / (1 + e^2t), taken

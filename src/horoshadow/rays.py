@@ -42,7 +42,7 @@ from .halfspace import (
 )
 from .numeric import DEFAULT_TOL, CertificateError, min_candidates, unit_exponent
 from .packings import HoroballFamily, Ratios, _int_decide, _ratio_floats, int_column, square_gap
-from .sharp2d import Side, solve_2d
+from .sharp2d import solve_2d
 from .sharpnd import solve_hnr
 
 #: neighborhood constant for the cone of rays grazing a horoball
@@ -185,11 +185,11 @@ def _inverted(fam: HoroballFamily, p: tuple) -> HoroballFamily:
 
 
 def _solver_endpoint(fam: HoroballFamily, s: float, start: Optional[int],
-                     side: Side, tol: float) -> tuple:
-    if fam.dim == 2:
-        return solve_2d(fam, s, start=start, side=side, tol=tol).endpoint
-    direction = (1 if side is Side.RIGHT else -1,) + (0,) * (fam.dim - 2)
-    return solve_hnr(fam, s, start=start, direction=direction, tol=tol).endpoint
+                     sign: int, tol: float) -> tuple:
+    """Endpoint of the sharp solver along sign times the first axis:
+    solve_2d on a planar family, solve_hnr beyond."""
+    return (solve_2d if fam.dim == 2 else solve_hnr)(
+        fam, s, start, (sign,) + (0,) * (fam.dim - 2), tol).endpoint
 
 
 def ray_from_point(fam: HoroballFamily, x: Point, t: float,
@@ -225,7 +225,7 @@ def ray_from_point(fam: HoroballFamily, x: Point, t: float,
             endpoint = g.foot
     else:
         s = math.exp(-(t - CONE_CONSTANT))
-        eta = _solver_endpoint(fam if at_inf else _inverted(fam, xi0), s, n1, Side.RIGHT, tol)
+        eta = _solver_endpoint(fam if at_inf else _inverted(fam, xi0), s, n1, 1, tol)
         if at_inf:
             target = eta
         elif (n2 := vnorm2(eta)) <= tol * tol:
@@ -260,8 +260,7 @@ def biinfinite_line(fam: HoroballFamily, t: float,
     below the reference height because both endpoints lie in one shadow.
     """
     s = math.exp(-(t - TRIANGLE_CONSTANT))
-    eta = _solver_endpoint(fam, s, None, Side.LEFT, tol)
-    eta2 = _solver_endpoint(fam, s, None, Side.RIGHT, tol)
+    eta, eta2 = (_solver_endpoint(fam, s, None, sign, tol) for sign in (-1, 1))
     if vnorm2(vsub(eta, eta2)) <= tol * tol:
         raise CertificateError("degenerate family: coincident endpoints")
     line = ArcGeodesic(eta, eta2)

@@ -18,17 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 from .numeric import DEFAULT_TOL, Certificate, CertificateError
 from .packings import HoroballFamily
-
-
-class Side(Enum):
-    LEFT = "L"
-    RIGHT = "R"
 
 
 def sharp_shrink_time(a: float = 1.0) -> float:
@@ -84,15 +78,14 @@ class Solution:
 
 
 def solve_2d(fam: HoroballFamily, s, start: Optional[int] = None,
-             side: Side = Side.RIGHT, tol: float = DEFAULT_TOL) -> Solution:
-    """Boundary point whose vertical geodesic avoids every open scaled
-    horoball of a planar family: sharpnd.solve_hnr along -1 or +1 from
-    the start horoball (largest by default), whose steps are step_2d on
-    the line, in the arithmetic of the family and of s."""
+             direction=None, tol: float = DEFAULT_TOL) -> Solution:
+    """sharpnd.solve_hnr on a planar family, whose steps are step_2d on
+    the line, in the arithmetic of the family and of s; the direction
+    is (-1,) or (+1,)."""
     if fam.dim != 2:
         raise ValueError("the interval solver needs a planar family")
-    from .sharpnd import solve_hnr
-    return solve_hnr(fam, s, start, (1,) if side is Side.RIGHT else (-1,), tol)
+    from . import sharpnd
+    return sharpnd.solve_hnr(fam, s, start, direction, tol)
 
 
 def scaled_shadow_residual(fam: HoroballFamily, s,

@@ -15,7 +15,6 @@ families.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 from . import sharp2d
@@ -33,27 +32,18 @@ from .numeric import (
 )
 from .packings import HoroballFamily
 from .sharp2d import Solution
-from .uncover import scan_chain, scan_order
+from .uncover import AnnulusBall, scan_chain, scan_order
 
 #: below this sine of the rotation angle the configuration counts as
 #: collinear and the rotation (ill-conditioned there) is skipped
 COLLINEAR_SIN = 1e-12
 
 
-@dataclass(frozen=True)
-class AnnulusBall:
-    """Maximal Euclidean ball of a shadow annulus: radius r(1-s)/2 with
-    center at distance r(1+s)/2 from the shadow center."""
-
-    center: tuple
-    radius: object
-    horoball_index: int = -1
-
-
 def maximal_annulus_ball(h: TangentHoroball, s: float, direction,
                          index: int = -1) -> AnnulusBall:
     """Maximal ball of the annulus of h at scale s touching the outer
-    sphere in the given unit direction."""
+    sphere in the given unit direction: radius r(1-s)/2 with center at
+    distance r(1+s)/2 from the shadow center."""
     if not 0 < s < 1:
         raise ValueError("scale factor must lie in (0, 1)")
     if abs(vnorm(direction) - 1) > 1e-9:
@@ -152,7 +142,7 @@ def solve_hnr(fam: HoroballFamily, s: float, start: Optional[int] = None,
     xo, sro = cols.base[rows], srs[rows]
     chain = scan_chain(maximal_annulus_ball(hs[a0], s, direction, a0),
                        cols.tangent[rows].tolist(),
-                       lambda K, j: step_hnr(hs[K.horoball_index], K, hs[j], s, index=j, tol=tol),
+                       lambda K, j: step_hnr(hs[K.index], K, hs[j], s, index=j, tol=tol),
                        lambda K, begin: may_meet(K, xo[begin:], sro[begin:], tol))
     endpoint = chain[-1][1].center
     near_rows = min_candidates(*margin_bounds(endpoint, cols.base, srs))

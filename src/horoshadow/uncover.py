@@ -293,19 +293,20 @@ def generic_shrink_time(C: float = 1.0,
 
 
 @dataclass(frozen=True)
-class CanonicalBall:
+class AnnulusBall:
     """Ball of radius r(1-s)/2 inscribed in the annulus between the
-    sphere S(x, r) and the scaled ball B(x, s r), touching the outer
-    sphere at a prescribed point."""
+    sphere S(x, r) of a member and its scaled ball B(x, s r): the element
+    of every nested chain, the canonical balls of the uncovering loop and
+    the maximal annulus balls of the sharp solver.  index is the member's
+    index in its family."""
 
     center: object
-    radius: float
-    annulus_of: int = -1
-    s: float = 0.0
+    radius: object
+    index: int = -1
 
 
 def canonical_ball(space: UncoverSpace, xi, r2: float, r1: float, p,
-                   index: int = -1, tol: float = DEFAULT_TOL) -> CanonicalBall:
+                   index: int = -1, tol: float = DEFAULT_TOL) -> AnnulusBall:
     """Canonical ball for the annulus between radii r1 < r2 around xi,
     containing the sphere point p: center at distance (r2+r1)/2 from xi
     on the segment [p, xi], radius (r2-r1)/2."""
@@ -315,12 +316,11 @@ def canonical_ball(space: UncoverSpace, xi, r2: float, r1: float, p,
     if abs(d - r2) > tol * max(1.0, r2):
         raise ValueError(f"p is not on the sphere of radius {r2} (dist {d})")
     center = space.point_toward(p, xi, (r2 - r1) / 2)
-    return CanonicalBall(center, (r2 - r1) / 2, index, r1 / r2)
+    return AnnulusBall(center, (r2 - r1) / 2, index)
 
 
-def refine_step(space: UncoverSpace, K: CanonicalBall, other: tuple, s: float,
-                index: int = -1,
-                tol: float = DEFAULT_TOL) -> Optional[CanonicalBall]:
+def refine_step(space: UncoverSpace, K: AnnulusBall, other: tuple, s: float,
+                index: int = -1, tol: float = DEFAULT_TOL) -> Optional[AnnulusBall]:
     """One induction step: either K misses the scaled ball of `other`
     (returns None) or a canonical ball of `other` contained in K.
 
@@ -347,7 +347,7 @@ def refine_step(space: UncoverSpace, K: CanonicalBall, other: tuple, s: float,
         zeta = (space.extend_sphere(xi2, eta, r2) if d > tol
                 else space.sphere_point(xi2, r2))
         center = space.point_toward(xi2, zeta, mid)
-    K2 = CanonicalBall(center, rnew, index, s)
+    K2 = AnnulusBall(center, rnew, index)
     gap = space.dist(center, eta) + rnew - K.radius
     if gap > tol:
         raise CertificateError(
@@ -366,11 +366,11 @@ class NestedWitness:
 
     chain entries are (position in the radius-sorted scan order, ball);
     positions increase strictly, each ball is contained in the previous
-    one, and the output is the center of the last ball.  annulus_of on
-    each ball records the index into the original family.
+    one, and the output is the center of the last ball.  index on each
+    ball records the index into the original family.
     """
 
-    chain: list[tuple[int, CanonicalBall]]
+    chain: list[tuple[int, AnnulusBall]]
     output: object
     certificate: Certificate
 

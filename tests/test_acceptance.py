@@ -48,7 +48,6 @@ from horoshadow.rays import (
     ray_from_point,
 )
 from horoshadow.sharp2d import (
-    Side,
     dioph_solutions,
     scaled_shadow_residual,
     sharp_shrink_time,
@@ -326,7 +325,7 @@ def test_criterion_10_cross_module_oracles():
     balls3 = [TangentHoroball((float(h.base[0]), 0.0), float(h.radius))
               for h in fam1.horoballs]
     fam3 = HoroballFamily(3, balls3)
-    (a,) = solve_2d(fam1, 0.4, side=Side.RIGHT).endpoint
+    (a,) = solve_2d(fam1, 0.4, direction=(1,)).endpoint
     b = solve_hnr(fam3, 0.4, direction=(1.0, 0.0)).endpoint
     ok = abs(a - b[0]) <= 1e-9 and abs(b[1]) <= 1e-9
     rnd = random.Random(10)

@@ -36,14 +36,27 @@ from horoshadow.halfspace import (
     point_to_horoball_dist,
     vdot,
     vnorm2,
+    vscale,
     vsub,
 )
 from horoshadow.numeric import DEFAULT_TOL
 from horoshadow.packings import HoroballFamily, farey
 from horoshadow.rays import _first_hit_after, verify_avoidance
+from test_packing_oracles import similar
 
 # ---------------------------------------------------------------------------
 # oracles: the case splits as they stood before the factored kernel
+
+
+def midpoint(g) -> tuple:
+    """The Euclidean midpoint m of the ends of the arc g, in floats."""
+    return tuple((float(x) + float(y)) / 2 for x, y in zip(g.a, g.b))
+
+
+def unit(g) -> tuple:
+    """The unit vector u from a to b of the arc g, in floats."""
+    d = vsub(_flv(g.b), _flv(g.a))
+    return vscale(d, 1.0 / math.hypot(*d))
 
 
 def old_depth_at(g, t, h):
@@ -69,9 +82,9 @@ def old_full_line_peak(g, h):
     rho = g.rho
     if isinstance(h, AtInfinityHoroball):
         return 0.0, math.log(rho / float(h.height))
-    v = vsub(_flv(g.midpoint), _flv(h.base))
+    v = vsub(_flv(midpoint(g)), _flv(h.base))
     A = vnorm2(v) + rho * rho
-    B = 2 * rho * vdot(v, g.unit)
+    B = 2 * rho * vdot(v, unit(g))
     disc = A * A - B * B
     if disc <= 0:
         # an endpoint of the arc is the base point of h (b if B < 0)
@@ -90,8 +103,8 @@ def old_penetration_depth(g, h):
             # foot equals the base: depth = log(2r) - t, decreasing
             return INF if lo == -INF else old_depth_at(g, lo, h)
         # arc endpoint equals the base of h; tangency end is b when B < 0
-        v = vsub(g.midpoint, h.base)
-        if vdot(v, g.unit) < 0:
+        v = vsub(midpoint(g), h.base)
+        if vdot(v, unit(g)) < 0:
             return INF if hi == INF else old_depth_at(g, hi, h)
         return INF if lo == -INF else old_depth_at(g, lo, h)
     if lo <= tstar <= hi:
@@ -121,9 +134,9 @@ def old_penetration_interval(g, h):
             return None
         w = math.acosh(rho / hh)
         return (-w, w)
-    v = vsub(_flv(g.midpoint), _flv(h.base))
+    v = vsub(_flv(midpoint(g)), _flv(h.base))
     A = vnorm2(v) + rho * rho
-    B = 2 * rho * vdot(v, g.unit)
+    B = 2 * rho * vdot(v, unit(g))
     disc = A * A - B * B
     c = 2 * float(h.radius) * rho
     if disc <= 0:
@@ -152,9 +165,9 @@ def end_at_base_interval(g, h):
     of it but an end 1e-175 away (TestFirstHitAfter.test_end_at_a_base
     and test_end_next_to_a_base)."""
     if isinstance(g, ArcGeodesic) and isinstance(h, TangentHoroball):
-        base, mid, rho = _flv(h.base), _flv(g.midpoint), g.rho
+        base, mid, rho = _flv(h.base), _flv(midpoint(g)), g.rho
         v = vsub(mid, base)
-        A, B = vnorm2(v) + rho * rho, 2 * rho * vdot(v, g.unit)
+        A, B = vnorm2(v) + rho * rho, 2 * rho * vdot(v, unit(g))
         S = (math.hypot(*mid) + math.hypot(*base) + rho) ** 2
         if base in (_flv(g.a), _flv(g.b)) or A * A - B * B <= 2.0 ** -47 * A * S:
             c = 2 * float(h.radius) * rho
@@ -684,14 +697,14 @@ class TestFarParameters:
         # infinity; the exact dilation by 2^-600 is the reference
         g = ArcGeodesic((-1e200,), (0.5,))
         h = TangentHoroball((0.0,), 0.25)
-        g2, h2 = dilate(g, h, -600)
+        g2, h2 = (similar(x, 2.0 ** -600) for x in (g, h))
         rep = verify_avoidance(g, HoroballFamily(2, [h]), 0.0)
         assert rep.ok and rep.max_depths[0][1] == pytest.approx(
             penetration_depth(g2, h2), rel=1e-12)
         assert rep.max_depths[0][1] == pytest.approx(-math.log(2), abs=1e-12)
         assert penetration_interval(g, h) is None and penetration_interval(g2, h2) is None
         part, top = g.restricted(-3.0, -2.0), AtInfinityHoroball(0.25)
-        part2, top2 = dilate(part, top, -600)
+        part2, top2 = (similar(x, 2.0 ** -600) for x in (part, top))
         depth, span = penetration_depth(part, top), penetration_interval(part, top)
         assert depth == pytest.approx(penetration_depth(part2, top2), rel=1e-12)
         assert depth == pytest.approx(459.885163, abs=1e-6)
@@ -761,27 +774,6 @@ class TestFarParameters:
 # isometries
 
 
-def dilate(g, h, k):
-    s = 2.0 ** k
-    scale = lambda v: tuple(s * c for c in v)  # noqa: E731
-    if isinstance(h, TangentHoroball):
-        h = TangentHoroball(scale(h.base), s * h.radius)
-    else:
-        h = AtInfinityHoroball(s * h.height)
-    if isinstance(g, VerticalGeodesic):
-        return VerticalGeodesic(scale(g.foot), g.param_range), h
-    return ArcGeodesic(scale(g.a), scale(g.b), g.param_range), h
-
-
-def translate(g, h, shift):
-    move = lambda v: tuple(c + d for c, d in zip(v, shift))  # noqa: E731
-    if isinstance(h, TangentHoroball):
-        h = TangentHoroball(move(h.base), h.radius)
-    if isinstance(g, VerticalGeodesic):
-        return VerticalGeodesic(move(g.foot), g.param_range), h
-    return ArcGeodesic(move(g.a), move(g.b), g.param_range), h
-
-
 dyadic = st.integers(-3 * 2 ** 20, 3 * 2 ** 20).map(lambda n: n / 2 ** 20)
 
 
@@ -790,7 +782,7 @@ class TestIsometries:
     @given(configurations(), st.integers(-60, 60))
     def test_dilation_is_bit_identical(self, case, k):
         g, h = case
-        g2, h2 = dilate(g, h, k)
+        g2, h2 = (similar(x, 2.0 ** k) for x in (g, h))
         if isinstance(g, ArcGeodesic):
             # the arc parameter is dilation invariant
             assert penetration_depth(g2, h2) == penetration_depth(g, h)
@@ -812,7 +804,7 @@ class TestIsometries:
         # the direct form leave the float range (c underflows, p or q
         # overflows or underflows) and the rows run in logarithms
         g, h = case
-        g2, h2 = dilate(g, h, k)
+        g2, h2 = (similar(x, 2.0 ** k) for x in (g, h))
         scaled = (g2.foot if isinstance(g2, VerticalGeodesic) else g2.a + g2.b) + (
             h2.base + (h2.radius,) if isinstance(h2, TangentHoroball) else (h2.height,))
         assume(all(v == 0 or sys.float_info.min <= abs(v) < INF for v in scaled))
@@ -836,7 +828,7 @@ class TestIsometries:
                 for rng in ((-INF, INF), (-0.5, 3.0), (1.5, INF))]
         for g in arcs:
             for h in (TangentHoroball((0.5, 0.1), 0.4), AtInfinityHoroball(0.7)):
-                g2, h2 = dilate(g, h, k)
+                g2, h2 = (similar(x, 2.0 ** k) for x in (g, h))
                 assert penetration_depth(g2, h2) == penetration_depth(g, h)
                 assert penetration_interval(g2, h2) == penetration_interval(g, h)
 
@@ -856,6 +848,6 @@ class TestIsometries:
             g = ArcGeodesic(snap(g.a), snap(g.b), g.param_range)
         n = len(g.foot) if isinstance(g, VerticalGeodesic) else len(g.a)
         shift = tuple(data.draw(dyadic) for _ in range(n))
-        g2, h2 = translate(g, h, shift)
+        g2, h2 = (similar(x, shift=shift) for x in (g, h))
         assert penetration_depth(g2, h2) == penetration_depth(g, h)
         assert penetration_interval(g2, h2) == penetration_interval(g, h)

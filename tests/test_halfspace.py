@@ -32,6 +32,7 @@ from horoshadow.halfspace import (
 from horoshadow.numeric import unit_exponent
 from horoshadow.packings import HoroballFamily
 from horoshadow.rays import _nearest
+from test_packing_oracles import similar
 
 coord = st.floats(min_value=-5, max_value=5, allow_nan=False)
 height = st.floats(min_value=0.01, max_value=5, allow_nan=False)
@@ -442,20 +443,6 @@ class TestInversion:
         assert twice[0] + p[0] == pytest.approx(x[0])
 
 
-def scaled_point(p, k):
-    return Point(tuple(math.ldexp(x, k) for x in p.base), math.ldexp(p.height, k))
-
-
-def scaled_ball(h, k):
-    if isinstance(h, AtInfinityHoroball):
-        return AtInfinityHoroball(math.ldexp(h.height, k))
-    return TangentHoroball(tuple(math.ldexp(x, k) for x in h.base), math.ldexp(h.radius, k))
-
-
-def scaled_arc(g, k):
-    return ArcGeodesic(*(tuple(math.ldexp(x, k) for x in end) for end in (g.a, g.b)))
-
-
 class TestOutsideTheSquareRange:
     """Point distances and param_of where a square leaves the float
     range: the values of the true geometry, or of an exact dilation by a
@@ -468,7 +455,7 @@ class TestOutsideTheSquareRange:
         # underflowed: both raised math domain error
         p, h = Point((1e200,), 1.0), TangentHoroball((0.0,), 0.5)
         for k in (0, -600):
-            assert point_to_horoball_dist(scaled_point(p, k), scaled_ball(h, k)) == \
+            assert point_to_horoball_dist(similar(p, 2.0 ** k), similar(h, 2.0 ** k)) == \
                 pytest.approx(self.FAR, rel=1e-15)
         # H / h overflows
         assert point_to_horoball_dist(Point((0.0,), 1e-300), AtInfinityHoroball(1e300)) == \
@@ -478,8 +465,8 @@ class TestOutsideTheSquareRange:
         p = Point((1e200,), 1.0)
         balls = [TangentHoroball((5e200,), 0.5), TangentHoroball((0.0,), 0.5)]
         for k in (0, -600):
-            fam = HoroballFamily(2, [scaled_ball(h, k) for h in balls])
-            assert _nearest(fam, scaled_point(p, k), 1e-9) == 1
+            fam = HoroballFamily(2, [similar(h, 2.0 ** k) for h in balls])
+            assert _nearest(fam, similar(p, 2.0 ** k), 1e-9) == 1
 
     def test_hyperbolic_dist(self):
         # the square of 1e200 overflowed to inf; at height 2^-600 both the
@@ -500,7 +487,7 @@ class TestOutsideTheSquareRange:
         g = ArcGeodesic(a, b)
         x = g.point_at(0.3)
         t = param_of(g, x)
-        assert t == pytest.approx(param_of(scaled_arc(g, k), scaled_point(x, k)), abs=1e-12)
+        assert t == pytest.approx(param_of(similar(g, 2.0 ** k), similar(x, 2.0 ** k)), abs=1e-12)
         assert t == pytest.approx(0.3, abs=1e-12)
 
     R = 2.0 ** -600
@@ -568,9 +555,10 @@ class TestOutsideTheSquareRange:
            st.floats(0.05, 2), st.integers(-1000, 1000))
     def test_dilation(self, x, hx, y, hy, r, k):
         p, q, h = Point(x, hx), Point(y, hy), TangentHoroball(y, r)
-        p2, q2, h2 = scaled_point(p, k), scaled_point(q, k), scaled_ball(h, k)
+        top = AtInfinityHoroball(r)
+        p2, q2, h2, top2 = (similar(x, 2.0 ** k) for x in (p, q, h, top))
         assert hyperbolic_dist(p2, q2) == pytest.approx(hyperbolic_dist(p, q), rel=1e-12, abs=1e-12)
-        for ball, ball2 in ((h, h2), (AtInfinityHoroball(r), scaled_ball(AtInfinityHoroball(r), k))):
+        for ball, ball2 in ((h, h2), (top, top2)):
             want = point_to_horoball_dist(p, ball)
             got = point_to_horoball_dist(p2, ball2)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -5,10 +5,11 @@ No lint tool is installed, so this scans the syntax trees with `ast`:
 a name bound by an import statement in a module of `src/horoshadow`
 (the package `__init__.py` re-exports on purpose and is left out),
 `scripts/` or `tests/` must be read somewhere in the same module; and
-each top-level function and class of those package modules must be read
-in `src/`, `scripts/` or `bench/` outside its own definition.  Tests do
-not count as readers: a definition that only tests read belongs in the
-tests, as an oracle.
+each top-level function and class of those package modules, and each
+method and property of their classes (as an attribute, dunders aside),
+must be read in `src/`, `scripts/` or `bench/` outside its own
+definition.  Tests do not count as readers: a definition that only tests
+read belongs in the tests, as an oracle.
 """
 
 import ast
@@ -45,15 +46,17 @@ def unused_imports(source: str) -> list[str]:
 def unread_definitions(defining: dict, readers: dict) -> list[str]:
     """Top-level functions and classes of the modules in `defining`
     ({module name: source}) that no module of `readers` (same shape)
-    reads, as a bare name or as an attribute, outside their own
-    definition."""
-    reads = {}
+    reads, as a bare name or as an attribute, and methods and properties
+    of those classes (dunders aside) that none reads as an attribute,
+    outside their own definition."""
+    reads, attrs = {}, {}
     for module, source in readers.items():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 name = node.id
             elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
                 name = node.attr
+                attrs.setdefault(name, []).append((module, node.lineno))
             else:
                 continue
             reads.setdefault(name, []).append((module, node.lineno))
@@ -62,10 +65,16 @@ def unread_definitions(defining: dict, readers: dict) -> list[str]:
         for node in ast.parse(source).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            inside = range(first, node.end_lineno + 1)
-            if all(m == module and line in inside for m, line in reads.get(node.name, [])):
-                unread.append(f"{module}:{node.lineno}: {node.name}")
+            defs = [(node, node.name, reads)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(m, f"{node.name}.{m.name}", attrs) for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not (m.name.startswith("__") and m.name.endswith("__"))]
+            for d, label, where in defs:
+                first = min([d.lineno] + [dec.lineno for dec in d.decorator_list])
+                inside = range(first, d.end_lineno + 1)
+                if all(m == module and line in inside for m, line in where.get(d.name, [])):
+                    unread.append(f"{module}:{d.lineno}: {label}")
     return unread
 
 
@@ -88,13 +97,22 @@ def test_definition_scanner_flags_only_unread_definitions():
            "class Unread:\n"
            "    def method(self): return Unread()\n"
            "def attribute_read(): pass\n"
-           "x = used_here()\n")
+           "x = used_here()\n"
+           "class Methods:\n"
+           "    def __init__(self): pass\n"
+           "    def read_as_attribute(self): pass\n"
+           "    def read_as_name(self): pass\n"
+           "    @property\n"
+           "    def recursive_property(self): return self.recursive_property\n"
+           "    def read_inside(self): return self.read_as_attribute()\n")
     app = ("from lib import used_by_other\n"
            "import lib\n"
            "def g(a: 'str', b: Annotated): return used_by_other(), lib.attribute_read\n"
-           "recursive = 1\n")
+           "recursive = 1\n"
+           "read_as_name = Methods().read_inside\n")
     assert unread_definitions({"lib": lib}, {"lib": lib, "app": app}) == \
-        ["lib:3: recursive", "lib:6: Unread"]
+        ["lib:3: recursive", "lib:6: Unread", "lib:7: Unread.method",
+         "lib:13: Methods.read_as_name", "lib:15: Methods.recursive_property"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))

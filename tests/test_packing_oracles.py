@@ -14,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horoshadow import packings
-from horoshadow.halfspace import AtInfinityHoroball, TangentHoroball, vnorm2, vsub
+from horoshadow.halfspace import (
+    ArcGeodesic,
+    AtInfinityHoroball,
+    Point,
+    TangentHoroball,
+    VerticalGeodesic,
+    vnorm2,
+    vsub,
+)
 from horoshadow.heisenberg import (
     IDENTITY,
     HeisPoint,
@@ -168,16 +176,29 @@ def assert_matches_oracle(fam):
     assert validate_disjoint(fam, exact=True).violations == old_validate_disjoint_exact(fam)
 
 
+def similar(x, scale=1, shift=0):
+    """x (a point, a horoball or a geodesic) translated by shift (a
+    number, or a tuple with one per base coordinate) and then dilated by
+    scale about 0: exact for Fraction values, and for float ones where
+    the sums and the products are (a power-of-two scale, a dyadic
+    shift).  A zero shift leaves a coordinate as it is, -0.0 included."""
+    def move(v):
+        d = shift if isinstance(shift, tuple) else (shift,) * len(v)
+        return tuple(scale * (c + e) if e else scale * c for c, e in zip(v, d))
+    if isinstance(x, Point):
+        return Point(move(x.base), scale * x.height)
+    if isinstance(x, TangentHoroball):
+        return TangentHoroball(move(x.base), scale * x.radius)
+    if isinstance(x, AtInfinityHoroball):
+        return AtInfinityHoroball(scale * x.height)
+    if isinstance(x, VerticalGeodesic):
+        return VerticalGeodesic(move(x.foot), x.param_range)
+    return ArcGeodesic(move(x.a), move(x.b), x.param_range)
+
+
 def transform(fam, scale=1, shift=0):
-    """fam translated by shift (a number, or a tuple with one per base
-    coordinate) and then dilated by scale about 0, member by member, with
-    its labels: exact for Fraction values, and for float ones where the
-    sums and the products are (a power-of-two scale, a dyadic shift)."""
-    shift = shift if isinstance(shift, tuple) else (shift,) * (fam.dim - 1)
-    return HoroballFamily(fam.dim, [
-        TangentHoroball(tuple(scale * (c + d) for c, d in zip(h.base, shift)), scale * h.radius)
-        if isinstance(h, TangentHoroball) else AtInfinityHoroball(scale * h.height)
-        for h in fam.horoballs], fam.labels)
+    """fam with each member moved by similar, with its labels."""
+    return HoroballFamily(fam.dim, [similar(h, scale, shift) for h in fam.horoballs], fam.labels)
 
 
 rationals = st.fractions(min_value=0, max_value=6, max_denominator=40)

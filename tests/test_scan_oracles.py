@@ -9,6 +9,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
@@ -29,9 +30,10 @@ from horoshadow.numeric import (
     certify,
 )
 from horoshadow.packings import extremal, farey, random_disjoint
-from horoshadow.sharp2d import Side, solve_2d
-from horoshadow.sharpnd import AnnulusBall, maximal_annulus_ball, solve_hnr
+from horoshadow.sharp2d import solve_2d
+from horoshadow.sharpnd import maximal_annulus_ball, solve_hnr
 from horoshadow.uncover import (
+    AnnulusBall,
     BallFamily,
     NestedWitness,
     canonical_ball,
@@ -52,7 +54,12 @@ COLLINEAR_SIN = 1e-12
 # return types (plain tuples instead of the solution records)
 
 # the interval elements of the planar solver before it became solve_hnr
-# along +-1, verbatim
+# along +-1, verbatim up to the name of the member index
+
+
+class Side(Enum):
+    LEFT = "L"
+    RIGHT = "R"
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,7 @@ class IntervalComponent:
     """One of the two components of a shadow annulus on the line."""
 
     interval: tuple
-    horoball_index: int
+    index: int
     side: Side
 
     @property
@@ -588,7 +595,7 @@ def tie_free_length(fam, s, witness, tol=DEFAULT_TOL) -> int:
         return len(witness)
     for k, (K, K2) in enumerate(zip(witness, witness[1:]), start=1):
         (c,), R = center_of(K), K.radius
-        h = fam.horoballs[K2.horoball_index]
+        h = fam.horoballs[K2.index]
         b, r = h.base[0], h.radius
         margins = [min(c_lo - (c - R), (c + R) - c_hi)
                    for c_lo, c_hi in ((b - r, b - s * r), (b + s * r, b + r))]
@@ -612,8 +619,7 @@ def assert_same_chain(fam, s, sol, endpoint, witness):
             return a == b
         return math.isclose(float(a), float(b), rel_tol=1e-12, abs_tol=1e-12 * scale)
 
-    assert [K.horoball_index for K in sol.witness[:n]] == \
-        [K.horoball_index for K in witness[:n]]
+    assert [K.index for K in sol.witness[:n]] == [K.index for K in witness[:n]]
     for got, want in zip(sol.witness[:n], witness[:n]):
         assert all(map(same, got.center, center_of(want))), (got, want)
         assert same(got.radius, want.radius), (got, want)
@@ -624,7 +630,7 @@ def assert_same_chain(fam, s, sol, endpoint, witness):
 
 def check_line(fam, s, start, side):
     old = outcome(old_solve_2d, fam, s, start, side)
-    new = outcome(solve_2d, fam, s, start, side)
+    new = outcome(solve_2d, fam, s, start, (-1,) if side is Side.LEFT else (1,))
     if old[0] == "raised":
         assert new == old
         return
@@ -862,10 +868,17 @@ def test_cli_uncloud_matches_oracle(family_files, capsys, name, mode, s, start, 
     old = outcome(old_uncloud, fam, s_val, mode, start, side, two, tol)
     code = main(argv)
     out, err = capsys.readouterr()
-    if old[0] == "raised":
+    # declared change: --exact is refused in generic mode, which runs in floats
+    if old[0] == "raised" or (exact and mode == "generic"):
         assert code == 1 and out == "" and err.startswith("error: ")
         return
     results, certified = old[1]
+    if mode == "hnr":
+        # declared change: hnr witnesses carry their side, and --two
+        # emits L then R, as dim2 does
+        sides = ("R", "L") if two else (side,)
+        results = sorted(({**w, "side": d} for w, d in zip(results, sides)),
+                         key=lambda w: w["side"])
     assert certified and code == 0
     doc = json.loads(out)
     assert doc["certified"] is True
@@ -873,8 +886,8 @@ def test_cli_uncloud_matches_oracle(family_files, capsys, name, mode, s, start, 
     for w, want in zip(doc["witnesses"], results):
         got = {k: v for k, v in w.items() if k not in ("margin", "margin_index")}
         # the rotation solver ran in floats: now an exact planar family
-        # gives an exact endpoint in every sharp mode
-        assert ("endpoint_exact" in got) == (exact and mode != "generic")
+        # gives an exact endpoint in every mode --exact accepts
+        assert ("endpoint_exact" in got) == exact
         if mode == "hnr" and exact:
             want["endpoint_exact"] = got["endpoint_exact"]
         if not want.pop("tie_free"):
@@ -891,6 +904,22 @@ def test_cli_uncloud_matches_oracle(family_files, capsys, name, mode, s, start, 
         assert w["margin_index"] in gaps
         assert w["margin"] == pytest.approx(gaps[w["margin_index"]], abs=1e-12)
         assert w["margin"] <= min(gaps.values()) + 1e-12
+
+
+@pytest.mark.parametrize("s", ["1/5", "3/5"])
+@pytest.mark.parametrize("name", [n for n, (fam, _) in CLI_FAMILIES.items() if fam.dim == 2])
+def test_cli_dim2_and_hnr_emit_the_same_witnesses(family_files, capsys, name, s):
+    # dim2 is hnr plus the planar check: the same witnesses, sides and
+    # order, and the same refusals
+    _, exact = CLI_FAMILIES[name]
+    for flags in (["--two"], ["--side", "L"], ["--side", "R", "--start", "3"], ["--start", "0"]):
+        runs = []
+        for mode in ("dim2", "hnr"):
+            argv = ["uncloud", str(family_files[name]), "--mode", mode, "--shrink-s", s] + flags
+            code = main(argv + (["--exact"] if exact else []))
+            out, err = capsys.readouterr()
+            runs.append((code, json.loads(out)["witnesses"] if code == 0 else out, err))
+        assert runs[0] == runs[1], flags
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,32 @@ class TestCli:
             margins = {i: abs(e - h.base[0]) - h.radius / 5 for i, h in fam.tangent_items()}
             assert w["margin"] == float(min(margins.values())) == float(margins[w["margin_index"]])
 
+    def test_exact_is_refused_in_generic_mode(self, tmp_path, capsys):
+        # the uncovering loop runs in floats, so its endpoint and margin
+        # could not be certified in the rationals
+        fam_file = tmp_path / "fam.json"
+        main(["pack", "farey", "--qmax", "5", "--out", str(fam_file)])
+        capsys.readouterr()
+        argv = ["uncloud", str(fam_file), "--mode", "generic", "--shrink-s", "1/5"]
+        assert main(argv + ["--exact"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --exact needs a sharp mode")
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("mode", ["hnr", "dim2"])
+    def test_exact_is_refused_beyond_the_line(self, tmp_path, capsys, mode):
+        # beyond the line step_hnr rotates in floats: four Ford spheres at
+        # the Gaussian integers 0, 1, i and 1 + i
+        fam = HoroballFamily(3, [TangentHoroball((Fraction(a), Fraction(b)), Fraction(1, 2))
+                                 for a in (0, 1) for b in (0, 1)])
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(serialize.dumps(serialize.family_to_document(fam)))
+        argv = ["uncloud", str(fam_file), "--mode", mode, "--two", "--shrink-s", "2/5"]
+        assert main(argv + ["--exact"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --exact needs a sharp mode on a planar family")
+        assert main(argv) == (0 if mode == "hnr" else 1)
+
     def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch, capsys):
         # main parses with one parser; a run with --exact leaves nothing on
         # it, so the next call reads the default

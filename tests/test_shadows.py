@@ -16,10 +16,9 @@ from horoshadow.shadows import (
     CurvatureBand,
     shadow_of,
 )
-from horoshadow.sharp2d import Side
 from horoshadow.sharpnd import maximal_annulus_ball
 from test_halfspace import dist_alg_horoballs, hyperbolic_dist
-from test_scan_oracles import component_of
+from test_scan_oracles import Side, component_of
 
 
 # the oracle of the boundary distance of shadows, which no program code

@@ -14,7 +14,6 @@ from horoshadow.halfspace import (
 from horoshadow.numeric import SHARP_SCALE, CertificateError
 from horoshadow.packings import HoroballFamily, extremal, farey, random_disjoint
 from horoshadow.sharp2d import (
-    Side,
     dioph_solutions,
     scaled_shadow_residual,
     sharp_shrink_time,
@@ -98,9 +97,9 @@ class TestStep2d:
 class TestSolve2d:
     def test_single_horoball(self):
         fam = HoroballFamily(2, [TangentHoroball(0.0, 1.0)])
-        (e,) = solve_2d(fam, 0.3, side=Side.RIGHT).endpoint
+        (e,) = solve_2d(fam, 0.3, direction=(1,)).endpoint
         assert 0.3 <= e <= 1.0
-        (e,) = solve_2d(fam, 0.3, side=Side.LEFT).endpoint
+        (e,) = solve_2d(fam, 0.3, direction=(-1,)).endpoint
         assert -1.0 <= e <= -0.3
 
     def test_farey_200_brute_force(self):
@@ -113,8 +112,8 @@ class TestSolve2d:
 
     def test_sides_give_distinct_endpoints(self):
         fam = farey(60, (0, 1))
-        (a,) = solve_2d(fam, 0.4, side=Side.LEFT).endpoint
-        (b,) = solve_2d(fam, 0.4, side=Side.RIGHT).endpoint
+        (a,) = solve_2d(fam, 0.4, direction=(-1,)).endpoint
+        (b,) = solve_2d(fam, 0.4, direction=(1,)).endpoint
         assert abs(a - b) >= 0.4 * 0.5 - 1e-9
 
     def test_extremal_below_critical(self):
@@ -128,11 +127,11 @@ class TestSolve2d:
         sol = solve_2d(fam, 0.5)
         for a, b in zip(sol.witness, sol.witness[1:]):
             assert abs(b.center[0] - a.center[0]) + b.radius <= a.radius + 1e-12
-            h = fam.horoballs[b.horoball_index]
+            h = fam.horoballs[b.index]
             assert 2 * b.radius == pytest.approx(float(h.radius) * (1 - 0.5), abs=1e-12)
             assert abs(b.center[0] - h.base[0]) == pytest.approx(
                 float(h.radius) * (1 + 0.5) / 2, abs=1e-12)
-        assert sol.witness[0].horoball_index == sol.start_index
+        assert sol.witness[0].index == sol.start_index
 
     def test_scale_above_sharp_rejected(self):
         fam = farey(10, (0, 1))
@@ -160,8 +159,8 @@ class TestOneSolver:
     @given(name=st.sampled_from(sorted(PLANAR)), k=st.integers(-60, 60),
            s=st.fractions(Fraction(1, 50), Fraction(31, 50), max_denominator=100),
            exact_s=st.booleans(), start=st.one_of(st.none(), st.integers(0, 200)),
-           side=st.sampled_from([Side.LEFT, Side.RIGHT]))
-    def test_solve_2d_is_solve_hnr_along_the_side(self, name, k, s, exact_s, start, side):
+           direction=st.sampled_from([(-1,), (1,)]))
+    def test_solve_2d_is_solve_hnr_along_the_side(self, name, k, s, exact_s, start, direction):
         # field for field, in the arithmetic of the family and of s
         unit = PLANAR[name]
         fam = transform(unit, (Fraction(2) if unit.exact is not None else 2.0) ** k)
@@ -175,8 +174,8 @@ class TestOneSolver:
             except (ValueError, CertificateError) as exc:
                 return type(exc), str(exc)
 
-        got = run(solve_2d, side)
-        assert got == run(solve_hnr, (1,) if side is Side.RIGHT else (-1,))
+        got = run(solve_2d, direction)
+        assert got == run(solve_hnr, direction)
         if isinstance(got, tuple):
             return
         assert all(isinstance(c, type(got.endpoint[0])) for c in got.endpoint)

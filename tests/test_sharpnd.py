@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from horoshadow.halfspace import TangentHoroball
 from horoshadow.numeric import SHARP_SCALE
 from horoshadow.packings import HoroballFamily, random_disjoint
-from horoshadow.sharp2d import Side, step_2d, solve_2d
+from horoshadow.sharp2d import step_2d, solve_2d
 from horoshadow.sharpnd import (
     maximal_annulus_ball,
     solve_hnr,
@@ -139,7 +139,7 @@ class TestSolveHnr:
         balls3 = [TangentHoroball((float(h.base[0]), 0.0), float(h.radius))
                   for h in fam1.horoballs]
         fam3 = HoroballFamily(3, balls3)
-        (a,) = solve_2d(fam1, 0.4, side=Side.RIGHT).endpoint
+        (a,) = solve_2d(fam1, 0.4, direction=(1,)).endpoint
         b = solve_hnr(fam3, 0.4, direction=(1.0, 0.0)).endpoint
         assert abs(a - b[0]) < 1e-9
         assert abs(b[1]) < 1e-12
@@ -166,7 +166,7 @@ class TestSolveHnr:
         for a, b in zip(sol.witness, sol.witness[1:]):
             d = math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
             assert d + b.radius <= a.radius + 1e-9
-            h = fam.horoballs[b.horoball_index]
+            h = fam.horoballs[b.index]
             assert b.radius == pytest.approx(float(h.radius) * (1 - s) / 2, abs=1e-12)
 
     def test_scale_above_sharp_rejected(self):

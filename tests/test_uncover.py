@@ -225,7 +225,8 @@ class TestUncover:
     def test_witness_chain_invariants(self):
         balls = farey_balls(80)
         fam = BallFamily(euclidean_space(1), balls)
-        w = uncover(fam, 0.2)
+        s = 0.2
+        w = uncover(fam, s)
         sp = fam.space
         positions = [n for n, _ in w.chain]
         assert positions == sorted(set(positions))
@@ -234,10 +235,9 @@ class TestUncover:
         last = w.chain[-1][1]
         assert w.output == last.center
         for _, k in w.chain:
-            c, r = fam.balls[k.annulus_of]
-            assert sp.dist(k.center, c) == pytest.approx(
-                r * (1 + k.s) / 2, abs=1e-9)
-            assert k.radius == pytest.approx(r * (1 - k.s) / 2, abs=1e-9)
+            c, r = fam.balls[k.index]
+            assert sp.dist(k.center, c) == pytest.approx(r * (1 + s) / 2, abs=1e-9)
+            assert k.radius == pytest.approx(r * (1 - s) / 2, abs=1e-9)
 
     def test_scaling_invariance(self):
         balls = farey_balls(40)
@@ -262,7 +262,7 @@ class TestUncover:
     def test_qualified_start_accepted(self):
         fam = BallFamily(euclidean_space(1), [((0.0,), 1.0), ((9.0,), 0.99)])
         w = uncover(fam, 0.1, start=1)
-        assert w.chain[0][1].annulus_of == 1
+        assert w.chain[0][1].index == 1
 
     def test_two_dimensional_family(self):
         rnd = random.Random(21)
@@ -372,7 +372,7 @@ class TestScanFilter:
         fam = BallFamily(euclidean_space(1), [((0.0,), t), ((x,), 0.1 * t)], 0.25)
         assert _DIST_REL_ERR * x < 0.5 * DEFAULT_TOL
         w = uncover(fam, s)
-        assert [K.annulus_of for _, K in w.chain] == ([0, 1] if over_tol < 1 else [0])
+        assert [K.index for _, K in w.chain] == ([0, 1] if over_tol < 1 else [0])
         check_uncover(fam, s, None, False)
 
     @pytest.mark.parametrize("beyond", [1e-5, -1e-5])
