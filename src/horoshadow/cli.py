@@ -1,6 +1,10 @@
 """Command-line front end: packing generation, solving, verification,
 Diophantine scans, and SVG emission.  JSON is the single interchange
 format; exit status is 0 exactly when every requested certificate holds.
+
+Each subcommand imports the layers it runs when it is called, so a
+process loads only those; importing this module and building its parser
+load the standard library and `numeric` alone.
 """
 
 from __future__ import annotations
@@ -12,18 +16,12 @@ import math
 import sys
 from fractions import Fraction
 
-from . import packings, serialize
-from .halfspace import Point
-from .heisenberg import complex_hyperbolic_shrink_time
+from . import resolver
 from .numeric import DEFAULT_TOL, SHARP_SCALE, Certificate, CertificateError
-from .packings import HoroballFamily, validate_disjoint
-from .rays import biinfinite_line, ray_from_point, verify_avoidance
-from .sharp2d import dioph_solutions, sharp_shrink_time, solve_2d
-from .sharpnd import solve_hnr
-from .shadows import CurvatureBand, shadow_of
-from .trees import covering_family, random_tree, random_tree_horoballs, three_regular_tree
-from .uncover import BallFamily, euclidean_space, safe_scale, uncover, uncover_two
-from .render import family_svg
+
+# the package's exports, such as `cli.solve_2d`, read from their modules
+# on each access, like the layer imports inside the subcommands
+__getattr__ = resolver(__name__)
 
 
 def _read_text(path) -> str:
@@ -37,24 +35,28 @@ def _read_text(path) -> str:
 def _read_document(path):
     """The JSON document at path (as _read_text), parsed with the cyclic
     collector paused (serialize.bulk)."""
+    from . import serialize
     text = _read_text(path)
     with serialize.bulk():
         return json.loads(text)
 
 
-def _read_family(path, exact: bool) -> HoroballFamily:
+def _read_family(path, exact: bool):
+    from . import serialize
     with serialize.bulk():
         return serialize.document_to_family(_read_document(path), exact)
 
 
 def _read_geodesic(text: str):
     """A geodesic given inline as JSON, or as @path to a JSON file."""
+    from . import serialize
     if text.startswith("@"):
         text = _read_text(text[1:])
     return serialize.json_to_geodesic(json.loads(text))
 
 
 def _emit(doc, out):
+    from . import serialize
     text = serialize.dumps(doc) if isinstance(doc, dict) else str(doc)
     if out in (None, "-"):
         print(text)
@@ -78,7 +80,8 @@ def _parse_xi(text: str) -> float:
     return float(text)
 
 
-def _parse_point(text: str) -> Point:
+def _parse_point(text: str):
+    from .halfspace import Point
     base, _, height = text.partition(";")
     coords = tuple(float(Fraction(c)) for c in base.split(","))
     return Point(coords, float(Fraction(height)))
@@ -102,10 +105,10 @@ def _shrink_factor(args):
             s = float(args.shrink_s)
     else:
         if args.exact:
-            raise SystemExit("e^-t is not rational; pass --shrink-s under --exact")
+            raise ValueError("e^-t is not rational; pass --shrink-s under --exact")
         s = math.exp(-float(args.shrink_t))
     if not 0 < s < 1:
-        raise SystemExit("shrink factor must lie in (0, 1)")
+        raise ValueError("shrink factor must lie in (0, 1)")
     return s
 
 
@@ -114,6 +117,7 @@ def _shrink_factor(args):
 
 
 def cmd_pack(args) -> int:
+    from . import packings, serialize
     kind = args.kind
     if kind == "farey":
         fam = packings.farey(args.qmax, _parse_range(args.range), args.infinity)
@@ -124,7 +128,7 @@ def cmd_pack(args) -> int:
     elif kind == "extremal":
         if args.exact:
             if args.s is None:
-                raise SystemExit("the tangency scale 4*sqrt(2)-5 is not rational; "
+                raise ValueError("the tangency scale 4*sqrt(2)-5 is not rational; "
                                  "pass a rational --s under --exact")
             s = Fraction(args.s)
         else:
@@ -137,6 +141,7 @@ def cmd_pack(args) -> int:
         meta = {"generator": "random", "count": args.count,
                 "dim": args.dim, "seed": args.seed}
     elif kind == "tree":
+        from .trees import covering_family, random_tree, random_tree_horoballs, three_regular_tree
         if args.random:
             tree = random_tree(args.seed, args.vertices)
             balls = random_tree_horoballs(tree, args.balls, args.seed + 1)
@@ -148,8 +153,8 @@ def cmd_pack(args) -> int:
         _emit(serialize.tree_to_document(tree, balls, meta), args.out)
         return 0
     else:  # pragma: no cover
-        raise SystemExit(f"unknown packing {kind}")
-    report = validate_disjoint(fam, args.tolerance, args.exact)
+        raise ValueError(f"unknown packing {kind}")
+    report = packings.validate_disjoint(fam, args.tolerance, args.exact)
     if not report.ok:
         print(f"warning: family has overlapping pairs {report.violations[:5]}",
               file=sys.stderr)
@@ -158,6 +163,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_shadow(args) -> int:
+    from .shadows import CurvatureBand, shadow_of
     fam = _read_family(args.family, args.exact)
     band = CurvatureBand(args.a)
     shadows = []
@@ -191,6 +197,7 @@ def cmd_uncloud(args) -> int:
     s = _shrink_factor(args)
     tol = 0 if args.exact else args.tolerance
     if args.mode == "generic":
+        from .uncover import BallFamily, euclidean_space, uncover, uncover_two
         cols = fam.columns
         members = cols.tangent.tolist()
         balls = list(zip(map(tuple, cols.base.tolist()), cols.radius.tolist()))
@@ -204,9 +211,11 @@ def cmd_uncloud(args) -> int:
         results = [_witness_json(w.output, w.chain, w.certificate, members) for w in wits]
     else:
         # dim2 is hnr plus its planar check (sharp2d.solve_2d)
+        from .sharp2d import solve_2d
+        from .sharpnd import solve_hnr
         solve = solve_2d if args.mode == "dim2" else solve_hnr
         results = []
-        for side in ("L", "R") if args.two else (args.side,):
+        for side in ("L", "R") if args.two else (args.side or "R",):
             direction = (-1 if side == "L" else 1,) + (0,) * (fam.dim - 2)
             sol = solve(fam, s, args.start, direction, tol)
             results.append({**_witness_json(sol.endpoint, sol.witness, sol.certificate),
@@ -222,6 +231,8 @@ def cmd_uncloud(args) -> int:
 
 
 def cmd_ray(args) -> int:
+    from . import serialize
+    from .rays import ray_from_point
     fam = _read_family(args.family, args.exact)
     x = _parse_point(args.point)
     res = ray_from_point(fam, x, args.t, args.tolerance)
@@ -237,6 +248,8 @@ def cmd_ray(args) -> int:
 
 
 def cmd_line(args) -> int:
+    from . import serialize
+    from .rays import biinfinite_line
     fam = _read_family(args.family, args.exact)
     res = biinfinite_line(fam, args.t, args.tolerance)
     _emit({"line": serialize.geodesic_to_json(res.line),
@@ -250,6 +263,7 @@ def cmd_verify(args) -> int:
     if args.what == "constants":
         return _verify_constants(args)
     if args.what == "packing":
+        from . import serialize
         doc = _read_document(args.family)
         if isinstance(doc, dict) and doc.get("model") == "tree":
             from .trees import validate_tree_horoballs
@@ -258,6 +272,7 @@ def cmd_verify(args) -> int:
             ok = not bad
             _emit({"ok": ok, "violations": [list(v) for v in bad]}, args.out)
         else:
+            from .packings import validate_disjoint
             fam = serialize.document_to_family(doc, args.exact)
             rep = validate_disjoint(fam, args.tolerance, args.exact)
             ok = rep.ok
@@ -269,6 +284,7 @@ def cmd_verify(args) -> int:
     if args.what == "avoidance":
         if args.geodesic is None:
             raise ValueError("verify avoidance needs --geodesic")
+        from .rays import verify_avoidance
         fam = _read_family(args.family, args.exact)
         g = _read_geodesic(args.geodesic)
         rep = verify_avoidance(g, fam, args.t, args.tolerance)
@@ -277,10 +293,13 @@ def cmd_verify(args) -> int:
         print(f"avoidance at t={args.t}: {'PASS' if rep.ok else 'FAIL'}",
               file=sys.stderr)
         return 0 if rep.ok else 1
-    raise SystemExit(f"unknown verification {args.what}")
+    raise ValueError(f"unknown verification {args.what}")
 
 
 def _verify_constants(args) -> int:
+    from .heisenberg import complex_hyperbolic_shrink_time
+    from .sharp2d import sharp_shrink_time
+    from .uncover import safe_scale
     checks = [
         ("t1(1)", sharp_shrink_time(1), -math.log(4 * math.sqrt(2) - 5), 1e-12),
         ("e^-t1(1)", math.exp(-sharp_shrink_time(1)), SHARP_SCALE, 1e-12),
@@ -304,6 +323,7 @@ def _verify_constants(args) -> int:
 
 
 def cmd_dioph(args) -> int:
+    from .sharp2d import dioph_solutions
     xi = _parse_xi(args.xi)
     sols = dioph_solutions(xi, args.t, args.qmax)
     _emit({"xi": xi, "t": args.t, "qmax": args.qmax,
@@ -313,6 +333,7 @@ def cmd_dioph(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import family_svg
     fam = _read_family(args.family, args.exact)
     geos = [_read_geodesic(args.geodesic)] if args.geodesic else []
     svg = family_svg(fam, geos)
@@ -384,8 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--shrink-s", dest="shrink_s", default=None)
     grp.add_argument("--shrink-t", dest="shrink_t", type=float, default=None)
     p.add_argument("--start", type=int, default=None)
-    p.add_argument("--side", choices=["L", "R"], default="R")
-    p.add_argument("--two", action="store_true")
+    # --side has no default: argparse passes a group member whose value
+    # is its default object, as "R" would be, so --two --side R would pass
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--side", choices=["L", "R"], default=None, help="R unless given")
+    grp.add_argument("--two", action="store_true", help="both sides, L then R")
     p.set_defaults(func=cmd_uncloud)
 
     p = sub.add_parser("ray", parents=[common], help="geodesic ray from a point avoiding shrunk horoballs")

@@ -27,7 +27,7 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .halfspace import (
     INF,
@@ -38,7 +38,9 @@ from .halfspace import (
 )
 from .numeric import to_float
 from .packings import HoroballFamily, Ratios, check_shape, int_column
-from .trees import MetricTree, TreeFamily
+
+if TYPE_CHECKING:  # annotations; document_to_tree imports trees when it runs
+    from .trees import MetricTree, TreeFamily
 
 
 @contextmanager
@@ -213,6 +215,7 @@ def document_to_tree(doc: dict) -> tuple[MetricTree, TreeFamily]:
     [end, level] rows are checked, not coerced: an end is a JSON integer
     and a level a finite number (not a bool, string, null, NaN or inf).
     A row of another shape, type or value is a ValueError that names it."""
+    from .trees import MetricTree, TreeFamily
     if doc.get("model") != "tree":
         raise ValueError("not a tree document")
     with _reading("tree"):

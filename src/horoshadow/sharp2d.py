@@ -19,10 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .numeric import DEFAULT_TOL, Certificate, CertificateError
-from .packings import HoroballFamily
+
+if TYPE_CHECKING:  # annotations only
+    from .packings import HoroballFamily
 
 
 def sharp_shrink_time(a: float = 1.0) -> float:

@@ -1,27 +1,31 @@
-"""Every module imports only names it reads, and every definition of the
-package is read somewhere.
+"""Every module imports only names it reads, every definition of the
+package is read somewhere, and the package root resolves its exports.
 
 No lint tool is installed, so this scans the syntax trees with `ast`:
-a name bound by an import statement in a module of `src/horoshadow`
-(the package `__init__.py` re-exports on purpose and is left out),
+a name bound by an import statement in a module of `src/horoshadow`,
 `scripts/` or `tests/` must be read somewhere in the same module; and
-each top-level function and class of those package modules, and each
-method and property of their classes (as an attribute, dunders aside),
-must be read in `src/`, `scripts/` or `bench/` outside its own
+each top-level function and class of the package's modules (its root
+`__init__.py`, whose module hooks the import system reads, aside), and
+each method and property of their classes (as an attribute, dunders
+aside), must be read in `src/`, `scripts/` or `bench/` outside its own
 definition.  Tests do not count as readers: a definition that only tests
 read belongs in the tests, as an oracle.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import horoshadow
+from horoshadow import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(p for p in (ROOT / "src" / "horoshadow").glob("*.py")
                  if p.name != "__init__.py")
-MODULES = sorted(PACKAGE + list((ROOT / "scripts").glob("*.py"))
-                 + list((ROOT / "tests").glob("*.py")))
+MODULES = sorted(PACKAGE + [ROOT / "src" / "horoshadow" / "__init__.py"]
+                 + list((ROOT / "scripts").glob("*.py")) + list((ROOT / "tests").glob("*.py")))
 READERS = sorted((ROOT / "src").rglob("*.py")) + sorted(
     p for d in ("scripts", "bench") for p in (ROOT / d).glob("*.py"))
 
@@ -124,3 +128,55 @@ def test_no_unread_definitions():
     name = lambda p: str(p.relative_to(ROOT))  # noqa: E731
     assert unread_definitions({name(p): p.read_text() for p in PACKAGE},
                               {name(p): p.read_text() for p in READERS}) == []
+
+
+#: every name the package root exported when it imported each module,
+#: by module, but `uncover`: that name is now the submodule
+ROOT_EXPORTS = {
+    "halfspace": ["ArcGeodesic", "AtInfinityHoroball", "Geodesic", "Horoball", "Point",
+                  "TangentHoroball", "VerticalGeodesic", "geodesic_through",
+                  "penetration_depth", "point_to_horoball_dist"],
+    "heisenberg": ["HeisPoint", "cc_dist", "complex_hyperbolic_shrink_time", "cygan_dist",
+                   "dilate", "extend_sphere_cc", "heis_mul", "heisenberg_space"],
+    "numeric": ["SHARP_SCALE", "CertificateError"],
+    "packings": ["HoroballFamily", "extremal", "farey", "geometric", "random_disjoint",
+                 "validate_disjoint"],
+    "rays": ["AvoidanceReport", "biinfinite_line", "glue_constants", "ray_from_point",
+             "verify_avoidance"],
+    "shadows": ["CurvatureBand", "Shadow", "shadow_of"],
+    "sharp2d": ["dioph_solutions", "sharp_shrink_time", "solve_2d", "step_2d"],
+    "sharpnd": ["maximal_annulus_ball", "solve_hnr", "step_hnr"],
+    "trees": ["MetricTree", "TreeFamily", "TreeHoroball", "covering_family", "greedy_ray",
+              "three_regular_tree"],
+    "uncover": ["AnnulusBall", "BallFamily", "NestedWitness", "UncoverSpace", "canonical_ball",
+                "euclidean_space", "generic_shrink_time", "max_scale_for_load", "refine_step",
+                "safe_scale", "uncover_two"],
+}
+
+
+@pytest.mark.parametrize("module", ROOT_EXPORTS)
+def test_package_root_reads_each_export_from_its_module(module):
+    mod = importlib.import_module(f"horoshadow.{module}")
+    for name in ROOT_EXPORTS[module]:
+        assert getattr(horoshadow, name) is getattr(mod, name), name
+        assert name in dir(horoshadow), name
+        # not cached, so a binding patched in the module is the one read
+        assert name not in vars(horoshadow), name
+
+
+def test_package_root_exports_nothing_else():
+    assert sorted(horoshadow.__all__) == sorted(n for names in ROOT_EXPORTS.values()
+                                                for n in names)
+    assert horoshadow.uncover is importlib.import_module("horoshadow.uncover")
+    for owner in (horoshadow, cli):
+        with pytest.raises(AttributeError, match=f"module '{owner.__name__}' has no attribute"):
+            owner.no_such_name  # noqa: B018
+
+
+def test_cli_reads_the_exports_from_their_modules(monkeypatch):
+    from horoshadow import sharp2d
+
+    assert cli.solve_2d is sharp2d.solve_2d and "solve_2d" not in vars(cli)
+    patched = object()
+    monkeypatch.setattr(sharp2d, "solve_2d", patched)
+    assert cli.solve_2d is horoshadow.solve_2d is patched

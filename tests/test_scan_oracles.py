@@ -858,10 +858,9 @@ def test_cli_uncloud_matches_oracle(family_files, capsys, name, mode, s, start, 
     _, exact = CLI_FAMILIES[name]
     # the oracle runs on the family the CLI reads: floats unless --exact
     fam = serialize.document_to_family(json.loads(family_files[name].read_text()), exact)
-    argv = ["uncloud", str(family_files[name]), "--mode", mode, "--shrink-s", s,
-            "--side", side]
+    argv = ["uncloud", str(family_files[name]), "--mode", mode, "--shrink-s", s]
     argv += ["--start", str(start)] if start is not None else []
-    argv += ["--two"] if two else []
+    argv += ["--two"] if two else ["--side", side]
     argv += ["--exact"] if exact else []
     s_val = Fraction(s) if exact else float(Fraction(s))
     tol = 0 if exact else DEFAULT_TOL

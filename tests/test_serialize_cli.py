@@ -244,9 +244,9 @@ class TestCli:
         assert main(["verify", "avoidance", "--family", str(fam_file),
                      "--geodesic", f"@{tmp_path / 'missing.json'}", "--t", "0"]) == 1
 
-    def test_exact_extremal_needs_rational_scale(self):
-        with pytest.raises(SystemExit):
-            main(["pack", "extremal", "--generations", "3", "--exact"])
+    def test_exact_extremal_needs_rational_scale(self, capsys):
+        assert main(["pack", "extremal", "--generations", "3", "--exact"]) == 1
+        assert capsys.readouterr().err.startswith("error: the tangency scale")
 
     def test_pack_tree(self, tmp_path, capsys):
         out = tmp_path / "tree.json"
@@ -279,8 +279,8 @@ class TestCli:
         fam_file = tmp_path / "fam.json"
         main(["pack", "farey", "--qmax", "20", "--infinity", "--out", str(fam_file)])
         capsys.readouterr()
-        argv = ["uncloud", str(fam_file), "--mode", "hnr", "--exact", "--shrink-s", "1/5",
-                "--side", side] + (["--two"] if two else [])
+        argv = ["uncloud", str(fam_file), "--mode", "hnr", "--exact", "--shrink-s", "1/5"]
+        argv += ["--two"] if two else ["--side", side]
         assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["certified"] and len(doc["witnesses"]) == (2 if two else 1)
@@ -346,11 +346,29 @@ class TestCli:
             ns = parser.parse_args(args)
             assert (ns.exact, ns.tolerance, ns.seed) == want, args
 
-    def test_exact_shrink_time_rejected(self, tmp_path):
+    def test_exact_shrink_time_rejected(self, tmp_path, capsys):
         fam_file = tmp_path / "fam.json"
         main(["pack", "farey", "--qmax", "3", "--out", str(fam_file)])
-        with pytest.raises(SystemExit):
-            main(["uncloud", str(fam_file), "--exact", "--shrink-t", "0.5"])
+        assert main(["uncloud", str(fam_file), "--exact", "--shrink-t", "0.5"]) == 1
+        assert capsys.readouterr().err.startswith("error: e^-t is not rational")
+
+    @pytest.mark.parametrize("s", ["1.5", "0"])
+    def test_shrink_factor_out_of_range_is_an_error(self, tmp_path, capsys, s):
+        fam_file = tmp_path / "fam.json"
+        main(["pack", "farey", "--qmax", "3", "--out", str(fam_file)])
+        capsys.readouterr()
+        assert main(["uncloud", str(fam_file), "--shrink-s", s]) == 1
+        assert capsys.readouterr() == ("", "error: shrink factor must lie in (0, 1)\n")
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_two_and_side_usage_error(self, tmp_path, capsys, side):
+        # --two emits both sides, so a side given with it is refused
+        fam_file = tmp_path / "fam.json"
+        main(["pack", "farey", "--qmax", "3", "--out", str(fam_file)])
+        with pytest.raises(SystemExit) as exc:
+            main(["uncloud", str(fam_file), "--shrink-s", "0.3", "--two", "--side", side])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_verify_packing_tree_document(self, tmp_path, capsys):
         out = tmp_path / "tree.json"
@@ -498,18 +516,49 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
 
 
-def test_cli_import_loads_no_numpy():
-    # numpy is imported by the functions that use it, so a CLI run that
-    # needs no numpy work does not pay for loading it
+def fresh_modules(code: str, cwd=None) -> set:
+    """The modules loaded in a fresh interpreter that has run code (which
+    may print lines of its own)."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = ("import sys, horoshadow, horoshadow.cli; horoshadow.cli.build_parser(); "
-            "print('numpy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    code += "\nimport sys; print(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy is imported by the functions that use it, and each layer by
+    # the subcommands that run it, so building the parser loads neither
+    mods = fresh_modules("import horoshadow.cli; horoshadow.cli.build_parser()")
+    assert "numpy" not in mods
+    assert {m for m in mods if m.startswith("horoshadow")} == \
+        {"horoshadow", "horoshadow.cli", "horoshadow.numeric"}
+
+
+#: (subcommand, the modules it loads, modules it must not load); "{f}" is
+#: a farey(8) family document and "{t}" a tree document
+SUBCOMMAND_MODULES = [
+    (["pack", "farey", "--qmax", "5", "--out", "out.json"], {"packings", "serialize"},
+     {"trees", "heisenberg", "uncover", "sharp2d", "sharpnd", "rays", "shadows", "render"}),
+    (["uncloud", "{f}", "--mode", "dim2", "--shrink-s", "0.4"], {"sharp2d", "sharpnd"},
+     {"heisenberg", "trees", "rays", "shadows", "render"}),
+    (["verify", "packing", "--family", "{t}"], {"trees"}, {"heisenberg"}),
+]
+
+
+@pytest.mark.parametrize("argv,loaded,unloaded", SUBCOMMAND_MODULES,
+                         ids=[" ".join(argv[:2]) for argv, *_ in SUBCOMMAND_MODULES])
+def test_subcommand_loads_only_its_layers(tmp_path, argv, loaded, unloaded):
+    main(["pack", "farey", "--qmax", "8", "--out", str(tmp_path / "f.json")])
+    main(["pack", "tree", "--depth", "3", "--out", str(tmp_path / "t.json")])
+    argv = [a.format(f="f.json", t="t.json") for a in argv]
+    code = ("import sys\nfrom horoshadow.cli import main\n"
+            f"if main({argv!r}) != 0: sys.exit('exit status not 0')")
+    mods = {m.removeprefix("horoshadow.") for m in fresh_modules(code, tmp_path)}
+    assert loaded <= mods and not unloaded & mods
 
 
 def float_twin(doc):
