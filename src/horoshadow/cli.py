@@ -4,20 +4,19 @@ format; exit status is 0 exactly when every requested certificate holds.
 
 Each subcommand imports the layers it runs when it is called, so a
 process loads only those; importing this module and building its parser
-load the standard library and `numeric` alone.
+load `argparse` and `numeric` alone (json and fractions are imported by
+the functions that use them).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
-from fractions import Fraction
 
 from . import resolver
-from .numeric import DEFAULT_TOL, SHARP_SCALE, Certificate, CertificateError
+from .numeric import DEFAULT_TOL, SHARP_SCALE, Certificate, CertificateError, dumps, to_float
 
 # the package's exports, such as `cli.solve_2d`, read from their modules
 # on each access, like the layer imports inside the subcommands
@@ -35,6 +34,8 @@ def _read_text(path) -> str:
 def _read_document(path):
     """The JSON document at path (as _read_text), parsed with the cyclic
     collector paused (serialize.bulk)."""
+    import json
+
     from . import serialize
     text = _read_text(path)
     with serialize.bulk():
@@ -49,6 +50,8 @@ def _read_family(path, exact: bool):
 
 def _read_geodesic(text: str):
     """A geodesic given inline as JSON, or as @path to a JSON file."""
+    import json
+
     from . import serialize
     if text.startswith("@"):
         text = _read_text(text[1:])
@@ -56,8 +59,7 @@ def _read_geodesic(text: str):
 
 
 def _emit(doc, out):
-    from . import serialize
-    text = serialize.dumps(doc) if isinstance(doc, dict) else str(doc)
+    text = dumps(doc) if isinstance(doc, dict) else str(doc)
     if out in (None, "-"):
         print(text)
     else:
@@ -65,9 +67,19 @@ def _emit(doc, out):
             fh.write(text + "\n")
 
 
+def _fraction(text: str, flag: str):
+    """Fraction(text), where a zero denominator is a ValueError naming
+    the flag that gave it."""
+    from fractions import Fraction
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} has a zero denominator: {text!r}") from None
+
+
 def _parse_range(text: str) -> tuple:
     lo, _, hi = text.partition("..")
-    return (Fraction(lo), Fraction(hi))
+    return (_fraction(lo, "--range"), _fraction(hi, "--range"))
 
 
 def _parse_xi(text: str) -> float:
@@ -75,16 +87,17 @@ def _parse_xi(text: str) -> float:
              "e": math.e, "pi": math.pi}
     if text in named:
         return named[text]
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    xi = to_float(_fraction(text, "--xi")) if "/" in text else float(text)
+    if not math.isfinite(xi):
+        raise ValueError(f"--xi must be a finite number, got {text!r}")
+    return xi
 
 
 def _parse_point(text: str):
     from .halfspace import Point
     base, _, height = text.partition(";")
-    coords = tuple(float(Fraction(c)) for c in base.split(","))
-    return Point(coords, float(Fraction(height)))
+    coords = tuple(float(_fraction(c, "--point")) for c in base.split(","))
+    return Point(coords, float(_fraction(height, "--point")))
 
 
 def _tolerance(text: str) -> float:
@@ -98,9 +111,9 @@ def _tolerance(text: str) -> float:
 def _shrink_factor(args):
     if args.shrink_s is not None:
         if args.exact:
-            s = Fraction(args.shrink_s)  # stays exact through the solver
+            s = _fraction(args.shrink_s, "--shrink-s")  # stays exact through the solver
         elif "/" in str(args.shrink_s):
-            s = float(Fraction(args.shrink_s))
+            s = float(_fraction(args.shrink_s, "--shrink-s"))
         else:
             s = float(args.shrink_s)
     else:
@@ -130,9 +143,9 @@ def cmd_pack(args) -> int:
             if args.s is None:
                 raise ValueError("the tangency scale 4*sqrt(2)-5 is not rational; "
                                  "pass a rational --s under --exact")
-            s = Fraction(args.s)
+            s = _fraction(args.s, "--s")
         else:
-            s = SHARP_SCALE if args.s is None else float(Fraction(args.s))
+            s = SHARP_SCALE if args.s is None else float(_fraction(args.s, "--s"))
         fam = packings.extremal(args.generations, s)
         meta = {"generator": "extremal", "generations": args.generations,
                 "s": float(s)}
@@ -181,6 +194,7 @@ def _witness_json(coords, chain: list, cert: Certificate, members=None) -> dict:
     rational), the chain length, and the solver's certificate as checks,
     minimum margin and the family index where it occurs; members maps
     the solver's indices to family indices where they differ."""
+    from fractions import Fraction
     out = {"endpoint": [float(c) for c in coords], "chain_length": len(chain),
            "checks": cert.checks, "margin": float(cert.margin),
            "margin_index": cert.index if members is None else members[cert.index]}
@@ -224,7 +238,7 @@ def cmd_uncloud(args) -> int:
     # uncertified witness, so an emitted document is always certified
     doc = {"mode": args.mode, "shrink_s": float(s), "shrink_t": -math.log(s),
            "witnesses": results, "certified": True}
-    if isinstance(s, Fraction):
+    if args.exact:  # s is a Fraction
         doc["shrink_s_exact"] = str(s)
     _emit(doc, args.out)
     return 0
@@ -455,8 +469,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CertificateError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, CertificateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,12 +1,13 @@
 """Shared numeric plumbing: the default tolerance, the sharp scale, the
 certificate kernel, the float filters in front of exact predicates, the
-sweep over intervals, 1-D searches."""
+sweep over intervals, 1-D searches, the JSON encoding of documents.
+Every command loads it, so numpy and json are imported where used."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections import namedtuple
+from collections.abc import Callable
 
 DEFAULT_TOL = 1e-9
 
@@ -20,17 +21,14 @@ class CertificateError(RuntimeError):
     """A constructed object failed its own runtime certificate."""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "margin index checks")):
     """Outcome of an exhaustive avoidance check: the minimum margin, the
     member index where it occurs, and the number of members checked."""
 
-    margin: object
-    index: int
-    checks: int
+    __slots__ = ()
 
 
-def certify(margins: dict, tol: float, checks: Optional[int] = None) -> Certificate:
+def certify(margins: dict, tol: float, checks: int | None = None) -> Certificate:
     """Certificate over {member index: margin}, where a margin is the
     distance from the output to a member's center minus its scaled
     radius; raises CertificateError when the minimum is below -tol.
@@ -45,6 +43,13 @@ def certify(margins: dict, tol: float, checks: Optional[int] = None) -> Certific
             f"output meets scaled ball of member {index} "
             f"(margin {float(margin):.3e})")
     return Certificate(margin, index, len(margins) if checks is None else checks)
+
+
+def dumps(doc) -> str:
+    """Compact single-line JSON with sorted keys (json's C encoder): the
+    encoding of every document the package writes."""
+    import json
+    return json.dumps(doc, sort_keys=True)
 
 
 #: widening of a float evaluation, relative to the sum of the absolute

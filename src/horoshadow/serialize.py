@@ -22,13 +22,13 @@ strings with "p/q" companions: the format before rows) is refused.
 from __future__ import annotations
 
 import gc
-import json
 import math
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from typing import TYPE_CHECKING, Optional
 
+from . import numeric
 from .halfspace import (
     INF,
     ArcGeodesic,
@@ -36,7 +36,6 @@ from .halfspace import (
     Geodesic,
     VerticalGeodesic,
 )
-from .numeric import to_float
 from .packings import HoroballFamily, Ratios, check_shape, int_column
 
 if TYPE_CHECKING:  # annotations; document_to_tree imports trees when it runs
@@ -143,7 +142,7 @@ def _at_infinity(entry: dict, form: str, exact: bool) -> AtInfinityHoroball:
     if h[1] <= 0:
         raise ValueError("denominators must be positive")
     h = Fraction(*h)
-    return AtInfinityHoroball(h if exact else to_float(h))
+    return AtInfinityHoroball(h if exact else numeric.to_float(h))
 
 
 def document_to_family(doc: dict, exact: bool = False) -> HoroballFamily:
@@ -263,6 +262,5 @@ def json_to_geodesic(obj: dict) -> Geodesic:
         raise ValueError(f"unknown geodesic type {obj['type']!r}")
 
 
-def dumps(doc: dict) -> str:
-    """Compact single-line JSON with sorted keys (json's C encoder)."""
-    return json.dumps(doc, sort_keys=True)
+#: the document encoding, in `numeric` so that cli._emit loads no layer
+dumps = numeric.dumps

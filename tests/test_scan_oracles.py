@@ -572,6 +572,17 @@ class TestCertify:
         with pytest.raises(CertificateError):
             certify({0: Fraction(-1, 10 ** 30)}, 0)
 
+    def test_certificate_is_an_immutable_value(self):
+        # equal and hashed by its fields, shown with their names
+        cert = certify({3: 0.5, 1: 0.25, 2: 0.25}, 1e-9)
+        assert cert == Certificate(margin=0.25, index=1, checks=3) != Certificate(0.25, 2, 3)
+        assert len({cert, Certificate(0.25, 1, 3), Certificate(0.25, 1, 4)}) == 2
+        assert repr(cert) == "Certificate(margin=0.25, index=1, checks=3)"
+        for name in ("margin", "index", "checks", "other"):
+            with pytest.raises(AttributeError):
+                setattr(cert, name, 0)
+        assert cert == Certificate(0.25, 1, 3)
+
 
 # ---------------------------------------------------------------------------
 # solver differentials

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -360,6 +361,34 @@ class TestCli:
         assert main(["uncloud", str(fam_file), "--shrink-s", s]) == 1
         assert capsys.readouterr() == ("", "error: shrink factor must lie in (0, 1)\n")
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["pack", "farey", "--qmax", "3", "--range", "0..1/0"], "--range"),
+        (["pack", "extremal", "--generations", "3", "--s", "1/0"], "--s"),
+        (["pack", "extremal", "--generations", "3", "--s", "1/0", "--exact"], "--s"),
+        (["uncloud", "{f}", "--shrink-s", "1/0"], "--shrink-s"),
+        (["uncloud", "{f}", "--shrink-s", "1/0", "--exact"], "--shrink-s"),
+        (["ray", "--family", "{f}", "--point", "1/0;1", "--t", "1"], "--point"),
+        (["ray", "--family", "{f}", "--point", "0.5;1/0", "--t", "1"], "--point"),
+        (["dioph", "--xi", "1/0", "--t", "0.3", "--qmax", "10"], "--xi"),
+    ], ids=["range", "extremal-s", "extremal-s-exact", "shrink-s", "shrink-s-exact",
+            "point-base", "point-height", "xi"])
+    def test_zero_denominator_is_an_error(self, tmp_path, argv, flag):
+        # each exited 1 with a ZeroDivisionError traceback and no error line
+        fam_file = tmp_path / "fam.json"
+        main(["pack", "farey", "--qmax", "3", "--out", str(fam_file)])
+        code, out, err = run_cli([a.format(f=fam_file) for a in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag} has a zero denominator")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("xi", ["inf", "nan", "1e400"])
+    def test_xi_must_be_finite(self, xi):
+        # inf raised an uncaught OverflowError, and nan was refused with
+        # "cannot convert float NaN to integer", naming no argument
+        code, out, err = run_cli(["dioph", "--xi", xi, "--t", "0.3", "--qmax", "10"])
+        assert (code, out) == (1, "")
+        assert err == f"error: --xi must be a finite number, got {xi!r}\n"
+
     @pytest.mark.parametrize("side", ["L", "R"])
     def test_two_and_side_usage_error(self, tmp_path, capsys, side):
         # --two emits both sides, so a side given with it is refused
@@ -516,7 +545,7 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
 
 
-def fresh_modules(code: str, cwd=None) -> set:
+def loaded_modules(code: str, cwd=None) -> set:
     """The modules loaded in a fresh interpreter that has run code (which
     may print lines of its own)."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -529,11 +558,27 @@ def fresh_modules(code: str, cwd=None) -> set:
     return set(proc.stdout.splitlines()[-1].split())
 
 
+@functools.cache
+def bare_modules() -> frozenset:
+    """The modules a fresh interpreter loads on its own: `site` may import
+    packages of the environment (certifi, say, which loads typing, re and
+    collections), so they depend on where the tests run."""
+    return frozenset(loaded_modules("pass"))
+
+
+def fresh_modules(code: str, cwd=None) -> set:
+    """The modules that running code adds to those of a bare fresh
+    interpreter."""
+    return loaded_modules(code, cwd) - bare_modules()
+
+
 def test_cli_import_loads_no_numpy():
-    # numpy is imported by the functions that use it, and each layer by
-    # the subcommands that run it, so building the parser loads neither
+    # numpy is imported by the functions that use it, each layer by the
+    # subcommands that run it, and json and fractions by the functions
+    # that read or write documents and numbers; numeric's certificate is
+    # a named tuple, so building the parser loads no dataclasses either
     mods = fresh_modules("import horoshadow.cli; horoshadow.cli.build_parser()")
-    assert "numpy" not in mods
+    assert not {"numpy", "dataclasses", "inspect", "fractions", "decimal", "json"} & mods
     assert {m for m in mods if m.startswith("horoshadow")} == \
         {"horoshadow", "horoshadow.cli", "horoshadow.numeric"}
 
@@ -546,6 +591,12 @@ SUBCOMMAND_MODULES = [
     (["uncloud", "{f}", "--mode", "dim2", "--shrink-s", "0.4"], {"sharp2d", "sharpnd"},
      {"heisenberg", "trees", "rays", "shadows", "render"}),
     (["verify", "packing", "--family", "{t}"], {"trees"}, {"heisenberg"}),
+    # the two commands that read no document write theirs without
+    # loading serialize or the layers it reads
+    (["verify", "constants"], {"heisenberg", "sharp2d", "uncover"},
+     {"serialize", "packings", "halfspace", "trees", "rays"}),
+    (["dioph", "--xi", "golden", "--t", "0.27", "--qmax", "100"], {"sharp2d"},
+     {"serialize", "packings", "halfspace", "uncover", "heisenberg"}),
 ]
 
 
