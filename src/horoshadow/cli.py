@@ -68,13 +68,15 @@ def _emit(doc, out):
 
 
 def _fraction(text: str, flag: str):
-    """Fraction(text), where a zero denominator is a ValueError naming
-    the flag that gave it."""
+    """Fraction(text), where a zero denominator or a malformed literal is
+    a ValueError naming the flag that gave it."""
     from fractions import Fraction
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{flag} has a zero denominator: {text!r}") from None
+    except ValueError:
+        raise ValueError(f"{flag} is not a rational number: {text!r}") from None
 
 
 def _parse_range(text: str) -> tuple:
@@ -96,8 +98,11 @@ def _parse_xi(text: str) -> float:
 def _parse_point(text: str):
     from .halfspace import Point
     base, _, height = text.partition(";")
-    coords = tuple(float(_fraction(c, "--point")) for c in base.split(","))
-    return Point(coords, float(_fraction(height, "--point")))
+    coords = tuple(to_float(_fraction(c, "--point")) for c in base.split(","))
+    height = to_float(_fraction(height, "--point"))
+    if not all(map(math.isfinite, coords + (height,))):
+        raise ValueError(f"--point must be finite, got {text!r}")
+    return Point(coords, height)
 
 
 def _tolerance(text: str) -> float:
@@ -113,7 +118,7 @@ def _shrink_factor(args):
         if args.exact:
             s = _fraction(args.shrink_s, "--shrink-s")  # stays exact through the solver
         elif "/" in str(args.shrink_s):
-            s = float(_fraction(args.shrink_s, "--shrink-s"))
+            s = to_float(_fraction(args.shrink_s, "--shrink-s"))
         else:
             s = float(args.shrink_s)
     else:
@@ -145,7 +150,7 @@ def cmd_pack(args) -> int:
                                  "pass a rational --s under --exact")
             s = _fraction(args.s, "--s")
         else:
-            s = SHARP_SCALE if args.s is None else float(_fraction(args.s, "--s"))
+            s = SHARP_SCALE if args.s is None else to_float(_fraction(args.s, "--s"))
         fam = packings.extremal(args.generations, s)
         meta = {"generator": "extremal", "generations": args.generations,
                 "s": float(s)}

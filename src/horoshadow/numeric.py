@@ -140,13 +140,18 @@ def sweep_pairs(key, half):
     hi = np.where(np.isnan(hi), np.inf, hi)
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
-    n = len(lo)
-    runs = np.searchsorted(lo, hi, side="right") - np.arange(1, n + 1)
-    first = np.repeat(np.arange(n), runs)
-    run_start = np.repeat(np.cumsum(runs) - runs, runs)
-    second = first + 1 + np.arange(len(first)) - run_start
+    first, second = spans(np.arange(1, len(lo) + 1), np.searchsorted(lo, hi, side="right"))
     a, b = order[first], order[second]
     return np.minimum(a, b), np.maximum(a, b)
+
+
+def spans(lo, hi):
+    """The ranges lo[k] <= p < hi[k] (numpy integer arrays) laid end to
+    end: the k of each p, and p."""
+    import numpy as np
+    size = hi - lo
+    k = np.repeat(np.arange(len(lo)), size)
+    return k, np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
 
 
 def golden_max(f: Callable[[float], float], lo: float,

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
-from .numeric import DEFAULT_TOL
+from .numeric import DEFAULT_TOL, spans
 
 if TYPE_CHECKING:
     import numpy as np
@@ -273,28 +273,124 @@ def _busemann_at(tree: MetricTree, ends, x: TreePoint):
     return bu + (bv - bu) * (x.offset / length)
 
 
+def _range_argmin(values):
+    """argmin(lo, hi): for every k, the position of the least of
+    values[lo[k]:hi[k]] (lo < hi; NaN only where all are, as np.fmin),
+    from a table of the least position in each power-of-two window: two
+    overlapping windows per range."""
+    import numpy as np
+
+    def least(a, b):
+        return np.where((values[a] > values[b]) | np.isnan(values[a]), b, a)
+
+    table = np.empty((len(values).bit_length(), len(values)), dtype=np.int64)
+    table[0] = np.arange(len(values))
+    for r in range(1, len(table)):
+        w = 2 ** (r - 1)
+        table[r] = table[r - 1]
+        table[r, :-w] = least(table[r - 1, :-w], table[r - 1, w:])
+
+    def argmin(lo, hi):
+        j = np.frexp(hi - lo)[1] - 1
+        return least(table[j, lo], table[j, hi - 2 ** j])
+    return argmin
+
+
+def _below(argmin, values, lo, hi, add, bound):
+    """(k, p) for every lo[k] <= p < hi[k] with values[p] + add[k] <
+    bound[k], where argmin is _range_argmin(values).  The test is
+    monotone in values[p], as float rounding is, so a range whose least
+    value fails holds no more; one whose least passes is split around
+    it.  The cost is O(ranges + pairs found) elements, in one numpy pass
+    per level of that splitting."""
+    import numpy as np
+    k = np.arange(len(lo))
+    found_k, found_p = [k[:0]], [k[:0]]
+    with np.errstate(invalid="ignore"):
+        while True:
+            live = lo < hi
+            k, lo, hi = k[live], lo[live], hi[live]
+            if not len(k):
+                break
+            p = argmin(lo, hi)
+            ok = values[p] + add[k] < bound[k]
+            k, p, lo, hi = k[ok], p[ok], lo[ok], hi[ok]
+            found_k.append(k)
+            found_p.append(p)
+            k, lo, hi = np.concatenate([k, k]), np.concatenate([lo, p + 1]), np.concatenate([p, hi])
+    return np.concatenate(found_k), np.concatenate(found_p)
+
+
 def validate_tree_horoballs(tree: MetricTree,
                             balls: Sequence[TreeHoroball],
                             tol: float = DEFAULT_TOL) -> list[tuple[int, int]]:
-    """Pairs of horoballs (a TreeFamily, or a list of TreeHoroball) whose
-    open horoballs overlap beyond tol times the longest edge (relative,
-    so the verdict scales with the tree).
+    """Sorted pairs of horoballs (a TreeFamily, or a list of TreeHoroball)
+    whose open horoballs overlap beyond tol times the longest edge
+    (relative, so the verdict scales with the tree).
 
     Two horoballs at ends w, w' with levels l, l' have disjoint open
     horoballs iff l + l' >= 2 * depth(meet of the two rays), the maximum
-    of the two Busemann sums along the connecting geodesic.  One pass
-    per ball over the columns of the later balls reads their meets off
-    the preorder index, by binary search along the ball's root path.
+    of the two Busemann sums along the connecting geodesic; two at one
+    end always overlap.  Sorted by end tin, the balls below a vertex are
+    a contiguous run, and the meets of distinct ends are the meets of
+    tin-consecutive ones, each the parent of the vertex of largest tout
+    (ties to the smallest tin) between their tins.  The pairs that meet
+    at a vertex a run between its child runs, and a ball x of one run
+    has a partner in another iff l_x plus the least level of the other
+    runs is below bound(a) = 2 depth(a) - tol ell_max, as float rounding
+    is monotone (np.fmin order, so a NaN level hides no other ball).
+    Those balls, then their partners in the later runs, are found by
+    splitting ranges around their least level (_below), so the cost is
+    O(N log N + vertices + pairs listed), with one numpy pass per level
+    of the splitting.
     """
     import numpy as np
-    ids, ends, levels = _ball_columns(tree, balls)
-    bad = []
-    for i, end in enumerate(ids[:-1].tolist()):
-        later = ends[i + 1:]
-        meet = _meet_depths(tree, end, later)
-        hit = (later == ends[i]) | (levels[i] + levels[i + 1:] < 2 * meet - tol * tree.ell_max)
-        bad += [(i, i + 1 + j) for j in np.flatnonzero(hit).tolist()]
-    return bad
+    _, tins, levels = _ball_columns(tree, balls)
+    c, n = tree._cols, len(tree._cols.vertex)
+    order = np.argsort(tins, kind="stable")
+    t, lev = tins[order], levels[order]
+    cut = np.flatnonzero(t[1:] != t[:-1]) + 1  # first ball of each later end
+    # the shared ends: all pairs within a run of equal tins
+    tail = np.concatenate([cut, [len(t)]])
+    k, x = spans(np.concatenate([[0], cut]), tail)
+    k, y = spans(x + 1, tail[k])
+    pairs = [(x[k], y)]
+    if cut.size:
+        # the meet of each tin-consecutive pair of ends, by preorder
+        key, up = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        key[c.tin] = c.tout * (n + 1) + n - c.tin
+        up[c.tin] = c.parent
+        top = np.maximum.reduceat(key[:t[-1] + 1], t[cut - 1] + 1)
+        meet = up[n - top % (n + 1)]
+        # the child runs of each meet: cut at its own cuts, in order
+        g = np.lexsort((cut, meet))
+        cut, meet = cut[g], meet[g]
+        new = np.concatenate([[True], meet[1:] != meet[:-1]])
+        last = np.concatenate([new[1:], [True]])
+        start = np.where(new, np.searchsorted(t, c.tin[meet]), np.concatenate([[0], cut[:-1]]))
+        owner = np.concatenate([meet, meet[last]])
+        lo = np.concatenate([start, cut[last]])
+        hi = np.concatenate([cut, np.searchsorted(t, c.tout[meet[last]])])
+        # by meet, the run of least level first (a meet has two runs or
+        # more), and for each run the least level of the other runs
+        argmin = _range_argmin(lev)
+        least = lev[argmin(lo, hi)]
+        g = np.lexsort((least, owner))
+        owner, least, lo, hi = owner[g], least[g], lo[g], hi[g]
+        new = np.concatenate([[True], owner[1:] != owner[:-1]])
+        head = np.maximum.accumulate(np.where(new, np.arange(len(owner)), 0))
+        other = np.where(new, least[head + 1], least[head])
+        with np.errstate(invalid="ignore"):
+            bound = 2 * c.depth[owner] - tol * tree.ell_max
+        run, x = _below(argmin, lev, lo, hi, other, bound)
+        k, y = _below(argmin, lev, hi[run], np.searchsorted(t, c.tout[owner[run]]),
+                      lev[x], bound[run])
+        pairs.append((x[k], y))
+    x, y = (np.concatenate(p) for p in zip(*pairs))
+    i, j = order[x], order[y]
+    m = len(t) or 1
+    key = np.sort(np.minimum(i, j) * m + np.maximum(i, j))
+    return list(zip((key // m).tolist(), (key % m).tolist()))
 
 
 @dataclass
@@ -317,12 +413,22 @@ def _walk(tree: MetricTree, cols, x0: TreePoint, start_depth: float,
           ) -> tuple[TreeWalk, list[tuple[int, list[int]]]]:
     """One greedy walk over the balls with columns cols (_ball_columns)
     from x0, where their largest Busemann excess is start_depth; it turns off
-    at a vertex deeper than slack inside a ball.  overrides maps decision
-    index -> forced choice.
+    at a vertex deeper than slack inside a ball, the first of largest
+    excess.  overrides maps decision index -> forced choice.
+
+    The walk keeps the depth of its meet with every end, from one
+    _meet_depths at its first vertex.  A step to a neighbor v moves the
+    meet of the ends below v, a tin range found by binary search, to v
+    (up or down, v is their meet, and the other ends meet the walk
+    above v, where they did before), and leaves the others.
 
     Returns the walk and the list of decisions (index, alternatives).
     """
-    ids = cols[0]
+    import numpy as np
+    c = tree._cols
+    ids, ends, levels = cols
+    by_tin = np.argsort(ends, kind="stable")
+    sorted_ends = ends[by_tin]
     max_depth = start_depth
     decisions: list[tuple[int, list[int]]] = []
     detours: list[int] = []
@@ -346,9 +452,17 @@ def _walk(tree: MetricTree, cols, x0: TreePoint, start_depth: float,
         cur = choose(sorted((x0.u, x0.v)))
         prev = x0.v if cur == x0.u else x0.u  # never walk back through x0
     path = [cur]
+    p = tree._pos[cur]
+    meet = _meet_depths(tree, cur, ends)
     for _ in range(2 * len(tree.adj) + 4):
-        depth_here, inside = _deepest(tree, cols, cur)
-        max_depth = max(max_depth, depth_here)
+        inside = None
+        if len(levels):
+            excess = 2 * meet - c.depth.item(p) - levels
+            who = int(np.argmax(excess))
+            depth_here = float(excess[who])
+            max_depth = max(max_depth, depth_here)
+            if depth_here > 0:
+                inside = who
         if cur in tree.stubs:
             if (ids == cur).any():
                 raise RuntimeError(
@@ -363,25 +477,14 @@ def _walk(tree: MetricTree, cols, x0: TreePoint, start_depth: float,
         if not candidates:
             raise RuntimeError(f"stuck at vertex {cur}")
         nxt = candidates[0] if len(candidates) == 1 else choose(candidates)
+        p = tree._pos[nxt]
+        lo, hi = np.searchsorted(sorted_ends, (c.tin.item(p), c.tout.item(p)))
+        meet[by_tin[lo:hi]] = c.depth.item(p)
         prev, cur = cur, nxt
         path.append(cur)
     else:
         raise RuntimeError("walk exceeded the edge budget (cycle?)")
     return TreeWalk(x0, path, max_depth, detours), decisions
-
-
-def _deepest(tree: MetricTree, cols, vertex: int) -> tuple[float, Optional[int]]:
-    """Largest Busemann excess at a vertex over the balls with columns
-    cols (_ball_columns), and the (first) index of a ball strictly
-    containing it (None when outside all)."""
-    import numpy as np
-    _, ends, levels = cols
-    if not len(levels):
-        return float("-inf"), None
-    excess = _busemann_at(tree, ends, TreePoint.at_vertex(vertex)) - levels
-    who = int(np.argmax(excess))
-    best = float(excess[who])
-    return best, (who if best > 0 else None)
 
 
 def greedy_ray(tree: MetricTree, balls: Sequence[TreeHoroball],
@@ -494,10 +597,8 @@ def covering_family(tree: MetricTree) -> TreeFamily:
     first, last = 0, 1
     while c.kid0[first] < c.kid1[last - 1]:
         first, last = c.kid0[first], c.kid1[last - 1]
-        kids = c.kid1[at] - c.kid0[at]
-        v = np.arange(kids.sum()) + np.repeat(c.kid0[at] - (np.cumsum(kids) - kids), kids)
-        i = np.repeat(ball, kids)
-        meet_u = np.repeat(meet, kids)
+        k, v = spans(c.kid0[at], c.kid1[at])
+        i, meet_u = ball[k], meet[k]
         du, dv, length, lev = c.depth[c.parent[v]], c.depth[v], c.length[v], level[i]
         end_tin = c.tin[end[i]]
         meet_v = np.where((c.tin[v] <= end_tin) & (end_tin < c.tout[v]), dv, meet_u)

@@ -152,8 +152,6 @@ class BallFamily:
         with np.errstate(invalid="ignore"):
             half = (radius * scale + _DIST_REL_ERR * keys) / (1 - _DIST_REL_ERR)
         a, b = sweep_pairs(keys, half)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
         if 1 + tol > 0:
             lo, _ = gauge.bounds(centers[a], centers[b])
             with np.errstate(over="ignore", invalid="ignore"):
@@ -165,7 +163,7 @@ class BallFamily:
             d = dist(xi, xj)
             if ri * rj > self.D * d * d * (1 + tol):
                 bad.append((i, j))
-        return bad
+        return sorted(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,27 @@ class TestCli:
         assert err.startswith(f"error: {flag} has a zero denominator")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["uncloud", "{f}", "--shrink-s", "{huge}"], "shrink factor must lie in (0, 1)"),
+        (["pack", "extremal", "--generations", "3", "--s", "{huge}"],
+         "scale factor must lie in (0, 1)"),
+        (["ray", "--family", "{f}", "--point", "{huge};1", "--t", "1"],
+         "--point must be finite, got '{huge};1'"),
+        (["ray", "--family", "{f}", "--point", "0.5;{huge}", "--t", "1"],
+         "--point must be finite, got '0.5;{huge}'"),
+    ], ids=["shrink-s", "extremal-s", "point-base", "point-height"])
+    def test_rational_beyond_the_float_range_is_an_error(self, tmp_path, argv, message):
+        # each exited 1 with an OverflowError traceback from float(Fraction)
+        fam_file, huge = tmp_path / "fam.json", "1" + "0" * 400 + "/3"
+        main(["pack", "farey", "--qmax", "3", "--out", str(fam_file)])
+        code, out, err = run_cli([a.format(f=fam_file, huge=huge) for a in argv])
+        assert (code, out, err) == (1, "", f"error: {message.format(huge=huge)}\n")
+
+    def test_malformed_rational_names_its_flag(self):
+        # the error line read "Invalid literal for Fraction: 'abc'"
+        code, out, err = run_cli(["pack", "farey", "--qmax", "3", "--range", "0..abc"])
+        assert (code, out, err) == (1, "", "error: --range is not a rational number: 'abc'\n")
+
     @pytest.mark.parametrize("xi", ["inf", "nan", "1e400"])
     def test_xi_must_be_finite(self, xi):
         # inf raised an uncaught OverflowError, and nan was refused with

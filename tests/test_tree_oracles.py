@@ -3,11 +3,14 @@ replaced: covering_family, max_ball_depth, the greedy walk, greedy_ray
 and validate_tree_horoballs as they were before the preorder index,
 kept below as old_* (covering_family with its per-edge span helpers,
 from before the level sweep), verbatim but for their tolerances, which
-are relative to the longest edge as the kernel's are.  Their Busemann
-values come from the old parent-chain walks (old_meet_depth and
-friends) over the parents and depths of their own breadth-first search
-of tree.adj (old_rooted), not from the tree's columns, so the two sides
-share no kernel code."""
+are relative to the longest edge as the kernel's are.  The kernel's
+walk keeps one meet column per walk, and its validation reaches only
+the balls that range minima show to have a partner; the old walk makes
+a full pass over the balls at every vertex, and the old validation
+tests every pair.  Their Busemann values come from the old parent-chain
+walks (old_meet_depth and friends) over the parents and depths of their
+own breadth-first search of tree.adj (old_rooted), not from the tree's
+columns, so the two sides share no kernel code."""
 
 import functools
 import random
@@ -31,7 +34,7 @@ from horoshadow.trees import (
     three_regular_tree,
     validate_tree_horoballs,
 )
-from horoshadow.trees import _meet_depths
+from horoshadow.trees import _ball_columns, _busemann_at, _meet_depths, _walk
 from test_trees import max_ball_depth, tree_busemann
 
 # ---------------------------------------------------------------------------
@@ -406,7 +409,7 @@ def test_covering_family_and_rays_of_three_regular_trees(depth):
 
 
 @pytest.mark.parametrize("depth", range(2, 10))
-@pytest.mark.parametrize("by", [0.0, 1e-12, 0.5, 3.0])
+@pytest.mark.parametrize("by", [0.0, 1e-12, 0.3, 0.5, 1.0, 3.0, -0.2])
 def test_validation_of_three_regular_covering_families(depth, by):
     tree = three_regular_tree(depth)
     fam = shrunk(covering_family(tree), by)
@@ -528,3 +531,94 @@ def test_empty_family_and_unknown_ends():
         args = (tree, bad) if fn is validate_tree_horoballs else (tree, bad, tree.root)
         with pytest.raises(ValueError, match="unknown stub"):
             fn(*args)
+
+
+# ---------------------------------------------------------------------------
+# the walk with forced choices, and validation of odd families
+
+
+def walk(tree, balls, x0, overrides, tol=DEFAULT_TOL):
+    """_walk from x0 as greedy_ray calls it, with forced choices."""
+    cols = _, ends, levels = _ball_columns(tree, balls)
+    start_depth = float(np.max(_busemann_at(tree, ends, x0) - levels, initial=float("-inf")))
+    return _walk(tree, cols, x0, start_depth, overrides, tol * tree.ell_max)
+
+
+def forced_choices(tree, balls, x0, count):
+    """The walk's first decisions with every alternative forced there,
+    then pairs of them, and one invalid choice."""
+    status, *res = outcome(old_walk, tree, balls, x0, {}, DEFAULT_TOL)
+    decisions = res[0][1] if status == "ok" else []
+    single = [{idx: alt} for idx, alts in decisions[:count] for alt in alts]
+    double = [{**a, **b} for a, b in zip(single, single[1:]) if a.keys() != b.keys()]
+    return [{}] + single + double + [{0: tree.root}]
+
+
+@pytest.mark.parametrize("kind", ["random-40", "random-60", "caterpillar"])
+def test_walks_with_forced_choices(kind):
+    for seed in range(12):
+        tree = caterpillar(30 + seed, seed) if kind == "caterpillar" else \
+            random_tree(seed, int(kind.split("-")[1]))
+        rng = random.Random(seed)
+        base = random_tree_horoballs(tree, 4, seed + 500)
+        for fam in (base, covering_family(tree), shrunk(base, 0.4)):
+            for x0 in [TreePoint.at_vertex(tree.root)] + starts(tree, rng, 3):
+                for forced in forced_choices(tree, fam, x0, 3):
+                    assert bitwise(outcome(walk, tree, fam, x0, forced),
+                                   outcome(old_walk, tree, list(fam), x0, forced, DEFAULT_TOL))
+                assert bitwise(outcome(greedy_ray, tree, fam, x0, validate=False),
+                               outcome(old_greedy_ray, tree, list(fam), x0, validate=False))
+
+
+@pytest.mark.parametrize("depth", [4, 6, 10, 12])
+def test_walks_from_interior_vertices_of_three_regular_trees(depth):
+    # from below the root the walk climbs first: every step up moves
+    # the meets of the ends below the vertex it reaches
+    tree = three_regular_tree(depth)
+    fam = covering_family(tree)
+    rng = random.Random(depth)
+    inner = [v for v in sorted(tree.adj)
+             if v not in tree.stubs and tree.depth(v) in (depth // 2, depth - 2)]
+    for v in rng.sample(inner, 6):
+        x0 = TreePoint.at_vertex(v)
+        for forced in forced_choices(tree, fam, x0, 2):
+            assert bitwise(outcome(walk, tree, fam, x0, forced),
+                           outcome(old_walk, tree, list(fam), x0, forced, DEFAULT_TOL))
+
+
+def odd_family(tree, rng, count):
+    """count balls on few stubs, so that many share one, with levels in
+    [-1, 4] and some NaN or infinite."""
+    stubs = rng.sample(sorted(tree.stubs), min(4, len(tree.stubs)))
+    ends = [rng.choice(stubs) for _ in range(count)]
+    levels = [rng.choice([rng.uniform(-1, 4), rng.uniform(-1, 4), float("nan"),
+                          float("inf"), float("-inf")]) for _ in range(count)]
+    return TreeFamily(ends, levels)
+
+
+def stub_rooted(tree):
+    """The same tree rooted at its smallest stub, so that one end is the
+    ancestor of all the others."""
+    edges = [(u, v, l) for u, nbrs in tree.adj.items() for v, l in nbrs.items() if u < v]
+    return MetricTree(edges, tree.stubs, min(tree.stubs))
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0, -1e-9, -0.5, float("-inf"), float("nan")])
+def test_validation_of_odd_families(tol):
+    for seed in range(30):
+        tree = random_tree(seed, 60) if seed % 3 else caterpillar(20 + seed, seed)
+        if seed % 5 == 0:
+            tree = stub_rooted(tree)
+        rng = random.Random(seed)
+        base = random_tree_horoballs(tree, 6, seed)
+        # a ball on every stub reaching 0.8 above it: few pairs meet at
+        # each of many nested vertices
+        stubs = sorted(tree.stubs)
+        near = TreeFamily(stubs, [tree.depth(s) - 0.8 for s in stubs])
+        families = [odd_family(tree, rng, 12), shrunk(base, 0.4), shrunk(base, -0.2),
+                    covering_family(tree), shrunk(covering_family(tree), 0.3), near,
+                    TreeFamily([min(tree.stubs)] * 3 + list(base.end),
+                               [0.0, 1.0, float("nan")] + list(base.level))]
+        for fam in families:
+            assert validate_tree_horoballs(tree, fam, tol) == \
+                old_validate_tree_horoballs(tree, list(fam), tol)

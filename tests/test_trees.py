@@ -15,7 +15,6 @@ from horoshadow.trees import (
     covering_family,
     _ball_columns,
     _busemann_at,
-    _deepest,
     greedy_ray,
     random_tree,
     random_tree_horoballs,
@@ -45,8 +44,16 @@ def max_ball_depth(tree: MetricTree, balls: list[TreeHoroball],
                    vertex: int) -> tuple[float, Optional[int]]:
     """Largest Busemann excess over all horoballs at a vertex, and the
     (first) index of a horoball strictly containing it (None when
-    outside all)."""
-    return _deepest(tree, _ball_columns(tree, balls), vertex)
+    outside all): one column pass, as the walk made at every vertex
+    before it kept its meets."""
+    import numpy as np
+    _, ends, levels = _ball_columns(tree, balls)
+    if not len(levels):
+        return float("-inf"), None
+    excess = _busemann_at(tree, ends, TreePoint.at_vertex(vertex)) - levels
+    who = int(np.argmax(excess))
+    best = float(excess[who])
+    return best, (who if best > 0 else None)
 
 
 def small_tree():
