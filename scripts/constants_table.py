@@ -25,7 +25,7 @@ def main():
         ("safe scale, packing 1/4, Heisenberg modulus",
          safe_scale(0.25, modulus=heis_modulus), "numeric supremum"),
         ("generic shrink time, real hyperbolic",
-         generic_shrink_time(1, None, 0.5, has_lines=True), "-log(sqrt(5)-2)"),
+         generic_shrink_time(1, None, has_lines=True), "-log(sqrt(5)-2)"),
         ("generic shrink time, complex hyperbolic plane",
          complex_hyperbolic_shrink_time(), "approx 4.9157"),
         ("cone glue constant", glue_constants()["cone"], "log(2+sqrt(5))"),

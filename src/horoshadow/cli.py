@@ -1,6 +1,6 @@
-"""Command-line front end: packing generation, solving, verification,
-Diophantine scans, and SVG emission.  JSON is the single interchange
-format; exit status is 0 exactly when every requested certificate holds.
+"""Command-line front end: packing generation, solving, verification
+and Diophantine scans.  JSON is the single interchange format; exit
+status is 0 exactly when every requested certificate holds.
 
 Each subcommand imports the layers it runs when it is called, so a
 process loads only those; importing this module and building its parser
@@ -180,20 +180,6 @@ def cmd_pack(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_shadow(args) -> int:
-    from .shadows import CurvatureBand, shadow_of
-    fam = _read_family(args.family, args.exact)
-    band = CurvatureBand(args.a)
-    shadows = []
-    for i, h in fam.tangent_items():
-        sh = shadow_of(h, band)
-        shadows.append({"index": i, "center": [float(c) for c in sh.center],
-                        "inner_radius": float(sh.inner_radius),
-                        "outer_radius": float(sh.outer_radius)})
-    _emit({"model": "shadows", "a": args.a, "shadows": shadows}, args.out)
-    return 0
-
-
 def _witness_json(coords, chain: list, cert: Certificate, members=None) -> dict:
     """One uncloud witness: the endpoint (plus its exact form when it is
     rational), the chain length, and the solver's certificate as checks,
@@ -351,17 +337,6 @@ def cmd_dioph(args) -> int:
     return 0
 
 
-def cmd_render(args) -> int:
-    from .render import family_svg
-    fam = _read_family(args.family, args.exact)
-    geos = [_read_geodesic(args.geodesic)] if args.geodesic else []
-    svg = family_svg(fam, geos)
-    with open(args.svg, "w") as fh:
-        fh.write(svg)
-    print(f"wrote {args.svg}", file=sys.stderr)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -412,11 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     for q in ps.choices.values():
         q.set_defaults(func=cmd_pack)
 
-    p = sub.add_parser("shadow", parents=[common], help="shadows of a family seen from infinity")
-    p.add_argument("family", nargs="?")
-    p.add_argument("--a", type=float, default=1.0)
-    p.set_defaults(func=cmd_shadow)
-
     p = sub.add_parser("uncloud", parents=[common], help="find a point avoiding scaled shadows")
     p.add_argument("family", nargs="?")
     p.add_argument("--mode", choices=["generic", "dim2", "hnr"], default="dim2")
@@ -455,11 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmax", type=int, required=True)
     p.set_defaults(func=cmd_dioph)
 
-    p = sub.add_parser("render", parents=[common], help="draw a planar family as SVG")
-    p.add_argument("--family", required=True)
-    p.add_argument("--geodesic", default=None)
-    p.add_argument("--svg", required=True)
-    p.set_defaults(func=cmd_render)
     return top
 
 

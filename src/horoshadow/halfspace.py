@@ -136,9 +136,6 @@ class VerticalGeodesic:
         if not lo <= hi:
             raise ValueError("empty parameter range")
 
-    def point_at(self, t: float) -> Point:
-        return Point(self.foot, math.exp(t))
-
     def restricted(self, lo: float, hi: float) -> "VerticalGeodesic":
         return VerticalGeodesic(self.foot, (lo, hi))
 
@@ -149,8 +146,7 @@ class ArcGeodesic:
 
     Arclength parametrization p(t) = (m + rho*tanh(t)*u, rho*sech(t)) with
     m the Euclidean midpoint of [a, b], rho half the gap and u the unit
-    vector from a to b; the apex sits at t = 0.  point_at evaluates the
-    base from the nearer end.
+    vector from a to b; the apex sits at t = 0.
     """
 
     a: Vector
@@ -172,15 +168,6 @@ class ArcGeodesic:
     def rho(self) -> float:
         # hypot: the squares leave the float range within 1e-162 and beyond 1e154
         return math.hypot(*vsub(_flv(self.b), _flv(self.a))) / 2
-
-    def point_at(self, t: float) -> Point:
-        # the base m + rho tanh(t) u is a + (b - a) e^2t / (1 + e^2t), taken
-        # from the nearer end so that it does not cancel near that end
-        a, b = _flv(self.a), _flv(self.b)
-        e = math.exp(-2 * abs(t))
-        step = vscale(vsub(b, a), e / (1 + e))
-        base = vadd(a, step) if t <= 0 else vsub(b, step)
-        return Point(base, self.rho / math.cosh(t))
 
     def restricted(self, lo: float, hi: float) -> "ArcGeodesic":
         return ArcGeodesic(self.a, self.b, (lo, hi))

@@ -219,7 +219,6 @@ def heisenberg_space() -> UncoverSpace:
 def complex_hyperbolic_shrink_time() -> float:
     """Shrink time for horoball families in complex hyperbolic 2-space:
     the boundary minus a point is the Heisenberg group, the boundary
-    distance is sqrt(pi)-equivalent to d_CC, and the outer shadow
-    constant is 2^(-1/2); numerically about 4.9157."""
-    return generic_shrink_time(C=CC_EQUIVALENCE, modulus=heis_modulus,
-                               c_max=2 ** -0.5)
+    distance is sqrt(pi)-equivalent to d_CC, and the curvature is
+    pinched in [-4, -1] (a = 2); numerically about 4.9157."""
+    return generic_shrink_time(C=CC_EQUIVALENCE, modulus=heis_modulus, a=2)

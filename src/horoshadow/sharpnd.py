@@ -15,6 +15,7 @@ families.
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 from typing import Optional
 
 from . import sharp2d
@@ -123,7 +124,11 @@ def solve_hnr(fam: HoroballFamily, s: float, start: Optional[int] = None,
     (margin_bounds) leaves, and the endpoint lies in the start shadow.
     Member objects are built only for the members a scalar test reads.
     """
-    if not 0 < s <= SHARP_SCALE * (1 + 1e-12):
+    if isinstance(s, Fraction):  # exact: s <= 4 sqrt(2) - 5 iff (s + 5)^2 <= 32
+        in_range = 0 < s and (s + 5) ** 2 <= 32
+    else:  # SHARP_SCALE is 4 sqrt(2) - 5 rounded
+        in_range = 0 < s <= SHARP_SCALE * (1 + 1e-12)
+    if not in_range:
         raise ValueError(f"scale factor must lie in (0, {SHARP_SCALE}]")
     hs, cols = fam.horoballs, fam.columns
     if not len(cols.tangent):

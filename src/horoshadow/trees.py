@@ -119,7 +119,10 @@ class MetricTree:
                 raise ValueError("edge lengths must be positive and finite")
             if u == v:
                 raise ValueError("loops not allowed")
-            self.adj.setdefault(u, {})[v] = length
+            nbrs = self.adj.setdefault(u, {})
+            if v in nbrs:
+                raise ValueError(f"edge ({u}, {v}) is given twice")
+            nbrs[v] = length
             self.adj.setdefault(v, {})[u] = length
         self.stubs = frozenset(stubs)
         if not self.adj:

@@ -273,15 +273,18 @@ def _scale_search(D: float, modulus) -> tuple[float, float]:
 
 def generic_shrink_time(C: float = 1.0,
                         modulus: Optional[Callable[[float], float]] = None,
-                        c_max: float = 0.5, has_lines: bool = False) -> float:
+                        a: float = 1.0, has_lines: bool = False) -> float:
     """Shrink time beyond which some geodesic from the distinguished
     boundary point avoids every uniformly shrunk horoball:
     -log(safe_scale(1/4) / (2 c_max C)) for a boundary metric that is
-    C-equivalent to a length metric with the given sphere modulus."""
+    C-equivalent to a length metric with the given sphere modulus, in
+    curvature pinched in [-a^2, -1], where the shadow of a horoball of
+    radius r lies in the ball of radius 2 c_max r, c_max = 2^(-1/a)."""
     if C < 1:
         raise ValueError("equivalence constant must be at least 1")
-    if not c_max > 0:
-        raise ValueError("c_max must be positive")
+    if not a >= 1:  # also rejects NaN
+        raise ValueError("pinching parameter a must be >= 1")
+    c_max = 2 ** (-1 / a)
     s0 = safe_scale(0.25, modulus, has_lines)
     return -math.log(s0 / (2 * c_max * C))
 

@@ -62,6 +62,7 @@ from horoshadow.trees import (
     three_regular_tree,
 )
 from horoshadow.uncover import BallFamily, euclidean_space, safe_scale, uncover
+from test_halfspace import point_at
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -337,7 +338,7 @@ def test_criterion_10_cross_module_oracles():
         h = TangentHoroball(rnd.uniform(-1, 1), rnd.uniform(0.05, 0.8))
         closed = penetration_depth(g, h)
         sampled = max(
-            -point_to_horoball_dist(g.point_at(lo + (hi - lo) * k / 1000), h)
+            -point_to_horoball_dist(point_at(g, lo + (hi - lo) * k / 1000), h)
             for k in range(1001))
         worst = max(worst, abs(closed - sampled))
     ok &= worst <= 1e-6

@@ -42,6 +42,7 @@ from horoshadow.halfspace import (
 from horoshadow.numeric import DEFAULT_TOL
 from horoshadow.packings import HoroballFamily, farey
 from horoshadow.rays import _first_hit_after, verify_avoidance
+from test_halfspace import point_at
 from test_packing_oracles import similar
 
 # ---------------------------------------------------------------------------
@@ -60,7 +61,7 @@ def unit(g) -> tuple:
 
 
 def old_depth_at(g, t, h):
-    return -point_to_horoball_dist(g.point_at(t), h)
+    return -point_to_horoball_dist(point_at(g, t), h)
 
 
 def old_full_line_peak(g, h):

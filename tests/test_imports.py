@@ -143,7 +143,6 @@ ROOT_EXPORTS = {
                  "validate_disjoint"],
     "rays": ["AvoidanceReport", "biinfinite_line", "glue_constants", "ray_from_point",
              "verify_avoidance"],
-    "shadows": ["CurvatureBand", "Shadow", "shadow_of"],
     "sharp2d": ["dioph_solutions", "sharp_shrink_time", "solve_2d", "step_2d"],
     "sharpnd": ["maximal_annulus_ball", "solve_hnr", "step_hnr"],
     "trees": ["MetricTree", "TreeFamily", "TreeHoroball", "covering_family", "greedy_ray",

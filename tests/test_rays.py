@@ -27,7 +27,7 @@ from horoshadow.rays import (
     verify_avoidance,
 )
 from horoshadow.sharp2d import sharp_shrink_time
-from test_halfspace import hyperbolic_dist, shrink
+from test_halfspace import hyperbolic_dist, point_at, shrink
 
 T1 = sharp_shrink_time(1)
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -83,7 +83,7 @@ class TestVerifyAvoidance:
             for idx, depth in deepest:
                 h = shrink(fam.horoballs[idx], t)
                 sampled = max(
-                    -point_to_horoball_dist(g.point_at(lo + (hi - lo) * k / 800), h)
+                    -point_to_horoball_dist(point_at(g, lo + (hi - lo) * k / 800), h)
                     for k in range(801))
                 assert depth >= sampled - 1e-9
                 assert depth <= sampled + 1e-5
@@ -115,7 +115,7 @@ class TestRayFromPoint:
         assert res.nearest_clear
         # the ray really starts at the requested point
         lo, hi = res.ray.param_range
-        start = res.ray.point_at(lo if math.isfinite(lo) else hi)
+        start = point_at(res.ray, lo if math.isfinite(lo) else hi)
         assert hyperbolic_dist(start, Point(0.5, 0.9)) < 1e-7
 
     def test_single_far_horoball_goes_straight(self):
@@ -186,7 +186,7 @@ class TestRayAboveABase:
         assert res.report.ok and res.nearest_clear
         assert math.isfinite(res.report.margin)
         lo, hi = res.ray.param_range
-        start = res.ray.point_at(lo if math.isfinite(lo) else hi)
+        start = point_at(res.ray, lo if math.isfinite(lo) else hi)
         assert hyperbolic_dist(start, x) < 1e-7
 
     @pytest.mark.parametrize("name", ["2d", "3d"])
@@ -226,14 +226,14 @@ class TestRayNearABase:
                 continue
             g = ArcGeodesic(a, b)
             t = rnd.uniform(-8, 8)
-            assert param_of(g, g.point_at(t)) == pytest.approx(t, abs=1e-9)
+            assert param_of(g, point_at(g, t)) == pytest.approx(t, abs=1e-9)
 
     def test_ray_starts_at_the_start_point(self):
         # the ray's arc has half-width ~2e18; its start must be found
         # again at the start point, not 2.4e-7 away as m + rho tanh(t) u
         # put it
         ray = ray_from_point(farey(1, (0, 1)), Point(1e-9, 2.0), 2.2).ray
-        start = ray.point_at(ray.param_range[0])
+        start = point_at(ray, ray.param_range[0])
         assert start.base[0] == pytest.approx(1e-9, rel=1e-6)
         assert start.height == pytest.approx(2.0, rel=1e-12)
 
@@ -244,15 +244,15 @@ class TestRayNearABase:
         a, b = data.draw(point), data.draw(point)
         assume(sum((x - y) ** 2 for x, y in zip(a, b)) >= 1e-6)
         g = ArcGeodesic(a, b)
-        assert param_of(g, g.point_at(t)) == pytest.approx(t, abs=1e-9)
+        assert param_of(g, point_at(g, t)) == pytest.approx(t, abs=1e-9)
 
     def test_point_at_the_far_end_found_on_the_arc(self):
         # b - a and p - a round differently next to b; the inversion at a
         # left a gap of one rounding of 1/3, above the tolerance at height
         # 3e-10, where the inversion at b leaves none
         g = ArcGeodesic(3.0, 2.220446049250313e-16)
-        assert param_of(g, g.point_at(23.0)) == pytest.approx(23.0, abs=1e-9)
-        assert param_of(g, g.point_at(-23.0)) == pytest.approx(-23.0, abs=1e-9)
+        assert param_of(g, point_at(g, 23.0)) == pytest.approx(23.0, abs=1e-9)
+        assert param_of(g, point_at(g, -23.0)) == pytest.approx(-23.0, abs=1e-9)
 
     def test_point_off_the_geodesic_rejected(self):
         with pytest.raises(ValueError, match="not on the arc"):
@@ -295,7 +295,7 @@ class TestBiinfiniteLine:
         res = biinfinite_line(fam, T1 + TRIANGLE_CONSTANT + 0.01)
         g = res.line
         h = fam.horoballs[0]
-        vals = [-point_to_horoball_dist(g.point_at(-3 + 6 * k / 400), h)
+        vals = [-point_to_horoball_dist(point_at(g, -3 + 6 * k / 400), h)
                 for k in range(401)]
         peak = vals.index(max(vals))
         assert all(x <= y + 1e-12 for x, y in zip(vals[:peak], vals[1:peak + 1]))

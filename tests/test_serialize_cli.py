@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -182,17 +183,14 @@ class TestCli:
         assert main(["line", "--family", str(fam_file), "--t", "1.4"]) == 0
         assert json.loads(capsys.readouterr().out)["certified"]
 
-    def test_render_svg(self, tmp_path):
-        fam_file = tmp_path / "fam.json"
-        svg_file = tmp_path / "fam.svg"
-        main(["pack", "farey", "--qmax", "4", "--infinity",
-              "--out", str(fam_file)])
-        assert main(["render", "--family", str(fam_file),
-                     "--geodesic",
-                     '{"type":"vertical","foot":[0.6180339887498949]}',
-                     "--svg", str(svg_file)]) == 0
-        text = svg_file.read_text()
-        assert text.startswith("<svg") and "<circle" in text and "<line" in text
+    @pytest.mark.parametrize("argv", [["render", "--family", "f.json", "--svg", "f.svg"],
+                                      ["shadow", "f.json", "--a", "2"]])
+    def test_render_and_shadow_are_unknown_subcommands(self, argv, capsys):
+        # neither certified anything, and both are gone
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
     def test_verify_packing_detects_overlap(self, tmp_path, capsys):
         fam = HoroballFamily(2, [TangentHoroball(0.0, 1.0), TangentHoroball(1.0, 1.0)])
@@ -228,20 +226,17 @@ class TestCli:
     def test_geodesic_from_file(self, tmp_path, capsys):
         fam_file = tmp_path / "fam.json"
         geo_file = tmp_path / "geo.json"
-        svg_file = tmp_path / "fam.svg"
         main(["pack", "farey", "--qmax", "100", "--range", "1..2",
               "--out", str(fam_file)])
+        capsys.readouterr()
         golden = (1 + math.sqrt(5)) / 2
         geo_file.write_text(json.dumps({"type": "vertical", "foot": [golden]}))
-        assert main(["verify", "avoidance", "--family", str(fam_file),
-                     "--geodesic", f"@{geo_file}", "--t", "0.27"]) == 0
-        assert json.loads(capsys.readouterr().out)["ok"]
-        svgs = []
+        docs = []
         for arg in (geo_file.read_text(), f"@{geo_file}"):
-            assert main(["render", "--family", str(fam_file), "--geodesic", arg,
-                         "--svg", str(svg_file)]) == 0
-            svgs.append(svg_file.read_text())
-        assert svgs[0] == svgs[1]
+            assert main(["verify", "avoidance", "--family", str(fam_file),
+                         "--geodesic", arg, "--t", "0.27"]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0]["ok"] and docs[0] == docs[1]
         assert main(["verify", "avoidance", "--family", str(fam_file),
                      "--geodesic", f"@{tmp_path / 'missing.json'}", "--t", "0"]) == 1
 
@@ -271,6 +266,23 @@ class TestCli:
         # re-check the certificate in exact arithmetic
         for _, h in farey(12, (0, 1)).tangent_items():
             assert abs(exact - h.base[0]) >= h.radius / 2
+
+    @pytest.mark.parametrize("s,status", [("6568542494925/10000000000000", 1),
+                                          ("6568542494923/10000000000000", 0)])
+    def test_exact_scale_above_the_sharp_threshold_is_refused(self, tmp_path, capsys,
+                                                               s, status):
+        # the first s is above 4 sqrt(2) - 5 but within the float slack of
+        # SHARP_SCALE; the second is below it
+        fam_file = tmp_path / "fam.json"
+        main(["pack", "farey", "--qmax", "5", "--exact", "--out", str(fam_file)])
+        capsys.readouterr()
+        assert main(["uncloud", str(fam_file), "--exact", "--mode", "dim2",
+                     "--shrink-s", s]) == status
+        out, err = capsys.readouterr()
+        if status:
+            assert out == "" and err.startswith("error: scale factor must lie in")
+        else:
+            assert json.loads(out)["certified"]
 
     @pytest.mark.parametrize("two,side", [(True, "R"), (False, "L")])
     def test_exact_hnr_mode_stays_exact_on_the_line(self, tmp_path, capsys, two, side):
@@ -443,6 +455,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("edge", [[0, 1, 5.0], [1, 0, 5.0]])
+    def test_tree_document_refuses_a_repeated_edge(self, tmp_path, capsys, edge):
+        # the later length replaced the first, and verify packing passed
+        doc = {"model": "tree", "dim": 0, "metadata": {},
+               "entries": {"edges": [[0, 1, 1.0], [0, 2, 1.0], [0, 3, 1.0], edge],
+                           "stubs": [1, 2, 3], "root": 0, "horoballs": [[1, 1.0]]}}
+        out = tmp_path / "tree.json"
+        out.write_text(json.dumps(doc))
+        assert main(["verify", "packing", "--family", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: edge ({edge[0]}, {edge[1]}) is given twice\n"
+
     @pytest.mark.parametrize("field,column,value,message", [
         ("horoballs", 1, math.nan, "horoball levels must be finite"),
         ("horoballs", 1, math.inf, "horoball levels must be finite"),
@@ -608,9 +633,9 @@ def test_cli_import_loads_no_numpy():
 #: a farey(8) family document and "{t}" a tree document
 SUBCOMMAND_MODULES = [
     (["pack", "farey", "--qmax", "5", "--out", "out.json"], {"packings", "serialize"},
-     {"trees", "heisenberg", "uncover", "sharp2d", "sharpnd", "rays", "shadows", "render"}),
+     {"trees", "heisenberg", "uncover", "sharp2d", "sharpnd", "rays"}),
     (["uncloud", "{f}", "--mode", "dim2", "--shrink-s", "0.4"], {"sharp2d", "sharpnd"},
-     {"heisenberg", "trees", "rays", "shadows", "render"}),
+     {"heisenberg", "trees", "rays"}),
     (["verify", "packing", "--family", "{t}"], {"trees"}, {"heisenberg"}),
     # the two commands that read no document write theirs without
     # loading serialize or the layers it reads
@@ -631,6 +656,36 @@ def test_subcommand_loads_only_its_layers(tmp_path, argv, loaded, unloaded):
             f"if main({argv!r}) != 0: sys.exit('exit status not 0')")
     mods = {m.removeprefix("horoshadow.") for m in fresh_modules(code, tmp_path)}
     assert loaded <= mods and not unloaded & mods
+
+
+def readme_commands() -> list:
+    """The commands of README's `## Command line` block, continuation
+    lines joined, comments and blank lines left out."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (line.strip() for line in block.replace("\\\n", " ").splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def test_readme_command_block(tmp_path):
+    # each line runs in turn in one directory, horoshadow as
+    # `python -m horoshadow.cli`, each stage of a pipeline reading the
+    # output of the one before it; every stage must exit 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    commands = readme_commands()
+    assert len(commands) > 10
+    for command in commands:
+        out = None
+        for stage in command.split(" | "):
+            program, *argv = shlex.split(stage)
+            assert program == "horoshadow", command
+            proc = subprocess.run([sys.executable, "-m", "horoshadow.cli", *argv], input=out,
+                                  cwd=tmp_path, env=env, capture_output=True, text=True,
+                                  timeout=60)
+            assert proc.returncode == 0, (command, proc.stderr)
+            out = proc.stdout
 
 
 def float_twin(doc):

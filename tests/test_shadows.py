@@ -11,11 +11,6 @@ from horoshadow.halfspace import (
     point_to_horoball_dist,
 )
 from horoshadow.packings import HoroballFamily, validate_disjoint
-from horoshadow.shadows import (
-    REFERENCE_HEIGHT,
-    CurvatureBand,
-    shadow_of,
-)
 from horoshadow.sharpnd import maximal_annulus_ball
 from test_halfspace import dist_alg_horoballs, hyperbolic_dist
 from test_scan_oracles import Side, component_of
@@ -23,6 +18,9 @@ from test_scan_oracles import Side, component_of
 
 # the oracle of the boundary distance of shadows, which no program code
 # reads, kept here verbatim with the tests that pin it
+
+#: height of the reference horosphere, the one about the point at infinity
+REFERENCE_HEIGHT = 1
 
 
 def hamenstadt_dist_points(x: Point, y: Point) -> float:
@@ -32,39 +30,6 @@ def hamenstadt_dist_points(x: Point, y: Point) -> float:
     dx = point_to_horoball_dist(x, AtInfinityHoroball(REFERENCE_HEIGHT))
     dy = point_to_horoball_dist(y, AtInfinityHoroball(REFERENCE_HEIGHT))
     return math.exp(-0.5 * (dx + dy - hyperbolic_dist(x, y)))
-
-
-class TestShadowOf:
-    def test_constant_curvature_equals_model_ball(self):
-        sh = shadow_of(TangentHoroball(0, 0.5), CurvatureBand(1))
-        assert sh.center == (0,)
-        assert sh.inner_radius == sh.outer_radius == 0.5
-
-    def test_farey_ball_q2(self):
-        sh = shadow_of(TangentHoroball(0.5, 0.125), CurvatureBand(1))
-        assert (sh.center[0], sh.inner_radius, sh.outer_radius) == (0.5, 0.125, 0.125)
-
-    def test_pinched_outer_radius(self):
-        sh = shadow_of(TangentHoroball(0, 0.5), CurvatureBand(2))
-        assert sh.inner_radius == 0.5
-        assert sh.outer_radius == pytest.approx(2 ** 0.5 * 0.5)
-
-    def test_sandwich_equality_only_in_constant_curvature(self):
-        for a in (1.0, 1.3, 2.0, 4.0):
-            sh = shadow_of(TangentHoroball(1, 0.3), CurvatureBand(a))
-            assert sh.inner_radius <= sh.outer_radius
-            if a == 1.0:
-                assert sh.inner_radius == sh.outer_radius
-            else:
-                assert sh.inner_radius < sh.outer_radius
-
-    def test_rejects_overlapping_reference(self):
-        with pytest.raises(ValueError):
-            shadow_of(TangentHoroball(0, 0.6))
-
-    def test_band_validation(self):
-        with pytest.raises(ValueError):
-            CurvatureBand(a=0.5)
 
 
 class TestHamenstadtPoints:

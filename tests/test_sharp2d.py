@@ -138,6 +138,20 @@ class TestSolve2d:
         with pytest.raises(ValueError):
             solve_2d(fam, SHARP_SCALE + 1e-6)
 
+    def test_exact_scale_is_decided_exactly(self):
+        # 4 sqrt(2) - 5 = 0.65685424949238..., and (s + 5)^2 <= 32 decides a
+        # rational s: above lies within the float slack of SHARP_SCALE, and
+        # Fraction(SHARP_SCALE), the float's exact value, lies above 4 sqrt(2) - 5
+        fam = farey(5, (0, 1))
+        above = Fraction(6568542494925, 10 ** 13)
+        assert float(above) <= SHARP_SCALE * (1 + 1e-12)
+        for s in (above, Fraction(SHARP_SCALE)):
+            with pytest.raises(ValueError, match="scale factor must lie in"):
+                solve_2d(fam, s, tol=0)
+        s = Fraction(6568542494923, 10 ** 13)
+        sol = solve_2d(fam, s, tol=0)
+        assert sol.certificate.margin >= 0 and isinstance(sol.endpoint[0], Fraction)
+
     def test_exact_arithmetic_run(self):
         fam = farey(30, (0, 1))
         sol = solve_2d(fam, Fraction(1, 2), tol=0)

@@ -90,6 +90,13 @@ class TestStructure:
         with pytest.raises(ValueError, match="edge lengths must be positive and finite"):
             MetricTree([(0, 1, length), (0, 2, 1.0), (0, 3, 1.0)], stubs=[1, 2, 3])
 
+    @pytest.mark.parametrize("edge", [(0, 1, 5.0), (1, 0, 5.0), (1, 0, 1.0)])
+    def test_rejects_a_repeated_edge(self, edge):
+        # a later copy of an edge used to replace the length of the first
+        u, v, _ = edge
+        with pytest.raises(ValueError, match=rf"edge \({u}, {v}\) is given twice"):
+            MetricTree([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), edge], [1, 2, 3], root=0)
+
     def test_three_regular_counts(self):
         t = three_regular_tree(4)
         assert len(t.stubs) == 3 * 2 ** 3

@@ -109,16 +109,28 @@ class TestSafeScale:
 
 class TestShrinkTime:
     def test_real_hyperbolic(self):
-        got = generic_shrink_time(1, None, 0.5, has_lines=True)
+        got = generic_shrink_time(1, None, has_lines=True)
         assert got == pytest.approx(-math.log(math.sqrt(5) - 2), abs=1e-12)
 
     def test_identity_modulus(self):
-        got = generic_shrink_time(1, lambda e: e, 0.5)
+        got = generic_shrink_time(1, lambda e: e)
         assert got == pytest.approx(-math.log(max_scale_for_load(1.5)), abs=1e-9)
 
     def test_heisenberg_instance(self):
-        got = generic_shrink_time(math.sqrt(math.pi), HEIS_MODULUS, 2 ** -0.5)
+        got = generic_shrink_time(math.sqrt(math.pi), HEIS_MODULUS, a=2)
         assert got == pytest.approx(4.9157, abs=1e-3)
+
+    @pytest.mark.parametrize("a,c_max", [(1, 0.5), (2, 2 ** -0.5)])
+    def test_pinching_gives_the_outer_shadow_constant(self, a, c_max):
+        # c_max = 2^(-1/a) is 0.5 at a = 1 and 2^-0.5 at a = 2, bit for bit
+        s0 = safe_scale(0.25, HEIS_MODULUS)
+        want = -math.log(s0 / (2 * c_max * math.sqrt(math.pi)))
+        assert generic_shrink_time(math.sqrt(math.pi), HEIS_MODULUS, a=a) == want
+
+    @pytest.mark.parametrize("a", [0.5, 0.999, float("nan")])
+    def test_refuses_pinching_below_one(self, a):
+        with pytest.raises(ValueError, match="pinching parameter a must be >= 1"):
+            generic_shrink_time(1, HEIS_MODULUS, a=a)
 
 
 class TestCanonicalBall:
