@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from . import resolver
@@ -312,7 +313,10 @@ def _verify_constants(args) -> int:
          math.sqrt(5) - 2, 1e-12),
         ("t0(H^n_R)", -math.log(safe_scale(0.25, has_lines=True)),
          math.log(2 + math.sqrt(5)), 1e-6),
-        ("t0(H^2_C)", complex_hyperbolic_shrink_time(), 4.9157, 1e-3),
+        # the closed form: s0 = max_scale_for_load(1 + eps*) at the crossing
+        # eps*^2 = (pi/2)(sqrt(1 + 4/pi) - 1) of heis_modulus, where the
+        # golden-section search of safe_scale ends
+        ("t0(H^2_C)", complex_hyperbolic_shrink_time(), 4.915766891218324, 1e-9),
     ]
     rows = []
     ok = True
@@ -439,6 +443,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader of stdout has gone: end quietly, with stdout on
+        # devnull so that its flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, CertificateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

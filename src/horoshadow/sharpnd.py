@@ -125,11 +125,11 @@ def solve_hnr(fam: HoroballFamily, s: float, start: Optional[int] = None,
     Member objects are built only for the members a scalar test reads.
     """
     if isinstance(s, Fraction):  # exact: s <= 4 sqrt(2) - 5 iff (s + 5)^2 <= 32
-        in_range = 0 < s and (s + 5) ** 2 <= 32
+        in_range, top = 0 < s and (s + 5) ** 2 <= 32, "4*sqrt(2)-5"
     else:  # SHARP_SCALE is 4 sqrt(2) - 5 rounded
-        in_range = 0 < s <= SHARP_SCALE * (1 + 1e-12)
+        in_range, top = 0 < s <= SHARP_SCALE * (1 + 1e-12), SHARP_SCALE
     if not in_range:
-        raise ValueError(f"scale factor must lie in (0, {SHARP_SCALE}]")
+        raise ValueError(f"scale factor must lie in (0, {top}]")
     hs, cols = fam.horoballs, fam.columns
     if not len(cols.tangent):
         raise ValueError("no tangent horoballs to solve against")

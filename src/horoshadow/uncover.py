@@ -280,7 +280,7 @@ def generic_shrink_time(C: float = 1.0,
     C-equivalent to a length metric with the given sphere modulus, in
     curvature pinched in [-a^2, -1], where the shadow of a horoball of
     radius r lies in the ball of radius 2 c_max r, c_max = 2^(-1/a)."""
-    if C < 1:
+    if not C >= 1:  # also rejects NaN
         raise ValueError("equivalence constant must be at least 1")
     if not a >= 1:  # also rejects NaN
         raise ValueError("pinching parameter a must be >= 1")

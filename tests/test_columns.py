@@ -1,31 +1,38 @@
-"""The columnar family against the member-by-member code it replaced,
-which is kept here as the oracle: the entry-by-entry loader and writer
-of the per-entry family documents that preceded row documents.  A row
-document read back gives the family that the oracle's document gives
-through the oracle's loader, bit for bit on every column, in float and
-exact mode; the loader checks rows without coercing them and raises the
-oracle's errors; and the solvers build member objects only for the
-members a scalar test reads."""
+"""The columnar family against the code it replaced, which is kept here
+as two oracles: the entry-by-entry loader and writer of the per-entry
+family documents that preceded row documents, and the reader and writer
+of list-row documents (a tangent row as a JSON array) that preceded text
+rows.  A text-row document read back gives the family that each oracle's
+document gives through that oracle's loader, bit for bit on every column
+and with the same Ratios dtypes, in float and exact mode; the loader
+checks rows without coercing them and raises the oracles' errors; and
+the solvers build member objects only for the members a scalar test
+reads."""
 
 import json
 import math
+import re
 from fractions import Fraction
+from itertools import chain, compress, repeat
+from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horoshadow import serialize
+from horoshadow import numeric, serialize
 from horoshadow.cli import main
 from horoshadow.halfspace import AtInfinityHoroball, Point, TangentHoroball
 from horoshadow.numeric import to_float
 from horoshadow.packings import (
     HoroballFamily,
     Ratios,
+    check_shape,
     extremal,
     farey,
     geometric,
+    int_column,
     random_disjoint,
 )
 from horoshadow.rays import biinfinite_line, ray_from_point
@@ -110,6 +117,133 @@ def old_document_to_family(doc, exact=False):
 
 
 # ---------------------------------------------------------------------------
+# oracles: the list-row writer and reader that text rows replaced, verbatim
+# up to names (a tangent member as a JSON array of its row values)
+
+#: the row forms of a family document: the types a row may hold, and
+#: their name in messages
+LIST_ROW_TYPES = {"exact": ({int}, "integers"), "float": ({int, float}, "numbers")}
+
+
+def list_check_types(values, form: str, what: Optional[str] = None) -> None:
+    """Refuse values of a type that the row form does not hold; what
+    begins the message (by default "<form> document holds")."""
+    allowed, name = LIST_ROW_TYPES[form]
+    found = set(map(type, values)) - allowed
+    if found:
+        raise ValueError(f"{what or form + ' document holds'} {name} only, not "
+                         f"{', '.join(sorted(t.__name__ for t in found))}")
+
+
+def list_merge(rows: list, at: list, objects: list) -> list:
+    """rows with objects[j] inserted so that it lands at index at[j]
+    (increasing)."""
+    out, taken = [], 0
+    for i, obj in zip(at, objects):
+        step = i - len(out)
+        out += rows[taken:taken + step]
+        out.append(obj)
+        taken += step
+    return out + rows[taken:] if out else rows
+
+
+def list_family_to_document(fam: HoroballFamily, metadata: Optional[dict] = None) -> dict:
+    """The row document of a family, written from its columns in one
+    pass: an exact document where the tangent values are exact and every
+    height is exact or, beside exact tangent rows, a finite float (the
+    integers of its Ratios, the heights as [num, den]), else a float
+    document (the float columns)."""
+    import numpy as np
+    with serialize.bulk():
+        cols, ex = fam.columns, fam.exact
+        heights = [fam.horoballs[i].height for i in cols.infinity.tolist()]
+        exact = (ex is not None or not len(cols.tangent)) and all(
+            isinstance(h, (int, Fraction)) or ex is not None and math.isfinite(h) for h in heights)
+        if exact:
+            parts = () if ex is None else (ex.base_num, ex.base_den,
+                                           ex.radius_num[:, None], ex.radius_den[:, None])
+            heights = [list(Fraction(h).as_integer_ratio()) for h in heights]
+        else:
+            parts, heights = (cols.base, cols.radius[:, None]), cols.height.tolist()
+        rows = np.hstack(parts).tolist() if parts else []
+        doc = {
+            "model": "upper_half_space",
+            "dim": fam.dim,
+            "rows": "exact" if exact else "float",
+            "entries": list_merge(rows, cols.infinity.tolist(),
+                              [{"type": "at_infinity", "height": h} for h in heights]),
+            "metadata": dict(metadata or {}),
+        }
+        if fam.labels is not None:
+            doc["metadata"]["labels"] = list(fam.labels)
+        return doc
+
+
+def list_at_infinity(entry: dict, form: str, exact: bool) -> AtInfinityHoroball:
+    """The member of an entry that is not a row: a member at infinity,
+    its height a number in a float document and [num, den] in an exact
+    one."""
+    if entry["type"] != "at_infinity":
+        raise ValueError(f"unknown horoball entry type {entry['type']!r}")
+    h = entry["height"]
+    if form == "float":
+        list_check_types([h], form)
+        return AtInfinityHoroball(float(h))
+    if type(h) is not list or len(h) != 2:
+        raise ValueError("a height in an exact document is [num, den]")
+    list_check_types(h, form)
+    if h[1] <= 0:
+        raise ValueError("denominators must be positive")
+    h = Fraction(*h)
+    return AtInfinityHoroball(h if exact else numeric.to_float(h))
+
+
+def list_document_to_family(doc: dict, exact: bool = False) -> HoroballFamily:
+    """The family of a row document, its rows read into columns in one
+    pass, checked and not coerced.  Float mode reads a float document's
+    floats, or an exact document's integers rounded correctly
+    (Ratios.floats); exact mode reads an exact document into exact
+    columns (Ratios, in lowest terms).  A per-entry document, the format
+    before rows, is refused."""
+    import numpy as np
+    with serialize.bulk(), serialize._reading("family"):
+        if doc.get("model") != "upper_half_space":
+            raise ValueError(f"not an upper_half_space document: {doc.get('model')!r}")
+        form = doc.get("rows")
+        if form not in LIST_ROW_TYPES:
+            raise ValueError("per-entry family document (the format before row documents): "
+                             "re-run pack to write it again" if form is None
+                             else f"unknown row form {form!r}")
+        if exact and form == "float":
+            raise ValueError("no exact form in exact mode: the document's rows are floats")
+        dim, entries = doc["dim"], doc["entries"]
+        if type(entries) is not list:
+            raise TypeError(f"entries is a {type(entries).__name__}, not a list")
+        is_row = np.fromiter(map(isinstance, entries, repeat(list)), dtype=bool,
+                             count=len(entries))
+        at = np.flatnonzero(~is_row).tolist()
+        members = {i: list_at_infinity(entries[i], form, exact) for i in at}
+        rows = list(compress(entries, is_row)) if at else entries
+        lengths = set(map(len, rows))
+        check_shape(dim, {n - 1 for n in lengths} if form == "float" else
+                    {n / 2 - 1 for n in lengths})
+        flat = list(chain.from_iterable(rows))
+        list_check_types(flat, form)
+        tangent, labels, k = np.flatnonzero(is_row), doc.get("metadata", {}).get("labels"), dim - 1
+        if form == "float":
+            table = np.array(flat, dtype=float).reshape(len(rows), dim)
+            return HoroballFamily.from_columns(dim, tangent, table[:, :k].copy(), table[:, k].copy(),
+                                               None, members, labels)
+        table = int_column(flat).reshape(len(rows), 2 * dim)
+        cols = table[:, :k], table[:, k:2 * k], table[:, 2 * k], table[:, 2 * k + 1]
+        if not ((cols[1] > 0).all() and (cols[3] > 0).all()):
+            raise ValueError("denominators must be positive")
+        ratios = Ratios.lowest_terms(*cols) if exact else Ratios(*cols)
+        return HoroballFamily.from_columns(dim, tangent, *ratios.floats(),
+                                           ratios if exact else None, members, labels)
+
+
+# ---------------------------------------------------------------------------
 # helpers
 
 
@@ -175,22 +309,75 @@ def assert_docs_read_alike(new_doc, old_doc, modes=(False, True)):
 
 
 def assert_reads_like_oracle(fam, metadata=None, modes=(False, True)):
-    """The document of a family reads as the oracle's document of it;
-    returns the document, after a JSON round trip.  The oracle wrote no
-    empty labels, which then read back as None; they are written now."""
+    """The document of a family reads as the oracle's document of it, and
+    as the list-row oracle's (assert_reads_like_list_rows); returns the
+    document, after a JSON round trip.  The oracle wrote no empty labels,
+    which then read back as None; they are written now."""
     new_doc = json.loads(serialize.dumps(serialize.family_to_document(fam, metadata)))
     old_doc = old_family_to_document(fam, metadata)
     if fam.labels == []:
         old_doc["metadata"]["labels"] = []
     assert_docs_read_alike(new_doc, old_doc, modes)
+    assert_reads_like_list_rows(fam, metadata)
     return new_doc
+
+
+def row_text(row):
+    """A row given as a list, as a text row: its values joined by single
+    spaces, an int as str and a float as repr (as the writer formats
+    them), a bool and None as JSON writes them, a string as it is."""
+    def token(x):
+        if isinstance(x, bool) or x is None:
+            return json.dumps(x)
+        return x if isinstance(x, str) else repr(x)
+    return " ".join(map(token, row))
+
+
+def text_rows(doc):
+    """A list-row document with its rows as text rows (row_text)."""
+    if type(doc["entries"]) is not list:
+        return doc
+    return {**doc, "entries": [row_text(e) if type(e) is list else e for e in doc["entries"]]}
+
+
+#: the beginnings of the errors that name a row value: the reader names
+#: it as it is written, the list-row oracle by its JSON type
+VALUE_ERRORS = ("exact document holds ", "float document holds ",
+                "malformed family document: OverflowError: ")
+
+
+def assert_list_rows_read_alike(text_doc, list_doc):
+    """The text-row document through the reader and the list-row document
+    through the list-row oracle give the same family, bit for bit on every
+    column and with the same Ratios dtypes, or the same error, in float
+    and exact mode (up to the value an error names, VALUE_ERRORS)."""
+    for exact in (False, True):
+        new = outcome(serialize.document_to_family, text_doc, exact)
+        old = outcome(list_document_to_family, list_doc, exact)
+        assert new[0] == old[0], (exact, new, old)
+        if new[0] == "ok":
+            assert_same_family(new[1], old[1])
+        elif new[1] != old[1]:
+            assert new[1][0] is old[1][0] and any(
+                new[1][1].startswith(b) and old[1][1].startswith(b) for b in VALUE_ERRORS), \
+                (exact, new, old)
+
+
+def assert_reads_like_list_rows(fam, metadata=None):
+    """The document of a family holds the list-row oracle's document of
+    it with each row as its text row, and reads as it (both after a JSON
+    round trip)."""
+    new_doc = json.loads(serialize.dumps(serialize.family_to_document(fam, metadata)))
+    list_doc = json.loads(serialize.dumps(list_family_to_document(fam, metadata)))
+    assert new_doc == text_rows(list_doc)
+    assert_list_rows_read_alike(new_doc, list_doc)
 
 
 def float_document(fam):
     """The float document of a family's float columns, which need not
     make a family (radii that round to 0.0)."""
     cols = fam.columns
-    entries = np.hstack([cols.base, cols.radius[:, None]]).tolist()
+    entries = list(map(row_text, np.hstack([cols.base, cols.radius[:, None]]).tolist()))
     for i, h in zip(cols.infinity.tolist(), cols.height.tolist()):
         entries.insert(i, {"type": "at_infinity", "height": h})
     return json.loads(serialize.dumps({
@@ -267,6 +454,39 @@ FALSIFIED = {"empty-labels": HoroballFamily(2, [], labels=[]),
              "exact-rows-float-height": NAMED["exact-rows-float-height"]}
 
 
+def is_value(token, form):
+    """Whether a token is a value of the row form, decided without numpy:
+    -?[0-9]+ in an exact row; in a float row, a token of the characters
+    repr writes that float() reads."""
+    if form == "exact":
+        return re.fullmatch(r"-?[0-9]+", token) is not None
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return re.fullmatch(r"[-+.0-9aefin]+", token) is not None
+
+
+@st.composite
+def text_rows_of(draw):
+    """(form, rows): text rows, mostly of values of the form (integers
+    beyond int64 among them) separated by single spaces, else with other
+    separators, and other tokens drawn from the characters of both forms."""
+    form = draw(st.sampled_from(["exact", "float"]))
+    width = 4 if form == "exact" else 2
+    value = st.integers(-2 ** 64, 2 ** 64).map(str) if form == "exact" else \
+        st.floats(width=64).map(repr)
+    other = st.one_of(st.integers(-2 ** 64, 2 ** 64).map(str), st.floats(width=64).map(repr),
+                      st.text(st.sampled_from("-+.0123456789aefinx\u0661"), max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        tokens = [draw(other if draw(st.integers(0, 15)) == 0 else value)
+                  for _ in range(draw(st.sampled_from([width] * 6 + [1, 3, 5])))]
+        seps = [draw(st.sampled_from([" "] * 30 + ["  ", "\t", "\n", ""])) for _ in tokens[1:]]
+        rows.append(tokens[0] + "".join(map("".join, zip(seps, tokens[1:]))))
+    return form, rows
+
+
 class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(float_families())
@@ -300,6 +520,7 @@ class TestRoundTrip:
         back = serialize.document_to_family(doc, exact)
         assert back == want
         assert_same_columns(back, want)
+        assert_reads_like_list_rows(fam)
 
     @pytest.mark.parametrize("name", sorted(EXACT))
     @pytest.mark.parametrize("k", [Fraction(2) ** 1100, Fraction(1, 2 ** 1100), Fraction(1)],
@@ -319,6 +540,7 @@ class TestRoundTrip:
             back = serialize.document_to_family(doc, exact=True)
             assert back == fam  # an int height reads as a Fraction, as in the oracle
             assert_same_columns(back, fam)
+            assert_reads_like_list_rows(fam, {"g": name})
         else:
             doc = float_document(fam)
             assert outcome(serialize.document_to_family, doc, True) == \
@@ -335,7 +557,7 @@ class TestRoundTrip:
         doc = serialize.family_to_document(transform(EXACT["farey"], Fraction(2) ** 1100))
         cols = serialize.document_to_family(doc, exact=True).columns
         assert np.isinf(cols.radius).all() and (cols.radius > 0).all()
-        assert doc["entries"][0] == [0, 1, 2 ** 1099, 1]
+        assert doc["entries"][0] == f"0 1 {2 ** 1099} 1"
         assert serialize.document_to_family(doc).columns.radius[0] == math.inf
         tiny = serialize.document_to_family(
             serialize.family_to_document(transform(EXACT["farey"], Fraction(1, 2 ** 1100))), True)
@@ -370,13 +592,58 @@ class TestRoundTrip:
         fam = serialize.document_to_family(doc_of([2 ** 53 - 1, 1, 1, 2]), exact=True)
         assert fam.exact.base_num.dtype == np.int64
 
+    @pytest.mark.parametrize("value", [2 ** 63 - 1, 2 ** 63, 10 ** 30, -2 ** 63, -2 ** 63 - 1,
+                                       -10 ** 30])
+    def test_values_at_and_beyond_the_int64_bounds_read_exactly(self, value):
+        # numpy reads an integer beyond int64 as 2^63 - 1 or -2^63 (both
+        # 9223372036854775808 and -9223372036854775809 as 2^63 - 1), so a
+        # value at a bound sends the document down the Python-int path
+        doc = doc_of([1, 1, 1, 8], [value, 1, 1, 2])
+        fam = serialize.document_to_family(doc, exact=True)
+        assert fam.exact.base_num.dtype == object
+        assert fam.exact.base_num[:, 0].tolist() == [1, value]
+        assert fam.exact.radius_den.dtype == np.int64
+        assert fam.columns.base[1, 0] == float(value)
+        assert_list_rows_read_alike(doc, list_doc_of([1, 1, 1, 8], [value, 1, 1, 2]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text_rows_of())
+    def test_one_parse_reads_as_the_rows_one_by_one(self, drawn):
+        """The joined parse accepts text rows exactly when each row holds
+        width values separated by single spaces, each a value of the form
+        (is_value), and reads each value as int() or float() reads it."""
+        form, rows = drawn
+        width = 2 if form == "float" else 4
+        split = [row.split(" ") for row in rows]
+        values = list(chain.from_iterable(split))
+        got = outcome(serialize._row_values, rows, form, width)
+        if not all(len(v) == width for v in split) or \
+                not all(is_value(v, form) for v in values):
+            assert got[0] == "raised" and got[1][0] is ValueError, (rows, got)
+        elif form == "exact":
+            assert got[0] == "ok" and got[1].tolist() == list(map(int, values))
+        elif any(math.isinf(float(v)) and v.lstrip("+-") != "inf" for v in values):
+            assert got[0] == "raised" and got[1][0] is OverflowError, (rows, got)
+        else:
+            # bit for bit, but for the sign of a NaN
+            want = np.array(list(map(float, values)))
+            real = ~np.isnan(want)
+            assert got[0] == "ok" and np.array_equal(np.isnan(got[1]), ~real) \
+                and bits(got[1][real]) == bits(want[real]), (rows, got)
+
 
 # ---------------------------------------------------------------------------
 # the loader's errors
 
 
-def doc_of(*entries, dim=2, rows="exact"):
+def list_doc_of(*entries, dim=2, rows="exact"):
     return {"model": "upper_half_space", "dim": dim, "rows": rows, "entries": list(entries)}
+
+
+def doc_of(*entries, dim=2, rows="exact"):
+    """A row document of the entries, a row given as a list written as
+    its text row (row_text)."""
+    return text_rows(list_doc_of(*entries, dim=dim, rows=rows))
 
 
 def old_doc_of(*entries, dim=2):
@@ -447,7 +714,92 @@ PORTED = {
 DIFFERS = {
     "radius-before-type": (ported(ZERO, (CUSP,) * 3)[:2], "unknown horoball entry type 'cusp'"),
     "float-in-exact-row": ((doc_of([0.5, 1, 1, 4]),),
-                           "exact document holds integers only, not float"),
+                           "exact document holds integers only, not '0.5'"),
+}
+
+
+#: a list-row document, the message of the reader on its text rows
+#: (text_rows) and an id: each is refused, and by the same error as the
+#: list-row oracle gives on the list-row document (a message that names a
+#: row value names it as written, where the oracle names its JSON type)
+CHECKED = [
+    (list_doc_of([0.5, 1, 1, 4]), "exact document holds integers only, not '0.5'", "float-base"),
+    (list_doc_of([1, 2, 1.0, 4]), "exact document holds integers only, not '1.0'", "float-radius"),
+    (list_doc_of(["1/2", 1, 1, 4]), "exact document holds integers only, not '1/2'", "string"),
+    (list_doc_of([True, 2, 1, 4]), "exact document holds integers only, not 'true'", "bool"),
+    (list_doc_of([None, 2, 1, 4]), "exact document holds integers only, not 'null'", "null"),
+    (list_doc_of([1, 0, 1, 4]), "denominators must be positive", "zero-den"),
+    (list_doc_of([1, -2, 1, 4]), "denominators must be positive", "negative-den"),
+    (list_doc_of([1, 2, 1, 0]), "denominators must be positive", "zero-radius-den"),
+    (list_doc_of([1, 2, -1, -4]), "denominators must be positive", "negative-radius"),
+    (list_doc_of({"type": "at_infinity", "height": [1, 0]}), "denominators must be positive",
+     "zero-height-den"),
+    (list_doc_of({"type": "at_infinity", "height": [1.5, 1]}), "integers only, not float",
+     "float-height"),
+    (list_doc_of({"type": "at_infinity", "height": [1]}),
+     r"height in an exact document is \[num, den\]", "short-height"),
+    (list_doc_of({"type": "at_infinity", "height": 2}),
+     r"height in an exact document is \[num, den\]", "number-height"),
+    (list_doc_of(['"0.5"', 0.25], rows="float"), "float document holds numbers only, not '\"0.5\"'",
+     "float-string"),
+    (list_doc_of([0.5, True], rows="float"), "float document holds numbers only, not 'true'",
+     "float-bool"),
+    (list_doc_of([None, 0.25], rows="float"), "float document holds numbers only, not 'null'",
+     "float-null"),
+    (list_doc_of({"type": "at_infinity", "height": "2.0"}, rows="float"), "numbers only, not str",
+     "float-string-height"),
+    (list_doc_of([1, 2, 1, 4, 1]), "horoball base dimension does not match family", "odd-row"),
+    (list_doc_of([1, 2, 1, 4], [0.5, 0.25], rows="float"), "base dimension does not match",
+     "float-long-row"),
+    (list_doc_of({"height": [1, 1]}), "malformed family document: KeyError", "no-type"),
+    (list_doc_of(None), "malformed family document: TypeError", "null-entry"),
+    ({**list_doc_of(), "entries": {"a": 1}}, "malformed family document: TypeError",
+     "entries-object"),
+    (list_doc_of([10 ** 400, 0.25], rows="float"), "malformed family document: OverflowError",
+     "huge-int"),
+]
+
+
+def not_a(form, token):
+    name = "integers" if form == "exact" else "numbers"
+    return re.escape(f"{form} document holds {name} only, not {token!r}")
+
+
+SPACING = "row values are separated by single spaces"
+WIDTH = "horoball base dimension does not match family"
+
+#: text rows that no list row can write, each refused with its message:
+#: tokens that are not values of the row form, and rows whose values are
+#: not width values separated by single spaces, also where another row
+#: would make up the count of values or spaces
+TEXT_FAULTS = {
+    **{f"exact-{name}": (doc_of(f"{token} 2 1 4"), not_a("exact", token)) for name, token in [
+        ("exponent", "1e3"), ("underscore", "1_0"), ("arabic-digit", "\u0661"),
+        ("fullwidth-digit", "\uff11"), ("plus", "+1"), ("lone-minus", "-"), ("inner-minus", "2-3"),
+        ("double-minus", "--2"), ("nan", "nan"), ("quoted", '"1"')]},
+    **{f"float-{name}": (doc_of(f"{token} 0.25", rows="float"), not_a("float", token))
+       for name, token in [("json-infinity", "Infinity"), ("json-nan", "NaN"), ("hex", "0x1"),
+                           ("bare-exponent", "1e"), ("double-minus", "--1"), ("comma", "1,5"),
+                           ("underscore", "1_0"), ("arabic-digit", "\u0661")]},
+    # numpy reads a "-" that ends the text as 0
+    "exact-trailing-lone-minus": (doc_of("1 2 1 4", "1 2 1 -"), not_a("exact", "-")),
+    "float-beyond-range": (doc_of("1e400 0.25", rows="float"), "OverflowError: row value 1e400"),
+    "float-nan-radius": (doc_of("0.5 nan", rows="float"), "radius must be positive"),
+    "double-space": (doc_of("1  2 1 4"), SPACING),
+    "leading-space": (doc_of(" 1 2 1 4"), SPACING),
+    "trailing-space": (doc_of("1 2 1 4 "), SPACING),
+    "tab": (doc_of("1\t2 1 4"), SPACING),
+    "carriage-return": (doc_of("1 2 1 4\r"), SPACING),
+    "no-break-space": (doc_of("1\u00a02 1 4"), SPACING),
+    "empty-row": (doc_of("1 2 1 4", ""), SPACING),
+    "tab-made-up-by-a-short-row": (doc_of("0 1 1 2\t7", "1 1 2"), SPACING),
+    "newline-made-up-by-a-short-row": (doc_of("0 1 1 2\n7", "1 1 2"), SPACING),
+    "double-space-made-up-by-a-missing-one": (doc_of("0 1 1  2", "1 1 12"), SPACING),
+    "short-row-made-up-by-a-long-one": (doc_of("0 1 1", "2 1 1 2 8"), WIDTH),
+    "float-short-row-made-up-by-a-long-one": (doc_of("0.5", "0.5 0.25 0.25", rows="float"),
+                                              WIDTH),
+    "type-before-row-fault": (doc_of("1 x 1 4", CUSP),
+                              "unknown horoball entry type 'cusp'"),
 }
 
 
@@ -505,43 +857,45 @@ class TestErrors:
         with pytest.raises(ValueError, match="unknown row form 'columns'"):
             serialize.document_to_family(doc_of(ROW, rows="columns"))
 
-    @pytest.mark.parametrize("doc,message", [
-        (doc_of([0.5, 1, 1, 4]), "exact document holds integers only, not float"),
-        (doc_of([1, 2, 1.0, 4]), "exact document holds integers only, not float"),
-        (doc_of(["1/2", 1, 1, 4]), "exact document holds integers only, not str"),
-        (doc_of([True, 2, 1, 4]), "exact document holds integers only, not bool"),
-        (doc_of([None, 2, 1, 4]), "exact document holds integers only, not NoneType"),
-        (doc_of([1, 0, 1, 4]), "denominators must be positive"),
-        (doc_of([1, -2, 1, 4]), "denominators must be positive"),
-        (doc_of([1, 2, 1, 0]), "denominators must be positive"),
-        (doc_of([1, 2, -1, -4]), "denominators must be positive"),
-        (doc_of({"type": "at_infinity", "height": [1, 0]}), "denominators must be positive"),
-        (doc_of({"type": "at_infinity", "height": [1.5, 1]}), "integers only, not float"),
-        (doc_of({"type": "at_infinity", "height": [1]}), r"height in an exact document is \[num, den\]"),
-        (doc_of({"type": "at_infinity", "height": 2}), r"height in an exact document is \[num, den\]"),
-        (doc_of(["0.5", 0.25], rows="float"), "float document holds numbers only, not str"),
-        (doc_of([0.5, True], rows="float"), "float document holds numbers only, not bool"),
-        (doc_of([None, 0.25], rows="float"), "float document holds numbers only, not NoneType"),
-        (doc_of({"type": "at_infinity", "height": "2.0"}, rows="float"), "numbers only, not str"),
-        (doc_of([1, 2, 1, 4, 1]), "horoball base dimension does not match family"),
-        (doc_of([1, 2, 1, 4], [0.5, 0.25], rows="float"), "base dimension does not match"),
-        (doc_of({"height": [1, 1]}), "malformed family document: KeyError"),
-        (doc_of(None), "malformed family document: TypeError"),
-        ({**doc_of(), "entries": {"a": 1}}, "malformed family document: TypeError"),
-        (doc_of([10 ** 400, 0.25], rows="float"), "malformed family document: OverflowError"),
-    ], ids=["float-base", "float-radius", "string", "bool", "null", "zero-den", "negative-den",
-            "zero-radius-den", "negative-radius", "zero-height-den", "float-height",
-            "short-height", "number-height", "float-string", "float-bool", "float-null",
-            "float-string-height", "odd-row", "float-long-row", "no-type", "null-entry",
-            "entries-object", "huge-int"])
+    def test_list_row_documents_are_refused(self, tmp_path, capsys):
+        # the row documents before text rows held a row as a JSON array
+        for fam in (farey(4, include_infinity=True), farey(4), random_disjoint(5, 3, 0)):
+            old = json.loads(serialize.dumps(list_family_to_document(fam)))
+            for exact in (False, True) if old["rows"] == "exact" else (False,):
+                with pytest.raises(ValueError, match="list-row family document .* re-run pack"):
+                    serialize.document_to_family(old, exact)
+            path = tmp_path / "old.json"
+            path.write_text(json.dumps(old))
+            assert main(["verify", "packing", "--family", str(path)]) == 1
+            assert capsys.readouterr().err == "error: list-row family document (the format " \
+                "before text rows): re-run pack to write it again\n"
+
+    @pytest.mark.parametrize("doc,message", [c[:2] for c in CHECKED], ids=[c[2] for c in CHECKED])
     def test_rows_are_checked_not_coerced(self, doc, message):
-        # np.array(..., dtype=np.int64) would read 0.5 as 0 and True as
-        # 1, and np.array(..., dtype=float) would parse "0.5"
+        # np.fromstring(..., dtype=np.int64) would read "- 2" as -2, and a
+        # list row's np.array(..., dtype=np.int64) read 0.5 as 0 and True
+        # as 1
+        doc = text_rows(doc)
         for exact in (False, True):
             if exact and doc["rows"] == "float":
                 continue  # NO_EXACT, before the rows are read
             with pytest.raises(ValueError, match=message):
                 serialize.document_to_family(doc, exact)
+
+    @pytest.mark.parametrize("doc", [c[0] for c in CHECKED], ids=[c[2] for c in CHECKED])
+    def test_same_error_as_list_row_oracle(self, doc):
+        assert_list_rows_read_alike(text_rows(doc), doc)
+
+    @pytest.mark.parametrize("doc,message", list(TEXT_FAULTS.values()), ids=list(TEXT_FAULTS))
+    def test_text_rows_are_checked(self, tmp_path, capsys, doc, message):
+        for exact in (False, True) if doc["rows"] == "exact" else (False,):
+            with pytest.raises(ValueError, match=message):
+                serialize.document_to_family(doc, exact)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "packing", "--family", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and re.search(message, err)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +987,7 @@ class TestOneConstructor:
             [Fraction, Fraction]
         doc = serialize.family_to_document(ints)
         assert (doc["rows"], doc["entries"]) == \
-            ("exact", [[0, 1, 1, 1], {"type": "at_infinity", "height": [3, 1]}])
+            ("exact", ["0 1 1 1", {"type": "at_infinity", "height": [3, 1]}])
         # no tangent rows: no exact columns
         assert HoroballFamily(2, [AtInfinityHoroball(1)]).exact is None
         assert HoroballFamily(3, []).exact is None

@@ -305,6 +305,20 @@ class TestUncoverInstance:
     def test_shrink_time(self):
         assert complex_hyperbolic_shrink_time() == pytest.approx(4.9157, abs=1e-3)
 
+    def test_shrink_time_closed_form(self):
+        # the golden-section search ends where the two loads meet, at
+        # eps + heis_modulus(eps) = 1, whose root is
+        # eps*^2 = (pi/2)(sqrt(1 + 4/pi) - 1); then s0 = f(1 + eps*) with
+        # f = max_scale_for_load, and t0 = -log(s0 / (2 c_max C)) with
+        # c_max = 2^(-1/2) and C = sqrt(pi)
+        eps = math.sqrt(math.pi / 2 * (math.sqrt(1 + 4 / math.pi) - 1))
+        assert eps + heis_modulus(eps) == pytest.approx(1, abs=1e-15)
+        load = 1 + eps
+        s0 = (math.sqrt(4 * load + 1) - load - 1) / load
+        t0 = -math.log(s0 / (2 * 2 ** -0.5 * CC_EQUIVALENCE))
+        assert t0 == pytest.approx(4.915766891218324, abs=1e-14)
+        assert complex_hyperbolic_shrink_time() == pytest.approx(t0, abs=1e-9)
+
 
 def dyadic(bits, bound):
     return st.integers(-bound * 2 ** bits, bound * 2 ** bits).map(lambda n: n / 2 ** bits)

@@ -123,6 +123,9 @@ class TestCli:
         assert [c["name"] for c in doc["checks"]] == [
             "t1(1)", "e^-t1(1)", "s0(1/4, lines)", "t0(H^n_R)", "t0(H^2_C)"]
         assert all(c["pass"] for c in doc["checks"])
+        # t0(H^2_C) against its closed form (test_heisenberg derives it)
+        assert doc["checks"][-1]["expected"] == 4.915766891218324
+        assert doc["checks"][-1]["tolerance"] == 1e-9
 
     def test_json_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -280,7 +283,8 @@ class TestCli:
                      "--shrink-s", s]) == status
         out, err = capsys.readouterr()
         if status:
-            assert out == "" and err.startswith("error: scale factor must lie in")
+            # the bound an exact s is held to, not its float rounding
+            assert out == "" and err == "error: scale factor must lie in (0, 4*sqrt(2)-5]\n"
         else:
             assert json.loads(out)["certified"]
 
@@ -591,14 +595,33 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
 
 
-def loaded_modules(code: str, cwd=None) -> set:
-    """The modules loaded in a fresh interpreter that has run code (which
-    may print lines of its own)."""
+def src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_stdout_ends_quietly():
+    # as `pack ... | head -c 50`: the 339 kB document outgrows the pipe,
+    # so the write fails once the reader has closed it
+    argv = [sys.executable, "-m", "horoshadow.cli", "pack", "farey", "--qmax", "200", "--infinity"]
+    with subprocess.Popen(argv, env=src_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert head.startswith(b'{"dim": 2, "entries": [')
+    assert err == b""  # no error line, and no "Exception ignored" at exit
+
+
+def loaded_modules(code: str, cwd=None) -> set:
+    """The modules loaded in a fresh interpreter that has run code (which
+    may print lines of its own)."""
     code += "\nimport sys; print(' '.join(sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), cwd=cwd,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
@@ -671,9 +694,7 @@ def test_readme_command_block(tmp_path):
     # each line runs in turn in one directory, horoshadow as
     # `python -m horoshadow.cli`, each stage of a pipeline reading the
     # output of the one before it; every stage must exit 0
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env = src_env()
     commands = readme_commands()
     assert len(commands) > 10
     for command in commands:

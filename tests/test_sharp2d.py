@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -146,8 +147,10 @@ class TestSolve2d:
         above = Fraction(6568542494925, 10 ** 13)
         assert float(above) <= SHARP_SCALE * (1 + 1e-12)
         for s in (above, Fraction(SHARP_SCALE)):
-            with pytest.raises(ValueError, match="scale factor must lie in"):
+            with pytest.raises(ValueError, match=re.escape("must lie in (0, 4*sqrt(2)-5]")):
                 solve_2d(fam, s, tol=0)
+        with pytest.raises(ValueError, match=re.escape(f"must lie in (0, {SHARP_SCALE}]")):
+            solve_2d(farey(5), 0.66)
         s = Fraction(6568542494923, 10 ** 13)
         sol = solve_2d(fam, s, tol=0)
         assert sol.certificate.margin >= 0 and isinstance(sol.endpoint[0], Fraction)

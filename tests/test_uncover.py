@@ -127,6 +127,11 @@ class TestShrinkTime:
         want = -math.log(s0 / (2 * c_max * math.sqrt(math.pi)))
         assert generic_shrink_time(math.sqrt(math.pi), HEIS_MODULUS, a=a) == want
 
+    @pytest.mark.parametrize("C", [0.5, float("nan")])
+    def test_refuses_equivalence_below_one(self, C):
+        with pytest.raises(ValueError, match="equivalence constant must be at least 1"):
+            generic_shrink_time(C, None, has_lines=True)
+
     @pytest.mark.parametrize("a", [0.5, 0.999, float("nan")])
     def test_refuses_pinching_below_one(self, a):
         with pytest.raises(ValueError, match="pinching parameter a must be >= 1"):
